@@ -100,7 +100,7 @@ proptest! {
     /// The whole simulator survives *executing* arbitrary words: any
     /// 32-bit soup loaded as text must end in a typed result (`Ok`,
     /// `BadInstruction`, `MemoryFault`, `CycleLimit`, `Watchdog`) —
-    /// never a panic — under both tick and fast-forward execution, with
+    /// never a panic — on both the tick and the translated backend, with
     /// arbitrary register contents steering wild loads, stores, and
     /// jumps. This is the no-panic hardening contract the fault
     /// campaign's crash classification rests on.
@@ -108,7 +108,7 @@ proptest! {
     fn machine_survives_arbitrary_text(
         words in prop::collection::vec(any::<u32>(), 1..64),
         regs in prop::collection::vec(any::<i32>(), 31),
-        ff in any::<bool>(),
+        backend in prop_oneof![Just(mt_sim::Backend::Tick), Just(mt_sim::Backend::Xlate)],
     ) {
         let program = mt_sim::Program {
             words,
@@ -118,7 +118,7 @@ proptest! {
         let mut m = mt_sim::Machine::new(mt_sim::SimConfig {
             max_cycles: 20_000,
             watchdog_cycles: 2_000,
-            fast_forward: ff,
+            backend,
             ..mt_sim::SimConfig::default()
         });
         m.load_program(&program);

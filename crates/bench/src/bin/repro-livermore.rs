@@ -13,10 +13,10 @@ use mt_baseline::published::{
 use mt_bench::{f1, livermore_mflops_with, row};
 use mt_sim::Backend;
 
-/// `--backend tick|xlate` (default `xlate`: both backends produce
-/// bit-identical reports, so the flag only picks how fast the simulator
-/// itself runs — and the committed `sim_throughput` numbers are measured
-/// over the translated backend).
+/// `--backend tick|xlate` (default: the simulator's default, `xlate`.
+/// Both backends produce bit-identical reports, so the flag only picks
+/// how fast the simulator itself runs — and the committed
+/// `sim_throughput` numbers are measured over the translated backend).
 fn backend_arg() -> Backend {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
@@ -25,7 +25,7 @@ fn backend_arg() -> Backend {
             return v.parse().unwrap_or_else(|e| panic!("{e}"));
         }
     }
-    Backend::Xlate
+    Backend::default()
 }
 
 fn main() {

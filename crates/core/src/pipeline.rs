@@ -200,7 +200,7 @@ impl Pipeline {
     }
 
     /// The earliest cycle at which something will retire, if anything is in
-    /// flight (used by the simulator to fast-forward drain periods).
+    /// flight (the simulator's translated backend clamps its hops to it).
     #[inline]
     pub fn next_ready_at(&self) -> Option<u64> {
         if self.len == 0 {

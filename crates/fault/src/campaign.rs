@@ -84,11 +84,11 @@ pub struct CampaignConfig {
     pub max_cycles: u64,
     /// No-progress watchdog threshold for injected runs (cycles).
     pub watchdog_cycles: u64,
-    /// Execution backend for golden and injected runs. Campaign
-    /// capacity scales with simulator throughput, so the default is the
-    /// block-translated backend; outcomes are bit-identical either way
-    /// (a text-region flip bumps the write watch, which drops the
-    /// translated block before the next fetch).
+    /// Execution backend for golden and injected runs: the simulator
+    /// default (the block-translated backend) unless overridden.
+    /// Outcomes are bit-identical either way (a text-region flip bumps
+    /// the write watch, which drops the translated block before the next
+    /// fetch).
     pub backend: Backend,
 }
 
@@ -99,7 +99,7 @@ impl Default for CampaignConfig {
             injections: 500,
             max_cycles: 200_000,
             watchdog_cycles: 20_000,
-            backend: Backend::Xlate,
+            backend: Backend::default(),
         }
     }
 }

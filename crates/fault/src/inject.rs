@@ -63,7 +63,7 @@ pub fn apply(m: &mut Machine, target: &FaultTarget) {
         FaultTarget::MemoryWord { addr, bit } => {
             let word = m.mem.memory.read_u32(addr);
             // A plain memory write also bumps the write watch, which
-            // correctly stops the predecoded text table from masking a
+            // correctly stops the program's translation from masking a
             // text-region flip.
             m.mem.memory.write_u32(addr, word ^ (1 << (bit % 32)));
         }

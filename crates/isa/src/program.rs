@@ -59,19 +59,6 @@ impl Program {
         })
     }
 
-    /// Decodes the whole text once into a side table indexed by word: each
-    /// entry pairs the encoded word with its decoding, or is `None` for a
-    /// word that does not decode (the simulator reports those lazily, at
-    /// fetch time, exactly as the decode-per-fetch path did). The machine
-    /// consults this table on every dynamic fetch instead of re-running
-    /// `Instr::decode`.
-    pub fn predecode(&self) -> Vec<Option<(u32, Instr)>> {
-        self.words
-            .iter()
-            .map(|&w| Instr::decode(w).ok().map(|i| (w, i)))
-            .collect()
-    }
-
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.words.len()

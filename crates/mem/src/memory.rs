@@ -90,7 +90,8 @@ impl Memory {
 
     /// Starts counting writes that overlap `[start, end)` (replacing any
     /// previous watch). The simulator watches its text segment so fetches
-    /// can trust the predecoded table outright until a write lands there.
+    /// can trust the program's translation outright until a write lands
+    /// there.
     pub fn watch_range(&mut self, start: u32, end: u32) {
         self.watch = (start, end);
         self.watch_writes = 0;

@@ -147,7 +147,7 @@ impl MemorySystem {
 
     /// The cache-path side effects and penalty of [`MemorySystem::fetch`]
     /// without reading the word — for callers that can prove they already
-    /// hold the text at `addr` (the simulator's predecoded fast path).
+    /// hold the text at `addr` (the simulator's translated-text fetch).
     #[inline]
     pub fn fetch_timing(&mut self, addr: u32) -> u64 {
         let mut penalty = self.ibuffer.access(addr, AccessKind::Read);

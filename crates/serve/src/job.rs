@@ -77,10 +77,10 @@ pub struct RunOptions {
     pub max_cycles: u64,
     /// Per-job no-progress watchdog (0 = off).
     pub watchdog: u64,
-    /// Execution backend. The service defaults to the block-translated
-    /// backend (throughput); `?backend=tick` forces the reference
-    /// interpreter. Both produce bit-identical responses, so this knob
-    /// is deliberately *not* cache-key material.
+    /// Execution backend: the simulator default (the block-translated
+    /// backend) unless `?backend=tick` forces the reference interpreter.
+    /// Both produce bit-identical responses, so this knob is deliberately
+    /// *not* cache-key material.
     pub backend: Backend,
     /// The simulated microarchitecture (`?config=knob=v,...` and the
     /// `?lanes=` shorthand). Changes the response body, so its full
@@ -102,7 +102,7 @@ impl Default for RunOptions {
             trace: false,
             max_cycles: 0,
             watchdog: 0,
-            backend: Backend::Xlate,
+            backend: Backend::default(),
             machine: MachineConfig::default(),
             serialized: false,
         }

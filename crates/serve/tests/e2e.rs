@@ -571,3 +571,39 @@ fn backend_knob_is_parsed_and_shares_the_cache() {
     assert_eq!(post(&addr, "/run?backend=bogus", "b", DAXPY).status, 400);
     handle.shutdown();
 }
+
+/// A `?config=` cache geometry that would exhaust a worker — a billion
+/// 16-byte lines (16 GiB) or 268M ways scanned per access — is refused
+/// with a structured 4xx before any worker builds the machine, on
+/// `POST /run` and in a `POST /sweep` grid alike, and the server stays
+/// up.
+#[test]
+fn oversized_cache_config_is_refused_and_the_server_stays_up() {
+    let handle = serve(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr().to_string();
+
+    for config in [
+        "dcache_bytes=4294967280,dcache_line=4",
+        "dcache_ways=268435456",
+    ] {
+        let r = post(&addr, &format!("/run?config={config}"), "c", DAXPY);
+        assert_eq!(r.status, 400, "{config}: {}", r.body);
+        let doc = mt_trace::json::parse(&r.body).unwrap();
+        assert_eq!(doc.get("kind").unwrap().as_str(), Some("bad-query"));
+        assert_eq!(get(&addr, "/healthz").status, 200);
+    }
+    let sweep = post(
+        &addr,
+        "/sweep?loops=12",
+        "c",
+        "dcache_bytes=4294967280\ndcache_line=4\n",
+    );
+    assert_eq!(sweep.status, 422, "{}", sweep.body);
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    assert_eq!(post(&addr, "/run", "c", DAXPY).status, 200);
+    handle.shutdown();
+}

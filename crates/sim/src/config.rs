@@ -21,8 +21,8 @@
 //!   ([`MachineConfig::reg_file_bits`]).
 //!
 //! `MachineConfig::default()` is bit-identical to the pre-config machine
-//! on all three backends (`tests/machine_config.rs` proves it with
-//! proptest and the full kernel corpus).
+//! on both backends (`tests/machine_config.rs` proves it with proptest
+//! and the full kernel corpus).
 
 use mt_isa::cost::IssueTiming;
 use mt_isa::{Instr, Program};
@@ -301,6 +301,14 @@ fn check_range(name: &str, value: u64, min: u64, max: u64) -> Result<(), String>
     Ok(())
 }
 
+/// Most lines one cache may hold: 2^20 lines are 16 MiB of line state,
+/// which every service worker allocates when it rebuilds its machine for
+/// a job. The largest geometry the paper or any sweep uses is 64 KB.
+const MAX_CACHE_LINES: u32 = 1 << 20;
+
+/// Most ways one cache may have: every access scans its set's ways.
+const MAX_CACHE_WAYS: u32 = 64;
+
 fn validate_cache(name: &str, c: &mt_mem::CacheConfig) -> Result<(), String> {
     if !c.line_bytes.is_power_of_two() || c.line_bytes < 4 {
         return Err(format!(
@@ -314,9 +322,17 @@ fn validate_cache(name: &str, c: &mt_mem::CacheConfig) -> Result<(), String> {
             c.size_bytes, c.line_bytes
         ));
     }
-    if c.ways == 0 || !c.lines().is_multiple_of(c.ways) {
+    if c.lines() > MAX_CACHE_LINES {
         return Err(format!(
-            "{name}_ways = {} must be >= 1 and divide the line count {}",
+            "{name}_bytes = {} is {} lines of {} bytes (max {MAX_CACHE_LINES} lines)",
+            c.size_bytes,
+            c.lines(),
+            c.line_bytes
+        ));
+    }
+    if c.ways == 0 || c.ways > MAX_CACHE_WAYS || !c.lines().is_multiple_of(c.ways) {
+        return Err(format!(
+            "{name}_ways = {} must be in [1, {MAX_CACHE_WAYS}] and divide the line count {}",
             c.ways,
             c.lines()
         ));
@@ -398,6 +414,30 @@ mod tests {
         assert!(
             MachineConfig::parse("dcache_ways=3").is_err(),
             "ways must divide the line count"
+        );
+        // Resource bounds: a cache is allocated per worker per job, so
+        // its geometry is capped at 2^20 lines and 64 ways.
+        assert!(
+            MachineConfig::parse("dcache_bytes=4294967280,dcache_line=4").is_err(),
+            "a billion lines would allocate 16 GiB"
+        );
+        assert!(
+            MachineConfig::parse("dcache_ways=268435456").is_err(),
+            "268M ways would be scanned per access"
+        );
+        assert!(
+            MachineConfig::parse("dcache_ways=128").is_err(),
+            "128 ways divide the default line count but exceed the cap"
+        );
+        assert!(
+            MachineConfig::parse("icache_bytes=33554432").is_err(),
+            "2^21 lines exceed the cap"
+        );
+        let largest = MachineConfig::parse("dcache_bytes=16777216,dcache_ways=64").unwrap();
+        assert_eq!(
+            largest.mem.data_cache.lines(),
+            1 << 20,
+            "the cap is inclusive"
         );
     }
 

@@ -21,23 +21,25 @@ use mt_isa::Program;
 /// Both backends produce bit-identical results — architectural outcome,
 /// [`RunStats`] including the per-cause stall breakdown, cache statistics,
 /// and [`RunError`] behavior (`tests/hot_loop_equivalence.rs` proves it
-/// over generated programs and the kernel corpus). The translated backend
-/// is simply faster: it runs pre-resolved micro-ops instead of
-/// re-deriving decode and cost metadata every cycle.
+/// over generated programs and the kernel corpus). The tick interpreter
+/// is the specification; the translated backend is the fast engine: it
+/// runs pre-resolved micro-ops instead of re-deriving decode and cost
+/// metadata every cycle, and hops over multi-cycle waits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The reference cycle interpreter: fetch, decode (through the
-    /// predecoded side table), and guard evaluation per cycle. Always
-    /// used while a trace sink is attached, in checked-ordering mode,
-    /// under the serialized-issue ablation, and for any PC outside the
-    /// translated text (including self-modified text).
-    #[default]
+    /// The reference cycle interpreter: fetch (reading the decoded
+    /// instruction from the program's translation while the text is
+    /// unmodified), guard evaluation, and execution, one cycle at a time.
+    /// Always used while a trace sink is attached, with
+    /// [`SimConfig::trace`] or [`SimConfig::checked_ordering`] on, for
+    /// any PC without a micro-op, and for the rest of a run after a write
+    /// into the text.
     Tick,
-    /// Block-translated execution: [`Machine::load_program`] compiles the
-    /// text section's basic blocks into flat micro-ops
-    /// ([`mt_xlate::TranslatedProgram`]) and the run loop executes whole
-    /// spans through them, falling back to the tick interpreter in the
-    /// cases listed above.
+    /// Block-translated execution: the run loop executes whole spans
+    /// through the micro-ops [`Machine::load_program`] compiled
+    /// ([`mt_xlate::TranslatedProgram`]), falling back to the tick
+    /// interpreter in the cases listed above.
+    #[default]
     Xlate,
 }
 
@@ -87,15 +89,6 @@ pub struct SimConfig {
     pub full_range_interlock: bool,
     /// Record a per-cycle trace (expensive; debugging only).
     pub trace: bool,
-    /// Quiescent fast-forward: when the CPU is provably idle until a known
-    /// future cycle and the FPU has no event before it, jump straight to
-    /// that horizon instead of ticking through the gap. Cycle counts, stall
-    /// accounting, and architectural state are bit-identical either way
-    /// (`tests/hot_loop_equivalence.rs` proves it); the jump is skipped
-    /// automatically while an event sink is attached or
-    /// [`SimConfig::checked_ordering`] is on, so traces and lint replay are
-    /// unchanged. Disable only to measure the tick-by-tick loop itself.
-    pub fast_forward: bool,
     /// No-progress watchdog: abort with [`RunError::Watchdog`] once this
     /// many consecutive cycles elapse in which no CPU instruction completes
     /// and no FPU element or load issues. `0` (the default) disables it.
@@ -104,11 +97,12 @@ pub struct SimConfig {
     /// threshold of 1000+ only trips on genuinely wedged state — a
     /// fault-injected stuck scoreboard bit, corrupted interlock timing —
     /// that would otherwise spin to [`SimConfig::max_cycles`]. The
-    /// fast-forward path clamps its jumps so tick-by-tick and jumped runs
-    /// report the watchdog at the identical cycle.
+    /// translated backend clamps its hops so both backends report the
+    /// watchdog at the identical cycle.
     pub watchdog_cycles: u64,
     /// Execution backend (see [`Backend`]). Results are bit-identical
-    /// either way; `Backend::Xlate` is the fast path.
+    /// either way; the default, `Backend::Xlate`, is the fast path and
+    /// `Backend::Tick` the reference.
     pub backend: Backend,
 }
 
@@ -121,7 +115,6 @@ impl Default for SimConfig {
             serialized_issue: false,
             full_range_interlock: false,
             trace: false,
-            fast_forward: true,
             watchdog_cycles: 0,
             backend: Backend::default(),
         }
@@ -268,11 +261,13 @@ enum SpanExit {
     Disabled,
 }
 
-/// Which CPU stall counter a fast-forwarded span charges per skipped
-/// cycle — the same counter the tick loop would have bumped.
+/// Which CPU stall counter a wait the translated backend hops over
+/// charges per skipped cycle — the same counter the tick loop would have
+/// bumped.
 #[derive(Clone, Copy)]
-enum FfStall {
-    None,
+enum WaitStall {
+    /// A branch bubble: charged in bulk at the branch, nothing per cycle.
+    Bubble,
     Fetch,
     IrBusy,
     LsPortBusy,
@@ -320,26 +315,13 @@ pub struct Machine {
     violations: Vec<OrderingViolation>,
     trace_log: Vec<String>,
     trace_events: Vec<TraceEvent>,
-    /// Predecoded text side table, indexed by `(pc - text_base) / 4`: each
-    /// entry pairs the encoded word with its decoding, so a fetch whose
-    /// word still matches skips `Instr::decode`. Self-modifying text is
-    /// caught by the word comparison and falls back to the slow path.
-    decoded: Vec<Option<(u32, Instr)>>,
-    text_base: u32,
-    predecode_enabled: bool,
     /// The loaded program's text compiled to pre-resolved micro-ops
-    /// (built by [`Machine::load_program`] when
-    /// [`SimConfig::backend`] is [`Backend::Xlate`]) — the PC-indexed
-    /// block cache of the translated backend. `Arc` keeps
+    /// (built by every [`Machine::load_program`]): the PC-indexed block
+    /// cache of the translated backend, and the decoded text the tick
+    /// fetch reads while no write has landed in it. `Arc` keeps
     /// [`Machine::snapshot`]/clone cheap: the table is immutable, so
     /// every checkpoint shares it.
     xlate: Option<Arc<TranslatedProgram>>,
-    /// `true` while the CPU made no progress last cycle — the only state
-    /// in which a fast-forwardable span can be underway, so the run loop
-    /// probes [`Machine::fast_forward`] only then. Purely a probe gate:
-    /// skipping a probe just means stepping a cycle the jump would have
-    /// skipped, never a behavior change.
-    cpu_waiting: bool,
     /// Last cycle at which the machine provably made progress (a CPU
     /// instruction completed or an FPU element/load issued) — the
     /// watchdog's reference point. Always `<= cycle`.
@@ -385,11 +367,7 @@ impl Machine {
             violations: Vec::new(),
             trace_log: Vec::new(),
             trace_events: Vec::new(),
-            decoded: Vec::new(),
-            text_base: 0,
-            predecode_enabled: true,
             xlate: None,
-            cpu_waiting: true,
             last_progress: 0,
         }
     }
@@ -418,32 +396,12 @@ impl Machine {
         // and the §2.3.1 overflow destination are per-program supervisor
         // state, not residue of whatever ran before.
         self.fpu.clear_psw();
-        self.text_base = program.base;
-        self.decoded = if self.predecode_enabled {
-            program.predecode()
-        } else {
-            Vec::new()
-        };
-        self.xlate = if self.config.backend == Backend::Xlate {
-            Some(Arc::new(TranslatedProgram::translate(program)))
-        } else {
-            None
-        };
+        self.xlate = Some(Arc::new(TranslatedProgram::translate(program)));
         // Watch the installed text: while no write has landed on it (by
         // any path, including direct workload pokes at `mem.memory`), a
-        // fetch may trust the predecoded table without re-reading the
-        // word.
+        // fetch may trust the translation without re-reading the word.
         let text_end = program.base + 4 * program.words.len() as u32;
         self.mem.memory.watch_range(program.base, text_end);
-    }
-
-    /// Disables the predecoded-text side table, forcing `Instr::decode` on
-    /// every dynamic fetch (the pre-PR-3 slow path). Only useful for
-    /// differential testing and for measuring the predecode win; results
-    /// are bit-identical either way.
-    pub fn disable_predecode(&mut self) {
-        self.predecode_enabled = false;
-        self.decoded = Vec::new();
     }
 
     /// Touches every text line through the instruction buffer and cache so
@@ -522,7 +480,6 @@ impl Machine {
         self.freeze_until = self.cycle;
         self.fetch_ready_at = self.cycle;
         self.int_ready = [0; 32];
-        self.cpu_waiting = true;
         self.last_progress = self.cycle;
         // An interrupt armed for a cycle the previous run never reached
         // must not ambush the re-run: `interrupt_after` is per-run state.
@@ -577,12 +534,7 @@ impl Machine {
         self.violations.clear();
         self.trace_log.clear();
         self.trace_events.clear();
-        self.decoded.clear();
-        self.text_base = 0;
         self.xlate = None;
-        // `predecode_enabled` survives deliberately: it is a measurement
-        // switch of the machine, not state of any job.
-        self.cpu_waiting = true;
         self.last_progress = 0;
     }
 
@@ -598,8 +550,11 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`RunError::CycleLimit`] if the program does not halt, or
-    /// [`RunError::BadInstruction`] on an undecodable word.
+    /// [`RunError::CycleLimit`] if the program does not halt,
+    /// [`RunError::BadInstruction`] on an undecodable word,
+    /// [`RunError::MemoryFault`] on a misaligned or out-of-range fetch,
+    /// load, or store, or [`RunError::Watchdog`] when
+    /// [`SimConfig::watchdog_cycles`] elapse without progress.
     pub fn run(&mut self) -> Result<RunStats, RunError> {
         if self.config.trace {
             // Move the buffer out so the borrow of `self` stays single.
@@ -614,8 +569,8 @@ impl Machine {
     }
 
     /// [`Machine::run`] with a cooperative cancellation checkpoint: every
-    /// `check_every` cycles the run pauses (skipping engines clamp their
-    /// jumps to the checkpoint, exactly as they clamp to a
+    /// `check_every` cycles the run pauses (the translated backend clamps
+    /// its hops to the checkpoint, exactly as it clamps to a
     /// [`Machine::run_until`] stop point) and asks `cancelled`; a `true`
     /// answer abandons the run with [`RunError::Cancelled`], leaving the
     /// machine in the same state a `run_until` pause at that cycle would.
@@ -675,9 +630,9 @@ impl Machine {
     /// resuming with [`Machine::run`]. Returns `Ok(None)` when the run
     /// paused at the stop point (resume later; statistics will cover the
     /// remainder as its own delta) and `Ok(Some(stats))` when the program
-    /// halted before reaching it. Fast-forward jumps clamp to the stop
+    /// halted before reaching it. Translated spans clamp to the stop
     /// point, so a paused machine sits at exactly `stop_at` regardless of
-    /// the execution path. Once the CPU halts, the FPU drain runs to
+    /// the backend. Once the CPU halts, the FPU drain runs to
     /// completion even across `stop_at` — an injection cycle inside the
     /// drain span classifies as completed-early.
     pub fn run_until(&mut self, stop_at: u64) -> Result<Option<RunStats>, RunError> {
@@ -697,8 +652,8 @@ impl Machine {
     /// PSW, memory) and microarchitectural (in-flight pipeline writes,
     /// scoreboard, cache residency, pending instruction, every timing
     /// horizon, accumulated statistics) — so a later
-    /// [`Machine::restore`] resumes bit-identically, under both
-    /// tick-by-tick and fast-forward execution.
+    /// [`Machine::restore`] resumes bit-identically, under both the tick
+    /// interpreter and the translated backend.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             machine: Box::new(self.clone()),
@@ -752,30 +707,22 @@ impl Machine {
         let ibuffer0 = self.mem.ibuffer_stats();
         self.trace_log.clear();
 
-        // Fast-forward must not disturb the event stream (retire events
-        // land on exact cycles) or checked-mode diagnostics, so it arms
-        // only on untraced, unchecked runs.
-        let fast_forward =
-            self.config.fast_forward && !sink.enabled() && !self.config.checked_ordering;
-        // The translated backend has the same observability constraints as
-        // fast-forward (it emits no per-cycle events), plus two of its
-        // own: checked-ordering diagnostics and the serialized-issue
-        // ablation stay on the reference interpreter, whose code paths
-        // they instrument. Ineligible runs execute tick-by-tick and are
-        // bit-identical by construction.
+        // The translated backend emits no per-cycle events and skips the
+        // checked-ordering diagnostics, so traced and checked runs stay on
+        // the reference interpreter, whose code paths they instrument.
+        // Ineligible runs execute tick-by-tick and are bit-identical by
+        // construction.
         let mut use_xlate = self.config.backend == Backend::Xlate
-            && self.xlate.is_some()
             && !sink.enabled()
             && !self.config.trace
-            && !self.config.checked_ordering
-            && !self.config.serialized_issue;
+            && !self.config.checked_ordering;
         // First cycle at which the tick loop would report CycleLimit; a
-        // jump may land there but never beyond.
+        // hop may land there but never beyond.
         let limit_cycle = start_cycle + self.config.max_cycles + 1;
         let watchdog = self.config.watchdog_cycles;
         // First cycle at which the cancellation closure runs; advanced by
-        // `check_every` after each (negative) answer. Skipping engines
-        // clamp their jumps here the same way they clamp to `stop_at`, so
+        // `check_every` after each (negative) answer. Translated spans
+        // clamp their hops here the same way they clamp to `stop_at`, so
         // a checkpoint is reached within one engine dispatch of falling
         // due no matter how the span executes.
         let mut next_check = checkpoint
@@ -799,7 +746,7 @@ impl Machine {
                     next_check = Some(self.cycle + (*every).max(1));
                 }
             }
-            // The clamp handed to the skipping engines: the real stop
+            // The clamp handed to the translated backend: the real stop
             // point or the next cancellation checkpoint, whichever is
             // sooner. Pausing at the checkpoint and re-entering the loop
             // is exactly the proven run_until pause path, so a run that is
@@ -839,21 +786,9 @@ impl Machine {
                     // then re-enter the span.
                     SpanExit::Tick => {}
                     // Text was written: the translation is stale for the
-                    // rest of the run (mirrors the predecode fallback).
+                    // rest of the run, which the interpreter finishes.
                     SpanExit::Disabled => use_xlate = false,
                 }
-            }
-            // Probe for a jump only while frozen or after a cycle the CPU
-            // made no progress — the only states a skippable span can be
-            // underway — so executing cycles never pay for the probe.
-            if fast_forward
-                && (self.cpu_waiting || self.cycle < self.freeze_until)
-                && self.fast_forward(limit_cycle, bound)
-            {
-                // Jumped: re-run the stop, interrupt, cycle-limit, and
-                // watchdog checks at the new cycle, exactly as the tick
-                // loop would have.
-                continue;
             }
             self.step(sink)?;
         }
@@ -927,52 +862,13 @@ impl Machine {
         }))
     }
 
-    /// Quiescent fast-forward: if every cycle from now until a known
-    /// horizon would tick through without changing any architectural or
-    /// accounting state, jump `self.cycle` to the horizon directly,
-    /// synthesizing the per-cycle stall accounting the skipped ticks would
-    /// have accrued. Returns `true` if the cycle advanced.
-    ///
-    /// Four waits qualify:
-    ///
-    /// * **data-miss freeze** (`cycle < freeze_until`): the CPU and the
-    ///   issue stage are both gated off, so only FPU retirements can
-    ///   happen — and the jump is clamped to the next one;
-    /// * **branch bubble** (no pending instruction, fetch not ready): the
-    ///   bubble was charged in bulk at the branch; nothing accrues on the
-    ///   CPU side while it elapses;
-    /// * **fetch penalty** (pending instruction not ready): each elapsed
-    ///   cycle charges one fetch-stall cycle, synthesized here for the
-    ///   skipped span;
-    /// * **interlocked instruction** (pending instruction ready but
-    ///   blocked): the pending instruction retries and re-stalls every
-    ///   cycle on the same hazard until an event fast-forward never skips
-    ///   — an FPU retirement, `int_ready`, or `ls_free_at` — lifts it.
-    ///   [`Machine::pending_stall_horizon`] identifies the hazard by
-    ///   mirroring [`Machine::execute`]'s guard order and charges the
-    ///   matching stall counter once per skipped cycle.
-    ///
-    /// In the three non-frozen waits the issue stage also runs every
-    /// cycle: an IR that *would issue* pins the simulation to per-cycle
-    /// stepping (each issue is a scoreboard write), but a
-    /// scoreboard-*blocked* IR merely retries, so its per-cycle stall is
-    /// synthesized too. The reservations blocking it clear only at a
-    /// retirement, which the jump never skips.
-    ///
-    /// The jump is clamped to the pending external interrupt, the first
-    /// cycle at which the tick loop would abort with `CycleLimit`, and —
-    /// only when the wait itself can lapse at a retirement (a
-    /// scoreboard-blocked IR or an FPU register hazard) — the next FPU
-    /// retirement. Waits that are indifferent to retirements skip across
-    /// them: `begin_cycle` at the target retires the whole span's writes
-    /// in the same readiness order the tick loop would have.
-    /// Applies FPU retirements a skipping engine has deferred, at a point
-    /// where the run leaves the loop without a drain (a `run_until` pause,
-    /// a cycle-limit or watchdog abort). Both fast-forward and the
-    /// translated backend hop over cycles and let `begin_cycle` at the
-    /// next processed cycle retire the span's writes — invisible while
-    /// the run continues, but at an exit the deferred writes would leak
-    /// into the observed architectural state. The tick loop ran phase 1
+    /// Applies FPU retirements the translated backend has deferred, at a
+    /// point where the run leaves the loop without a drain (a `run_until`
+    /// pause, a cycle-limit or watchdog abort). The translated backend
+    /// hops over cycles and lets `begin_cycle` at the next processed
+    /// cycle retire the span's writes — invisible while the run
+    /// continues, but at an exit the deferred writes would leak into the
+    /// observed architectural state. The tick loop ran phase 1
     /// on every cycle up to `C-1`, so retire exactly that much; a write
     /// due at `C` itself stays in flight there too (the loop exits before
     /// `C`'s phase 1). No-op under pure tick-by-tick, where nothing is
@@ -983,115 +879,23 @@ impl Machine {
         }
     }
 
-    fn fast_forward(&mut self, limit_cycle: u64, stop_at: Option<u64>) -> bool {
-        let mut cpu_stall = FfStall::None;
-        let mut ir_stalled = false;
-        let horizon = if self.cycle < self.freeze_until {
-            self.freeze_until
-        } else {
-            let h = match self.pending {
-                None if self.cycle < self.fetch_ready_at => self.fetch_ready_at,
-                None => return false,
-                Some(_) if self.cycle < self.pending_ready_at => {
-                    cpu_stall = FfStall::Fetch;
-                    self.pending_ready_at
-                }
-                Some(instr) => match self.pending_stall_horizon(instr) {
-                    Some((stall, h)) => {
-                        cpu_stall = stall;
-                        h
-                    }
-                    None => return false, // would execute this cycle
-                },
-            };
-            match self.fpu.issue_blocked() {
-                // A non-frozen cycle offers the IR an issue slot; each
-                // issue reserves a register, so it cannot be skipped.
-                Some(false) => return false,
-                Some(true) => ir_stalled = true,
-                None => {}
-            }
-            h
-        };
-        let mut target = horizon;
-        if ir_stalled || horizon == u64::MAX {
-            // The hazard waits on the scoreboard, so it can lapse at the
-            // next retirement: jump no further. (A scoreboard hazard also
-            // implies an in-flight write, so a retirement exists — and if
-            // one is already due this cycle, before `begin_cycle` has
-            // processed it, the clamp forces `target <= cycle` below and
-            // the tick loop re-evaluates with a fresh scoreboard.)
-            //
-            // All other waits are indifferent to retirements: the CPU and
-            // the issue stage observe nothing mid-span, and `pop_ready`
-            // retires strictly in readiness order, so processing the
-            // span's retirements in one `begin_cycle` at the target
-            // produces the same registers, scoreboard, and PSW as
-            // processing them cycle by cycle.
-            if let Some(retire) = self.fpu.next_retire_at() {
-                target = target.min(retire);
-            }
-        }
-        if let Some(at) = self.interrupt_at {
-            target = target.min(at);
-        }
-        // A pending injection point auto-disarms the jump at that cycle:
-        // the run pauses at exactly `stop_at`, never beyond it.
-        if let Some(stop) = stop_at {
-            target = target.min(stop);
-        }
-        // Never jump past the first cycle at which the watchdog would
-        // fire, so tick-by-tick and fast-forwarded runs report it at the
-        // identical cycle.
-        if self.config.watchdog_cycles > 0 {
-            target = target.min(self.last_progress + self.config.watchdog_cycles + 1);
-        }
-        target = target.min(limit_cycle);
-        if target <= self.cycle {
-            return false;
-        }
-        debug_assert!(target < u64::MAX, "unbounded jump must clamp to a retire");
-        let skipped = target - self.cycle;
-        // The tick loop charges one stall cycle per elapsed wait cycle;
-        // the skipped span accrues identically.
-        self.charge_ff_stall(cpu_stall, skipped);
-        if ir_stalled {
-            self.fpu.add_scoreboard_stalls(skipped);
-        }
-        self.cycle = target;
-        true
-    }
-
-    /// If the pending, fetch-complete instruction would stall this cycle,
+    /// If an instruction with this cost row would stall this cycle,
     /// returns the stall counter it charges and the first cycle at which
     /// the blocking condition could lapse (`u64::MAX` when only an FPU
     /// retirement can lift it — the caller clamps to the next one, which
     /// the hazard guarantees exists). `None` means the instruction would
-    /// execute, so the cycle cannot be skipped.
+    /// execute.
     ///
-    /// Mirrors the guard order of [`Machine::cpu_step`] and
-    /// [`Machine::execute`] exactly: serialized-issue IR gate, then per
-    /// instruction the integer load interlock, the load/store port, and
-    /// the FPU register hazard — all read from the shared
+    /// Mirrors the guard order of [`Machine::execute`] exactly — the
+    /// integer load interlock, the load/store port, the FPU register
+    /// hazard, the IR — all read from the shared
     /// [`mt_isa::cost::InstrCost`] table, the same table the execute
     /// stage and `mt-mca`'s static replay consume. The horizons are
     /// exact because nothing that feeds the guards (`int_ready`,
     /// `ls_free_at`, the IR, the scoreboard) changes while both the CPU
     /// and the issue stage stall.
-    fn pending_stall_horizon(&self, instr: Instr) -> Option<(FfStall, u64)> {
-        if self.config.serialized_issue && self.fpu.ir_busy() {
-            return Some((FfStall::IrBusy, u64::MAX));
-        }
-        self.cost_stall_horizon(&InstrCost::of(&instr))
-    }
-
-    /// The instruction-independent core of
-    /// [`Machine::pending_stall_horizon`]: evaluates the guards of a
-    /// precomputed cost row. The translated backend calls this directly
-    /// with the micro-op's stored row (the serialized-issue gate is
-    /// excluded there by backend eligibility).
     #[inline]
-    fn cost_stall_horizon(&self, cost: &InstrCost) -> Option<(FfStall, u64)> {
+    fn cost_stall_horizon(&self, cost: &InstrCost) -> Option<(WaitStall, u64)> {
         if cost.int_guard_regs().any(|r| self.int_blocked(r)) {
             // Blocked until the last checked register is ready (free ones
             // are ready already).
@@ -1100,35 +904,71 @@ impl Machine {
                 .map(|r| self.int_ready[r.index() as usize])
                 .max()
                 .expect("a blocked guard set is nonempty");
-            return Some((FfStall::IntLoadHazard, ready));
+            return Some((WaitStall::IntLoadHazard, ready));
         }
         if cost.port.is_some() && self.cycle < self.ls_free_at {
-            return Some((FfStall::LsPortBusy, self.ls_free_at));
+            return Some((WaitStall::LsPortBusy, self.ls_free_at));
         }
         if let Some((fr, is_load)) = cost.fpu_mem {
             if self.fpu.reg_reserved(fr) || self.current_element_conflict(fr, is_load) {
-                return Some((FfStall::FpuRegHazard, u64::MAX));
+                return Some((WaitStall::FpuRegHazard, u64::MAX));
             }
         }
         if cost.fpu_transfer && self.fpu.ir_busy() {
-            return Some((FfStall::IrBusy, u64::MAX));
+            return Some((WaitStall::IrBusy, u64::MAX));
         }
         None
     }
 
-    /// Bumps the stall counter `stall` names by `cycles` — the shared
-    /// bulk-accounting primitive of [`Machine::fast_forward`] and the
-    /// translated backend.
+    /// Bumps the stall counter `stall` names by `cycles` — the translated
+    /// backend's bulk accounting for a wait it hops over.
     #[inline]
-    fn charge_ff_stall(&mut self, stall: FfStall, cycles: u64) {
+    fn charge_wait(&mut self, stall: WaitStall, cycles: u64) {
         match stall {
-            FfStall::None => {}
-            FfStall::Fetch => self.stalls.fetch += cycles,
-            FfStall::IrBusy => self.stalls.ir_busy += cycles,
-            FfStall::LsPortBusy => self.stalls.ls_port_busy += cycles,
-            FfStall::IntLoadHazard => self.stalls.int_load_hazard += cycles,
-            FfStall::FpuRegHazard => self.stalls.fpu_reg_hazard += cycles,
+            WaitStall::Bubble => {}
+            WaitStall::Fetch => self.stalls.fetch += cycles,
+            WaitStall::IrBusy => self.stalls.ir_busy += cycles,
+            WaitStall::LsPortBusy => self.stalls.ls_port_busy += cycles,
+            WaitStall::IntLoadHazard => self.stalls.int_load_hazard += cycles,
+            WaitStall::FpuRegHazard => self.stalls.fpu_reg_hazard += cycles,
         }
+    }
+
+    /// Lets a CPU wait elapse toward `horizon` (`u64::MAX` when only an
+    /// FPU retirement can lift it) with the issue stage running
+    /// alongside, exactly as that many tick cycles would: an IR that
+    /// *would issue* pins the wait to one cycle (each issue writes the
+    /// scoreboard); otherwise the whole wait is taken in one hop,
+    /// clamped to `boundary` and — when the wait can lapse at a
+    /// retirement (a scoreboard-blocked IR, or no horizon of its own) —
+    /// to the next FPU retirement, charging `stall` and any scoreboard
+    /// stalls per skipped cycle.
+    #[inline]
+    fn hop_wait(&mut self, stall: WaitStall, horizon: u64, boundary: u64) {
+        let ir_stalled = match self.fpu.issue_blocked() {
+            Some(false) => {
+                self.charge_wait(stall, 1);
+                self.issue_and_record(&mut NullSink);
+                self.cycle += 1;
+                return;
+            }
+            blocked => blocked.is_some(),
+        };
+        let mut t = horizon;
+        if ir_stalled || horizon == u64::MAX {
+            if let Some(retire) = self.fpu.next_retire_at() {
+                t = t.min(retire);
+            }
+        }
+        t = t.min(boundary);
+        debug_assert!(t > self.cycle, "a wait implies a future horizon");
+        debug_assert!(t < u64::MAX, "unbounded wait must clamp to a retire");
+        let skipped = t - self.cycle;
+        self.charge_wait(stall, skipped);
+        if ir_stalled {
+            self.fpu.add_scoreboard_stalls(skipped);
+        }
+        self.cycle = t;
     }
 
     /// The translated backend: runs micro-ops from the block cache until
@@ -1138,9 +978,8 @@ impl Machine {
     /// already resolved, the no-op FPU phases skipped (a `begin_cycle`
     /// with no retirement due and an `issue` with an empty IR do
     /// nothing), and every multi-cycle wait — freeze, branch bubble,
-    /// fetch penalty, interlock — taken in one hop with its per-cycle
-    /// stall accounting synthesized, exactly as
-    /// [`Machine::fast_forward`] does for the tick loop.
+    /// fetch penalty, interlock — taken in one hop with the per-cycle
+    /// stall accounting the skipped ticks would have accrued.
     ///
     /// Equivalence argument, per cycle phase (DESIGN.md §13 spells out
     /// the full case analysis):
@@ -1153,15 +992,21 @@ impl Machine {
     ///   one is due; on any other cycle it is a pure no-op (the pipeline
     ///   front is not ready);
     /// * fetches go through the micro-op table exactly when the tick
-    ///   loop's fetch would go through the predecoded table (text
-    ///   unmodified — checked against the write watch before *every*
-    ///   fetch — aligned, in range, decodable), and charge the same
-    ///   `fetch_timing`; every other PC exits to the interpreter;
-    /// * guard evaluation reads the micro-op's precomputed cost row —
-    ///   the same [`mt_isa::cost::InstrCost`] values `execute` would
-    ///   recompute — in the same order, and bulk-skips identically to
-    ///   `fast_forward` (same horizons, same retire/boundary clamps,
-    ///   same synthesized stall counters);
+    ///   loop's fetch reads the translation (text unmodified — checked
+    ///   against the write watch before *every* fetch — aligned, in
+    ///   range, decodable), and charge the same `fetch_timing`; every
+    ///   other PC exits to the interpreter;
+    /// * guard evaluation applies the serialized-issue gate, then reads
+    ///   the micro-op's precomputed cost row — the same
+    ///   [`mt_isa::cost::InstrCost`] values `execute` would recompute —
+    ///   in the same order ([`Machine::cost_stall_horizon`]);
+    /// * waits go through [`Machine::hop_wait`], which hops only over
+    ///   cycles nothing could change in: a scoreboard-*blocked* IR merely
+    ///   re-stalls, and a wait that can lapse at a retirement is clamped
+    ///   to the next one. Waits indifferent to retirements skip across
+    ///   them: `pop_ready` retires strictly in readiness order, so the
+    ///   next `begin_cycle` retires the span's writes into the same
+    ///   registers, scoreboard, and PSW as cycle-by-cycle processing;
     /// * execution mirrors [`Machine::execute`]'s arms with the
     ///   pre-resolved target substituted for the target arithmetic;
     /// * the issue stage runs whenever the IR is occupied; with an empty
@@ -1206,40 +1051,18 @@ impl Machine {
 
             // Data-miss freeze: CPU and issue both gated; hop to the
             // horizon (retirements mid-span are processed at the target,
-            // in the same readiness order — `fast_forward`'s freeze
-            // case).
+            // in the same readiness order).
             if self.cycle < self.freeze_until {
                 self.cycle = self.freeze_until.min(boundary);
                 continue;
             }
 
             // Phase 2: the CPU's slice, from the micro-op table.
-            self.cpu_waiting = true;
             let uop: Uop = match self.pending {
                 None if self.cycle < self.fetch_ready_at => {
                     // Branch bubble (charged at the branch): only the
                     // issue stage runs until the fetch window opens.
-                    match self.fpu.issue_blocked() {
-                        Some(false) => {
-                            // An issue writes the scoreboard: single-step.
-                            self.issue_and_record(&mut NullSink);
-                            self.cycle += 1;
-                        }
-                        blocked => {
-                            let mut t = self.fetch_ready_at;
-                            if blocked.is_some() {
-                                if let Some(retire) = self.fpu.next_retire_at() {
-                                    t = t.min(retire);
-                                }
-                            }
-                            t = t.min(boundary);
-                            debug_assert!(t > self.cycle);
-                            if blocked.is_some() {
-                                self.fpu.add_scoreboard_stalls(t - self.cycle);
-                            }
-                            self.cycle = t;
-                        }
-                    }
+                    self.hop_wait(WaitStall::Bubble, self.fetch_ready_at, boundary);
                     continue;
                 }
                 None => {
@@ -1268,31 +1091,8 @@ impl Machine {
                     uop
                 }
                 Some(_) if self.cycle < self.pending_ready_at => {
-                    // Fetch penalty elapsing: one fetch-stall cycle each,
-                    // issue stage running alongside.
-                    match self.fpu.issue_blocked() {
-                        Some(false) => {
-                            self.stalls.fetch += 1;
-                            self.issue_and_record(&mut NullSink);
-                            self.cycle += 1;
-                        }
-                        blocked => {
-                            let mut t = self.pending_ready_at;
-                            if blocked.is_some() {
-                                if let Some(retire) = self.fpu.next_retire_at() {
-                                    t = t.min(retire);
-                                }
-                            }
-                            t = t.min(boundary);
-                            debug_assert!(t > self.cycle);
-                            let skipped = t - self.cycle;
-                            self.stalls.fetch += skipped;
-                            if blocked.is_some() {
-                                self.fpu.add_scoreboard_stalls(skipped);
-                            }
-                            self.cycle = t;
-                        }
-                    }
+                    // Fetch penalty elapsing: one fetch-stall cycle each.
+                    self.hop_wait(WaitStall::Fetch, self.pending_ready_at, boundary);
                     continue;
                 }
                 Some(_) => {
@@ -1307,37 +1107,18 @@ impl Machine {
                 }
             };
 
-            // Guards, in the hardware's order, from the precomputed cost
-            // row; a stalled wait is skipped in one hop with identical
-            // accounting (`fast_forward`'s interlocked case — here the
-            // retire clamp can only bind above `cycle`, because phase 1
-            // already processed every retirement due).
-            if let Some((stall, horizon)) = self.cost_stall_horizon(&uop.cost) {
-                match self.fpu.issue_blocked() {
-                    Some(false) => {
-                        self.charge_ff_stall(stall, 1);
-                        self.issue_and_record(&mut NullSink);
-                        self.cycle += 1;
-                    }
-                    blocked => {
-                        let ir_stalled = blocked.is_some();
-                        let mut t = horizon;
-                        if ir_stalled || horizon == u64::MAX {
-                            if let Some(retire) = self.fpu.next_retire_at() {
-                                t = t.min(retire);
-                            }
-                        }
-                        t = t.min(boundary);
-                        debug_assert!(t > self.cycle, "guards imply a future horizon");
-                        debug_assert!(t < u64::MAX, "unbounded wait must clamp to a retire");
-                        let skipped = t - self.cycle;
-                        self.charge_ff_stall(stall, skipped);
-                        if ir_stalled {
-                            self.fpu.add_scoreboard_stalls(skipped);
-                        }
-                        self.cycle = t;
-                    }
-                }
+            // Guards, in the hardware's order: the serialized-issue
+            // ablation's IR gate (as in `cpu_step`), then the precomputed
+            // cost row. The retire clamp of a stalled wait can only bind
+            // above `cycle`, because phase 1 already processed every
+            // retirement due.
+            let wait = if self.config.serialized_issue && self.fpu.ir_busy() {
+                Some((WaitStall::IrBusy, u64::MAX))
+            } else {
+                self.cost_stall_horizon(&uop.cost)
+            };
+            if let Some((stall, horizon)) = wait {
+                self.hop_wait(stall, horizon, boundary);
                 continue;
             }
 
@@ -1484,7 +1265,6 @@ impl Machine {
             // Completion bookkeeping ([`Machine::cpu_step`]'s `Done`
             // path), then phase 3: the issue stage, skipped when the IR
             // is empty (`issue` would return `Idle` without effects).
-            self.cpu_waiting = false;
             self.instructions += 1;
             self.last_progress = self.cycle;
             self.pending = None;
@@ -1513,31 +1293,6 @@ impl Machine {
         self.pc.wrapping_sub(self.entry) / 4
     }
 
-    /// Decodes the word just fetched at the current PC, through the
-    /// predecoded side table when the stored word still matches (the
-    /// common case: text unmodified since [`Machine::load_program`]).
-    /// A mismatch — self-modifying text, or a PC outside the loaded
-    /// program — decodes the fetched word directly and re-caches it.
-    #[inline]
-    fn decode_fetched(&mut self, word: u32) -> Result<Instr, RunError> {
-        let idx = (self.pc.wrapping_sub(self.text_base) / 4) as usize;
-        if let Some(Some((cached_word, instr))) = self.decoded.get(idx) {
-            if *cached_word == word {
-                return Ok(*instr);
-            }
-        }
-        let instr = Instr::decode(word).map_err(|e| RunError::BadInstruction {
-            pc: self.pc,
-            message: e.to_string(),
-        })?;
-        if self.predecode_enabled {
-            if let Some(slot) = self.decoded.get_mut(idx) {
-                *slot = Some((word, instr));
-            }
-        }
-        Ok(instr)
-    }
-
     /// Lets the ALU IR issue through this cycle's element lanes, emitting
     /// each issue (or the scoreboard stall) attributed to the transferring
     /// instruction. The paper's machine has one lane; with
@@ -1549,10 +1304,10 @@ impl Machine {
     /// attempt charges a scoreboard stall (later lanes going unused is
     /// issue-width under-utilization, not a stall), so at `fpu_lanes = 1`
     /// this is exactly the single-`issue` call it replaces. The
-    /// fast-forward and translated backends compose unchanged: their
-    /// [`Fpu::issue_blocked`] probe asks about the first element, and a
-    /// cycle whose first element would issue is always single-stepped
-    /// through this function.
+    /// translated backend composes unchanged: its [`Fpu::issue_blocked`]
+    /// probe asks about the first element, and a cycle whose first
+    /// element would issue is always single-stepped through this
+    /// function.
     fn issue_and_record<S: EventSink>(&mut self, sink: &mut S) {
         for lane in 0..self.timing.fpu_lanes.max(1) {
             match self.fpu.issue_lane(self.cycle, lane == 0) {
@@ -1593,33 +1348,33 @@ impl Machine {
 
     /// The CPU's slice of the cycle: fetch if needed, then try to execute.
     fn cpu_step<S: EventSink>(&mut self, sink: &mut S) -> Result<(), RunError> {
-        // Assume a wait; the instruction-completed paths below clear it.
-        self.cpu_waiting = true;
         if self.pending.is_none() {
             if self.cycle < self.fetch_ready_at {
                 return Ok(()); // branch bubble (accounted at the branch)
             }
             // While the text is provably unmodified since load, the
-            // predecoded entry IS the word at this PC: skip the memory
-            // read and the word compare. Any write to the text range
-            // (self-modification by any path) drops fetches back to the
-            // read-and-compare slow path for the rest of the machine's
-            // life. A misaligned PC (corrupted `jr`) never matches the
-            // table — it goes through the fallible fetch and faults.
-            let off = self.pc.wrapping_sub(self.text_base);
-            let predecoded = if self.mem.memory.watch_writes() == 0 && off & 3 == 0 {
-                self.decoded.get((off / 4) as usize).copied().flatten()
-            } else {
-                None
+            // translation's instruction IS the decoded word at this PC:
+            // skip the memory read and the decode. After any write to the
+            // text range (self-modification by any path), and at a PC
+            // without a micro-op (misaligned, outside the text,
+            // undecodable), fetch and decode the word itself — which
+            // faults or reports the bad word exactly.
+            let translated = match &self.xlate {
+                Some(xp) if self.mem.memory.watch_writes() == 0 => xp.uop(self.pc).map(|u| u.instr),
+                _ => None,
             };
-            let (instr, penalty) = match predecoded {
-                Some((_, instr)) => (instr, self.mem.fetch_timing(self.pc)),
+            let (instr, penalty) = match translated {
+                Some(instr) => (instr, self.mem.fetch_timing(self.pc)),
                 None => {
                     let (word, penalty) = self
                         .mem
                         .try_fetch(self.pc)
                         .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    (self.decode_fetched(word)?, penalty)
+                    let instr = Instr::decode(word).map_err(|e| RunError::BadInstruction {
+                        pc: self.pc,
+                        message: e.to_string(),
+                    })?;
+                    (instr, penalty)
                 }
             };
             self.pending = Some(instr);
@@ -1660,7 +1415,6 @@ impl Machine {
         match self.execute(instr, sink)? {
             Exec::Stall => Ok(()),
             Exec::Done(redirect) => {
-                self.cpu_waiting = false;
                 self.instructions += 1;
                 self.last_progress = self.cycle;
                 self.pending = None;

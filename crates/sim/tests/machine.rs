@@ -5,7 +5,7 @@
 use mt_fparith::FpOp;
 use mt_isa::cpu::BranchCond;
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
-use mt_sim::{Machine, Program, RunError, SimConfig, ViolationKind};
+use mt_sim::{Backend, Machine, Program, RunError, SimConfig, ViolationKind};
 
 fn r(i: u8) -> FReg {
     FReg::new(i)
@@ -605,12 +605,12 @@ fn mfpsw_reads_overflow_capture_and_clrpsw_clears() {
 /// miss cycle, making `accounted_cycles()` exceed `cycles`.
 #[test]
 fn interrupt_inside_fetch_penalty_keeps_accounting_exact() {
-    for fast_forward in [false, true] {
+    for backend in [Backend::Tick, Backend::Xlate] {
         // Cold machine: the very first fetch pays the full 16-cycle
         // buffer + instruction-cache miss.
         let prog = Program::assemble(&[Instr::Nop, Instr::Halt]).expect("assembles");
         let mut m = Machine::new(SimConfig {
-            fast_forward,
+            backend,
             ..SimConfig::default()
         });
         m.load_program(&prog);
@@ -621,7 +621,7 @@ fn interrupt_inside_fetch_penalty_keeps_accounting_exact() {
         assert_eq!(
             stats.accounted_cycles(),
             stats.cycles,
-            "partial fetch penalty must not over-account (fast_forward={fast_forward})"
+            "partial fetch penalty must not over-account ({backend})"
         );
     }
 }
@@ -709,19 +709,18 @@ fn rerun_starts_with_a_clean_psw() {
 /// A stuck scoreboard reservation (the canonical injected fault) wedges
 /// the register interlock; the no-retire watchdog converts the infinite
 /// stall into a typed error instead of spinning to the cycle limit —
-/// and reports it at the identical cycle under tick and fast-forward
-/// execution, since fast-forward clamps its jumps to the watchdog
-/// horizon.
+/// and reports it at the identical cycle on both backends, since the
+/// translated backend clamps its hops to the watchdog horizon.
 #[test]
-fn watchdog_catches_stuck_scoreboard_under_tick_and_fast_forward() {
-    let run_wedged = |fast_forward: bool| {
+fn watchdog_catches_stuck_scoreboard_under_both_backends() {
+    let run_wedged = |backend: Backend| {
         let prog = Program::assemble(&[
             Instr::Falu(FpuAluInstr::scalar(FpOp::Add, r(2), r(0), r(1))),
             Instr::Halt,
         ])
         .unwrap();
         let mut m = Machine::new(SimConfig {
-            fast_forward,
+            backend,
             watchdog_cycles: 100,
             ..SimConfig::default()
         });
@@ -733,14 +732,14 @@ fn watchdog_catches_stuck_scoreboard_under_tick_and_fast_forward() {
         let err = m.run().unwrap_err();
         (err, format!("{:?}", m.fpu.stats()))
     };
-    let (tick_err, tick_stats) = run_wedged(false);
-    let (ff_err, ff_stats) = run_wedged(true);
+    let (tick_err, tick_stats) = run_wedged(Backend::Tick);
+    let (xl_err, xl_stats) = run_wedged(Backend::Xlate);
     match &tick_err {
         RunError::Watchdog { idle_cycles, .. } => assert!(*idle_cycles > 100),
         other => panic!("expected watchdog, got {other:?}"),
     }
-    assert_eq!(tick_err, ff_err, "watchdog must fire at the same point");
-    assert_eq!(tick_stats, ff_stats);
+    assert_eq!(tick_err, xl_err, "watchdog must fire at the same point");
+    assert_eq!(tick_stats, xl_stats);
 }
 
 /// `RunError` is a real error type: `Display` renders actionable

@@ -1,24 +1,25 @@
-//! Property: the hot-loop optimizations of the simulator are invisible.
+//! Property: the simulator's fast engine is invisible.
 //!
-//! PR 3 added two fast paths to `Machine::run`: a predecoded-text side
-//! table (skip `Instr::decode` on warm fetches) and quiescent fast-forward
-//! (jump `self.cycle` over provably idle spans, synthesizing the same
-//! per-cycle stall accounting the tick loop would have produced). This PR
-//! adds a third: the block-translated backend (`Backend::Xlate`), which
-//! executes whole basic blocks of pre-resolved micro-ops. All three are
-//! pure optimizations — this file proves it as a **three-way
-//! differential** (tick vs fast-forward vs xlate) over random programs
-//! that exercise every wait class: cold-fetch penalties, data-cache
-//! freezes, load/store port conflicts, FPU register interlocks, IR-busy
-//! vector transfers, branch bubbles, §2.3.1 overflow aborts, and
-//! self-modifying text. Abnormal exits landing mid-block — watchdog,
-//! cycle limit, external interrupt — must also agree, error for error.
+//! `Machine::run` has one reference engine, the tick interpreter, and one
+//! fast engine, the block-translated backend (`Backend::Xlate`, the
+//! default), which executes whole basic blocks of pre-resolved micro-ops
+//! and hops over multi-cycle waits, synthesizing the per-cycle stall
+//! accounting the tick loop would have produced. This file proves the
+//! fast engine a pure optimization as a **two-way differential** (tick vs
+//! xlate) over random programs that exercise every wait class: cold-fetch
+//! penalties, data-cache freezes, load/store port conflicts, FPU register
+//! interlocks, IR-busy vector transfers, branch bubbles, §2.3.1 overflow
+//! aborts, and self-modifying text. Abnormal exits landing mid-block —
+//! watchdog, cycle limit, external interrupt — must also agree, error for
+//! error. The tick fetch reads decoded instructions from the same
+//! translation, so the table itself is checked against the decoder too.
 
+use mt_xlate::TranslatedProgram;
 use multititan::fparith::op::ALL_OPS;
+use multititan::isa::cost::InstrCost;
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
 use multititan::sim::{Backend, Machine, Program, RunError, RunStats, SimConfig};
-use multititan::trace::TraceEvent;
 use proptest::prelude::*;
 
 /// Base address of the data area the random loads/stores hit (well clear
@@ -35,41 +36,24 @@ struct Observed {
     fpu_stats: String,
 }
 
-/// Assembles and runs `instrs` with the given fast paths enabled,
-/// optionally recording the event stream.
-fn run_one(
-    instrs: &[Instr],
-    regs: &[u64],
-    backend: Backend,
-    fast_forward: bool,
-    predecode: bool,
-    record: bool,
-) -> (Observed, Vec<TraceEvent>) {
+/// Assembles and runs `instrs` under `backend`.
+fn run_one(instrs: &[Instr], regs: &[u64], backend: Backend) -> Observed {
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(SimConfig {
         backend,
-        fast_forward,
         max_cycles: 1_000_000,
         ..SimConfig::default()
     });
     m.load_program(&prog);
-    if !predecode {
-        m.disable_predecode();
-    }
     // Deliberately cold caches: the first trip through the text pays
-    // instruction-buffer misses, the loads pay data misses — the spans
-    // fast-forward must reproduce cycle-for-cycle.
+    // instruction-buffer misses, the loads pay data misses — the waits
+    // the translated backend hops over must reproduce cycle-for-cycle.
     for (i, &bits) in regs.iter().enumerate() {
         m.fpu.write_reg_direct(FReg::new(i as u8), bits);
     }
     m.set_ireg(IReg::new(1), DATA_BASE);
-    let mut events = Vec::new();
-    let stats = if record {
-        m.run_with_sink(&mut events).unwrap()
-    } else {
-        m.run().unwrap()
-    };
-    (observe(&m, stats), events)
+    let stats = m.run().unwrap();
+    observe(&m, stats)
 }
 
 fn observe(m: &Machine, stats: RunStats) -> Observed {
@@ -210,7 +194,6 @@ fn run_to_end(
     instrs: &[Instr],
     regs: &[u64],
     backend: Backend,
-    fast_forward: bool,
     max_cycles: u64,
     watchdog: u64,
     interrupt_after: Option<u64>,
@@ -218,7 +201,6 @@ fn run_to_end(
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(SimConfig {
         backend,
-        fast_forward,
         max_cycles,
         watchdog_cycles: watchdog,
         ..SimConfig::default()
@@ -313,40 +295,14 @@ fn run_smc(instrs: &[Instr], regs: &[u64], patch_word: u32, backend: Backend) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fast-forward jumps are invisible: statistics, stall accounting,
-    /// both register files, and the PSW match the tick-by-tick loop.
-    #[test]
-    fn fast_forward_equals_tick_by_tick(instrs in arb_program(), regs in arb_regs()) {
-        let (fast, _) = run_one(&instrs, &regs, Backend::Tick, true, true, false);
-        let (slow, _) = run_one(&instrs, &regs, Backend::Tick, false, true, false);
-        prop_assert_eq!(&fast, &slow);
-        prop_assert_eq!(
-            fast.stats.accounted_cycles(), fast.stats.cycles,
-            "every fast-forwarded cycle must be attributed to a stall cause"
-        );
-    }
-
-    /// The predecoded side table is invisible, including to the event
-    /// stream (predecode stays active under a sink, so the recorded
-    /// per-cycle events must match the decode-every-fetch path exactly).
-    #[test]
-    fn predecode_equals_decode_per_fetch(instrs in arb_program(), regs in arb_regs()) {
-        let (pre, pre_events) = run_one(&instrs, &regs, Backend::Tick, true, true, true);
-        let (slow, slow_events) = run_one(&instrs, &regs, Backend::Tick, true, false, true);
-        prop_assert_eq!(pre, slow);
-        prop_assert_eq!(pre_events, slow_events);
-    }
-
-    /// The three-way differential: tick-by-tick, fast-forward, and the
+    /// The two-way differential: the tick interpreter and the
     /// block-translated backend agree bit for bit — statistics,
     /// per-cause stall accounting, registers, PSW — and every cycle is
     /// attributed to a cause.
     #[test]
-    fn xlate_equals_fast_forward_equals_tick(instrs in arb_program(), regs in arb_regs()) {
-        let (tick, _) = run_one(&instrs, &regs, Backend::Tick, false, false, false);
-        let (ff, _)   = run_one(&instrs, &regs, Backend::Tick, true, true, false);
-        let (xl, _)   = run_one(&instrs, &regs, Backend::Xlate, true, true, false);
-        prop_assert_eq!(&tick, &ff);
+    fn xlate_equals_tick(instrs in arb_program(), regs in arb_regs()) {
+        let tick = run_one(&instrs, &regs, Backend::Tick);
+        let xl = run_one(&instrs, &regs, Backend::Xlate);
         prop_assert_eq!(&tick, &xl);
         prop_assert_eq!(
             xl.stats.accounted_cycles(), xl.stats.cycles,
@@ -354,13 +310,13 @@ proptest! {
         );
     }
 
-    /// The same three-way agreement when the datapath hits its corners:
-    /// overflow (the §2.3.1 abort squashes the rest of the vector, and
-    /// the abort may land mid-block), underflow, infinities, NaN.
+    /// The same agreement when the datapath hits its corners: overflow
+    /// (the §2.3.1 abort squashes the rest of the vector, and the abort
+    /// may land mid-block), underflow, infinities, NaN.
     #[test]
     fn overflow_abort_mid_block_agrees(instrs in arb_program(), regs in arb_regs_extreme()) {
-        let (tick, _) = run_one(&instrs, &regs, Backend::Tick, false, false, false);
-        let (xl, _)   = run_one(&instrs, &regs, Backend::Xlate, true, true, false);
+        let tick = run_one(&instrs, &regs, Backend::Tick);
+        let xl = run_one(&instrs, &regs, Backend::Xlate);
         prop_assert_eq!(&tick, &xl);
         prop_assert_eq!(xl.stats.accounted_cycles(), xl.stats.cycles);
     }
@@ -377,10 +333,8 @@ proptest! {
         watchdog in 1u64..40,
         interrupt in prop_oneof![1 => Just(None), 3 => (3u64..300).prop_map(Some)],
     ) {
-        let tick = run_to_end(&instrs, &regs, Backend::Tick, false, max_cycles, watchdog, interrupt);
-        let ff = run_to_end(&instrs, &regs, Backend::Tick, true, max_cycles, watchdog, interrupt);
-        let xl = run_to_end(&instrs, &regs, Backend::Xlate, true, max_cycles, watchdog, interrupt);
-        prop_assert_eq!(&tick, &ff, "fast-forward diverged from tick at an abnormal exit");
+        let tick = run_to_end(&instrs, &regs, Backend::Tick, max_cycles, watchdog, interrupt);
+        let xl = run_to_end(&instrs, &regs, Backend::Xlate, max_cycles, watchdog, interrupt);
         prop_assert_eq!(&tick, &xl, "xlate diverged from tick at an abnormal exit");
     }
 
@@ -397,14 +351,48 @@ proptest! {
         prop_assert_eq!(&tick, &xl);
         prop_assert_eq!(xl.stats.accounted_cycles(), xl.stats.cycles);
     }
+}
 
-    /// All four interpreter paths (predecode × fast-forward) agree on
-    /// statistics.
+/// Arbitrary text: random 32-bit soup mixed with valid encodings, so both
+/// the decodable and the undecodable paths of the translation are hit.
+fn arb_text() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(
+        prop_oneof![
+            1 => any::<u32>(),
+            1 => arb_instr().prop_map(|i| i.encode().unwrap()),
+        ],
+        1..64,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The translation is the decoder, word for word: the tick fetch
+    /// trusts `TranslatedProgram::uop` in place of `Instr::decode` while
+    /// the text is unmodified, so at every aligned text PC the micro-op's
+    /// instruction must be exactly the word's decoding (`None` for an
+    /// undecodable word) and its cost row exactly the shared table's.
+    /// Misaligned PCs and PCs outside the text have no micro-op.
     #[test]
-    fn all_paths_agree(instrs in arb_program(), regs in arb_regs()) {
-        let (a, _) = run_one(&instrs, &regs, Backend::Tick, true, true, false);
-        let (b, _) = run_one(&instrs, &regs, Backend::Tick, false, false, false);
-        prop_assert_eq!(a, b);
+    fn uop_table_matches_decode_at_every_pc(words in arb_text()) {
+        let base = multititan::sim::DEFAULT_TEXT_BASE;
+        let program = Program { words: words.clone(), base, segments: Vec::new() };
+        let xp = TranslatedProgram::translate(&program);
+        for (i, &word) in words.iter().enumerate() {
+            let pc = base + 4 * i as u32;
+            let uop = xp.uop(pc);
+            prop_assert_eq!(uop.map(|u| u.instr), Instr::decode(word).ok(), "pc {:#x}", pc);
+            if let Some(u) = uop {
+                prop_assert_eq!(u.cost, InstrCost::of(&u.instr), "pc {:#x}", pc);
+            }
+            for misaligned in 1..4 {
+                prop_assert!(xp.uop(pc + misaligned).is_none(), "pc {:#x}", pc + misaligned);
+            }
+        }
+        let end = base + 4 * words.len() as u32;
+        prop_assert!(xp.uop(end).is_none(), "the PC past the text");
+        prop_assert!(xp.uop(base - 4).is_none(), "the PC before the text");
     }
 }
 
@@ -425,7 +413,7 @@ fn differential_assertions_detect_single_field_mutations() {
         Instr::Halt,
     ];
     let regs: Vec<u64> = (0..52).map(|i| (i as f64).to_bits()).collect();
-    let (base, _) = run_one(&instrs, &regs, Backend::Xlate, true, true, false);
+    let base = run_one(&instrs, &regs, Backend::Xlate);
 
     let mut cycles = base.clone();
     cycles.stats.cycles += 1;
@@ -503,14 +491,39 @@ fn corpus_is_bit_identical_across_backends() {
     }
 }
 
-/// A write into the text segment invalidates the predecode fast path: the
-/// fetch falls back to decoding the current memory word.
+/// The serialized-issue ablation (the path `repro-ablations`,
+/// `repro-amdahl`, and the dse `split-8x64` cell take) is one machine on
+/// both backends: every Livermore loop, cold and warm.
+#[test]
+fn serialized_corpus_is_bit_identical_across_backends() {
+    use multititan::kernels::{harness, livermore};
+    for n in 1..=24u8 {
+        let kernel = livermore::by_number(n);
+        let [tick, xl] = [Backend::Tick, Backend::Xlate].map(|backend| {
+            harness::run_kernel_with(
+                &kernel,
+                SimConfig {
+                    backend,
+                    serialized_issue: true,
+                    ..SimConfig::default()
+                },
+            )
+            .unwrap()
+        });
+        assert_eq!(tick.cold, xl.cold, "loop {n} cold (serialized issue)");
+        assert_eq!(tick.warm, xl.warm, "loop {n} warm (serialized issue)");
+    }
+}
+
+/// A write into the text segment invalidates the translation: the tick
+/// fetch falls back to decoding the current memory word, and the
+/// translated backend hands the rest of the run to it.
 #[test]
 fn self_modifying_text_falls_back_to_slow_decode() {
     use multititan::sim::DEFAULT_TEXT_BASE;
     // Word 2 is a jump-to-self; the store ahead of it patches it to Halt.
-    // A fetch that trusted the stale predecoded table would spin to the
-    // cycle limit; the fallback decodes the patched word and halts.
+    // A fetch that trusted the stale translation would spin to the cycle
+    // limit; the fallback decodes the patched word and halts.
     let halt_word = Instr::Halt.encode().unwrap();
     let prog = Program::assemble(&[
         Instr::Addi {

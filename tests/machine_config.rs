@@ -9,8 +9,8 @@
 //!    default on every backend, for random programs and for the whole
 //!    Livermore corpus. The refactor changed no observable behavior.
 //! 2. **Off-default coherence** — a *non*-default configuration is
-//!    still one machine: tick, fast-forward, and the block-translated
-//!    backend agree bit for bit under random timing/cache knobs, and
+//!    still one machine: tick and the block-translated backend agree bit
+//!    for bit under random timing/cache knobs and issue ablations, and
 //!    the knobs move performance in the physically sensible direction
 //!    (slower FPU ⇒ no faster warm loops; costlier misses ⇒ no faster
 //!    cold loops; more lanes ⇒ no slower warm loops).
@@ -165,72 +165,62 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Default fidelity on random programs: the explicit paper config is
-    /// bit-identical to the implicit default on all three backends.
+    /// bit-identical to the implicit default on both backends.
     #[test]
     fn explicit_default_equals_implicit_default(
         instrs in arb_program(),
         regs in arb_regs(),
     ) {
         for backend in [Backend::Tick, Backend::Xlate] {
-            for fast_forward in [false, true] {
-                let implicit = run_one(&instrs, &regs, SimConfig {
-                    backend,
-                    fast_forward,
-                    max_cycles: 1_000_000,
-                    ..SimConfig::default()
-                });
-                let explicit = run_one(&instrs, &regs, SimConfig {
-                    backend,
-                    fast_forward,
-                    max_cycles: 1_000_000,
-                    machine: MachineConfig::multititan(),
-                    ..SimConfig::default()
-                });
-                prop_assert_eq!(
-                    &implicit, &explicit,
-                    "explicit multititan() diverged ({:?}, ff={})",
-                    backend, fast_forward
-                );
-            }
+            let implicit = run_one(&instrs, &regs, SimConfig {
+                backend,
+                max_cycles: 1_000_000,
+                ..SimConfig::default()
+            });
+            let explicit = run_one(&instrs, &regs, SimConfig {
+                backend,
+                max_cycles: 1_000_000,
+                machine: MachineConfig::multititan(),
+                ..SimConfig::default()
+            });
+            prop_assert_eq!(
+                &implicit, &explicit,
+                "explicit multititan() diverged ({:?})", backend
+            );
         }
     }
 
-    /// Off-default coherence: under a random valid configuration, tick,
-    /// fast-forward, and the block-translated backend are still one
-    /// machine — statistics, stall accounting, registers, PSW — and
-    /// every cycle is attributed to a cause.
+    /// Off-default coherence: under a random valid configuration — with
+    /// the serialized-issue and full-range-interlock ablations drawn too —
+    /// tick and the block-translated backend are still one machine:
+    /// statistics, stall accounting, registers, PSW, and every cycle
+    /// attributed to a cause.
     #[test]
     fn random_configs_are_backend_invariant(
         instrs in arb_program(),
         regs in arb_regs(),
         machine in arb_machine(),
+        serialized_issue in any::<bool>(),
+        full_range_interlock in any::<bool>(),
     ) {
-        let tick = run_one(&instrs, &regs, SimConfig {
-            backend: Backend::Tick,
-            fast_forward: false,
-            max_cycles: 1_000_000,
-            machine,
-            ..SimConfig::default()
+        let [tick, xl] = [Backend::Tick, Backend::Xlate].map(|backend| {
+            run_one(&instrs, &regs, SimConfig {
+                backend,
+                max_cycles: 1_000_000,
+                machine,
+                serialized_issue,
+                full_range_interlock,
+                ..SimConfig::default()
+            })
         });
-        let ff = run_one(&instrs, &regs, SimConfig {
-            backend: Backend::Tick,
-            fast_forward: true,
-            max_cycles: 1_000_000,
-            machine,
-            ..SimConfig::default()
-        });
-        let xl = run_one(&instrs, &regs, SimConfig {
-            backend: Backend::Xlate,
-            fast_forward: true,
-            max_cycles: 1_000_000,
-            machine,
-            ..SimConfig::default()
-        });
-        prop_assert_eq!(&tick, &ff, "fast-forward diverged under {}", machine.key_material());
-        prop_assert_eq!(&tick, &xl, "xlate diverged under {}", machine.key_material());
+        let axes = format!(
+            "{} serialized={serialized_issue} full_range={full_range_interlock}",
+            machine.key_material()
+        );
+        prop_assert_eq!(&tick, &xl, "xlate diverged under {}", axes);
         prop_assert_eq!(
             tick.stats.accounted_cycles(), tick.stats.cycles,
-            "unattributed cycles under {}", machine.key_material()
+            "unattributed cycles under {}", axes
         );
     }
 }

@@ -5,13 +5,13 @@
 //! `load_program`. The service's result cache is only sound if a run is a
 //! pure function of `(program, options)` — which it is not if *anything*
 //! leaks across jobs: register files, memory contents, cache residency,
-//! PSW flags, a stale armed interrupt, watchdog bookkeeping, predecode
-//! watch state, trace buffers. This file proves the recycling path clean:
-//! for random job pairs (A, B) — including an A that ends in a cycle-limit
-//! or watchdog error — running B on the machine that just ran A is
-//! bit-identical to running B on a freshly constructed machine, in
-//! statistics, run outcome, both register files, the PSW, the event
-//! stream, and the data memory the program touched.
+//! PSW flags, a stale armed interrupt, watchdog bookkeeping, the text
+//! translation and its write watch, trace buffers. This file proves the
+//! recycling path clean: for random job pairs (A, B) — including an A
+//! that ends in a cycle-limit or watchdog error — running B on the
+//! machine that just ran A is bit-identical to running B on a freshly
+//! constructed machine, in statistics, run outcome, both register files,
+//! the PSW, the event stream, and the data memory the program touched.
 
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};

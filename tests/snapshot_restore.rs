@@ -5,8 +5,8 @@
 //!
 //! 1. pausing a run at an arbitrary cycle and resuming reaches the same
 //!    final state (registers, PSW, statistics counters, event stream)
-//!    as the uninterrupted run — under both the tick loop and the
-//!    fast-forward path (which must clamp its jumps to the pause point);
+//!    as the uninterrupted run — under both the tick interpreter and the
+//!    translated backend (which must clamp its hops to the pause point);
 //! 2. restoring a snapshot is a true rewind: two resumes from the same
 //!    snapshot produce identical `RunStats` and identical final state;
 //! 3. the whole round-trip holds over random programs covering every
@@ -16,7 +16,7 @@
 use multititan::fparith::op::ALL_OPS;
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
-use multititan::sim::{ArchState, Machine, Program, SimConfig};
+use multititan::sim::{ArchState, Backend, Machine, Program, SimConfig};
 use multititan::trace::TraceEvent;
 use proptest::prelude::*;
 
@@ -40,10 +40,10 @@ fn observe(m: &Machine) -> Final {
 }
 
 /// Builds a cold machine with the program loaded and inputs written.
-fn fresh(instrs: &[Instr], regs: &[u64], fast_forward: bool) -> Machine {
+fn fresh(instrs: &[Instr], regs: &[u64], backend: Backend) -> Machine {
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(SimConfig {
-        fast_forward,
+        backend,
         max_cycles: 1_000_000,
         ..SimConfig::default()
     });
@@ -141,22 +141,22 @@ proptest! {
 
     /// Pausing at an arbitrary cycle, snapshotting, resuming — and
     /// rewinding to resume a second time — all reach the uninterrupted
-    /// run's exact final state, under tick and fast-forward execution.
+    /// run's exact final state, on both backends.
     #[test]
     fn pause_snapshot_resume_is_invisible(
         instrs in arb_program(),
         regs in arb_regs(),
         quarter in 1u64..4,
-        ff in any::<bool>(),
+        backend in prop_oneof![Just(Backend::Tick), Just(Backend::Xlate)],
     ) {
         // Uninterrupted reference.
-        let mut whole = fresh(&instrs, &regs, ff);
+        let mut whole = fresh(&instrs, &regs, backend);
         let whole_stats = whole.run().unwrap();
         let reference = observe(&whole);
         let stop = whole_stats.cycles * quarter / 4;
 
         // Paused run: stop mid-flight, snapshot, resume.
-        let mut m = fresh(&instrs, &regs, ff);
+        let mut m = fresh(&instrs, &regs, backend);
         match m.run_until(stop).unwrap() {
             // `stop` landed inside the final drain span, which never
             // pauses; the completed run must already match.
@@ -186,13 +186,13 @@ proptest! {
         regs in arb_regs(),
         quarter in 1u64..4,
     ) {
-        let mut whole = fresh(&instrs, &regs, false);
+        let mut whole = fresh(&instrs, &regs, Backend::Tick);
         let mut whole_events: Vec<TraceEvent> = Vec::new();
         let whole_stats = whole.run_with_sink(&mut whole_events).unwrap();
         let reference = observe(&whole);
         let stop = whole_stats.cycles * quarter / 4;
 
-        let mut m = fresh(&instrs, &regs, false);
+        let mut m = fresh(&instrs, &regs, Backend::Tick);
         let mut events: Vec<TraceEvent> = Vec::new();
         match m.run_until_with_sink(stop, &mut events).unwrap() {
             Some(_) => prop_assert_eq!(observe(&m), reference),
@@ -220,7 +220,7 @@ fn restore_to_cycle_zero_reruns_identically() {
         Instr::Halt,
     ];
     let regs: Vec<u64> = (0..52).map(|i| (i as f64).to_bits()).collect();
-    let mut m = fresh(&instrs, &regs, true);
+    let mut m = fresh(&instrs, &regs, Backend::default());
     let base = m.snapshot();
     assert_eq!(base.cycle(), 0);
     let first = m.run().unwrap();
