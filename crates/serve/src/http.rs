@@ -417,20 +417,25 @@ impl Response {
     }
 
     /// Serializes the response (one request per connection, so always
-    /// `Connection: close`).
+    /// `Connection: close`) and hands it to `w` in a single `write_all`:
+    /// each `write` on a [`DeadlineStream`] costs a syscall and a
+    /// deadline re-arm, so writing the format fragments one by one would
+    /// pay both per fragment.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let mut wire = Vec::with_capacity(256 + self.body.len());
         write!(
-            w,
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             Response::reason(self.status),
             self.body.len()
         )?;
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -614,11 +619,59 @@ mod tests {
             .with_header("X-Cache", "hit")
             .write_to(&mut out)
             .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 2\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.contains("X-Cache: hit\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\
+             Content-Type: application/json\r\nX-Cache: hit\r\n\r\n{}"
+        );
+    }
+
+    /// A `Write` that records every call it gets.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every response reaches the stream in one `write` call, whatever
+    /// its headers and body.
+    #[test]
+    fn write_to_makes_one_write_call_per_response() {
+        let cases = [
+            (
+                Response::json(200, "{\"cycles\": 7}\n").with_header("X-Cache", "hit"),
+                "HTTP/1.1 200 OK\r\nContent-Length: 14\r\nConnection: close\r\n\
+                 Content-Type: application/json\r\nX-Cache: hit\r\n\r\n{\"cycles\": 7}\n",
+            ),
+            (
+                Response::json(429, "{}\n").with_header("Retry-After", "1"),
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Length: 3\r\n\
+                 Connection: close\r\nContent-Type: application/json\r\n\
+                 Retry-After: 1\r\n\r\n{}\n",
+            ),
+            (
+                Response::text(200, ""),
+                "HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\
+                 Content-Type: text/plain; charset=utf-8\r\n\r\n",
+            ),
+        ];
+        for (response, wire) in cases {
+            let mut w = CountingWriter::default();
+            response.write_to(&mut w).unwrap();
+            assert_eq!(w.writes, 1, "{wire:?}");
+            assert_eq!(String::from_utf8(w.bytes).unwrap(), wire);
+        }
     }
 }

@@ -50,8 +50,11 @@ pub struct Gauges {
     pub workers: usize,
     /// Workers executing a job right now.
     pub busy_workers: usize,
-    /// Connections currently open (handler threads alive).
+    /// Connections being served right now. Each holds one connection
+    /// thread; parked connection threads are not counted.
     pub open_connections: usize,
+    /// Connection threads parked, waiting for the next connection.
+    pub conn_threads_parked: usize,
     /// True while the server is draining: job POSTs get `503`, GETs
     /// still work so probes can watch the drain instead of a dead port.
     pub draining: bool,
@@ -262,6 +265,10 @@ impl ServeMetrics {
             ("workers", Json::U64(g.workers as u64)),
             ("busy_workers", Json::U64(g.busy_workers as u64)),
             ("open_connections", Json::U64(g.open_connections as u64)),
+            (
+                "conn_threads_parked",
+                Json::U64(g.conn_threads_parked as u64),
+            ),
             ("draining", Json::Bool(g.draining)),
             ("worker_utilization", utilization),
             ("accounting", accounting),
@@ -353,6 +360,16 @@ impl ServeMetrics {
             "mtserve_open_connections",
             "Connections currently open.",
             g.open_connections as f64,
+        );
+        p.gauge(
+            "mtserve_conn_threads_parked",
+            "Connection threads parked, waiting for the next connection.",
+            g.conn_threads_parked as f64,
+        );
+        p.counter(
+            "mtserve_conn_threads_spawned_total",
+            "Connection threads spawned (a parked thread takes a connection first).",
+            s.registry.counter("conn_threads_spawned"),
         );
         p.gauge(
             "mtserve_draining",
@@ -614,12 +631,14 @@ mod tests {
         m.record_worker_job(0, 500);
         m.add("worker_panics", 1);
         m.add("jobs_shed", 2);
+        m.add("conn_threads_spawned", 3);
         let text = m.to_prometheus(Gauges {
             queue_depth: 1,
             queue_capacity: 64,
             workers: 2,
             busy_workers: 1,
             open_connections: 3,
+            conn_threads_parked: 2,
             draining: true,
         });
         let families = mt_obs::prom::validate(&text).expect("valid exposition format");
@@ -633,6 +652,8 @@ mod tests {
             "mtserve_workers",
             "mtserve_busy_workers",
             "mtserve_open_connections",
+            "mtserve_conn_threads_parked",
+            "mtserve_conn_threads_spawned_total",
             "mtserve_draining",
             "mtserve_worker_panics_total",
             "mtserve_worker_respawns_total",
@@ -656,6 +677,8 @@ mod tests {
         assert!(text.contains("mtserve_draining 1\n"));
         assert!(text.contains("mtserve_worker_panics_total 1\n"));
         assert!(text.contains("mtserve_jobs_shed_total 2\n"));
+        assert!(text.contains("mtserve_conn_threads_spawned_total 3\n"));
+        assert!(text.contains("mtserve_conn_threads_parked 2\n"));
         assert!(text.contains("mtserve_request_stage_microseconds_count{stage=\"total\"} 1\n"));
         assert!(text.contains("mtserve_service_cycles{quantile=\"0.5\"}"));
     }

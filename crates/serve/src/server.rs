@@ -3,13 +3,20 @@
 //!
 //! Threading model (std only — no async runtime):
 //!
-//! * one **accept thread** that only accepts and spawns; it never
-//!   parses, queues, or waits on a simulation, so a full queue or a
-//!   slow job cannot stall new connections. An optional max-in-flight
-//!   connection cap answers `503 overloaded` straight from this path;
-//! * one detached **handler thread** per connection: reads the request,
-//!   serves `GET`s directly, and for jobs either replays the cache or
-//!   enqueues and blocks on a rendezvous channel for the result;
+//! * one **accept thread** that only accepts and hands each connection
+//!   to a connection thread; it never parses, queues, or waits on a
+//!   simulation, so a full queue or a slow job cannot stall new
+//!   connections. An optional max-in-flight connection cap answers
+//!   `503 overloaded` straight from this path, in one non-blocking
+//!   write;
+//! * detached **connection threads**, one per open connection: each
+//!   reads the request, serves `GET`s directly, and for jobs either
+//!   replays the cache or enqueues and blocks on a rendezvous channel
+//!   for the result. When its connection closes the thread parks for
+//!   [`CONN_THREAD_IDLE`] and takes the next connection the accept
+//!   thread hands it, or exits. The accept thread spawns a new one only
+//!   when none is parked, so every connection gets a thread at once — a
+//!   thread cache, not a bounded pool;
 //! * `workers` long-lived **worker threads**, each owning one reusable
 //!   [`Machine`] recycled per job (`Machine::reset_for_new_job`), pulling
 //!   from the fair bounded [`JobQueue`];
@@ -66,8 +73,9 @@
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use mt_dse::grid::GridSpec;
@@ -192,6 +200,7 @@ struct Shared {
     drain_hard: AtomicBool,
     busy_workers: AtomicUsize,
     open_connections: AtomicUsize,
+    conn_threads: ThreadCache<Conn>,
     workers: usize,
     next_request_id: AtomicU64,
     io_timeout: Duration,
@@ -209,6 +218,7 @@ impl Shared {
             workers: self.workers,
             busy_workers: self.busy_workers.load(Ordering::SeqCst),
             open_connections: self.open_connections.load(Ordering::SeqCst),
+            conn_threads_parked: self.conn_threads.parked(),
             draining: self.draining.load(Ordering::SeqCst),
         }
     }
@@ -255,6 +265,98 @@ struct ConnGuard(Arc<Shared>);
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         self.0.open_connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// How long a connection thread stays parked after its connection
+/// closes before it exits: long enough to catch a closed-loop client's
+/// next connection, short enough that a burst's extra threads soon go.
+pub const CONN_THREAD_IDLE: Duration = Duration::from_secs(1);
+
+/// An accepted connection on its way to a connection thread, with the
+/// guard that counts it in `open_connections` until the thread is done.
+type Conn = (TcpStream, ConnGuard);
+
+/// Threads parked between items of work — here, connection threads
+/// between connections — most recently parked last. Each waits on its
+/// own one-slot channel for the accept thread to hand it the next item.
+struct ThreadCache<T> {
+    parked: Mutex<Parked<T>>,
+}
+
+struct Parked<T> {
+    inboxes: Vec<(ThreadId, mpsc::SyncSender<T>)>,
+    /// Set at shutdown: no thread parks again.
+    closed: bool,
+}
+
+impl<T> ThreadCache<T> {
+    fn new() -> ThreadCache<T> {
+        ThreadCache {
+            parked: Mutex::new(Parked {
+                inboxes: Vec::new(),
+                closed: false,
+            }),
+        }
+    }
+
+    /// Every update leaves the list whole, so a poisoned lock is safe
+    /// to take back.
+    fn lock(&self) -> MutexGuard<'_, Parked<T>> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands `item` to the most recently parked thread, or gives it back
+    /// when no thread is parked.
+    fn hand_off(&self, item: T) -> Result<(), T> {
+        let Some((_, inbox)) = self.lock().inboxes.pop() else {
+            return Err(item);
+        };
+        inbox.send(item).map_err(|mpsc::SendError(item)| item)
+    }
+
+    /// Parks the calling thread until it is handed an item; `None` once
+    /// it has idled for [`CONN_THREAD_IDLE`] or the cache was closed.
+    fn park(&self) -> Option<T> {
+        let me = std::thread::current().id();
+        let (inbox, next) = mpsc::sync_channel(1);
+        {
+            let mut parked = self.lock();
+            if parked.closed {
+                return None;
+            }
+            parked.inboxes.push((me, inbox));
+        }
+        match next.recv_timeout(CONN_THREAD_IDLE) {
+            Ok(item) => Some(item),
+            // `close` dropped the inbox.
+            Err(RecvTimeoutError::Disconnected) => None,
+            Err(RecvTimeoutError::Timeout) => {
+                let mut parked = self.lock();
+                if let Some(i) = parked.inboxes.iter().position(|(id, _)| *id == me) {
+                    parked.inboxes.remove(i);
+                    return None;
+                }
+                drop(parked);
+                // `hand_off` took the inbox as the wait expired, so its
+                // item is on the way (unless `close` took it, which
+                // disconnects the channel).
+                next.recv().ok()
+            }
+        }
+    }
+
+    /// Wakes every parked thread to exit, and keeps later ones from
+    /// parking.
+    fn close(&self) {
+        let mut parked = self.lock();
+        parked.closed = true;
+        parked.inboxes.clear();
+    }
+
+    /// Threads parked right now.
+    fn parked(&self) -> usize {
+        self.lock().inboxes.len()
     }
 }
 
@@ -318,7 +420,8 @@ impl ServerHandle {
     /// 4. close the queue and answer every orphaned job with a
     ///    structured `503` (counted as *shed* — the accounting
     ///    invariant survives shutdown);
-    /// 5. stop the accept loop and join all threads.
+    /// 5. stop the accept loop, wake parked connection threads so they
+    ///    exit, and join the accept, supervisor and worker threads.
     pub fn shutdown(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         let quiesce_by = Instant::now() + self.drain_budget;
@@ -345,6 +448,7 @@ impl ServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        self.shared.conn_threads.close();
         if let Some(t) = self.supervisor_thread.take() {
             let _ = t.join();
         }
@@ -370,6 +474,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         drain_hard: AtomicBool::new(false),
         busy_workers: AtomicUsize::new(0),
         open_connections: AtomicUsize::new(0),
+        conn_threads: ThreadCache::new(),
         workers,
         next_request_id: AtomicU64::new(0),
         io_timeout: config.io_timeout,
@@ -460,41 +565,48 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             return;
         }
         let Ok(stream) = conn else { continue };
-        // Connection cap: answer 503 from a throwaway thread (the write
-        // can block on a slow peer; the accept loop must not).
+        // Connection cap: the refusal is one small write into the new
+        // socket's empty send buffer. Non-blocking, it goes out at once
+        // or not at all, so a slow peer cannot stall the accept loop.
         if shared.max_connections != 0
             && shared.open_connections.load(Ordering::SeqCst) >= shared.max_connections
         {
             shared.metrics.add("rejected_overloaded", 1);
-            let io_timeout = shared.io_timeout;
-            let _ = std::thread::Builder::new()
-                .name("mt-serve-overload".to_string())
-                .spawn(move || {
-                    let stream = DeadlineStream::new(stream);
-                    stream.set_write_deadline(Some(Instant::now() + io_timeout));
-                    let body = shed_body("overloaded", "connection limit reached");
-                    let _ = Response::json(503, body)
-                        .with_header("Retry-After", "1")
-                        .write_to(&mut &stream);
-                });
+            if stream.set_nonblocking(true).is_ok() {
+                let body = shed_body("overloaded", "connection limit reached");
+                let _ = Response::json(503, body)
+                    .with_header("Retry-After", "1")
+                    .write_to(&mut &stream);
+            }
             continue;
         }
         shared.open_connections.fetch_add(1, Ordering::SeqCst);
-        let guard = ConnGuard(Arc::clone(shared));
-        let shared = Arc::clone(shared);
-        // Handlers are detached: each one either answers quickly (GETs,
-        // cache hits, 429s) or blocks on its own job's rendezvous — never
-        // on another connection.
-        let spawned = std::thread::Builder::new()
-            .name("mt-serve-conn".to_string())
-            .spawn(move || {
-                let _guard = guard;
-                handle_connection(stream, &shared);
-            });
-        // On spawn failure the closure (and the guard inside it) is
-        // dropped, which decrements the gauge — no leak either way.
-        drop(spawned);
+        let conn = (stream, ConnGuard(Arc::clone(shared)));
+        if let Err(conn) = shared.conn_threads.hand_off(conn) {
+            spawn_conn_thread(shared, conn);
+        }
     }
+}
+
+/// Starts a connection thread on `conn`. Connection threads are
+/// detached: each one either answers quickly (GETs, cache hits, 429s)
+/// or blocks on its own job's rendezvous — never on another connection.
+fn spawn_conn_thread(shared: &Arc<Shared>, conn: Conn) {
+    let shared = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .name("mt-serve-conn".to_string())
+        .spawn(move || {
+            shared.metrics.add("conn_threads_spawned", 1);
+            let mut next = Some(conn);
+            while let Some((stream, open)) = next {
+                handle_connection(stream, &shared);
+                drop(open);
+                next = shared.conn_threads.park();
+            }
+        });
+    // On spawn failure the closure (and the guard inside it) is dropped,
+    // which closes the connection and decrements the gauge.
+    drop(spawned);
 }
 
 /// Microseconds from `t0` to `t` (0 if `t` precedes it).
@@ -1297,6 +1409,63 @@ mod tests {
         }
         let no_cache = access_log_line(&spans, "h", &request, 429, 64, None);
         assert!(no_cache.contains("cache=- "));
+    }
+
+    /// Spawns a thread that parks on `cache` and reports what it got,
+    /// and waits until it is parked.
+    fn parked_thread(cache: &Arc<ThreadCache<u32>>) -> JoinHandle<Option<u32>> {
+        let before = cache.parked();
+        let thread = {
+            let cache = Arc::clone(cache);
+            std::thread::spawn(move || cache.park())
+        };
+        while cache.parked() == before {
+            std::thread::yield_now();
+        }
+        thread
+    }
+
+    #[test]
+    fn thread_cache_hands_work_to_the_newest_parked_thread() {
+        let cache = Arc::new(ThreadCache::new());
+        assert_eq!(cache.hand_off(7), Err(7), "nothing parked yet");
+        let older = parked_thread(&cache);
+        let newer = parked_thread(&cache);
+        assert_eq!(cache.hand_off(1), Ok(()));
+        assert_eq!(newer.join().unwrap(), Some(1));
+        assert_eq!(cache.hand_off(2), Ok(()));
+        assert_eq!(older.join().unwrap(), Some(2));
+        assert_eq!(cache.parked(), 0);
+    }
+
+    #[test]
+    fn idle_parked_thread_leaves_the_cache() {
+        let cache = Arc::new(ThreadCache::new());
+        let started = Instant::now();
+        let idle = parked_thread(&cache);
+        assert_eq!(idle.join().unwrap(), None);
+        assert!(started.elapsed() >= CONN_THREAD_IDLE);
+        assert_eq!(cache.parked(), 0);
+        assert_eq!(cache.hand_off(3), Err(3), "the idle thread is gone");
+    }
+
+    #[test]
+    fn close_wakes_parked_threads_at_once() {
+        let cache = Arc::new(ThreadCache::<u32>::new());
+        let threads = [parked_thread(&cache), parked_thread(&cache)];
+        let started = Instant::now();
+        cache.close();
+        for t in threads {
+            assert_eq!(t.join().unwrap(), None);
+        }
+        assert!(
+            started.elapsed() < CONN_THREAD_IDLE / 2,
+            "parked threads waited out their idle period: {:?}",
+            started.elapsed()
+        );
+        // A closed cache parks nobody.
+        assert_eq!(cache.park(), None);
+        assert_eq!(cache.hand_off(4), Err(4));
     }
 
     #[test]

@@ -607,3 +607,101 @@ fn oversized_cache_config_is_refused_and_the_server_stays_up() {
     assert_eq!(post(&addr, "/run", "c", DAXPY).status, 200);
     handle.shutdown();
 }
+
+fn counter(addr: &str, name: &str) -> u64 {
+    let body = get(addr, "/metrics").body;
+    let doc = mt_trace::json::parse(&body).expect("metrics parse");
+    doc.get("registry")
+        .and_then(|r| r.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(|v| v.as_f64())
+        .unwrap_or_else(|| panic!("metrics missing counter {name}: {body}")) as u64
+}
+
+/// Sequential connections reuse parked connection threads instead of
+/// spawning one each.
+#[test]
+fn sequential_connections_reuse_connection_threads() {
+    let handle = serve(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr().to_string();
+    for _ in 0..40 {
+        assert_eq!(get(&addr, "/healthz").status, 200);
+    }
+    // A thread parks only after it closes its connection, and the
+    // client's next connect can arrive first, so a few spawns are
+    // expected — but nowhere near one per connection.
+    let spawned = counter(&addr, "conn_threads_spawned");
+    assert!(
+        (1..=10).contains(&spawned),
+        "{spawned} connection threads for 41 connections"
+    );
+    handle.shutdown();
+}
+
+/// A connection that never sends its head holds only its own thread: a
+/// concurrent request gets another thread at once instead of waiting
+/// out the silent one's header deadline.
+#[test]
+fn silent_connection_does_not_delay_other_requests() {
+    let handle = serve(ServerConfig {
+        workers: 1,
+        header_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr().to_string();
+    // Leave a parked thread behind for the silent connection to take.
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    let silent = TcpStream::connect(&addr).unwrap();
+    // Once accepted, the silent connection is open beside the /metrics
+    // request's own.
+    wait_for("silent connection to be accepted", || {
+        metrics_gauge(&addr, "open_connections") >= 2
+    });
+    let started = Instant::now();
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "a silent connection delayed /healthz by {:?}",
+        started.elapsed()
+    );
+    drop(silent);
+    handle.shutdown();
+}
+
+/// Shutdown with parked connection threads returns within the drain
+/// budget, which here is shorter than their idle period. (The server's
+/// unit tests check that the parked threads themselves exit at once.)
+#[test]
+fn shutdown_with_parked_connection_threads_is_prompt() {
+    let drain_budget = Duration::from_millis(500);
+    assert!(drain_budget < mt_serve::server::CONN_THREAD_IDLE);
+    let handle = serve(ServerConfig {
+        workers: 1,
+        drain_budget,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr().to_string();
+    // Three connections open at once hold three threads, which park
+    // when the connections close. The /metrics probe takes one of them.
+    let idle: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    wait_for("idle connections to be accepted", || {
+        metrics_gauge(&addr, "open_connections") >= 4
+    });
+    drop(idle);
+    wait_for("parked connection threads", || {
+        metrics_gauge(&addr, "conn_threads_parked") >= 1
+    });
+    let started = Instant::now();
+    handle.shutdown();
+    assert!(
+        started.elapsed() < drain_budget,
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+}
