@@ -30,13 +30,6 @@ fn parse_u64(text: &str) -> Option<u64> {
     }
 }
 
-/// `http://host:port` → `host:port` (same contract as `mtasm client`).
-fn host_port(url: &str) -> Result<&str, String> {
-    url.strip_prefix("http://")
-        .ok_or_else(|| format!("bad --url `{url}` (need http://host:port)"))
-        .map(|rest| rest.trim_end_matches('/'))
-}
-
 /// Entry point for `mtasm chaos [flags]`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let mut cfg = ChaosConfig::default();
@@ -70,7 +63,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    cfg.addr = host_port(&url)?.to_string();
+    cfg.addr = crate::client::host_port(&url)?.to_string();
 
     let report = run_campaign(&cfg)?;
     if json {

@@ -25,29 +25,17 @@
 //! `requests_per_second`, `cache_hits`, `cache_misses`, `retries_429`,
 //! `rejected_429_final`, `latency_us.*`).
 //!
-//! The HTTP client is hand-rolled over `TcpStream` for the same reason
-//! the server is: the workspace takes no dependencies, and the subset
-//! needed (one POST, one response, `Connection: close`) is tiny.
+//! Requests go through the workspace's shared client,
+//! [`mt_chaos::httpc`], whose error says whether a failed request went
+//! out: that is the `disconnects` vs `failed_requests` split.
 
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use mt_obs::HdrHistogram;
+use mt_chaos::httpc;
+use mt_obs::{fnv1a64, HdrHistogram};
 use mt_trace::Json;
-
-/// FNV-1a 64 (private copy: `mtasm` cannot depend on `mt-serve`, which
-/// depends on this crate).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct ClientOptions {
     url: String,
@@ -62,25 +50,6 @@ struct ClientOptions {
     /// configuration).
     config_axes: Vec<(String, Vec<u64>)>,
     print_body: bool,
-}
-
-/// Transport failure classification: a connection that died (or
-/// short-read) *after* the request went out is a different signal —
-/// usually a server-side drop defense or a crash — than never reaching
-/// the server at all.
-enum TransportError {
-    /// Connect/setup failed; the request was never sent.
-    Connect(String),
-    /// The request was sent but the reply never fully arrived.
-    Disconnect(String),
-}
-
-impl TransportError {
-    fn message(&self) -> &str {
-        match self {
-            TransportError::Connect(m) | TransportError::Disconnect(m) => m,
-        }
-    }
 }
 
 fn parse_client_options(args: &[String]) -> Result<ClientOptions, String> {
@@ -182,109 +151,10 @@ fn parse_client_options(args: &[String]) -> Result<ClientOptions, String> {
 }
 
 /// `http://host:port` → `host:port`.
-fn host_port(url: &str) -> Result<&str, String> {
+pub(crate) fn host_port(url: &str) -> Result<&str, String> {
     url.strip_prefix("http://")
         .ok_or_else(|| format!("bad --url `{url}` (need http://host:port)"))
         .map(|rest| rest.trim_end_matches('/'))
-}
-
-/// One response: status, `X-Cache` header value, body.
-struct HttpReply {
-    status: u16,
-    cache: Option<String>,
-    body: String,
-}
-
-/// Sends one POST over a fresh connection and reads the full reply.
-///
-/// Write errors are tolerated: an overloaded or draining server may
-/// answer and close before reading the request, leaving a perfectly
-/// valid response on the wire behind a failed `write`. Only the *read*
-/// side classifies the outcome.
-fn post(
-    addr: &str,
-    target: &str,
-    client_id: &str,
-    body: &[u8],
-) -> Result<HttpReply, TransportError> {
-    let connect = |m: String| TransportError::Connect(m);
-    let stream = TcpStream::connect(addr).map_err(|e| connect(format!("connect {addr}: {e}")))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| connect(e.to_string()))?;
-    let mut writer = stream.try_clone().map_err(|e| connect(e.to_string()))?;
-    let _ = write!(
-        writer,
-        "POST {target} HTTP/1.1\r\nHost: {addr}\r\nX-Client-Id: {client_id}\r\n\
-         Content-Type: text/plain\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = writer.write_all(body);
-    let _ = writer.flush();
-
-    // From here the request is on the wire (or the server dropped us):
-    // every failure is a disconnect/short-read.
-    let gone = |m: String| TransportError::Disconnect(m);
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| gone(e.to_string()))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            gone(format!(
-                "short read: status line `{}`",
-                status_line.trim_end()
-            ))
-        })?;
-    let mut cache = None;
-    let mut content_length = None;
-    loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| gone(e.to_string()))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            match name.trim().to_ascii_lowercase().as_str() {
-                "x-cache" => cache = Some(value.trim().to_string()),
-                "content-length" => {
-                    content_length = Some(
-                        value
-                            .trim()
-                            .parse::<usize>()
-                            .map_err(|e| gone(format!("bad content-length: {e}")))?,
-                    );
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut body = Vec::new();
-    match content_length {
-        Some(n) => {
-            body.resize(n, 0);
-            reader
-                .read_exact(&mut body)
-                .map_err(|e| gone(format!("short read: body: {e}")))?;
-        }
-        None => {
-            reader
-                .read_to_end(&mut body)
-                .map_err(|e| gone(e.to_string()))?;
-        }
-    }
-    Ok(HttpReply {
-        status,
-        cache,
-        body: String::from_utf8_lossy(&body).into_owned(),
-    })
 }
 
 #[derive(Default)]
@@ -361,7 +231,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                     let request_start = Instant::now();
                     let mut retries = 0;
                     let reply = loop {
-                        match post(addr, &target, &client_id, source.as_bytes()) {
+                        match httpc::post(addr, &target, &client_id, source.as_bytes()) {
                             Ok(r) if r.status == 429 && retries < 200 => {
                                 retries += 1;
                                 std::thread::sleep(Duration::from_millis(25));
@@ -398,11 +268,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
                         Err(e) => {
                             t.errors += 1;
                             match e {
-                                TransportError::Disconnect(_) => t.disconnects += 1,
-                                TransportError::Connect(_) => t.failed_requests += 1,
+                                httpc::Error::NoReply(_) => t.disconnects += 1,
+                                httpc::Error::NotSent(_) => t.failed_requests += 1,
                             }
                             if t.failures.len() < 8 {
-                                t.failures.push(e.message().to_string());
+                                t.failures.push(e.to_string());
                             }
                         }
                     }
@@ -417,8 +287,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if opts.print_body {
         // Replay one request for the body (a cache hit on any healthy
         // server) so scripts can capture the canonical response.
-        let reply = post(&addr, &target, "client-body", source.as_bytes())
-            .map_err(|e| e.message().to_string())?;
+        let reply = httpc::post(&addr, &target, "client-body", source.as_bytes())
+            .map_err(|e| e.to_string())?;
         print!("{}", reply.body);
         if !reply.body.ends_with('\n') {
             println!();

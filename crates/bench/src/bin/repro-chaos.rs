@@ -21,7 +21,7 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use mt_chaos::{httpc, run_campaign, ChaosConfig};
+use mt_chaos::{httpc, run_campaign, ChaosConfig, CLIENT_ID};
 use mt_serve::{serve, ServerConfig};
 use mt_trace::Json;
 
@@ -156,7 +156,12 @@ fn drain_smoke(json: bool) {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let source = format!("li r9, {i}\nspin:\nbeq r0, r0, spin\nhalt\n");
-                httpc::post(&addr, "/run?cycles=4000000000", source.as_bytes())
+                httpc::post(
+                    &addr,
+                    "/run?cycles=4000000000",
+                    CLIENT_ID,
+                    source.as_bytes(),
+                )
             })
         })
         .collect();

@@ -2,8 +2,7 @@
 //! evaluation (§3), plus the ablation studies DESIGN.md calls out.
 //!
 //! The `repro-*` binaries print the regenerated tables side by side with
-//! the paper's published numbers; the Criterion benches under `benches/`
-//! wrap the same measurements for tracked, repeatable runs. Absolute
+//! the paper's published numbers. Absolute
 //! MFLOPS are simulated at the paper's machine parameters (40 ns clock,
 //! 3-cycle FPU, 64 KB caches); the claim being reproduced is *shape* —
 //! who wins, by roughly what factor, and where the crossovers sit.

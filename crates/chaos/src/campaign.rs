@@ -16,7 +16,7 @@ use mt_trace::Json;
 
 use crate::httpc::{self, field_u64};
 use crate::scenario::{self, ScenarioKind};
-use crate::ChaosConfig;
+use crate::{ChaosConfig, CLIENT_ID};
 
 /// The finished campaign: the `mt-chaos-v1` report and a pass verdict.
 #[derive(Debug)]
@@ -125,7 +125,7 @@ pub fn run_campaign(cfg: &ChaosConfig) -> Result<CampaignReport, String> {
     let final_healthz = healthz_ok(cfg);
     let probe = format!("li r9, {}\nhalt\n", rng.below(1 << 20));
     let pool_alive = matches!(
-        httpc::post(&cfg.addr, "/run", probe.as_bytes()),
+        httpc::post(&cfg.addr, "/run", CLIENT_ID, probe.as_bytes()),
         Ok(r) if r.status == 200
     );
     let quiesced = wait_quiesce(cfg).is_ok();

@@ -28,6 +28,9 @@
 //!
 //! Drive it with `repro-chaos` (spawns an in-process hooked server) or
 //! `mtasm chaos --url ...` (attacks a server you already run).
+//!
+//! [`httpc`] is the workspace's one HTTP client for `mt-serve`; the
+//! campaign, `mtasm client` and the serve crate's tests share it.
 
 pub mod campaign;
 pub mod httpc;
@@ -49,6 +52,9 @@ pub use scenario::{plan, ScenarioKind};
 pub const PANIC_MARKER: &str = "CHAOS-PANIC-WORKER";
 /// See [`PANIC_MARKER`]; this one kills the worker thread outright.
 pub const KILL_MARKER: &str = "CHAOS-KILL-WORKER";
+
+/// The `X-Client-Id` of every campaign request: one fairness lane.
+pub const CLIENT_ID: &str = "chaos";
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]

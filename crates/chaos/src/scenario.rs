@@ -16,7 +16,7 @@ use std::net::Shutdown;
 use mt_fault::SplitMix64;
 
 use crate::httpc::{self, Reply};
-use crate::{ChaosConfig, KILL_MARKER, PANIC_MARKER};
+use crate::{ChaosConfig, CLIENT_ID, KILL_MARKER, PANIC_MARKER};
 
 /// One kind of injected trouble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,10 +157,10 @@ fn burst(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     // threads spawn so the RNG consumption stays deterministic.
     let width = 4 + rng.below(6) as usize;
     let sources: Vec<String> = (0..width).map(|_| tagged_source(rng)).collect();
-    let replies: Vec<Result<Reply, String>> = std::thread::scope(|scope| {
+    let replies: Vec<Result<Reply, httpc::Error>> = std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .iter()
-            .map(|src| scope.spawn(|| httpc::post(&cfg.addr, "/run", src.as_bytes())))
+            .map(|src| scope.spawn(|| httpc::post(&cfg.addr, "/run", CLIENT_ID, src.as_bytes())))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -171,7 +171,7 @@ fn burst(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
         match reply {
             Ok(r) if matches!(r.status, 200 | 429 | 503) => {}
             Ok(r) => bad.push(format!("status {}", r.status)),
-            Err(e) => bad.push(e.clone()),
+            Err(e) => bad.push(e.to_string()),
         }
     }
     ScenarioOutcome::plain(
@@ -193,7 +193,7 @@ fn torn_head(cfg: &ChaosConfig) -> ScenarioOutcome {
             drop(stream);
             ScenarioOutcome::plain(true, "request line torn mid-token")
         }
-        Err(e) => ScenarioOutcome::plain(false, e),
+        Err(e) => ScenarioOutcome::plain(false, e.to_string()),
     }
 }
 
@@ -209,7 +209,7 @@ fn mid_body_disconnect(cfg: &ChaosConfig) -> ScenarioOutcome {
             drop(stream);
             ScenarioOutcome::plain(true, "promised 64 body bytes, sent 6, disconnected")
         }
-        Err(e) => ScenarioOutcome::plain(false, e),
+        Err(e) => ScenarioOutcome::plain(false, e.to_string()),
     }
 }
 
@@ -217,19 +217,16 @@ fn half_close(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     let source = tagged_source(rng);
     let stream = match httpc::connect(&cfg.addr) {
         Ok(s) => s,
-        Err(e) => return ScenarioOutcome::plain(false, e),
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
         Err(e) => return ScenarioOutcome::plain(false, e.to_string()),
     };
-    let _ = write!(
-        writer,
-        "POST /run HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        cfg.addr,
-        source.len()
+    let _ = httpc::write_request(
+        &mut &stream,
+        &cfg.addr,
+        "POST",
+        "/run",
+        CLIENT_ID,
+        source.as_bytes(),
     );
-    let _ = writer.write_all(source.as_bytes());
     // FIN the write side: a correct server still answers the complete
     // request it already holds.
     let _ = stream.shutdown(Shutdown::Write);
@@ -243,16 +240,12 @@ fn half_close(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
 fn oversized_body(cfg: &ChaosConfig) -> ScenarioOutcome {
     let stream = match httpc::connect(&cfg.addr) {
         Ok(s) => s,
-        Err(e) => return ScenarioOutcome::plain(false, e),
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
         Err(e) => return ScenarioOutcome::plain(false, e.to_string()),
     };
     // 2 MiB claimed, zero sent: the server must refuse on the header
     // alone instead of waiting for a body that never comes.
     let _ = write!(
-        writer,
+        &stream,
         "POST /run HTTP/1.1\r\nHost: {}\r\nContent-Length: 2097152\r\nConnection: close\r\n\r\n",
         cfg.addr
     );
@@ -266,15 +259,11 @@ fn oversized_body(cfg: &ChaosConfig) -> ScenarioOutcome {
 fn slow_loris(cfg: &ChaosConfig) -> ScenarioOutcome {
     let stream = match httpc::connect(&cfg.addr) {
         Ok(s) => s,
-        Err(e) => return ScenarioOutcome::plain(false, e),
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
         Err(e) => return ScenarioOutcome::plain(false, e.to_string()),
     };
-    let _ = writer.write_all(b"POST /run HTTP/1.1\r\nHost: loris\r\n");
+    let _ = (&stream).write_all(b"POST /run HTTP/1.1\r\nHost: loris\r\n");
     std::thread::sleep(cfg.slow_wait);
-    let _ = writer.write_all(b"Content-Length: 5\r\nConnection: close\r\n\r\nhalt\n");
+    let _ = (&stream).write_all(b"Content-Length: 5\r\nConnection: close\r\n\r\nhalt\n");
     // Either verdict is correct, config-dependent: a 408/closed socket
     // when the stall beat `--header-timeout-ms`, a served request when
     // it did not. The scenario fails only if the server *hangs* — the
@@ -290,7 +279,7 @@ fn slow_loris(cfg: &ChaosConfig) -> ScenarioOutcome {
 
 fn panic_job(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     let source = format!("; {PANIC_MARKER}\n{}", tagged_source(rng));
-    match httpc::post(&cfg.addr, "/run", source.as_bytes()) {
+    match httpc::post(&cfg.addr, "/run", CLIENT_ID, source.as_bytes()) {
         Ok(r) if r.status == 500 && r.body.contains("worker-panic") => ScenarioOutcome {
             ok: true,
             note: "500 worker-panic, machine quarantined".to_string(),
@@ -307,7 +296,7 @@ fn panic_job(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
 
 fn kill_worker(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     let source = format!("; {KILL_MARKER}\n{}", tagged_source(rng));
-    match httpc::post(&cfg.addr, "/run", source.as_bytes()) {
+    match httpc::post(&cfg.addr, "/run", CLIENT_ID, source.as_bytes()) {
         Ok(r) if r.status == 500 && r.body.contains("worker-lost") => ScenarioOutcome {
             ok: true,
             note: "500 worker-lost, supervisor owes a respawn".to_string(),
@@ -327,7 +316,12 @@ fn deadline_shed(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     // admission (or at dequeue) with a structured 503 and must never
     // produce a result.
     let source = tagged_source(rng);
-    match httpc::post(&cfg.addr, "/run?deadline-ms=0", source.as_bytes()) {
+    match httpc::post(
+        &cfg.addr,
+        "/run?deadline-ms=0",
+        CLIENT_ID,
+        source.as_bytes(),
+    ) {
         Ok(r) if r.status == 503 && r.body.contains("deadline-exceeded") => {
             ScenarioOutcome::plain(true, "503 deadline-exceeded shed")
         }
@@ -342,7 +336,7 @@ fn deadline_mid_run(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome 
     // long before the cycle limit.
     let source = spin_source(rng);
     let target = "/run?cycles=4000000000&deadline-ms=75";
-    match httpc::post(&cfg.addr, target, source.as_bytes()) {
+    match httpc::post(&cfg.addr, target, CLIENT_ID, source.as_bytes()) {
         Ok(r) if r.status == 503 && r.body.contains("deadline-exceeded") => {
             ScenarioOutcome::plain(true, "503 deadline-exceeded mid-run")
         }

@@ -36,3 +36,27 @@ pub use hdr::HdrHistogram;
 pub use prom::PromText;
 pub use span::{Span, SpanSet};
 pub use window::WindowedCounter;
+
+/// FNV-1a 64-bit — the repo's standard content hash (no dependencies,
+/// stable across platforms): `mt-serve` keys its result cache with it
+/// and `mtasm client` fingerprints response bodies.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+}

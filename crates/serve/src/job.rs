@@ -253,7 +253,9 @@ fn cancel_result(kind: CancelKind) -> JobResult {
     }
 }
 
-fn error_doc(kind: &str, extra: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+/// A structured error document: schema, `"status": "error"`, the kind,
+/// then the `extra` members in order.
+pub(crate) fn error_doc(kind: &str, extra: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     let mut doc = Json::obj([
         ("schema", Json::Str(SCHEMA.to_string())),
         ("status", Json::Str("error".to_string())),

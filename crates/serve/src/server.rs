@@ -25,11 +25,13 @@
 //!   unwinding — and the supervisor respawns dead workers (and rebuilds
 //!   their machines) so one poisoned job can never shrink the pool.
 //!
-//! Admission control and overload behavior: every job that reaches
-//! admission (parsed, cache-missed) counts `jobs_accepted` and lands in
-//! exactly one terminal bucket, so at quiescence
-//! `jobs_accepted == jobs_completed + jobs_rejected + jobs_shed +
-//! jobs_failed` — the accounting invariant the chaos harness asserts:
+//! Admission control and overload behavior: `/run`, `/assemble` and
+//! every `/sweep` cell go through one admission function, `admit`.
+//! Every job that reaches admission (parsed, cache-missed) counts
+//! `jobs_accepted` and lands in exactly one terminal bucket, so at
+//! quiescence `jobs_accepted == jobs_completed + jobs_rejected +
+//! jobs_shed + jobs_failed` — the accounting invariant the chaos
+//! harness asserts:
 //!
 //! * **queue full** → immediate `429 Retry-After: 1` (*rejected*) — no
 //!   blocking, no buffering;
@@ -86,7 +88,7 @@ use mt_trace::Json;
 use crate::cache::ResultCache;
 use crate::http::{read_body, read_head, DeadlineStream, Request, Response};
 use crate::job::{
-    execute_controlled, shed_body, Endpoint, JobControl, JobRequest, RunOptions, SCHEMA,
+    error_doc, execute_controlled, shed_body, Endpoint, JobControl, JobRequest, RunOptions,
 };
 use crate::metrics::{Gauges, ServeMetrics};
 use crate::queue::JobQueue;
@@ -161,11 +163,12 @@ struct WorkerSpans {
     sim: Option<(u64, u64)>,
 }
 
-/// A job traveling through the queue: the request plus the rendezvous
-/// channel its handler waits on, the span anchor workers measure
-/// against, and the absolute deadline (if the client set one).
+/// A job traveling through the queue: the request and its cache key,
+/// the rendezvous channel its handler waits on, the span anchor workers
+/// measure against, and the absolute deadline (if the client set one).
 struct QueuedJob {
     request: JobRequest,
+    key: String,
     reply: mpsc::SyncSender<(u16, String, WorkerSpans)>,
     t0: Instant,
     deadline: Option<Instant>,
@@ -695,11 +698,9 @@ fn worker_loop(shared: &Shared, index: usize) {
         // (503) depend on wall-clock timing and must never be replayed
         // for a different request.
         if result.status < 500 {
-            shared.cache().insert(
-                job.request.key_material(),
-                result.status,
-                result.body.clone(),
-            );
+            shared
+                .cache()
+                .insert(job.key, result.status, result.body.clone());
         }
         let done = Instant::now();
         let spans = WorkerSpans {
@@ -800,8 +801,14 @@ fn respond_http_error(stream: &DeadlineStream, shared: &Shared, status: u16) {
     if status == 0 {
         return;
     }
-    let body = format!("{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"http\"}}\n");
-    respond(stream, shared, Response::json(status, body));
+    respond(stream, shared, error_response(status, "http", None));
+}
+
+/// A structured error in one line: schema, `"status": "error"`, the
+/// kind, and the message when there is one.
+fn error_response(status: u16, kind: &str, message: Option<&str>) -> Response {
+    let doc = error_doc(kind, message.map(|m| ("message", Json::Str(m.to_string()))));
+    Response::json(status, format!("{doc}\n"))
 }
 
 /// One structured `key=value` line per request — machine-parseable,
@@ -842,25 +849,17 @@ fn route(request: &Request, peer: &str, shared: &Shared, spans: &mut SpanSet) ->
                 "text/plain; version=0.0.4; charset=utf-8",
                 shared.metrics.to_prometheus(shared.gauges()),
             ),
-            Some(other) => Response::json(
-                400,
-                format!(
-                    "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"bad-query\", \"message\": {}}}\n",
-                    mt_trace::Json::Str(format!("unknown format `{other}`")).pretty()
-                ),
-            ),
+            Some(other) => {
+                error_response(400, "bad-query", Some(&format!("unknown format `{other}`")))
+            }
         },
         ("POST", "/assemble") => job_response(request, peer, shared, Endpoint::Assemble, spans),
         ("POST", "/run") => job_response(request, peer, shared, Endpoint::Run, spans),
         ("POST", "/sweep") => sweep_response(request, peer, shared, spans),
-        ("GET", "/assemble" | "/run" | "/sweep") | ("POST", "/healthz" | "/metrics") => Response::json(
-            405,
-            format!("{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"method-not-allowed\"}}\n"),
-        ),
-        _ => Response::json(
-            404,
-            format!("{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"not-found\"}}\n"),
-        ),
+        ("GET", "/assemble" | "/run" | "/sweep") | ("POST", "/healthz" | "/metrics") => {
+            error_response(405, "method-not-allowed", None)
+        }
+        _ => error_response(404, "not-found", None),
     }
 }
 
@@ -894,8 +893,8 @@ fn draining_response(shared: &Shared) -> Response {
     .with_header("Retry-After", "1")
 }
 
-/// Builds the job from the request, replays the cache, or queues and
-/// waits.
+/// `POST /run` and `POST /assemble`: builds the job from the request
+/// and answers it through [`admit`], recording every stage's span.
 fn job_response(
     request: &Request,
     peer: &str,
@@ -903,52 +902,17 @@ fn job_response(
     endpoint: Endpoint,
     spans: &mut SpanSet,
 ) -> Response {
-    let want_trace = request.query_flag("span-trace");
-    let finish = |response: Response, spans: &SpanSet| {
-        if want_trace {
-            attach_span_trace(response, spans)
-        } else {
-            response
-        }
-    };
     let parse_start = Instant::now();
     let options = match parse_options(request) {
         Ok(o) => o,
-        Err(message) => {
-            let doc = format!(
-                "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"bad-query\", \"message\": {}}}\n",
-                mt_trace::Json::Str(message).pretty()
-            );
-            return Response::json(400, doc);
-        }
+        Err(message) => return error_response(400, "bad-query", Some(&message)),
     };
-    // `?deadline-ms=` anchors at the request's own t0, so queue wait
-    // counts against it. Deliberately *not* part of RunOptions: the
-    // deadline must never reach the cache key (a cached body is valid
-    // for any deadline).
-    let deadline = match request.query_get("deadline-ms") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) => Some(spans.t0() + Duration::from_millis(ms)),
-            Err(e) => {
-                let doc = format!(
-                    "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"bad-query\", \"message\": {}}}\n",
-                    mt_trace::Json::Str(format!("bad deadline-ms `{v}`: {e}")).pretty()
-                );
-                return Response::json(400, doc);
-            }
-        },
-        None => None,
+    let deadline = match parse_deadline(request, spans.t0()) {
+        Ok(d) => d,
+        Err(response) => return response,
     };
-    let source = match String::from_utf8(request.body.clone()) {
-        Ok(s) => s,
-        Err(_) => {
-            return Response::json(
-                400,
-                format!(
-                    "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"bad-body\"}}\n"
-                ),
-            )
-        }
+    let Ok(source) = String::from_utf8(request.body.clone()) else {
+        return error_response(400, "bad-body", None);
     };
     let job = JobRequest {
         endpoint,
@@ -958,15 +922,66 @@ fn job_response(
     let key = job.key_material();
     spans.record("parse", parse_start, Instant::now());
 
+    let client = client_lane(request, peer);
+    let response = match admit(shared, job, key, client, spans.t0(), deadline, Some(spans)) {
+        Ok((status, body, cache)) => Response::json(status, body).with_header("X-Cache", cache),
+        Err(response) => response,
+    };
+    if request.query_flag("span-trace") {
+        attach_span_trace(response, spans)
+    } else {
+        response
+    }
+}
+
+/// The fairness lane: the client's declared identity, or its peer IP.
+fn client_lane<'a>(request: &'a Request, peer: &'a str) -> &'a str {
+    request.header("x-client-id").unwrap_or(peer)
+}
+
+/// `?deadline-ms=` as an absolute deadline anchored at the request's
+/// own `t0`, so queue wait counts against it. Deliberately *not* part
+/// of `RunOptions`: the deadline must never reach the cache key (a
+/// cached body is valid for any deadline).
+fn parse_deadline(request: &Request, t0: Instant) -> Result<Option<Instant>, Response> {
+    let Some(v) = request.query_get("deadline-ms") else {
+        return Ok(None);
+    };
+    match v.parse::<u64>() {
+        Ok(ms) => Ok(Some(t0 + Duration::from_millis(ms))),
+        Err(e) => Err(error_response(
+            400,
+            "bad-query",
+            Some(&format!("bad deadline-ms `{v}`: {e}")),
+        )),
+    }
+}
+
+/// The one admission path: `/run`, `/assemble` and every `/sweep` cell
+/// take it. Replays the cache, or enters the job into accounting and
+/// either refuses it (draining, deadline already burned, queue full) or
+/// queues it and waits for a worker. `Ok` is the job's own answer and
+/// its `X-Cache` value; `Err` is the response the whole request answers
+/// with instead. `key` is `job.key_material()`, which `/run` computes
+/// inside its `parse` span. With `spans`, the cache lookup and the
+/// worker's stages are recorded.
+fn admit(
+    shared: &Shared,
+    job: JobRequest,
+    key: String,
+    client: &str,
+    t0: Instant,
+    deadline: Option<Instant>,
+    mut spans: Option<&mut SpanSet>,
+) -> Result<(u16, String, &'static str), Response> {
     let lookup_start = Instant::now();
     let cached = shared.cache().get(&key);
-    spans.record("cache-lookup", lookup_start, Instant::now());
+    if let Some(spans) = spans.as_deref_mut() {
+        spans.record("cache-lookup", lookup_start, Instant::now());
+    }
     if let Some((status, body)) = cached {
         shared.metrics.add("cache_hits", 1);
-        return finish(
-            Response::json(status, body).with_header("X-Cache", "hit"),
-            spans,
-        );
+        return Ok((status, body, "hit"));
     }
     shared.metrics.add("cache_misses", 1);
 
@@ -975,88 +990,68 @@ fn job_response(
     // it, or the chaos harness's invariant check will catch the leak.
     shared.metrics.add("jobs_accepted", 1);
     if shared.draining.load(Ordering::SeqCst) {
-        return finish(draining_response(shared), spans);
+        return Err(draining_response(shared));
     }
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            shared.metrics.add("jobs_shed", 1);
-            shared.metrics.add(status_counter(503), 1);
-            return finish(
-                Response::json(
-                    503,
-                    shed_body(
-                        "deadline-exceeded",
-                        "request deadline expired before admission",
-                    ),
-                ),
-                spans,
-            );
-        }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        shared.metrics.add("jobs_shed", 1);
+        shared.metrics.add(status_counter(503), 1);
+        return Err(Response::json(
+            503,
+            shed_body(
+                "deadline-exceeded",
+                "request deadline expired before admission",
+            ),
+        ));
     }
 
-    // Fairness lane: the client's declared identity, or its peer IP.
-    let client = request.header("x-client-id").unwrap_or(peer).to_string();
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let enqueued = Instant::now();
     let queued = QueuedJob {
         request: job,
+        key,
         reply: reply_tx,
-        t0: spans.t0(),
+        t0,
         deadline,
     };
-    if shared.queue.push(&client, queued).is_err() {
+    if shared.queue.push(client, queued).is_err() {
         // A closed queue means the drain started between the check
         // above and the push — that's a draining rejection, not a
         // queue-full one.
         if shared.draining.load(Ordering::SeqCst) {
-            return finish(draining_response(shared), spans);
+            return Err(draining_response(shared));
         }
         shared.metrics.add("rejected_429", 1);
         shared.metrics.add("jobs_rejected", 1);
-        return finish(
-            Response::json(
-                429,
-                format!(
-                    "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"queue-full\"}}\n"
-                ),
-            )
-            .with_header("Retry-After", "1"),
-            spans,
+        return Err(error_response(429, "queue-full", None).with_header("Retry-After", "1"));
+    }
+    // A reply sender dropped without sending means the worker thread
+    // died mid-job (shutdown orphans are answered explicitly, so this
+    // is unambiguous). The supervisor is already respawning.
+    let Ok((status, body, w)) = reply_rx.recv() else {
+        shared.metrics.add("jobs_failed", 1);
+        shared.metrics.add(status_counter(500), 1);
+        return Err(Response::json(
+            500,
+            shed_body("worker-lost", "worker died while executing this job"),
+        ));
+    };
+    if let Some(spans) = spans {
+        let enqueued_us = spans.offset_us(enqueued);
+        spans.record_offsets(
+            "queue-wait",
+            enqueued_us,
+            w.start_us.saturating_sub(enqueued_us),
         );
-    }
-    match reply_rx.recv() {
-        Ok((status, body, w)) => {
-            let enqueued_us = spans.offset_us(enqueued);
-            spans.record_offsets(
-                "queue-wait",
-                enqueued_us,
-                w.start_us.saturating_sub(enqueued_us),
-            );
-            spans.record_offsets(
-                "worker-service",
-                w.start_us,
-                w.end_us.saturating_sub(w.start_us),
-            );
-            if let Some((sim_start_us, sim_dur_us)) = w.sim {
-                spans.record_offsets("sim-run", sim_start_us, sim_dur_us);
-            }
-            finish(
-                Response::json(status, body).with_header("X-Cache", "miss"),
-                spans,
-            )
-        }
-        // The reply sender dropped without sending: the worker thread
-        // died mid-job (shutdown orphans are answered explicitly, so
-        // this is unambiguous). The supervisor is already respawning.
-        Err(_) => {
-            shared.metrics.add("jobs_failed", 1);
-            shared.metrics.add(status_counter(500), 1);
-            Response::json(
-                500,
-                shed_body("worker-lost", "worker died while executing this job"),
-            )
+        spans.record_offsets(
+            "worker-service",
+            w.start_us,
+            w.end_us.saturating_sub(w.start_us),
+        );
+        if let Some((sim_start_us, sim_dur_us)) = w.sim {
+            spans.record_offsets("sim-run", sim_start_us, sim_dur_us);
         }
     }
+    Ok((status, body, "miss"))
 }
 
 fn parse_options(request: &Request) -> Result<RunOptions, String> {
@@ -1109,16 +1104,8 @@ pub const MAX_SWEEP_CELLS: usize = 64;
 /// sweep is directly comparable to `BENCH_dse.json`.
 const DEFAULT_SWEEP_LOOPS: [u8; 8] = [1, 3, 5, 7, 11, 12, 21, 23];
 
-fn bad_query(message: String) -> Response {
-    let doc = format!(
-        "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"bad-query\", \"message\": {}}}\n",
-        Json::Str(message).pretty()
-    );
-    Response::json(400, doc)
-}
-
 /// `POST /sweep`: parse the grid spec body, bound it, and run every cell
-/// as an ordinary [`Endpoint::Kernel`] job through the queue — each cell
+/// as an ordinary [`Endpoint::Kernel`] job through [`admit`] — each cell
 /// gets the normal cache / deadline / accounting treatment — then
 /// aggregate the per-cell bodies into one `mt-dse-v1` document with the
 /// Pareto front. Cell configs and the front come from `mt-dse` itself,
@@ -1127,44 +1114,26 @@ fn bad_query(message: String) -> Response {
 fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut SpanSet) -> Response {
     let parse_start = Instant::now();
     let Ok(text) = String::from_utf8(request.body.clone()) else {
-        return Response::json(
-            400,
-            format!(
-                "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"bad-body\"}}\n"
-            ),
-        );
+        return error_response(400, "bad-body", None);
     };
     let grid = match GridSpec::parse(&text) {
         Ok(g) => g,
-        Err(m) => {
-            return Response::json(
-                400,
-                format!(
-                    "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"bad-grid\", \"message\": {}}}\n",
-                    Json::Str(m).pretty()
-                ),
-            )
-        }
+        Err(m) => return error_response(400, "bad-grid", Some(&m)),
     };
     if grid.cell_count() > MAX_SWEEP_CELLS {
-        let doc = Json::obj([
-            ("schema", Json::Str(SCHEMA.to_string())),
-            ("status", Json::Str("error".to_string())),
-            ("kind", Json::Str("grid-too-large".to_string())),
-            ("cells", Json::U64(grid.cell_count() as u64)),
-            ("max_cells", Json::U64(MAX_SWEEP_CELLS as u64)),
-        ]);
+        let doc = error_doc(
+            "grid-too-large",
+            [
+                ("cells", Json::U64(grid.cell_count() as u64)),
+                ("max_cells", Json::U64(MAX_SWEEP_CELLS as u64)),
+            ],
+        );
         return Response::json(422, format!("{}\n", doc.pretty()));
     }
     let cells = match grid.enumerate() {
         Ok(c) => c,
         Err(m) => {
-            let doc = Json::obj([
-                ("schema", Json::Str(SCHEMA.to_string())),
-                ("status", Json::Str("error".to_string())),
-                ("kind", Json::Str("bad-grid".to_string())),
-                ("message", Json::Str(m)),
-            ]);
+            let doc = error_doc("bad-grid", [("message", Json::Str(m))]);
             return Response::json(422, format!("{}\n", doc.pretty()));
         }
     };
@@ -1181,21 +1150,20 @@ fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut Sp
                 .collect();
             match parsed {
                 Ok(l) if !l.is_empty() && l.iter().all(|n| (1..=24).contains(n)) => l,
-                Ok(_) => return bad_query("loop numbers must be 1..=24".to_string()),
-                Err(m) => return bad_query(m),
+                Ok(_) => {
+                    return error_response(400, "bad-query", Some("loop numbers must be 1..=24"))
+                }
+                Err(m) => return error_response(400, "bad-query", Some(&m)),
             }
         }
     };
-    let deadline = match request.query_get("deadline-ms") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) => Some(spans.t0() + Duration::from_millis(ms)),
-            Err(e) => return bad_query(format!("bad deadline-ms `{v}`: {e}")),
-        },
-        None => None,
+    let deadline = match parse_deadline(request, spans.t0()) {
+        Ok(d) => d,
+        Err(response) => return response,
     };
     spans.record("parse", parse_start, Instant::now());
 
-    let client = request.header("x-client-id").unwrap_or(peer).to_string();
+    let client = client_lane(request, peer);
     let source: String = loops
         .iter()
         .map(u8::to_string)
@@ -1214,8 +1182,9 @@ fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut Sp
                 ..RunOptions::default()
             },
         };
-        let (status, body) = match dispatch_cell(shared, &client, spans.t0(), deadline, job) {
-            Ok(pair) => pair,
+        let key = job.key_material();
+        let (status, body, _) = match admit(shared, job, key, client, spans.t0(), deadline, None) {
+            Ok(answer) => answer,
             Err(response) => return response,
         };
         let mut doc = Json::obj([
@@ -1296,77 +1265,6 @@ fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut Sp
         ),
     ]);
     Response::json(200, format!("{}\n", doc.pretty()))
-}
-
-/// Queues one sweep cell and waits for its result, mirroring
-/// `job_response`'s admission path: cache replay, drain refusal,
-/// pre-admission deadline shed, queue-full rejection, and the
-/// worker-lost fallback all behave identically (and land in the same
-/// accounting buckets). Returns `Err(response)` when the whole sweep
-/// should answer with that response instead of aggregating.
-fn dispatch_cell(
-    shared: &Shared,
-    client: &str,
-    t0: Instant,
-    deadline: Option<Instant>,
-    job: JobRequest,
-) -> Result<(u16, String), Response> {
-    let key = job.key_material();
-    let cached = shared.cache().get(&key);
-    if let Some((status, body)) = cached {
-        shared.metrics.add("cache_hits", 1);
-        return Ok((status, body));
-    }
-    shared.metrics.add("cache_misses", 1);
-    shared.metrics.add("jobs_accepted", 1);
-    if shared.draining.load(Ordering::SeqCst) {
-        return Err(draining_response(shared));
-    }
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            shared.metrics.add("jobs_shed", 1);
-            shared.metrics.add(status_counter(503), 1);
-            return Err(Response::json(
-                503,
-                shed_body(
-                    "deadline-exceeded",
-                    "request deadline expired before admission",
-                ),
-            ));
-        }
-    }
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let queued = QueuedJob {
-        request: job,
-        reply: reply_tx,
-        t0,
-        deadline,
-    };
-    if shared.queue.push(client, queued).is_err() {
-        if shared.draining.load(Ordering::SeqCst) {
-            return Err(draining_response(shared));
-        }
-        shared.metrics.add("rejected_429", 1);
-        shared.metrics.add("jobs_rejected", 1);
-        return Err(Response::json(
-            429,
-            format!(
-                "{{\"schema\": \"{SCHEMA}\", \"status\": \"error\", \"kind\": \"queue-full\"}}\n"
-            ),
-        )
-        .with_header("Retry-After", "1"));
-    }
-    match reply_rx.recv() {
-        Ok((status, body, _spans)) => Ok((status, body)),
-        Err(_) => {
-            shared.metrics.add("jobs_failed", 1);
-            shared.metrics.add(status_counter(500), 1);
-            Err(Response::json(
-                500,
-                shed_body("worker-lost", "worker died while executing this job"),
-            ))
-        }
-    }
 }
 
 /// Writes the response under the I/O write deadline. A peer that stops

@@ -8,75 +8,20 @@
 //! 3. A divergent program trips its per-job limit and returns a
 //!    structured error while other jobs complete normally.
 
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use mt_chaos::httpc::{self, Reply};
 use mt_serve::{serve, ServerConfig};
 
 const DAXPY: &str = include_str!("../../../examples/asm/daxpy.s");
 
-struct Reply {
-    status: u16,
-    cache: Option<String>,
-    body: String,
-}
-
-fn request(addr: &str, method: &str, target: &str, client_id: &str, body: &[u8]) -> Reply {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    write!(
-        writer,
-        "{method} {target} HTTP/1.1\r\nHost: t\r\nX-Client-Id: {client_id}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )
-    .unwrap();
-    writer.write_all(body).unwrap();
-
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut cache = None;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            match name.to_ascii_lowercase().as_str() {
-                "x-cache" => cache = Some(value.trim().to_string()),
-                "content-length" => content_length = value.trim().parse().unwrap(),
-                _ => {}
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    Reply {
-        status,
-        cache,
-        body: String::from_utf8(body).unwrap(),
-    }
-}
-
 fn post(addr: &str, target: &str, client_id: &str, body: &str) -> Reply {
-    request(addr, "POST", target, client_id, body.as_bytes())
+    httpc::post(addr, target, client_id, body.as_bytes()).expect("POST")
 }
 
 fn get(addr: &str, target: &str) -> Reply {
-    request(addr, "GET", target, "probe", b"")
+    httpc::get(addr, target).expect("GET")
 }
 
 fn metrics_gauge(addr: &str, key: &str) -> u64 {
@@ -202,6 +147,11 @@ fn full_queue_returns_429_without_blocking_the_accept_loop() {
             rejected_in < Duration::from_secs(5),
             "429 must not wait for the pool (took {rejected_in:?})"
         );
+        // A sweep's cells take the same admission path.
+        let sweep = post(&addr, "/sweep?loops=12", "s", "fpu_lanes=1\n");
+        assert_eq!(sweep.status, 429, "{}", sweep.body);
+        let doc = mt_trace::json::parse(&sweep.body).unwrap();
+        assert_eq!(doc.get("kind").unwrap().as_str(), Some("queue-full"));
 
         // The accept loop is alive while the worker is still busy.
         assert_eq!(get(&addr, "/healthz").status, 200);
@@ -497,7 +447,20 @@ fn structured_errors_for_bad_requests() {
     assert_eq!(diag.get("line").unwrap().as_f64(), Some(1.0));
     assert!(!bad_asm.body.contains('\x1b'), "no ANSI escapes over HTTP");
 
-    assert_eq!(get(&addr, "/nope").status, 404);
+    // Structured errors are one line, with or without a message.
+    let not_found = get(&addr, "/nope");
+    assert_eq!(not_found.status, 404);
+    assert_eq!(
+        not_found.body,
+        "{\"schema\": \"mt-serve-v1\", \"status\": \"error\", \"kind\": \"not-found\"}\n"
+    );
+    let bad_format = get(&addr, "/metrics?format=xml");
+    assert_eq!(bad_format.status, 400);
+    assert_eq!(
+        bad_format.body,
+        "{\"schema\": \"mt-serve-v1\", \"status\": \"error\", \"kind\": \"bad-query\", \
+         \"message\": \"unknown format `xml`\"}\n"
+    );
     assert_eq!(post(&addr, "/metrics", "e", "").status, 405);
     assert_eq!(post(&addr, "/run?base=zzz", "e", "halt\n").status, 400);
     handle.shutdown();

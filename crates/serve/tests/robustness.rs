@@ -17,72 +17,20 @@
 //! 6. The connection cap answers `503 overloaded` without occupying a
 //!    handler, and the gauge recovers when connections close.
 
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use mt_chaos::httpc::{self, Reply};
 use mt_serve::{serve, ServerConfig, KILL_MARKER, PANIC_MARKER};
 
 const DAXPY: &str = include_str!("../../../examples/asm/daxpy.s");
 
-struct Reply {
-    status: u16,
-    body: String,
-}
-
-fn request(addr: &str, method: &str, target: &str, client_id: &str, body: &[u8]) -> Reply {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    // Write errors are tolerated: an overloaded server answers its 503
-    // and closes before reading the request, so the write may hit a
-    // broken pipe while a valid response is already on the wire.
-    let _ = write!(
-        writer,
-        "{method} {target} HTTP/1.1\r\nHost: t\r\nX-Client-Id: {client_id}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = writer.write_all(body);
-
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap();
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    Reply {
-        status,
-        body: String::from_utf8(body).unwrap(),
-    }
-}
-
 fn post(addr: &str, target: &str, client_id: &str, body: &str) -> Reply {
-    request(addr, "POST", target, client_id, body.as_bytes())
+    httpc::post(addr, target, client_id, body.as_bytes()).expect("POST")
 }
 
 fn get(addr: &str, target: &str) -> Reply {
-    request(addr, "GET", target, "probe", b"")
+    httpc::get(addr, target).expect("GET")
 }
 
 fn metrics_doc(addr: &str) -> mt_trace::Json {
@@ -332,10 +280,14 @@ fn graceful_drain_refuses_new_jobs_and_cancels_in_flight() {
             .unwrap_or(false)
     });
 
-    // Admission is closed while GETs still serve.
+    // Admission is closed while GETs still serve, for a sweep's cells
+    // as for a single job.
     let refused = post(&addr, "/run", "late", "halt\n");
     assert_eq!(refused.status, 503, "{}", refused.body);
     assert_eq!(kind_of(&refused), "draining");
+    let sweep = post(&addr, "/sweep?loops=12", "late", "fpu_lanes=1\n");
+    assert_eq!(sweep.status, 503, "{}", sweep.body);
+    assert_eq!(kind_of(&sweep), "draining");
 
     // The in-flight run is cancelled at a checkpoint, not run to its
     // 4-billion-cycle limit.

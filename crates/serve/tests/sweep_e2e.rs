@@ -9,70 +9,12 @@
 //! 4. the machine config reaches the result cache: a `?lanes=2` run
 //!    never replays a `lanes=1` body.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
-
+use mt_chaos::httpc::{self, Reply};
 use mt_dse::{run_grid, GridSpec};
 use mt_serve::{serve, ServerConfig};
 
-struct Reply {
-    status: u16,
-    cache: Option<String>,
-    body: String,
-}
-
-fn request(addr: &str, method: &str, target: &str, body: &[u8]) -> Reply {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    write!(
-        writer,
-        "{method} {target} HTTP/1.1\r\nHost: t\r\nX-Client-Id: sweeper\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )
-    .unwrap();
-    writer.write_all(body).unwrap();
-
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut content_length = 0usize;
-    let mut cache = None;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            match name.to_ascii_lowercase().as_str() {
-                "content-length" => content_length = value.trim().parse().unwrap(),
-                "x-cache" => cache = Some(value.trim().to_string()),
-                _ => {}
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    Reply {
-        status,
-        cache,
-        body: String::from_utf8(body).unwrap(),
-    }
-}
-
 fn post(addr: &str, target: &str, body: &str) -> Reply {
-    request(addr, "POST", target, body.as_bytes())
+    httpc::post(addr, target, "sweeper", body.as_bytes()).expect("POST")
 }
 
 fn start() -> (mt_serve::ServerHandle, String) {

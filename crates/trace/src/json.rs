@@ -183,18 +183,24 @@ impl fmt::Display for Json {
     }
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once
+/// per level, so without a bound a document of nothing but `[` would
+/// overflow the stack. The deepest committed document nests 7 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (complete input, no trailing garbage).
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error,
+/// or of the first array or object nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing characters at byte {}", p.pos));
@@ -245,20 +251,25 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -268,7 +279,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -281,7 +292,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -295,7 +306,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            members.push((key, self.value()?));
+            members.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -466,6 +477,18 @@ mod tests {
         ] {
             assert!(validate(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let err = parse(&format!("[{at_limit}]")).unwrap_err();
+        assert!(err.ends_with(&format!("at byte {MAX_DEPTH}")), "{err}");
     }
 
     #[test]
