@@ -4,7 +4,8 @@
 //! ```text
 //! mtasm asm  <file.s> [--base <hex>] [--lint]  assemble; print words as hex
 //! mtasm dis  <file.hex> [--base <hex>]         disassemble hex words
-//! mtasm lint <file.s> [--base <hex>]           static analysis only
+//! mtasm lint <file.s> [--base <hex>] [--config knob=value,...]
+//!                                              static analysis only
 //! mtasm run  <file.s> [--base <hex>] [--lint] [--trace] [--timeline]
 //!            [--cold] [--profile] [--top <n>] [--trace-out <file.json>]
 //!            [--backend tick|xlate] [--config knob=value,...]
@@ -20,7 +21,8 @@
 //! `--config knob=value,...` overrides microarchitectural parameters
 //! (`fpu_latency`, `fpu_lanes`, `dcache_bytes`, `num_fpu_regs`, … — the
 //! `mt_sim::KNOB_NAMES` set); the default is the paper machine, and `mca`
-//! honours the same flag for its static timing model.
+//! and `lint` (also `--lint`) honour the same flag for their static
+//! timing model.
 //! Initialize memory with `.data <addr>` / `.double` / `.word` directives
 //! in the source (see `examples/asm/*.s`); everything else starts zeroed.
 //!
@@ -95,14 +97,14 @@ use std::process::ExitCode;
 use mt_asm::{parse_with_source_map, PlainDiagnostic, SourceMap};
 use mt_fault::{run_program_campaign, CampaignConfig};
 use mt_isa::Instr;
-use mt_lint::cfg::ProgramView;
 use mt_lint::{lint_program_with, LintOptions, Severity};
 use mt_sim::{Backend, Machine, MachineConfig, Program, SimConfig, Timeline};
 use mt_trace::{chrome, Json, Profiler, TraceEvent};
+use mt_xlate::cfg::ProgramView;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mtasm asm <file.s> [--base <hex>] [--lint] [--plain]\n       mtasm dis <file.hex> [--base <hex>]\n       mtasm lint <file.s> [--base <hex>] [--plain]\n       mtasm mca <file.s> [--base <hex>] [--lint] [--json] [--config knob=value,...]\n       mtasm run <file.s> [--base <hex>] [--lint] [--trace] [--timeline] [--cold]\n                 [--profile] [--mca] [--top <n>] [--trace-out <file.json>]\n                 [--backend tick|xlate] [--config knob=value,...]\n       mtasm profile <file.s> [--base <hex>] [--lint] [--cold] [--top <n>] [--mca]\n                 [--trace-out <file.json>]\n       mtasm fault <file.s> [--base <hex>] [--seed <n>] [--injections <n>] [--json]\n       mtasm client <file.s> [--url http://host:port] [--endpoint run|assemble]\n                 [--concurrency <n>] [--requests <m>] [--lint] [--profile] [--trace]\n                 [--cold] [--base <hex>] [--cycles <n>] [--watchdog <n>] [--deadline-ms <n>]\n                 [--print-body] [--config knob=value,...] [--config-axis knob=v1,v2]...\n       mtasm chaos [--url http://host:port] [--seed <n>] [--scenarios <n>] [--hooks]\n                 [--slow-wait-ms <n>] [--json]"
+        "usage: mtasm asm <file.s> [--base <hex>] [--lint] [--plain]\n       mtasm dis <file.hex> [--base <hex>]\n       mtasm lint <file.s> [--base <hex>] [--plain] [--config knob=value,...]\n       mtasm mca <file.s> [--base <hex>] [--lint] [--json] [--config knob=value,...]\n       mtasm run <file.s> [--base <hex>] [--lint] [--trace] [--timeline] [--cold]\n                 [--profile] [--mca] [--top <n>] [--trace-out <file.json>]\n                 [--backend tick|xlate] [--config knob=value,...]\n       mtasm profile <file.s> [--base <hex>] [--lint] [--cold] [--top <n>] [--mca]\n                 [--trace-out <file.json>]\n       mtasm fault <file.s> [--base <hex>] [--seed <n>] [--injections <n>] [--json]\n       mtasm client <file.s> [--url http://host:port] [--endpoint run|assemble]\n                 [--concurrency <n>] [--requests <m>] [--lint] [--profile] [--trace]\n                 [--cold] [--base <hex>] [--cycles <n>] [--watchdog <n>] [--deadline-ms <n>]\n                 [--print-body] [--config knob=value,...] [--config-axis knob=v1,v2]...\n       mtasm chaos [--url http://host:port] [--seed <n>] [--scenarios <n>] [--hooks]\n                 [--slow-wait-ms <n>] [--json]"
     );
     ExitCode::from(2)
 }
@@ -244,17 +246,19 @@ fn fault_campaign(src: &str, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Lints an assembled program, printing diagnostics to stderr —
-/// rustc-style spans by default, one-line plain records with `--plain`.
-/// Returns an error when any error-severity finding exists.
-fn lint(program: &Program, map: &SourceMap, path: &str, plain: bool) -> Result<(), String> {
-    let opts = LintOptions {
+/// Lints an assembled program against the `--config` machine, printing
+/// diagnostics to stderr — rustc-style spans by default, one-line plain
+/// records with `--plain`. Returns an error when any error-severity
+/// finding exists.
+fn lint(program: &Program, map: &SourceMap, opts: &Options) -> Result<(), String> {
+    let path = opts.path.as_str();
+    let lint_opts = LintOptions {
+        timing: opts.config.timing,
         allow_recurrence: map.allowed_indices("recurrence"),
-        ..LintOptions::default()
     };
-    let findings = lint_program_with(program, &opts);
+    let findings = lint_program_with(program, &lint_opts);
     for finding in &findings {
-        if plain {
+        if opts.plain {
             eprintln!("{}", PlainDiagnostic::from_finding(finding, map, path));
         } else {
             eprintln!("{}", map.render(finding, path));
@@ -287,7 +291,7 @@ fn lint(program: &Program, map: &SourceMap, path: &str, plain: bool) -> Result<(
 fn mca_analyze(src: &str, opts: &Options) -> Result<(), String> {
     let (program, map) = parse_with_source_map(src, opts.base).map_err(|e| e.to_string())?;
     if opts.lint {
-        lint(&program, &map, &opts.path, opts.plain)?;
+        lint(&program, &map, opts)?;
     }
     let view = ProgramView::decode(&program);
     let timing = opts.config.timing;
@@ -331,7 +335,7 @@ fn mca_analyze(src: &str, opts: &Options) -> Result<(), String> {
 fn run_program(src: &str, opts: &Options, force_profile: bool) -> Result<(), String> {
     let (program, map) = parse_with_source_map(src, opts.base).map_err(|e| e.to_string())?;
     if opts.lint {
-        lint(&program, &map, &opts.path, opts.plain)?;
+        lint(&program, &map, opts)?;
     }
     opts.config.validate_program(&program)?;
     let profile = force_profile || opts.profile;
@@ -442,7 +446,7 @@ fn main() -> ExitCode {
             let (program, map) =
                 parse_with_source_map(&src, opts.base).map_err(|e| e.to_string())?;
             if opts.lint {
-                lint(&program, &map, &opts.path, opts.plain)?;
+                lint(&program, &map, &opts)?;
             }
             for w in &program.words {
                 println!("{w:08x}");
@@ -452,7 +456,7 @@ fn main() -> ExitCode {
         "lint" => read(&opts.path).and_then(|src| {
             let (program, map) =
                 parse_with_source_map(&src, opts.base).map_err(|e| e.to_string())?;
-            lint(&program, &map, &opts.path, opts.plain)
+            lint(&program, &map, &opts)
         }),
         "dis" => read(&opts.path).and_then(|text| {
             let mut addr = opts.base;

@@ -23,7 +23,7 @@ use mt_sim::{Machine, MachineConfig, SimConfig};
 const SUBSET: [u8; 8] = [1, 3, 5, 7, 11, 12, 21, 23];
 
 fn subset_hm(config: &SimConfig, warm: bool) -> f64 {
-    let rates = mt_bench::sweep::sweep(&SUBSET, |&n| {
+    let rates = mt_dse::sweep::sweep(&SUBSET, |&n| {
         let r = mt_bench::run_with(&livermore::by_number(n), config.clone());
         if warm {
             r.mflops_warm()
@@ -38,7 +38,7 @@ fn subset_hm(config: &SimConfig, warm: bool) -> f64 {
 /// sweep and the serialized-issue ablation as extra sections.
 fn json_report() {
     use mt_trace::Json;
-    let reports = mt_bench::sweep::sweep(&SUBSET, |&n| mt_bench::run(&livermore::by_number(n)));
+    let reports = mt_dse::sweep::sweep(&SUBSET, |&n| mt_bench::run(&livermore::by_number(n)));
     let mut doc = mt_bench::json::bench_json("ablations", &reports);
     let sweep: Vec<Json> = [1u64, 2, 3, 4, 6, 8]
         .iter()

@@ -58,7 +58,7 @@ fn main() {
     println!("Effective vectorization fits (measured warm MFLOPS, ratio-2 model):");
     let full = mt_bench::livermore_mflops();
     let loops: Vec<u8> = (1..=24).collect();
-    let serialized = mt_bench::sweep::sweep(&loops, |&n| {
+    let serialized = mt_dse::sweep::sweep(&loops, |&n| {
         let cfg = mt_sim::SimConfig {
             serialized_issue: true,
             ..mt_sim::SimConfig::default()
@@ -92,7 +92,7 @@ fn json_report() {
         ..mt_sim::SimConfig::default()
     };
     let loops: Vec<u8> = (1..=24).collect();
-    let serialized = mt_bench::sweep::sweep(&loops, |&n| {
+    let serialized = mt_dse::sweep::sweep(&loops, |&n| {
         let mut r = mt_bench::run_with(&mt_kernels::livermore::by_number(n), cfg.clone());
         r.name.push_str(" [serialized issue]");
         r

@@ -8,18 +8,27 @@
 //! cycles give the measured cost). The table prints predicted vs
 //! measured CPI per loop; `--json` emits the `mt-mca-v1` document
 //! (committed as `BENCH_mca.json`, byte-stable — no wall-clock fields).
+//! Either way the run exits 1 when no loop was compared or fewer than
+//! [`MIN_WITHIN_TOLERANCE_PCT`] percent of the compared loops land
+//! within the tolerance band.
+
+use std::process::ExitCode;
 
 use mt_isa::cost::IssueTiming;
 use mt_kernels::harness::run_kernel_recorded;
 use mt_kernels::{gather, graphics, linpack, livermore, reductions, Kernel};
-use mt_lint::cfg::ProgramView;
 use mt_mca::report::measured_loop;
 use mt_mca::{loops, LoopAnalysis};
 use mt_sim::SimConfig;
 use mt_trace::{Json, Profiler};
+use mt_xlate::cfg::ProgramView;
 
 /// The error band a predicted loop must land in to count as validated.
 const TOLERANCE_PCT: f64 = 5.0;
+
+/// The accuracy gate: the share of compared loops, in percent, that must
+/// land within [`TOLERANCE_PCT`].
+const MIN_WITHIN_TOLERANCE_PCT: u64 = 90;
 
 fn kernel_suite() -> Vec<Kernel> {
     let mut ks: Vec<Kernel> = (1..=24).map(livermore::by_number).collect();
@@ -66,6 +75,23 @@ struct Tally {
     within_tolerance: u64,
 }
 
+impl Tally {
+    /// Checks the accuracy gate.
+    fn gate(&self) -> Result<(), String> {
+        if self.compared == 0 {
+            return Err("no loops were compared".to_string());
+        }
+        if self.within_tolerance * 100 < self.compared * MIN_WITHIN_TOLERANCE_PCT {
+            return Err(format!(
+                "only {} of {} compared loops are within ±{TOLERANCE_PCT}% \
+                 (the gate is {MIN_WITHIN_TOLERANCE_PCT}%)",
+                self.within_tolerance, self.compared
+            ));
+        }
+        Ok(())
+    }
+}
+
 fn tally(results: &[KernelAnalysis]) -> Tally {
     let mut t = Tally::default();
     for r in results {
@@ -86,9 +112,9 @@ fn tally(results: &[KernelAnalysis]) -> Tally {
     t
 }
 
-fn main() {
+fn main() -> ExitCode {
     let suite = kernel_suite();
-    let results: Vec<KernelAnalysis> = mt_bench::sweep::sweep(&suite, analyze);
+    let results: Vec<KernelAnalysis> = mt_dse::sweep::sweep(&suite, analyze);
     let t = tally(&results);
 
     if std::env::args().any(|a| a == "--json") {
@@ -114,11 +140,23 @@ fn main() {
             ),
         );
         println!("{}", doc.pretty());
-        return;
+    } else {
+        print_table(&results, &t);
     }
+    match t.gate() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro-mca: accuracy gate failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+/// The human-readable report: one predicted-vs-measured table per
+/// kernel with loops, then the tally.
+fn print_table(results: &[KernelAnalysis], t: &Tally) {
     println!("Static loop predictions vs measured warm profile (±{TOLERANCE_PCT}% gate)\n");
-    for r in &results {
+    for r in results {
         if r.loops.is_empty() {
             continue;
         }

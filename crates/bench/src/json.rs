@@ -8,13 +8,8 @@
 //! renames or re-types a field bumps it.
 
 use mt_kernels::KernelReport;
+use mt_sim::json::stats_json;
 use mt_trace::{Json, MetricsRegistry};
-
-// The per-run renderers moved down to `mt_sim::json` so the serving layer
-// can emit the identical schema without depending on the bench harness;
-// re-exported here so existing callers keep compiling and the rendering
-// stays byte-identical.
-pub use mt_sim::json::{cache_json, stats_json};
 
 /// Schema identifier embedded in every document.
 pub const SCHEMA: &str = "mt-bench-v1";
@@ -72,17 +67,5 @@ mod tests {
         assert!(warm.get("cycles").unwrap().as_f64().unwrap() > 0.0);
         let stalls = warm.get("stalls").unwrap();
         assert!(stalls.get("total").is_some());
-    }
-
-    #[test]
-    fn untouched_cache_reports_null_hit_ratio() {
-        // The renderer itself lives in `mt_sim::json` now; this asserts the
-        // re-export still feeds the bench schema the same bytes.
-        let untouched = cache_json(&mt_mem::CacheStats::default());
-        assert!(
-            untouched.pretty().contains("\"hit_ratio\": null"),
-            "no accesses → null, not a perfect 1.0: {}",
-            untouched.pretty()
-        );
     }
 }

@@ -9,11 +9,8 @@
 
 pub mod fault;
 pub mod json;
-// The parallel sweep driver moved down to `mt-dse` (the dse engine sits
-// below the bench layer); re-exported so every `mt_bench::sweep::sweep`
-// caller keeps compiling unchanged.
-pub use mt_dse::sweep;
 
+use mt_dse::sweep;
 use mt_kernels::{harness, livermore, Kernel, KernelReport};
 use mt_sim::{Backend, SimConfig};
 

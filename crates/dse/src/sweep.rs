@@ -13,9 +13,6 @@
 //! an expensive point (say, a cold Linpack) does not serialize the cheap
 //! ones behind it. With one available core, or one input, the driver runs
 //! inline with zero threading overhead.
-//!
-//! (This module lived in `mt_bench::sweep` until the dse engine needed it
-//! below the bench layer; `mt_bench::sweep` re-exports it unchanged.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

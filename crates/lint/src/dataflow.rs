@@ -17,8 +17,8 @@
 
 use mt_isa::{FReg, Instr};
 
-use crate::cfg::ProgramView;
 use crate::diag::{Finding, Lint};
+use mt_xlate::cfg::ProgramView;
 
 const PSW_BIT: u32 = 52;
 const ALL_LIVE: u64 = (1 << 53) - 1;

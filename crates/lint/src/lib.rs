@@ -5,10 +5,12 @@
 //!
 //! * the **§2.3.2 ordering rule** — an FPU load/store must not bypass a
 //!   not-yet-issued element of an in-flight vector instruction it depends
-//!   on. Two tiers: *provable* violations (errors) from an exact
-//!   warm-cache timing replay, and *possible* hazards (warnings) from a
-//!   timing-insensitive control-flow analysis that over-approximates the
-//!   simulator's dynamic checked mode;
+//!   on. Two tiers: *provable* violations (errors) from running the
+//!   straight-line entry block on `mt_mca`'s abstract timing machine —
+//!   the repository's one static timing model — under the machine's
+//!   [`LintOptions::timing`] with warm caches, and *possible* hazards
+//!   (warnings) from a timing-insensitive control-flow analysis that
+//!   over-approximates the simulator's dynamic checked mode;
 //! * **register dataflow** over the 52-register file and PSW —
 //!   possibly-uninitialized reads, dead stores, and write-after-write
 //!   clobbers inside overlapping vector register ranges;
@@ -47,45 +49,29 @@
 
 use std::collections::HashSet;
 
-use mt_sim::{IssueTiming, Program};
-
-/// Re-export of [`mt_xlate::cfg`]: the decoded program view, CFG
-/// successors, and basic-block partition moved to `mt-xlate` (the
-/// simulator's block translator is built on the same partition), but the
-/// analyses here and every `mt_lint::cfg::` consumer keep their paths.
-pub use mt_xlate::cfg;
+use mt_isa::cost::IssueTiming;
+use mt_sim::Program;
+use mt_xlate::cfg::ProgramView;
 
 pub mod dataflow;
 pub mod diag;
 pub mod ordering;
 pub mod structural;
 
-pub use cfg::{ProgramView, Slot};
 pub use diag::{Finding, Lint, Severity};
 
 /// Analysis configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LintOptions {
-    /// Machine issue timing used by the provable ordering replay.
+    /// Issue timing of the machine the program runs on; the provable
+    /// ordering tier replays the entry block under it. Defaults to the
+    /// paper's machine.
     pub timing: IssueTiming,
     /// Instruction indices allowed to alias their destination into a live
     /// source range (intentional recurrences like Fig. 8's Fibonacci).
     /// The assembler populates this from `lint: allow(recurrence)` comment
     /// annotations.
     pub allow_recurrence: HashSet<usize>,
-    /// Cycle cap for the straight-line timing replay (a safety net; any
-    /// real entry block finishes far sooner).
-    pub max_replay_cycles: u64,
-}
-
-impl Default for LintOptions {
-    fn default() -> LintOptions {
-        LintOptions {
-            timing: IssueTiming::multititan(),
-            allow_recurrence: HashSet::new(),
-            max_replay_cycles: 100_000,
-        }
-    }
 }
 
 /// Lints `program` with default options.

@@ -13,59 +13,52 @@
 //!   simulator's dynamic checked mode: every dynamic `OrderingViolation`
 //!   is covered by one of these findings (a property the cross-crate
 //!   tests assert on random programs).
-//! * **Provable violations** (errors): an exact replay of the machine's
-//!   issue timing over the straight-line entry block, assuming warm caches
-//!   (the paper's kernel protocol) and no overflow aborts. A hazard that
-//!   fires under nominal timing is a definite program bug.
+//! * **Provable violations** (errors): the straight-line entry block run
+//!   on `mt_mca`'s abstract timing machine under the program's
+//!   [`LintOptions::timing`], assuming warm caches (the paper's kernel
+//!   protocol) and no overflow aborts — the same model the cycle
+//!   analyzer uses, held bit-identical to the simulator. A hazard that
+//!   fires under that timing is a definite program bug.
+//!
+//! Both tiers classify overlaps with [`ViolationKind::clashes`], the rule
+//! the simulator's interlock and checked mode use.
 
 use mt_isa::{FReg, FpuAluInstr, Instr};
+use mt_mca::AbstractMachine;
+use mt_sim::ViolationKind;
+use mt_xlate::cfg::ProgramView;
 
-use crate::cfg::ProgramView;
 use crate::diag::{Finding, Lint};
 use crate::LintOptions;
 
-/// How a load/store overlaps a pending (not-yet-issued) vector element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Overlap {
-    LoadClobbersPendingSource,
-    LoadIntoPendingDest,
-    StoreReadsPendingDest,
-}
+/// Cycle bound on the provable tier's replay: lint runs on untrusted
+/// text (`POST /run?lint=1`), and any real entry block finishes far
+/// sooner.
+const MAX_REPLAY_CYCLES: u64 = 100_000;
 
-impl Overlap {
-    fn describe(self, reg: FReg, vector: &FpuAluInstr, element: u8) -> String {
-        match self {
-            Overlap::LoadClobbersPendingSource => format!(
-                "load of {reg} clobbers a source of pending element {element} of `{vector}`"
-            ),
-            Overlap::LoadIntoPendingDest => {
-                format!("load of {reg} races the write of pending element {element} of `{vector}`")
-            }
-            Overlap::StoreReadsPendingDest => format!(
-                "store of {reg} reads the destination of pending element {element} of `{vector}`"
-            ),
-        }
-    }
+/// What a load/store of `reg` does to pending `element` of `vector`.
+fn describe(kind: ViolationKind, reg: FReg, vector: &FpuAluInstr, element: u8) -> String {
+    let (access, clash) = match kind {
+        ViolationKind::LoadClobbersPendingSource => ("load", "clobbers a source"),
+        ViolationKind::LoadIntoPendingDest => ("load", "races the write"),
+        ViolationKind::StoreReadsPendingDest => ("store", "reads the destination"),
+    };
+    format!("{access} of {reg} {clash} of pending element {element} of `{vector}`")
 }
 
 /// Overlaps between a load/store of `fr` and elements `first..VL` of
 /// `vector` (the elements the hardware does not interlock).
-fn overlaps(vector: &FpuAluInstr, first: u8, fr: FReg, is_load: bool) -> Vec<(Overlap, u8)> {
-    let mut found = Vec::new();
-    for e in first..vector.vl {
-        let refs = vector.element(e);
-        if is_load {
-            if refs.ra == fr || (!vector.op.is_unary() && refs.rb == fr) {
-                found.push((Overlap::LoadClobbersPendingSource, e));
-            }
-            if refs.rr == fr {
-                found.push((Overlap::LoadIntoPendingDest, e));
-            }
-        } else if refs.rr == fr {
-            found.push((Overlap::StoreReadsPendingDest, e));
-        }
-    }
-    found
+fn overlaps(
+    vector: FpuAluInstr,
+    first: u8,
+    fr: FReg,
+    is_load: bool,
+) -> impl Iterator<Item = (ViolationKind, u8)> {
+    let unary = vector.op.is_unary();
+    (first..vector.vl).flat_map(move |e| {
+        let kinds = ViolationKind::clashes(vector.element(e), unary, fr, is_load);
+        kinds.into_iter().flatten().map(move |kind| (kind, e))
+    })
 }
 
 /// The possible-hazard tier: flow-sensitive, timing-insensitive.
@@ -131,7 +124,7 @@ pub fn possible_hazards(prog: &ProgramView, out: &mut Vec<Finding>) {
             };
             // The hardware interlocks only the current element; with no
             // timing information any element from 1 up may be pending.
-            for (overlap, element) in overlaps(&vector, 1, fr, is_load) {
+            for (kind, element) in overlaps(vector, 1, fr, is_load) {
                 out.push(Finding {
                     lint: Lint::PossibleOrderingHazard,
                     instr_index: idx,
@@ -139,7 +132,7 @@ pub fn possible_hazards(prog: &ProgramView, out: &mut Vec<Finding>) {
                     message: format!(
                         "{} (transferred at instr #{vec_idx}); if the vector may still \
                          be issuing here, break it (§2.3.2)",
-                        overlap.describe(fr, &vector, element)
+                        describe(kind, fr, &vector, element)
                     ),
                 });
             }
@@ -147,169 +140,45 @@ pub fn possible_hazards(prog: &ProgramView, out: &mut Vec<Finding>) {
     }
 }
 
-/// The provable tier: exact no-miss timing replay of the straight-line
-/// entry block (up to the first control transfer, halt, or undecodable
-/// word). Mirrors `mt_sim::Machine` cycle phasing: CPU executes, then the
-/// ALU IR issues, within each cycle.
+/// The provable tier: the straight-line entry block (up to the first
+/// control transfer, `halt`, undecodable word, or 100 000 cycles) on the
+/// abstract timing machine. A load/store reports every overlap with the
+/// elements after the current one of the vector it found in the ALU IR
+/// when it executed — the simulator's checked-mode probe, under proven
+/// timing.
 pub fn provable_violations(prog: &ProgramView, opts: &LintOptions, out: &mut Vec<Finding>) {
-    // Cycle (exclusive) until which each FPU register is reserved by an
-    // in-flight write, matching the scoreboard: an op issued at cycle t
-    // with latency L is readable at t+L; a load driven at t is readable at
-    // t+1 (mt-core's LOAD_VISIBLE_AFTER).
-    let mut freg_reserved = [0u64; 52];
-    let mut int_ready = [0u64; 32];
-    let mut ir: Option<(usize, FpuAluInstr, u8)> = None; // (index, instr, next element)
-    let mut ls_free_at = 0u64;
-    let mut cycle = 0u64;
-    let mut idx = 0usize;
-    let t = &opts.timing;
-
-    let reserved = |map: &[u64; 52], cycle: u64, r: FReg| cycle < map[r.index() as usize];
-    let int_blocked =
-        |map: &[u64; 32], cycle: u64, r: mt_isa::IReg| cycle < map[r.index() as usize];
-
-    while idx < prog.slots.len() && cycle <= opts.max_replay_cycles {
-        let mut advance = true;
-        let mut check_ls: Option<(FReg, bool)> = None;
-        match prog.slots[idx].instr {
-            None
-            | Some(Instr::Halt)
-            | Some(Instr::Branch { .. })
-            | Some(Instr::Jump { .. })
-            | Some(Instr::Jal { .. })
-            | Some(Instr::Jr { .. }) => break,
-
-            Some(Instr::Falu(f)) => {
-                if ir.is_some() {
-                    advance = false; // transfer stalls while the IR issues
-                } else {
-                    ir = Some((idx, f, 0));
-                }
-            }
-
-            Some(Instr::Fld { fr, base, .. }) => {
-                if int_blocked(&int_ready, cycle, base)
-                    || cycle < ls_free_at
-                    || reserved(&freg_reserved, cycle, fr)
-                    || current_element_conflict(&ir, fr, true)
-                {
-                    advance = false;
-                } else {
-                    check_ls = Some((fr, true));
-                    freg_reserved[fr.index() as usize] = cycle + 1;
-                    ls_free_at = cycle + t.load_port_cycles;
-                }
-            }
-
-            Some(Instr::Fst { fr, base, .. }) => {
-                if int_blocked(&int_ready, cycle, base)
-                    || cycle < ls_free_at
-                    || reserved(&freg_reserved, cycle, fr)
-                    || current_element_conflict(&ir, fr, false)
-                {
-                    advance = false;
-                } else {
-                    check_ls = Some((fr, false));
-                    ls_free_at = cycle + t.store_port_cycles;
-                }
-            }
-
-            Some(Instr::Lw { rd, base, .. }) => {
-                if int_blocked(&int_ready, cycle, base) || cycle < ls_free_at {
-                    advance = false;
-                } else {
-                    int_ready[rd.index() as usize] = cycle + t.int_load_delay_cycles;
-                    ls_free_at = cycle + t.load_port_cycles;
-                }
-            }
-
-            Some(Instr::Sw { rs, base, .. }) => {
-                if int_blocked(&int_ready, cycle, base)
-                    || int_blocked(&int_ready, cycle, rs)
-                    || cycle < ls_free_at
-                {
-                    advance = false;
-                } else {
-                    ls_free_at = cycle + t.store_port_cycles;
-                }
-            }
-
-            Some(Instr::Alu { rs1, rs2, .. }) => {
-                if int_blocked(&int_ready, cycle, rs1) || int_blocked(&int_ready, cycle, rs2) {
-                    advance = false;
-                }
-            }
-
-            Some(Instr::Addi { rs1, .. }) => {
-                if int_blocked(&int_ready, cycle, rs1) {
-                    advance = false;
-                }
-            }
-
-            Some(Instr::Nop)
-            | Some(Instr::Lui { .. })
-            | Some(Instr::Mfpsw { .. })
-            | Some(Instr::ClrPsw) => {}
+    let mut machine = AbstractMachine::new(opts.timing);
+    for (idx, slot) in prog.slots.iter().enumerate() {
+        let Some(instr) = slot.instr else { break };
+        let access = match instr {
+            Instr::Halt
+            | Instr::Branch { .. }
+            | Instr::Jump { .. }
+            | Instr::Jal { .. }
+            | Instr::Jr { .. } => break,
+            Instr::Fld { fr, .. } => Some((fr, true)),
+            Instr::Fst { fr, .. } => Some((fr, false)),
+            _ => None,
+        };
+        if machine.cycle > MAX_REPLAY_CYCLES {
+            break;
         }
-
-        // A load/store that executed this cycle interacts with the pending
-        // elements beyond the hardware-interlocked current one — exactly
-        // the simulator's checked-mode probe, but under proven timing.
-        if let (Some((fr, is_load)), Some((vec_idx, vector, next))) = (check_ls, ir) {
-            for (overlap, element) in overlaps(&vector, next + 1, fr, is_load) {
-                out.push(Finding {
-                    lint: Lint::OrderingViolation,
-                    instr_index: idx,
-                    pc: prog.pc(idx),
-                    message: format!(
-                        "{} (transferred at instr #{vec_idx}) under nominal warm-cache \
-                         timing: break the vector (§2.3.2)",
-                        overlap.describe(fr, &vector, element)
-                    ),
-                });
-            }
+        let ir = machine.exec(idx, &instr, false);
+        let (Some((fr, is_load)), Some(ir)) = (access, ir) else {
+            continue;
+        };
+        for (kind, element) in overlaps(ir.instr, ir.next_element + 1, fr, is_load) {
+            out.push(Finding {
+                lint: Lint::OrderingViolation,
+                instr_index: idx,
+                pc: prog.pc(idx),
+                message: format!(
+                    "{} (transferred at instr #{}) under nominal warm-cache \
+                     timing: break the vector (§2.3.2)",
+                    describe(kind, fr, &ir.instr, element),
+                    ir.src
+                ),
+            });
         }
-
-        if advance {
-            idx += 1;
-        }
-
-        // Issue phase: the ALU IR issues its current element when the
-        // scoreboard permits (both sources readable, destination free).
-        if let Some((vec_idx, f, next)) = ir {
-            let refs = f.element(next);
-            let blocked = reserved(&freg_reserved, cycle, refs.ra)
-                || (!f.op.is_unary() && reserved(&freg_reserved, cycle, refs.rb))
-                || reserved(&freg_reserved, cycle, refs.rr);
-            if !blocked {
-                freg_reserved[refs.rr.index() as usize] = cycle + t.fpu_latency;
-                if next + 1 == f.vl {
-                    ir = None;
-                } else {
-                    ir = Some((vec_idx, f, next + 1));
-                }
-            }
-        }
-
-        cycle += 1;
-    }
-}
-
-/// The hardware interlock: does the load/store conflict with the *current*
-/// element of the in-flight vector? (The machine stalls the memory
-/// operation in that case — no violation.)
-fn current_element_conflict(
-    ir: &Option<(usize, FpuAluInstr, u8)>,
-    fr: FReg,
-    is_load: bool,
-) -> bool {
-    let Some((_, f, next)) = ir else {
-        return false;
-    };
-    let refs = f.element(*next);
-    if is_load {
-        refs.rr == fr || refs.ra == fr || (!f.op.is_unary() && refs.rb == fr)
-    } else {
-        refs.rr == fr
     }
 }

@@ -9,9 +9,9 @@ use mt_isa::cpu::DecodeError;
 use mt_isa::fpu::FpuInstrError;
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
 
-use crate::cfg::ProgramView;
 use crate::diag::{Finding, Lint};
 use crate::LintOptions;
+use mt_xlate::cfg::ProgramView;
 
 /// Raw words whose FPU register run walks past R51 (or whose register
 /// specifier exceeds 51). The assembler and `FpuAluInstr::new` refuse to

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use mt_isa::cost::IssueTiming;
 use mt_isa::Instr;
-use mt_lint::cfg::{Blocks, ProgramView};
+use mt_xlate::cfg::{Blocks, ProgramView};
 
 use crate::machine::{AbstractMachine, Counters, PcPrediction};
 
@@ -79,7 +79,9 @@ pub fn straight_line(view: &ProgramView, timing: IssueTiming) -> Result<Predicti
                     per_pc: m.per_pc,
                 });
             }
-            _ => m.exec(idx, &instr, false),
+            _ => {
+                m.exec(idx, &instr, false);
+            }
         }
         idx += 1;
     }

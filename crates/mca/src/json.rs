@@ -3,8 +3,8 @@
 //! wall-clock fields) so CI can plain byte-diff the committed
 //! `BENCH_mca.json`.
 
-use mt_lint::cfg::ProgramView;
 use mt_trace::{Json, Profiler};
+use mt_xlate::cfg::ProgramView;
 
 use crate::analysis::LoopAnalysis;
 use crate::report::{measured_loop, measured_loop_raw};

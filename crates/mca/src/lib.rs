@@ -19,7 +19,7 @@
 //!   stall breakdown, and per-instruction attribution in the same
 //!   categories as the measured [`mt_trace::Profiler`].
 //! * [`loops`]: natural loops from the basic-block graph
-//!   (`mt_lint::cfg`), and for every loop whose body is a single
+//!   (`mt_xlate::cfg`), and for every loop whose body is a single
 //!   straight-line path, the steady-state **cycles per iteration** and
 //!   the binding bottleneck resource, found by iterating the abstract
 //!   machine until its normalized state ([`machine::StateKey`]) repeats.
@@ -45,10 +45,20 @@
 //!
 //! Inside that boundary the claim is not "close": straight-line
 //! cache-warm predictions are **bit-identical** to `RunStats` from a
-//! warm simulator rerun, enforced by a proptest differential suite and
-//! golden-kernel tests in `tests/static_timing.rs`. Outside it, loop
-//! steady states are validated against measured warm profiles in
-//! `BENCH_mca.json` (±5% on kernel loops).
+//! warm simulator rerun on the same [`mt_isa::cost::IssueTiming`],
+//! enforced by a proptest differential suite over random programs on
+//! random machines and golden-kernel tests in `tests/static_timing.rs`.
+//! Outside it, loop steady states are validated against measured warm
+//! profiles in `BENCH_mca.json` (±5% on kernel loops).
+//!
+//! # One static timing model, two clients
+//!
+//! The abstract machine is the repository's only static replay of the
+//! simulator's timing. This crate's analyses read its counters;
+//! `mt-lint`'s provable §2.3.2 tier reads the ALU IR state that
+//! [`AbstractMachine::exec`] hands back for each load and store, and
+//! classifies overlaps with `mt_sim::ViolationKind::clashes`, the rule
+//! the simulator's interlock and checked mode use.
 
 pub mod analysis;
 pub mod json;
@@ -56,4 +66,4 @@ pub mod machine;
 pub mod report;
 
 pub use analysis::{loops, straight_line, LoopAnalysis, Prediction, Skip, SteadyState};
-pub use machine::{AbstractMachine, Counters, PcPrediction, StateKey};
+pub use machine::{AbstractMachine, Counters, IrState, PcPrediction, StateKey};

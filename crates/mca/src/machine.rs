@@ -9,13 +9,15 @@
 //! and the same order as the simulator. On straight-line cache-warm
 //! code its accounting is bit-identical to `RunStats` (enforced by
 //! proptest in `tests/static_timing.rs`); see the crate docs for the
-//! exactness boundary.
+//! exactness boundary. [`AbstractMachine::exec`] also hands back the ALU
+//! IR each instruction found, which is what `mt-lint`'s provable
+//! ordering tier checks loads and stores against.
 
 use std::collections::BTreeMap;
 
 use mt_isa::cost::{InstrCost, IssueTiming, FPU_LOAD_VISIBLE_AFTER};
 use mt_isa::{FReg, FpuAluInstr, Instr, NUM_FPU_REGS};
-use mt_sim::StallBreakdown;
+use mt_sim::{StallBreakdown, ViolationKind};
 use mt_trace::StallCause;
 
 /// Aggregate predicted counters, mirroring the fields of
@@ -77,11 +79,13 @@ impl PcPrediction {
 /// The FPU ALU instruction register: the transferred instruction and the
 /// next element to issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IrState {
-    instr: FpuAluInstr,
-    next_element: u8,
+pub struct IrState {
+    /// The transferred instruction.
+    pub instr: FpuAluInstr,
+    /// The next element to issue (the one the hardware interlocks).
+    pub next_element: u8,
     /// Instruction index the transfer came from (attribution).
-    src: usize,
+    pub src: usize,
 }
 
 /// A normalized machine state: every horizon expressed relative to the
@@ -144,15 +148,10 @@ impl AbstractMachine {
     /// The simulator's `current_element_conflict` under the default
     /// (paper, current-element-only) interlock.
     fn element_conflict(&self, fr: FReg, is_load: bool) -> bool {
-        let Some(ir) = &self.ir else {
-            return false;
-        };
-        let refs = ir.instr.element(ir.next_element);
-        if is_load {
-            refs.rr == fr || refs.ra == fr || (!ir.instr.op.is_unary() && refs.rb == fr)
-        } else {
-            refs.rr == fr
-        }
+        self.ir.is_some_and(|ir| {
+            let refs = ir.instr.element(ir.next_element);
+            ViolationKind::clashes(refs, ir.instr.op.is_unary(), fr, is_load) != [None, None]
+        })
     }
 
     /// The FPU's issue phase, run once per cycle after the CPU phase:
@@ -234,8 +233,9 @@ impl AbstractMachine {
     /// schedule with all cache penalties at zero. `taken` tells a
     /// conditional branch which way the analyzed path goes; it is
     /// ignored for every other instruction (`jump`/`jal`/`jr` always
-    /// redirect).
-    pub fn exec(&mut self, idx: usize, instr: &Instr, taken: bool) {
+    /// redirect). Returns the ALU IR as the instruction found it when it
+    /// executed, before its own effects and that cycle's issue phase.
+    pub fn exec(&mut self, idx: usize, instr: &Instr, taken: bool) -> Option<IrState> {
         // Branch bubble: fetch not ready, no stall accrues (the bubble
         // was charged in bulk at the branch), the issue phase still runs.
         while self.cycle < self.fetch_ready_at {
@@ -248,6 +248,7 @@ impl AbstractMachine {
             self.issue_phase();
             self.cycle += 1;
         }
+        let found = self.ir;
         // Effects, from the shared cost table.
         if let Some(port) = cost.port {
             self.ls_free_at = self.cycle + self.timing.port_cycles(port);
@@ -290,6 +291,7 @@ impl AbstractMachine {
         self.per_pc.entry(idx).or_default().completions += 1;
         self.issue_phase();
         self.cycle += 1;
+        found
     }
 
     /// Drains the FPU after `halt`: the simulator's post-halt loop, with

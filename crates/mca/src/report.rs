@@ -3,8 +3,8 @@
 
 use std::fmt::Write;
 
-use mt_lint::cfg::ProgramView;
 use mt_trace::{Profiler, SourceResolver, StallCause};
+use mt_xlate::cfg::ProgramView;
 
 use crate::analysis::{LoopAnalysis, Prediction};
 

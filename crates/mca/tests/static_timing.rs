@@ -3,8 +3,8 @@
 //! Tier 1 — exactness: on straight-line cache-warm programs the static
 //! prediction must be **bit-identical** to the simulator's warm-rerun
 //! `RunStats` and to the measured per-PC profile, across randomized
-//! programs exercising every hazard class (proptest) and hand-written
-//! worst cases.
+//! programs exercising every hazard class on randomized machines
+//! (proptest) and hand-written worst cases.
 //!
 //! Tier 2 — loop steady states: for vectorizable kernel loops the
 //! steady-state cycles-per-iteration must agree with the measured warm
@@ -15,10 +15,10 @@ use mt_fparith::FpOp;
 use mt_isa::cost::IssueTiming;
 use mt_isa::cpu::{AluOp, BranchCond};
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
-use mt_lint::cfg::ProgramView;
 use mt_mca::{loops, straight_line, Prediction, Skip};
-use mt_sim::{Machine, Program, RunStats, SimConfig};
+use mt_sim::{Machine, MachineConfig, Program, RunStats, SimConfig};
 use mt_trace::{Profiler, TraceEvent};
+use mt_xlate::cfg::ProgramView;
 use proptest::prelude::*;
 
 /// Pointer registers, preset to disjoint data regions and never written
@@ -29,10 +29,17 @@ const FP_BASES: [u8; 2] = [1, 2];
 const INT_BASES: [u8; 2] = [3, 4];
 const REGION: [(u8, i32); 4] = [(1, 0x2000), (2, 0x3000), (3, 0x4000), (4, 0x5000)];
 
-/// Runs `prog` with the §3.2 protocol (cold pass, then warm rerun) and
-/// returns the warm statistics plus the warm event stream.
-fn warm_run(prog: &Program) -> (RunStats, Vec<TraceEvent>) {
-    let mut m = Machine::new(SimConfig::default());
+/// Runs `prog` with the §3.2 protocol (cold pass, then warm rerun) on
+/// the machine with issue timing `timing` and returns the warm
+/// statistics plus the warm event stream.
+fn warm_run(prog: &Program, timing: IssueTiming) -> (RunStats, Vec<TraceEvent>) {
+    let mut m = Machine::new(SimConfig {
+        machine: MachineConfig {
+            timing,
+            ..MachineConfig::default()
+        },
+        ..SimConfig::default()
+    });
     m.load_program(prog);
     for (r, addr) in REGION {
         m.set_ireg(IReg::new(r), addr);
@@ -127,12 +134,17 @@ fn assert_exact(prog: &Program, warm: &RunStats, events: &[TraceEvent], pred: &P
     }
 }
 
-fn check_program(instrs: Vec<Instr>) {
+fn check_program_on(instrs: Vec<Instr>, timing: IssueTiming) {
     let prog = Program::assemble(&instrs).expect("generated instructions encode");
-    let (warm, events) = warm_run(&prog);
+    let (warm, events) = warm_run(&prog, timing);
     let view = ProgramView::decode(&prog);
-    let pred = straight_line(&view, IssueTiming::multititan()).expect("straight-line");
+    let pred = straight_line(&view, timing).expect("straight-line");
     assert_exact(&prog, &warm, &events, &pred);
+}
+
+/// [`check_program_on`] the paper's machine.
+fn check_program(instrs: Vec<Instr>) {
+    check_program_on(instrs, IssueTiming::multititan());
 }
 
 // ---------------------------------------------------------------------
@@ -344,16 +356,34 @@ fn gen_instr() -> BoxedStrategy<Instr> {
     .boxed()
 }
 
+/// A machine around the paper's: every issue-timing knob drawn from a
+/// small range that includes the paper's value.
+fn gen_timing() -> BoxedStrategy<IssueTiming> {
+    (1u64..=7, 1u64..=4, 1u64..=3, 1u64..=3, 0u64..=3, 0u64..=3)
+        .prop_map(
+            |(fpu_latency, fpu_lanes, load, store, int_delay, branch)| IssueTiming {
+                fpu_latency,
+                fpu_lanes,
+                load_port_cycles: load,
+                store_port_cycles: store,
+                int_load_delay_cycles: int_delay,
+                branch_penalty: branch,
+            },
+        )
+        .boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
     fn straight_line_prediction_is_bit_identical(
         body in prop::collection::vec(gen_instr(), 1..100),
+        timing in gen_timing(),
     ) {
         let mut instrs = body;
         instrs.push(Instr::Halt);
-        check_program(instrs);
+        check_program_on(instrs, timing);
     }
 }
 

@@ -314,12 +314,12 @@ fn run_error_doc(err: &RunError) -> Json {
     }
 }
 
-/// Runs the analyzer; returns the findings as JSON diagnostics plus
-/// whether any error-severity finding exists.
-fn lint_diagnostics(program: &Program, map: &SourceMap) -> (Json, bool) {
+/// Runs the analyzer against the job's machine; returns the findings as
+/// JSON diagnostics plus whether any error-severity finding exists.
+fn lint_diagnostics(program: &Program, map: &SourceMap, machine: &MachineConfig) -> (Json, bool) {
     let opts = LintOptions {
+        timing: machine.timing,
         allow_recurrence: map.allowed_indices("recurrence"),
-        ..LintOptions::default()
     };
     let findings = lint_program_with(program, &opts);
     let has_errors = findings.iter().any(|f| f.severity() == Severity::Error);
@@ -426,7 +426,7 @@ pub fn execute_controlled(
     }
 
     let lint = if job.options.lint {
-        let (diags, has_errors) = lint_diagnostics(&program, &map);
+        let (diags, has_errors) = lint_diagnostics(&program, &map, &job.options.machine);
         if has_errors {
             return (
                 JobResult::new(422, error_doc("lint", [("diagnostics", diags)])),
@@ -745,6 +745,27 @@ halt
         let doc = mt_trace::json::parse(&r.body).unwrap();
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("lint"));
         assert!(!doc.get("diagnostics").unwrap().items().is_empty());
+    }
+
+    /// Lint proves §2.3.2 violations on the machine the job runs on: a
+    /// load that races element 2 of a vector on the one-lane paper
+    /// machine finds that element already issued with two lanes.
+    #[test]
+    fn lint_replays_the_job_machine() {
+        let src = "fadd R16..R19, R0..R3, R8..R11\nfld R2, 0(r0)\nhalt\n";
+        let lint_on = |machine: MachineConfig| {
+            run_job(
+                src,
+                RunOptions {
+                    lint: true,
+                    machine,
+                    ..RunOptions::default()
+                },
+            )
+            .status
+        };
+        assert_eq!(lint_on(MachineConfig::default()), 422);
+        assert_eq!(lint_on(MachineConfig::parse("fpu_lanes=2").unwrap()), 200);
     }
 
     #[test]

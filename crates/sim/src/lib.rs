@@ -53,11 +53,9 @@ pub mod json;
 pub mod machine;
 pub mod stats;
 pub mod timeline;
-pub mod timing;
 
 pub use config::{MachineConfig, KNOB_NAMES};
 pub use machine::{ArchState, Backend, Machine, RunError, SimConfig, Snapshot};
 pub use mt_isa::{DataSegment, Program, DEFAULT_TEXT_BASE};
 pub use stats::{OrderingViolation, RunStats, StallBreakdown, ViolationKind};
 pub use timeline::Timeline;
-pub use timing::IssueTiming;

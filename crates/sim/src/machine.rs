@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use mt_core::{Fpu, Psw};
-use mt_isa::cost::InstrCost;
+use mt_isa::cost::{InstrCost, IssueTiming};
 use mt_isa::cpu::AluOp;
 use mt_isa::{FReg, IReg, Instr};
 use mt_mem::{MemError, MemorySystem};
@@ -13,7 +13,6 @@ use mt_xlate::{TranslatedProgram, Uop};
 use crate::config::MachineConfig;
 use crate::stats::{OrderingViolation, RunStats, StallBreakdown, ViolationKind};
 use crate::timeline::Timeline;
-use crate::timing::IssueTiming;
 use mt_isa::Program;
 
 /// Which execution backend [`Machine::run`] drives.
@@ -123,7 +122,7 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// The issue-timing parameters this configuration implies — the same
-    /// model `mt-lint` replays to prove §2.3.2 violations statically.
+    /// model `mt_mca::AbstractMachine` replays statically.
     pub fn issue_timing(&self) -> IssueTiming {
         self.machine.timing
     }
@@ -1579,7 +1578,7 @@ impl Machine {
 
             Instr::Fld { fr, base, offset } => {
                 if self.config.checked_ordering {
-                    self.check_ordering_load(fr);
+                    self.check_ordering(fr, true);
                 }
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
                 let (bits, penalty) = self
@@ -1595,7 +1594,7 @@ impl Machine {
 
             Instr::Fst { fr, base, offset } => {
                 if self.config.checked_ordering {
-                    self.check_ordering_store(fr);
+                    self.check_ordering(fr, false);
                 }
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
                 self.mem
@@ -1732,73 +1731,34 @@ impl Machine {
         let Some(active) = self.fpu.ir_active() else {
             return false;
         };
+        let unary = active.instr.op.is_unary();
+        let clashes = |refs| ViolationKind::clashes(refs, unary, fr, is_load) != [None, None];
         if !self.config.full_range_interlock {
             // Interlock against the current element only (the hardware the
             // paper builds; §2.3.2): its refs sit precomputed in the IR.
-            let refs = active.current_refs();
-            return if is_load {
-                refs.rr == fr || refs.ra == fr || (!active.instr.op.is_unary() && refs.rb == fr)
-            } else {
-                refs.rr == fr
-            };
+            return clashes(active.current_refs());
         }
         // Ardent-Titan-style hardware: check every unissued element's
         // register ranges (§2.3.2's first approach).
-        for e in active.next_element..active.instr.vl {
-            let refs = active.instr.element(e);
-            let conflict = if is_load {
-                // A load may neither clobber an operand the element has yet
-                // to read nor race the element's own write.
-                refs.rr == fr || refs.ra == fr || (!active.instr.op.is_unary() && refs.rb == fr)
-            } else {
-                // A store must not read a register the element will write.
-                refs.rr == fr
-            };
-            if conflict {
-                return true;
-            }
-        }
-        false
+        (active.next_element..active.instr.vl).any(|e| clashes(active.instr.element(e)))
     }
 
-    /// §2.3.2 checked mode: a load completing now interacts with elements
-    /// of the in-flight vector instruction beyond the hardware-interlocked
-    /// current one.
-    fn check_ordering_load(&mut self, fr: FReg) {
-        let Some(active) = self.fpu.ir_active() else {
+    /// §2.3.2 checked mode: a load or store completing now interacts with
+    /// elements of the in-flight vector instruction beyond the
+    /// hardware-interlocked current one.
+    fn check_ordering(&mut self, fr: FReg, is_load: bool) {
+        let Some(&active) = self.fpu.ir_active() else {
             return;
         };
-        let mut found: Vec<(ViolationKind, FReg)> = Vec::new();
+        let unary = active.instr.op.is_unary();
         for e in active.next_element + 1..active.instr.vl {
-            let refs = active.instr.element(e);
-            if refs.ra == fr || (!active.instr.op.is_unary() && refs.rb == fr) {
-                found.push((ViolationKind::LoadClobbersPendingSource, fr));
+            for kind in ViolationKind::clashes(active.instr.element(e), unary, fr, is_load)
+                .into_iter()
+                .flatten()
+            {
+                let v = self.violation(kind, fr);
+                self.violations.push(v);
             }
-            if refs.rr == fr {
-                found.push((ViolationKind::LoadIntoPendingDest, fr));
-            }
-        }
-        for (kind, reg) in found {
-            let v = self.violation(kind, reg);
-            self.violations.push(v);
-        }
-    }
-
-    /// §2.3.2 checked mode: a store reading now would see a stale value if
-    /// a not-yet-issued element is going to write its register.
-    fn check_ordering_store(&mut self, fr: FReg) {
-        let Some(active) = self.fpu.ir_active() else {
-            return;
-        };
-        let mut found: Vec<FReg> = Vec::new();
-        for e in active.next_element + 1..active.instr.vl {
-            if active.instr.element(e).rr == fr {
-                found.push(fr);
-            }
-        }
-        for reg in found {
-            let v = self.violation(ViolationKind::StoreReadsPendingDest, reg);
-            self.violations.push(v);
         }
     }
 

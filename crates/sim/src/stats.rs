@@ -5,6 +5,7 @@ use std::fmt;
 
 use mt_core::FpuStats;
 use mt_fparith::latency::mflops;
+use mt_isa::fpu::ElementRefs;
 use mt_isa::FReg;
 use mt_mem::CacheStats;
 
@@ -53,6 +54,34 @@ pub enum ViolationKind {
     /// A store read a register that a not-yet-issued element of an earlier
     /// vector instruction will write (the store sees the stale value).
     StoreReadsPendingDest,
+}
+
+impl ViolationKind {
+    /// The §2.3.2 overlap rule, shared by the simulator's interlock and
+    /// checked mode and by both static analyzers: the ways a load
+    /// (`is_load`) or store of `fr` clashes with one vector element
+    /// touching `refs`, in reporting order (`[None, None]` when they do
+    /// not clash). A load clashes with an element that reads its register
+    /// (`ra`, or `rb` unless the op is `unary`) or writes it (`rr`); a
+    /// store clashes only with an element that writes it.
+    #[inline]
+    pub fn clashes(
+        refs: ElementRefs,
+        unary: bool,
+        fr: FReg,
+        is_load: bool,
+    ) -> [Option<ViolationKind>; 2] {
+        let writes = refs.rr == fr;
+        if is_load {
+            let reads = refs.ra == fr || (!unary && refs.rb == fr);
+            [
+                reads.then_some(ViolationKind::LoadClobbersPendingSource),
+                writes.then_some(ViolationKind::LoadIntoPendingDest),
+            ]
+        } else {
+            [writes.then_some(ViolationKind::StoreReadsPendingDest), None]
+        }
+    }
 }
 
 /// One checked-mode diagnostic.
