@@ -341,7 +341,6 @@ fn run_program(src: &str, opts: &Options, force_profile: bool) -> Result<(), Str
     let profile = force_profile || opts.profile;
     let recording = opts.trace || opts.timeline || profile || opts.mca || opts.trace_out.is_some();
     let mut m = Machine::new(SimConfig {
-        trace: opts.trace,
         backend: opts.backend,
         machine: opts.config,
         ..SimConfig::default()
@@ -359,7 +358,7 @@ fn run_program(src: &str, opts: &Options, force_profile: bool) -> Result<(), Str
     .map_err(|e| e.to_string())?;
 
     if opts.trace {
-        for line in m.trace_log() {
+        for line in events.iter().filter_map(TraceEvent::cpu_log_line) {
             println!("{line}");
         }
     }

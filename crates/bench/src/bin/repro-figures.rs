@@ -10,7 +10,8 @@ use mt_fparith::latency::FIGURE_10;
 use mt_fparith::FpOp;
 use mt_isa::{FReg, FpuAluInstr, Instr};
 use mt_kernels::{gather, graphics, reductions};
-use mt_sim::{Machine, Program, SimConfig};
+use mt_sim::{Machine, Program, SimConfig, Timeline};
+use mt_trace::TraceEvent;
 
 fn main() {
     if std::env::args().any(|a| a == "--json") {
@@ -62,18 +63,16 @@ fn timelines() {
     };
     let render = |title: &str, instrs: &[Instr]| {
         let prog = Program::assemble(instrs).unwrap();
-        let mut m = Machine::new(SimConfig {
-            trace: true,
-            ..SimConfig::default()
-        });
+        let mut m = Machine::new(SimConfig::default());
         m.load_program(&prog);
         m.warm_instructions(&prog);
         m.fpu
             .regs_mut()
             .write_vector(FReg::new(0), &[1., 2., 3., 4., 5., 6., 7., 8.]);
-        m.run().unwrap();
+        let mut events: Vec<TraceEvent> = Vec::new();
+        m.run_with_sink(&mut events).unwrap();
         println!("{title}");
-        println!("{}", m.timeline().render(48));
+        println!("{}", Timeline::from_events(&events, |_| None).render(48));
     };
     render(
         "Figure 5 as a timing diagram (T transfer, i issue, R result):",

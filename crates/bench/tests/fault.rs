@@ -30,6 +30,25 @@ fn campaign_classifies_an_organic_abort_as_detected() {
     );
 }
 
+/// The committed `repro-fault --seed 0xA5 --injections 500` campaign
+/// lands at least one injection in the §2.3.1 detected class. `./ci`
+/// byte-diffs a fresh campaign against this file, so together the two
+/// checks hold the fresh run to it.
+#[test]
+fn committed_fault_campaign_detects_an_injection() {
+    let doc = mt_trace::json::parse(include_str!("../../../BENCH_fault.json"))
+        .expect("BENCH_fault.json parses");
+    let detected = doc
+        .get("outcomes")
+        .and_then(|o| o.get("detected"))
+        .and_then(|d| d.as_f64())
+        .expect("BENCH_fault.json has a campaign-total outcomes.detected");
+    assert!(
+        detected >= 1.0,
+        "no detected injections at seed 0xA5 in BENCH_fault.json"
+    );
+}
+
 /// The standard campaign reproduces byte-identically from its seed.
 #[test]
 fn standard_campaign_is_reproducible() {

@@ -31,7 +31,7 @@ use std::fmt;
 
 use mt_core::Psw;
 use mt_sim::{Backend, Machine, Program, RunError, SimConfig, Snapshot};
-use mt_trace::{Json, MetricsRegistry};
+use mt_trace::{Json, MetricsRegistry, NullSink};
 
 use crate::inject::apply;
 use crate::plan::{draw_injection, Injection, PlanBounds};
@@ -285,7 +285,7 @@ impl<'a> Workload<'a> {
     fn run_injection(&mut self, injection: &Injection) -> Result<Outcome, String> {
         let m = &mut self.machine;
         m.restore(&self.base);
-        match m.run_until(injection.cycle) {
+        match m.run_until(injection.cycle, &mut NullSink) {
             // Paused exactly at the injection cycle: strike and resume.
             Ok(None) => {
                 apply(m, &injection.target);

@@ -6,6 +6,7 @@ use mt_fault::{apply, FaultTarget};
 use mt_fparith::FpOp;
 use mt_isa::{FReg, FpuAluInstr, Instr};
 use mt_sim::{Machine, Program, SimConfig};
+use mt_trace::NullSink;
 
 /// A single-bit exponent flip on a multiply operand pushes the product
 /// past the largest finite double, and the §2.3.1 machinery — not the
@@ -39,7 +40,10 @@ fn exponent_flip_on_multiply_operand_is_detected_by_overflow_abort() {
     // Injected: pause before the first cycle, flip exponent bit 61 of
     // the operand (2.0 -> 2^513), resume. The square (2^1026) overflows.
     m.restore(&base);
-    assert!(m.run_until(0).unwrap().is_none(), "must pause at cycle 0");
+    assert!(
+        m.run_until(0, &mut NullSink).unwrap().is_none(),
+        "must pause at cycle 0"
+    );
     apply(&mut m, &FaultTarget::FpuReg { reg: 0, bit: 61 });
     let injected = m.run().unwrap();
     assert_eq!(m.fpu.stats().overflow_aborts, 1);

@@ -2,7 +2,7 @@
 
 use mt_mahler::CompiledRoutine;
 use mt_sim::{Machine, RunStats, SimConfig};
-use mt_trace::TraceEvent;
+use mt_trace::{EventSink, NullSink, TraceEvent};
 
 /// Closure type writing a machine's input arrays.
 pub type InitFn = Box<dyn Fn(&mut Machine) + Send + Sync>;
@@ -64,16 +64,29 @@ impl KernelReport {
 /// Propagates simulator errors and verification mismatches (with the kernel
 /// name attached).
 pub fn run_kernel_with(kernel: &Kernel, config: SimConfig) -> Result<KernelReport, String> {
+    run_protocol(kernel, config, &mut NullSink, &mut NullSink)
+}
+
+/// The §3.2 protocol, once: install, cold pass, verify, re-initialize,
+/// warm pass, verify — each pass watched by its own sink. Generic over
+/// both sinks, so with [`NullSink`] the untraced run loop is the one
+/// monomorphized.
+fn run_protocol<C: EventSink, W: EventSink>(
+    kernel: &Kernel,
+    config: SimConfig,
+    cold_sink: &mut C,
+    warm_sink: &mut W,
+) -> Result<KernelReport, String> {
     let tag = |e: String| format!("{}: {e}", kernel.name);
     let mut m = Machine::new(config);
     kernel.routine.install(&mut m);
     (kernel.init)(&mut m);
-    let cold = m.run().map_err(|e| tag(e.to_string()))?;
+    let cold = m.run_with_sink(cold_sink).map_err(|e| tag(e.to_string()))?;
     (kernel.verify)(&m).map_err(tag)?;
 
     (kernel.init)(&mut m);
     m.reset_for_rerun();
-    let warm = m.run().map_err(|e| tag(e.to_string()))?;
+    let warm = m.run_with_sink(warm_sink).map_err(|e| tag(e.to_string()))?;
     (kernel.verify)(&m).map_err(tag)?;
 
     Ok(KernelReport {
@@ -111,30 +124,11 @@ pub struct TracedReport {
 ///
 /// See [`run_kernel_with`].
 pub fn run_kernel_recorded(kernel: &Kernel, config: SimConfig) -> Result<TracedReport, String> {
-    let tag = |e: String| format!("{}: {e}", kernel.name);
-    let mut m = Machine::new(config);
-    kernel.routine.install(&mut m);
-    (kernel.init)(&mut m);
     let mut cold_events: Vec<TraceEvent> = Vec::new();
-    let cold = m
-        .run_with_sink(&mut cold_events)
-        .map_err(|e| tag(e.to_string()))?;
-    (kernel.verify)(&m).map_err(tag)?;
-
-    (kernel.init)(&mut m);
-    m.reset_for_rerun();
     let mut warm_events: Vec<TraceEvent> = Vec::new();
-    let warm = m
-        .run_with_sink(&mut warm_events)
-        .map_err(|e| tag(e.to_string()))?;
-    (kernel.verify)(&m).map_err(tag)?;
-
+    let report = run_protocol(kernel, config, &mut cold_events, &mut warm_events)?;
     Ok(TracedReport {
-        report: KernelReport {
-            name: kernel.name.clone(),
-            cold,
-            warm,
-        },
+        report,
         cold_events,
         warm_events,
     })

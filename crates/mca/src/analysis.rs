@@ -334,15 +334,7 @@ fn delta_counters(now: &Counters, then: &Counters) -> Counters {
     Counters {
         instructions: now.instructions - then.instructions,
         drain_cycles: now.drain_cycles - then.drain_cycles,
-        stalls: mt_sim::StallBreakdown {
-            ir_busy: now.stalls.ir_busy - then.stalls.ir_busy,
-            ls_port_busy: now.stalls.ls_port_busy - then.stalls.ls_port_busy,
-            fpu_reg_hazard: now.stalls.fpu_reg_hazard - then.stalls.fpu_reg_hazard,
-            int_load_hazard: now.stalls.int_load_hazard - then.stalls.int_load_hazard,
-            fetch: now.stalls.fetch - then.stalls.fetch,
-            data_miss: now.stalls.data_miss - then.stalls.data_miss,
-            branch: now.stalls.branch - then.stalls.branch,
-        },
+        stalls: now.stalls.since(&then.stalls),
         transfers: now.transfers - then.transfers,
         elements: now.elements - then.elements,
         flops: now.flops - then.flops,

@@ -192,15 +192,8 @@ impl AbstractMachine {
     }
 
     fn charge(&mut self, idx: usize, cause: StallCause) {
-        match cause {
-            StallCause::IrBusy => self.counters.stalls.ir_busy += 1,
-            StallCause::LsPortBusy => self.counters.stalls.ls_port_busy += 1,
-            StallCause::FpuRegHazard => self.counters.stalls.fpu_reg_hazard += 1,
-            StallCause::IntLoadHazard => self.counters.stalls.int_load_hazard += 1,
-            StallCause::Fetch => self.counters.stalls.fetch += 1,
-            StallCause::DataMiss => self.counters.stalls.data_miss += 1,
-            StallCause::Branch => unreachable!("branch bubbles are charged in bulk"),
-        }
+        debug_assert_ne!(cause, StallCause::Branch, "branch is charged in bulk");
+        self.counters.stalls.add(cause, 1);
         self.per_pc.entry(idx).or_default().stalls[cause.index()] += 1;
     }
 

@@ -15,7 +15,7 @@ use mt_dse::runner::{CellResult, CellSpec};
 use mt_lint::{lint_program_with, LintOptions, Severity};
 use mt_sim::json::stats_json;
 use mt_sim::{Backend, Machine, MachineConfig, Program, RunError, SimConfig};
-use mt_trace::{Json, Profiler, TraceEvent};
+use mt_trace::{Json, NullSink, Profiler, TraceEvent};
 
 /// Virtual file name diagnostics carry (request bodies never live on
 /// disk).
@@ -70,7 +70,8 @@ pub struct RunOptions {
     pub lint: bool,
     /// Include the per-PC profile in the response.
     pub profile: bool,
-    /// Include the per-cycle trace log (truncated after
+    /// Include the CPU log, one line per completed instruction, built
+    /// from the run's recorded events (truncated after
     /// [`TRACE_MAX_LINES`] lines).
     pub trace: bool,
     /// Per-job cycle limit (0 = the simulator default).
@@ -114,7 +115,6 @@ impl RunOptions {
     pub fn sim_config(&self) -> SimConfig {
         let default = SimConfig::default();
         SimConfig {
-            trace: self.trace,
             max_cycles: if self.max_cycles == 0 {
                 default.max_cycles
             } else {
@@ -204,8 +204,9 @@ pub struct JobTiming {
 /// External control over one execution: the request's wall-clock
 /// deadline and the server's drain flag. Both are observed at
 /// [`CANCEL_CHECK_CYCLES`] checkpoints inside the simulator
-/// ([`mt_sim::Machine::run_cancellable`]); a job with neither runs on
-/// the plain uncheckpointed path and is bit-identical to [`execute`].
+/// ([`mt_sim::Machine::run_cancellable`]). Every job runs checkpointed;
+/// a checkpoint that never fires is invisible, so a job with neither is
+/// what [`execute`] runs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobControl<'a> {
     /// Absolute deadline from `?deadline-ms=`; expiry abandons the run
@@ -214,12 +215,6 @@ pub struct JobControl<'a> {
     /// Server drain flag; a `true` load abandons the run with a
     /// structured 503 `draining`.
     pub cancel: Option<&'a AtomicBool>,
-}
-
-impl JobControl<'_> {
-    fn is_active(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
 }
 
 /// Why a controlled run was abandoned.
@@ -373,10 +368,11 @@ pub fn execute_timed(job: &JobRequest, machine: &mut Machine) -> (JobResult, Job
 /// the server drain flag are checked cooperatively inside the simulator
 /// every [`CANCEL_CHECK_CYCLES`] cycles; either firing abandons the run
 /// and returns a structured 503 (`deadline-exceeded` / `draining`).
-/// With an empty [`JobControl`] this is exactly [`execute_timed`] —
-/// checkpoint clamps are the proven `run_until` pause path, so an
-/// uncancelled controlled run stays bit-identical to an uncontrolled
-/// one (the `controlled_run_is_bit_identical` test holds it to that).
+/// Every job runs checkpointed, [`execute_timed`]'s with an empty
+/// [`JobControl`] too: checkpoint clamps are the proven `run_until`
+/// pause path, so a checkpoint that never fires leaves the body
+/// bit-identical to an unchecked run (`tests/snapshot_restore.rs` and
+/// the `controlled_run_is_bit_identical` test hold it to that).
 pub fn execute_controlled(
     job: &JobRequest,
     machine: &mut Machine,
@@ -485,13 +481,10 @@ pub fn execute_controlled(
         }
         false
     };
-    let outcome = match (control.is_active(), recording) {
-        (false, false) => machine.run(),
-        (false, true) => machine.run_with_sink(&mut events),
-        (true, false) => machine.run_cancellable(CANCEL_CHECK_CYCLES, &mut check),
-        (true, true) => {
-            machine.run_cancellable_with_sink(&mut events, CANCEL_CHECK_CYCLES, &mut check)
-        }
+    let outcome = if recording {
+        machine.run_cancellable(&mut events, CANCEL_CHECK_CYCLES, &mut check)
+    } else {
+        machine.run_cancellable(&mut NullSink, CANCEL_CHECK_CYCLES, &mut check)
     };
     timing.sim = Some((sim_start, sim_start.elapsed()));
     let stats = match outcome {
@@ -511,13 +504,9 @@ pub fn execute_controlled(
         doc.push("profile", profile_json(&events));
     }
     if job.options.trace {
-        let log = machine.trace_log();
-        let lines: Vec<Json> = log
-            .iter()
-            .take(TRACE_MAX_LINES)
-            .map(|l| Json::Str(l.clone()))
-            .collect();
-        doc.push("trace_truncated", Json::Bool(log.len() > TRACE_MAX_LINES));
+        let mut log = events.iter().filter_map(TraceEvent::cpu_log_line);
+        let lines: Vec<Json> = log.by_ref().take(TRACE_MAX_LINES).map(Json::Str).collect();
+        doc.push("trace_truncated", Json::Bool(log.next().is_some()));
         doc.push("trace", Json::Arr(lines));
     }
     (
@@ -766,6 +755,23 @@ halt
         };
         assert_eq!(lint_on(MachineConfig::default()), 422);
         assert_eq!(lint_on(MachineConfig::parse("fpu_lanes=2").unwrap()), 200);
+    }
+
+    /// Regression: `?cycles=` and `?watchdog=` near `u64::MAX` used to
+    /// wrap the simulator's boundary sums and wedge the worker forever.
+    #[test]
+    fn huge_limits_answer_like_the_defaults() {
+        let src = "li r1, 5\nloop:\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n";
+        let huge = run_job(
+            src,
+            RunOptions {
+                max_cycles: u64::MAX,
+                watchdog: u64::MAX,
+                ..RunOptions::default()
+            },
+        );
+        assert_eq!(huge.status, 200);
+        assert_eq!(huge, run_job(src, RunOptions::default()));
     }
 
     #[test]

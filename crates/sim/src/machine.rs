@@ -12,7 +12,6 @@ use mt_xlate::{TranslatedProgram, Uop};
 
 use crate::config::MachineConfig;
 use crate::stats::{OrderingViolation, RunStats, StallBreakdown, ViolationKind};
-use crate::timeline::Timeline;
 use mt_isa::Program;
 
 /// Which execution backend [`Machine::run`] drives.
@@ -29,10 +28,9 @@ pub enum Backend {
     /// The reference cycle interpreter: fetch (reading the decoded
     /// instruction from the program's translation while the text is
     /// unmodified), guard evaluation, and execution, one cycle at a time.
-    /// Always used while a trace sink is attached, with
-    /// [`SimConfig::trace`] or [`SimConfig::checked_ordering`] on, for
-    /// any PC without a micro-op, and for the rest of a run after a write
-    /// into the text.
+    /// Always used while an enabled event sink is attached, with
+    /// [`SimConfig::checked_ordering`] on, for any PC without a micro-op,
+    /// and for the rest of a run after a write into the text.
     Tick,
     /// Block-translated execution: the run loop executes whole spans
     /// through the micro-ops [`Machine::load_program`] compiled
@@ -63,7 +61,8 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Simulator configuration.
+/// Simulator configuration. Watching a run is not a setting: hand the
+/// run an [`EventSink`] ([`Machine::run_with_sink`]).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The simulated microarchitecture: issue timing (FPU latency, port
@@ -86,8 +85,6 @@ pub struct SimConfig {
     /// cost of "a fair amount of hardware"; provided for the ablation
     /// study.
     pub full_range_interlock: bool,
-    /// Record a per-cycle trace (expensive; debugging only).
-    pub trace: bool,
     /// No-progress watchdog: abort with [`RunError::Watchdog`] once this
     /// many consecutive cycles elapse in which no CPU instruction completes
     /// and no FPU element or load issues. `0` (the default) disables it.
@@ -113,7 +110,6 @@ impl Default for SimConfig {
             checked_ordering: false,
             serialized_issue: false,
             full_range_interlock: false,
-            trace: false,
             watchdog_cycles: 0,
             backend: Backend::default(),
         }
@@ -260,20 +256,6 @@ enum SpanExit {
     Disabled,
 }
 
-/// Which CPU stall counter a wait the translated backend hops over
-/// charges per skipped cycle — the same counter the tick loop would have
-/// bumped.
-#[derive(Clone, Copy)]
-enum WaitStall {
-    /// A branch bubble: charged in bulk at the branch, nothing per cycle.
-    Bubble,
-    Fetch,
-    IrBusy,
-    LsPortBusy,
-    IntLoadHazard,
-    FpuRegHazard,
-}
-
 /// One MultiTitan processor.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -312,8 +294,6 @@ pub struct Machine {
     ir_pc: u32,
     ir_index: u32,
     violations: Vec<OrderingViolation>,
-    trace_log: Vec<String>,
-    trace_events: Vec<TraceEvent>,
     /// The loaded program's text compiled to pre-resolved micro-ops
     /// (built by every [`Machine::load_program`]): the PC-indexed block
     /// cache of the translated backend, and the decoded text the tick
@@ -364,8 +344,6 @@ impl Machine {
             ir_pc: 0,
             ir_index: 0,
             violations: Vec::new(),
-            trace_log: Vec::new(),
-            trace_events: Vec::new(),
             xlate: None,
             last_progress: 0,
         }
@@ -424,35 +402,9 @@ impl Machine {
         }
     }
 
-    /// The collected trace of the most recent run (populated when
-    /// `config.trace` is set; cleared at the start of each run).
-    pub fn trace_log(&self) -> &[String] {
-        &self.trace_log
-    }
-
     /// The issue-timing parameters this machine runs with.
     pub fn issue_timing(&self) -> IssueTiming {
         self.timing
-    }
-
-    /// The per-cycle timeline, folded on demand from the recorded event
-    /// stream (populated when `config.trace` is set) — render with
-    /// [`Timeline::render`] for diagrams in the style of the paper's
-    /// Figs. 5–8. For rows annotated with source locations, call
-    /// [`Timeline::from_events`] directly with a resolver.
-    pub fn timeline(&self) -> Timeline {
-        Timeline::from_events(&self.trace_events, |_| None)
-    }
-
-    /// The recorded event stream of the most recent run (populated when
-    /// `config.trace` is set; cleared at the start of each run).
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        &self.trace_events
-    }
-
-    /// Takes ownership of the recorded event stream, leaving it empty.
-    pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.trace_events)
     }
 
     /// Schedules an external interrupt: `cycles` from now the CPU stops
@@ -496,7 +448,7 @@ impl Machine {
     /// Resets the machine to the state [`Machine::new`]`(config)` would
     /// build — fresh registers, zeroed memory, cold caches, cleared PSW,
     /// no pending interrupt, zeroed statistics and diagnostics — while
-    /// keeping the large allocations (memory backing, trace buffers).
+    /// keeping the large allocations (memory backing, violation list).
     ///
     /// This is the worker-recycling path: a long-lived service worker owns
     /// one `Machine` and runs *arbitrary, unrelated* programs back to
@@ -531,21 +483,14 @@ impl Machine {
         self.ir_pc = 0;
         self.ir_index = 0;
         self.violations.clear();
-        self.trace_log.clear();
-        self.trace_events.clear();
         self.xlate = None;
         self.last_progress = 0;
     }
 
     /// Runs from the current PC until `halt`, returning the statistics of
-    /// this run (deltas — safe to call repeatedly for warm re-runs).
-    ///
-    /// With `config.trace` set, every cycle's typed events are recorded in
-    /// the internal buffer ([`Machine::trace_events`]); the buffer and the
-    /// textual [`Machine::trace_log`] hold the *most recent* run only —
-    /// both are cleared at the start of each run, so a long-lived machine
-    /// neither grows without bound nor mixes runs. Otherwise the run loop
-    /// monomorphizes over [`NullSink`] and emission costs nothing.
+    /// this run (deltas — safe to call repeatedly for warm re-runs). The
+    /// run is unwatched: it is [`Machine::run_with_sink`] over
+    /// [`NullSink`], so emission costs nothing.
     ///
     /// # Errors
     ///
@@ -555,29 +500,55 @@ impl Machine {
     /// load, or store, or [`RunError::Watchdog`] when
     /// [`SimConfig::watchdog_cycles`] elapse without progress.
     pub fn run(&mut self) -> Result<RunStats, RunError> {
-        if self.config.trace {
-            // Move the buffer out so the borrow of `self` stays single.
-            let mut buf = std::mem::take(&mut self.trace_events);
-            buf.clear();
-            let result = self.run_with_sink(&mut buf);
-            self.trace_events = buf;
-            result
-        } else {
-            self.run_with_sink(&mut NullSink)
-        }
+        self.run_with_sink(&mut NullSink)
     }
 
-    /// [`Machine::run`] with a cooperative cancellation checkpoint: every
-    /// `check_every` cycles the run pauses (the translated backend clamps
-    /// its hops to the checkpoint, exactly as it clamps to a
-    /// [`Machine::run_until`] stop point) and asks `cancelled`; a `true`
-    /// answer abandons the run with [`RunError::Cancelled`], leaving the
-    /// machine in the same state a `run_until` pause at that cycle would.
-    /// A run that is never cancelled is bit-identical to [`Machine::run`]
-    /// — same statistics, same trace, same architectural results — because
-    /// the checkpoint is a clamp inside one `run_inner` call, not a
-    /// re-entry (re-entry would reset the cycle-limit budget and report
-    /// per-slice statistics deltas).
+    /// [`Machine::run`] with an event sink — the one way to watch a run.
+    /// The run loop is generic over the sink, so a no-op sink compiles to
+    /// the untraced loop while a recording or folding sink sees every
+    /// typed event as it happens. The CPU log
+    /// ([`mt_trace::TraceEvent::cpu_log_line`]), the
+    /// [`crate::Timeline`], the profile and the Chrome trace are all views
+    /// of that stream, built by the caller from what its sink recorded.
+    pub fn run_with_sink<S: EventSink>(&mut self, sink: &mut S) -> Result<RunStats, RunError> {
+        self.run_loop(sink, None, None)
+            .map(|stats| stats.expect("a run without a stop point always completes"))
+    }
+
+    /// Runs until `halt` *or* until `self.cycle` reaches `stop_at`,
+    /// whichever comes first, emitting into `sink` — the fault-injection
+    /// campaign's way of pausing a golden replay at an exact cycle to
+    /// corrupt state, then resuming with [`Machine::run`]. Returns
+    /// `Ok(None)` when the run paused at the stop point (resume later;
+    /// statistics will cover the remainder as its own delta) and
+    /// `Ok(Some(stats))` when the program halted before reaching it.
+    /// Translated spans clamp to the stop point, so a paused machine sits
+    /// at exactly `stop_at` regardless of the backend, and a paused and
+    /// resumed stream equals the uninterrupted one. Once the CPU halts,
+    /// the FPU drain runs to completion even across `stop_at` — an
+    /// injection cycle inside the drain span classifies as
+    /// completed-early.
+    pub fn run_until<S: EventSink>(
+        &mut self,
+        stop_at: u64,
+        sink: &mut S,
+    ) -> Result<Option<RunStats>, RunError> {
+        self.run_loop(sink, Some(stop_at), None)
+    }
+
+    /// [`Machine::run_with_sink`] with a cooperative cancellation
+    /// checkpoint: every `check_every` cycles the run pauses (the
+    /// translated backend clamps its hops to the checkpoint, exactly as it
+    /// clamps to a [`Machine::run_until`] stop point) and asks
+    /// `cancelled`; a `true` answer abandons the run with
+    /// [`RunError::Cancelled`], leaving the machine in the same state a
+    /// `run_until` pause at that cycle would. A run that is never
+    /// cancelled is bit-identical to [`Machine::run_with_sink`] — same
+    /// statistics, same events, same architectural results — because the
+    /// checkpoint is a clamp inside one run loop, not a re-entry
+    /// (re-entry would reset the cycle-limit budget and report per-slice
+    /// statistics deltas). `tests/snapshot_restore.rs` holds both
+    /// promises over random programs.
     ///
     /// This is the service layer's request-deadline and drain-cancel hook:
     /// the closure typically compares `Instant::now()` against a deadline
@@ -586,65 +557,14 @@ impl Machine {
     /// # Errors
     ///
     /// Everything [`Machine::run`] returns, plus [`RunError::Cancelled`].
-    pub fn run_cancellable(
-        &mut self,
-        check_every: u64,
-        cancelled: &mut dyn FnMut() -> bool,
-    ) -> Result<RunStats, RunError> {
-        if self.config.trace {
-            let mut buf = std::mem::take(&mut self.trace_events);
-            buf.clear();
-            let result = self.run_inner_cancellable(&mut buf, None, Some((check_every, cancelled)));
-            self.trace_events = buf;
-            result
-        } else {
-            self.run_inner_cancellable(&mut NullSink, None, Some((check_every, cancelled)))
-        }
-        .map(|stats| stats.expect("a run without a stop point always completes"))
-    }
-
-    /// [`Machine::run_cancellable`] with a caller-supplied event sink.
-    pub fn run_cancellable_with_sink<S: EventSink>(
+    pub fn run_cancellable<S: EventSink>(
         &mut self,
         sink: &mut S,
         check_every: u64,
         cancelled: &mut dyn FnMut() -> bool,
     ) -> Result<RunStats, RunError> {
-        self.run_inner_cancellable(sink, None, Some((check_every, cancelled)))
+        self.run_loop(sink, None, Some((check_every, cancelled)))
             .map(|stats| stats.expect("a run without a stop point always completes"))
-    }
-
-    /// [`Machine::run`] with a caller-supplied event sink. The run loop is
-    /// generic over the sink, so a no-op sink compiles to the untraced
-    /// loop while a recording or folding sink sees every typed event
-    /// as it happens.
-    pub fn run_with_sink<S: EventSink>(&mut self, sink: &mut S) -> Result<RunStats, RunError> {
-        self.run_inner(sink, None)
-            .map(|stats| stats.expect("a run without a stop point always completes"))
-    }
-
-    /// Runs until `halt` *or* until `self.cycle` reaches `stop_at`,
-    /// whichever comes first — the fault-injection campaign's way of
-    /// pausing a golden replay at an exact cycle to corrupt state, then
-    /// resuming with [`Machine::run`]. Returns `Ok(None)` when the run
-    /// paused at the stop point (resume later; statistics will cover the
-    /// remainder as its own delta) and `Ok(Some(stats))` when the program
-    /// halted before reaching it. Translated spans clamp to the stop
-    /// point, so a paused machine sits at exactly `stop_at` regardless of
-    /// the backend. Once the CPU halts, the FPU drain runs to
-    /// completion even across `stop_at` — an injection cycle inside the
-    /// drain span classifies as completed-early.
-    pub fn run_until(&mut self, stop_at: u64) -> Result<Option<RunStats>, RunError> {
-        self.run_inner(&mut NullSink, Some(stop_at))
-    }
-
-    /// [`Machine::run_until`] with an event sink.
-    pub fn run_until_with_sink<S: EventSink>(
-        &mut self,
-        stop_at: u64,
-        sink: &mut S,
-    ) -> Result<Option<RunStats>, RunError> {
-        self.run_inner(sink, Some(stop_at))
     }
 
     /// Captures the complete machine state — architectural (registers,
@@ -681,15 +601,10 @@ impl Machine {
         }
     }
 
-    fn run_inner<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        stop_at: Option<u64>,
-    ) -> Result<Option<RunStats>, RunError> {
-        self.run_inner_cancellable(sink, stop_at, None)
-    }
-
-    fn run_inner_cancellable<S: EventSink>(
+    /// The one run loop behind the four public entry points: runs until
+    /// `halt`, the optional stop point (`Ok(None)`), or a cancellation
+    /// checkpoint that answers `true`.
+    fn run_loop<S: EventSink>(
         &mut self,
         sink: &mut S,
         stop_at: Option<u64>,
@@ -704,20 +619,19 @@ impl Machine {
         let dcache0 = self.mem.dcache_stats();
         let icache0 = self.mem.icache_stats();
         let ibuffer0 = self.mem.ibuffer_stats();
-        self.trace_log.clear();
 
         // The translated backend emits no per-cycle events and skips the
-        // checked-ordering diagnostics, so traced and checked runs stay on
-        // the reference interpreter, whose code paths they instrument.
+        // checked-ordering diagnostics, so watched and checked runs stay
+        // on the reference interpreter, whose code paths they instrument.
         // Ineligible runs execute tick-by-tick and are bit-identical by
         // construction.
         let mut use_xlate = self.config.backend == Backend::Xlate
             && !sink.enabled()
-            && !self.config.trace
             && !self.config.checked_ordering;
         // First cycle at which the tick loop would report CycleLimit; a
-        // hop may land there but never beyond.
-        let limit_cycle = start_cycle + self.config.max_cycles + 1;
+        // hop may land there but never beyond. Saturating, so a limit near
+        // `u64::MAX` cannot wrap into a boundary no span advances past.
+        let limit_cycle = (start_cycle + 1).saturating_add(self.config.max_cycles);
         let watchdog = self.config.watchdog_cycles;
         // First cycle at which the cancellation closure runs; advanced by
         // `check_every` after each (negative) answer. Translated spans
@@ -726,7 +640,7 @@ impl Machine {
         // due no matter how the span executes.
         let mut next_check = checkpoint
             .as_ref()
-            .map(|(every, _)| start_cycle + (*every).max(1));
+            .map(|(every, _)| start_cycle.saturating_add((*every).max(1)));
 
         while !self.halted {
             if let Some(stop) = stop_at {
@@ -742,7 +656,7 @@ impl Machine {
                         self.catch_up_retires();
                         return Err(RunError::Cancelled { cycle: self.cycle });
                     }
-                    next_check = Some(self.cycle + (*every).max(1));
+                    next_check = Some(self.cycle.saturating_add((*every).max(1)));
                 }
             }
             // The clamp handed to the translated backend: the real stop
@@ -845,15 +759,7 @@ impl Machine {
                 overflow_aborts: f.overflow_aborts - start_fpu.overflow_aborts,
                 elements_squashed: f.elements_squashed - start_fpu.elements_squashed,
             },
-            stalls: StallBreakdown {
-                ir_busy: self.stalls.ir_busy - start_stalls.ir_busy,
-                ls_port_busy: self.stalls.ls_port_busy - start_stalls.ls_port_busy,
-                fpu_reg_hazard: self.stalls.fpu_reg_hazard - start_stalls.fpu_reg_hazard,
-                int_load_hazard: self.stalls.int_load_hazard - start_stalls.int_load_hazard,
-                fetch: self.stalls.fetch - start_stalls.fetch,
-                data_miss: self.stalls.data_miss - start_stalls.data_miss,
-                branch: self.stalls.branch - start_stalls.branch,
-            },
+            stalls: self.stalls.since(&start_stalls),
             dcache: delta(self.mem.dcache_stats(), dcache0),
             icache: delta(self.mem.icache_stats(), icache0),
             ibuffer: delta(self.mem.ibuffer_stats(), ibuffer0),
@@ -879,7 +785,7 @@ impl Machine {
     }
 
     /// If an instruction with this cost row would stall this cycle,
-    /// returns the stall counter it charges and the first cycle at which
+    /// returns the stall cause it charges and the first cycle at which
     /// the blocking condition could lapse (`u64::MAX` when only an FPU
     /// retirement can lift it — the caller clamps to the next one, which
     /// the hazard guarantees exists). `None` means the instruction would
@@ -894,7 +800,7 @@ impl Machine {
     /// `ls_free_at`, the IR, the scoreboard) changes while both the CPU
     /// and the issue stage stall.
     #[inline]
-    fn cost_stall_horizon(&self, cost: &InstrCost) -> Option<(WaitStall, u64)> {
+    fn cost_stall_horizon(&self, cost: &InstrCost) -> Option<(StallCause, u64)> {
         if cost.int_guard_regs().any(|r| self.int_blocked(r)) {
             // Blocked until the last checked register is ready (free ones
             // are ready already).
@@ -903,34 +809,20 @@ impl Machine {
                 .map(|r| self.int_ready[r.index() as usize])
                 .max()
                 .expect("a blocked guard set is nonempty");
-            return Some((WaitStall::IntLoadHazard, ready));
+            return Some((StallCause::IntLoadHazard, ready));
         }
         if cost.port.is_some() && self.cycle < self.ls_free_at {
-            return Some((WaitStall::LsPortBusy, self.ls_free_at));
+            return Some((StallCause::LsPortBusy, self.ls_free_at));
         }
         if let Some((fr, is_load)) = cost.fpu_mem {
             if self.fpu.reg_reserved(fr) || self.current_element_conflict(fr, is_load) {
-                return Some((WaitStall::FpuRegHazard, u64::MAX));
+                return Some((StallCause::FpuRegHazard, u64::MAX));
             }
         }
         if cost.fpu_transfer && self.fpu.ir_busy() {
-            return Some((WaitStall::IrBusy, u64::MAX));
+            return Some((StallCause::IrBusy, u64::MAX));
         }
         None
-    }
-
-    /// Bumps the stall counter `stall` names by `cycles` — the translated
-    /// backend's bulk accounting for a wait it hops over.
-    #[inline]
-    fn charge_wait(&mut self, stall: WaitStall, cycles: u64) {
-        match stall {
-            WaitStall::Bubble => {}
-            WaitStall::Fetch => self.stalls.fetch += cycles,
-            WaitStall::IrBusy => self.stalls.ir_busy += cycles,
-            WaitStall::LsPortBusy => self.stalls.ls_port_busy += cycles,
-            WaitStall::IntLoadHazard => self.stalls.int_load_hazard += cycles,
-            WaitStall::FpuRegHazard => self.stalls.fpu_reg_hazard += cycles,
-        }
     }
 
     /// Lets a CPU wait elapse toward `horizon` (`u64::MAX` when only an
@@ -941,12 +833,15 @@ impl Machine {
     /// clamped to `boundary` and — when the wait can lapse at a
     /// retirement (a scoreboard-blocked IR, or no horizon of its own) —
     /// to the next FPU retirement, charging `stall` and any scoreboard
-    /// stalls per skipped cycle.
+    /// stalls per skipped cycle. `stall` is `None` for a branch bubble,
+    /// which was charged in bulk at the branch.
     #[inline]
-    fn hop_wait(&mut self, stall: WaitStall, horizon: u64, boundary: u64) {
+    fn hop_wait(&mut self, stall: Option<StallCause>, horizon: u64, boundary: u64) {
         let ir_stalled = match self.fpu.issue_blocked() {
             Some(false) => {
-                self.charge_wait(stall, 1);
+                if let Some(cause) = stall {
+                    self.stalls.add(cause, 1);
+                }
                 self.issue_and_record(&mut NullSink);
                 self.cycle += 1;
                 return;
@@ -963,7 +858,9 @@ impl Machine {
         debug_assert!(t > self.cycle, "a wait implies a future horizon");
         debug_assert!(t < u64::MAX, "unbounded wait must clamp to a retire");
         let skipped = t - self.cycle;
-        self.charge_wait(stall, skipped);
+        if let Some(cause) = stall {
+            self.stalls.add(cause, skipped);
+        }
         if ir_stalled {
             self.fpu.add_scoreboard_stalls(skipped);
         }
@@ -1035,7 +932,7 @@ impl Machine {
         loop {
             let mut boundary = static_boundary;
             if watchdog > 0 {
-                boundary = boundary.min(self.last_progress + watchdog + 1);
+                boundary = boundary.min((self.last_progress + 1).saturating_add(watchdog));
             }
             if self.cycle >= boundary {
                 return Ok(SpanExit::Boundary);
@@ -1061,7 +958,7 @@ impl Machine {
                 None if self.cycle < self.fetch_ready_at => {
                     // Branch bubble (charged at the branch): only the
                     // issue stage runs until the fetch window opens.
-                    self.hop_wait(WaitStall::Bubble, self.fetch_ready_at, boundary);
+                    self.hop_wait(None, self.fetch_ready_at, boundary);
                     continue;
                 }
                 None => {
@@ -1091,7 +988,7 @@ impl Machine {
                 }
                 Some(_) if self.cycle < self.pending_ready_at => {
                     // Fetch penalty elapsing: one fetch-stall cycle each.
-                    self.hop_wait(WaitStall::Fetch, self.pending_ready_at, boundary);
+                    self.hop_wait(Some(StallCause::Fetch), self.pending_ready_at, boundary);
                     continue;
                 }
                 Some(_) => {
@@ -1112,12 +1009,12 @@ impl Machine {
             // above `cycle`, because phase 1 already processed every
             // retirement due.
             let wait = if self.config.serialized_issue && self.fpu.ir_busy() {
-                Some((WaitStall::IrBusy, u64::MAX))
+                Some((StallCause::IrBusy, u64::MAX))
             } else {
                 self.cost_stall_horizon(&uop.cost)
             };
-            if let Some((stall, horizon)) = wait {
-                self.hop_wait(stall, horizon, boundary);
+            if let Some((cause, horizon)) = wait {
+                self.hop_wait(Some(cause), horizon, boundary);
                 continue;
             }
 
@@ -1406,8 +1303,7 @@ impl Machine {
         // Ablation: with serialized issue the CPU may not proceed at all
         // while the ALU IR is still issuing a vector.
         if self.config.serialized_issue && self.fpu.ir_busy() {
-            self.stalls.ir_busy += 1;
-            self.emit_stall(sink, StallCause::IrBusy);
+            self.emit_stall(sink, StallCause::IrBusy, 1);
             return Ok(());
         }
 
@@ -1417,10 +1313,6 @@ impl Machine {
                 self.instructions += 1;
                 self.last_progress = self.cycle;
                 self.pending = None;
-                if self.config.trace {
-                    self.trace_log
-                        .push(format!("{:>8}  {:#07x}  {instr}", self.cycle, self.pc));
-                }
                 emit(
                     sink,
                     self.cycle,
@@ -1438,10 +1330,6 @@ impl Machine {
                 self.last_progress = self.cycle;
                 self.pending = None;
                 self.halted = true;
-                if self.config.trace {
-                    self.trace_log
-                        .push(format!("{:>8}  {:#07x}  halt", self.cycle, self.pc));
-                }
                 emit(
                     sink,
                     self.cycle,
@@ -1456,8 +1344,10 @@ impl Machine {
         }
     }
 
-    /// Emits a one-cycle CPU stall at the current PC.
-    fn emit_stall<S: EventSink>(&mut self, sink: &mut S, cause: StallCause) {
+    /// Charges `cycles` CPU stall cycles to `cause` and emits them at the
+    /// current PC.
+    fn emit_stall<S: EventSink>(&mut self, sink: &mut S, cause: StallCause, cycles: u64) {
+        self.stalls.add(cause, cycles);
         emit(
             sink,
             self.cycle,
@@ -1465,7 +1355,7 @@ impl Machine {
                 pc: self.pc,
                 instr_index: self.instr_index(),
                 cause,
-                cycles: 1,
+                cycles,
             },
         );
     }
@@ -1483,19 +1373,16 @@ impl Machine {
         // change to the table changes both in lock step.
         let cost = InstrCost::of(&instr);
         if cost.int_guard_regs().any(|r| self.int_blocked(r)) {
-            self.stalls.int_load_hazard += 1;
-            self.emit_stall(sink, StallCause::IntLoadHazard);
+            self.emit_stall(sink, StallCause::IntLoadHazard, 1);
             return Ok(Exec::Stall);
         }
         if cost.port.is_some() && self.cycle < self.ls_free_at {
-            self.stalls.ls_port_busy += 1;
-            self.emit_stall(sink, StallCause::LsPortBusy);
+            self.emit_stall(sink, StallCause::LsPortBusy, 1);
             return Ok(Exec::Stall);
         }
         if let Some((fr, is_load)) = cost.fpu_mem {
             if self.fpu.reg_reserved(fr) || self.current_element_conflict(fr, is_load) {
-                self.stalls.fpu_reg_hazard += 1;
-                self.emit_stall(sink, StallCause::FpuRegHazard);
+                self.emit_stall(sink, StallCause::FpuRegHazard, 1);
                 return Ok(Exec::Stall);
             }
         }
@@ -1661,8 +1548,7 @@ impl Machine {
                     );
                     Ok(Exec::Done(None))
                 } else {
-                    self.stalls.ir_busy += 1;
-                    self.emit_stall(sink, StallCause::IrBusy);
+                    self.emit_stall(sink, StallCause::IrBusy, 1);
                     Ok(Exec::Stall)
                 }
             }
@@ -1670,19 +1556,9 @@ impl Machine {
     }
 
     fn take_branch_bubble<S: EventSink>(&mut self, sink: &mut S) {
-        self.stalls.branch += self.timing.branch_penalty;
         self.fetch_ready_at = self.cycle + 1 + self.timing.branch_penalty;
         if self.timing.branch_penalty > 0 {
-            emit(
-                sink,
-                self.cycle,
-                EventKind::Stall {
-                    pc: self.pc,
-                    instr_index: self.instr_index(),
-                    cause: StallCause::Branch,
-                    cycles: self.timing.branch_penalty,
-                },
-            );
+            self.emit_stall(sink, StallCause::Branch, self.timing.branch_penalty);
         }
     }
 
@@ -1706,17 +1582,7 @@ impl Machine {
     fn apply_miss<S: EventSink>(&mut self, penalty: u64, sink: &mut S) {
         if penalty > 0 {
             self.freeze_until = self.cycle + 1 + penalty;
-            self.stalls.data_miss += penalty;
-            emit(
-                sink,
-                self.cycle,
-                EventKind::Stall {
-                    pc: self.pc,
-                    instr_index: self.instr_index(),
-                    cause: StallCause::DataMiss,
-                    cycles: penalty,
-                },
-            );
+            self.emit_stall(sink, StallCause::DataMiss, penalty);
         }
     }
 

@@ -8,8 +8,10 @@ use mt_fparith::latency::mflops;
 use mt_isa::fpu::ElementRefs;
 use mt_isa::FReg;
 use mt_mem::CacheStats;
+use mt_trace::StallCause;
 
-/// Why the CPU could not complete an instruction in a given cycle.
+/// Why the CPU could not complete an instruction in a given cycle: one
+/// counter per [`StallCause`], in its order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallBreakdown {
     /// FPU ALU transfer blocked: the ALU IR was still issuing a vector.
@@ -29,6 +31,34 @@ pub struct StallBreakdown {
 }
 
 impl StallBreakdown {
+    /// Charges `cycles` stall cycles to `cause`'s counter.
+    #[inline]
+    pub fn add(&mut self, cause: StallCause, cycles: u64) {
+        *match cause {
+            StallCause::IrBusy => &mut self.ir_busy,
+            StallCause::LsPortBusy => &mut self.ls_port_busy,
+            StallCause::FpuRegHazard => &mut self.fpu_reg_hazard,
+            StallCause::IntLoadHazard => &mut self.int_load_hazard,
+            StallCause::Fetch => &mut self.fetch,
+            StallCause::DataMiss => &mut self.data_miss,
+            StallCause::Branch => &mut self.branch,
+        } += cycles;
+    }
+
+    /// The stalls accrued since `earlier`, a snapshot of the same
+    /// counters.
+    pub fn since(&self, earlier: &StallBreakdown) -> StallBreakdown {
+        StallBreakdown {
+            ir_busy: self.ir_busy - earlier.ir_busy,
+            ls_port_busy: self.ls_port_busy - earlier.ls_port_busy,
+            fpu_reg_hazard: self.fpu_reg_hazard - earlier.fpu_reg_hazard,
+            int_load_hazard: self.int_load_hazard - earlier.int_load_hazard,
+            fetch: self.fetch - earlier.fetch,
+            data_miss: self.data_miss - earlier.data_miss,
+            branch: self.branch - earlier.branch,
+        }
+    }
+
     /// Total stall cycles.
     pub fn total(&self) -> u64 {
         self.ir_busy
@@ -237,6 +267,33 @@ mod tests {
             branch: 7,
         };
         assert_eq!(b.total(), 28);
+    }
+
+    #[test]
+    fn add_charges_each_cause_to_its_own_counter() {
+        let mut b = StallBreakdown::default();
+        for (i, cause) in StallCause::ALL.into_iter().enumerate() {
+            b.add(cause, i as u64 + 1);
+        }
+        let want = StallBreakdown {
+            ir_busy: 1,
+            ls_port_busy: 2,
+            fpu_reg_hazard: 3,
+            int_load_hazard: 4,
+            fetch: 5,
+            data_miss: 6,
+            branch: 7,
+        };
+        assert_eq!(b, want);
+        let earlier = b;
+        b.add(StallCause::Fetch, 10);
+        assert_eq!(
+            b.since(&earlier),
+            StallBreakdown {
+                fetch: 10,
+                ..StallBreakdown::default()
+            }
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! load, or store, with a bar from issue to completion.
 //!
 //! The timeline is one *consumer* of the machine's typed event stream:
-//! [`Timeline::from_events`] folds a recorded run
-//! ([`crate::Machine::trace_events`]) into rows, optionally annotating
-//! each with its source location. Rendered by [`Timeline::render`].
+//! [`Timeline::from_events`] folds the events a `Vec<TraceEvent>` sink
+//! recorded ([`crate::Machine::run_with_sink`]) into rows, optionally
+//! annotating each with its source location. Rendered by
+//! [`Timeline::render`].
 //! Legend:
 //!
 //! ```text

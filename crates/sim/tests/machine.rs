@@ -5,7 +5,8 @@
 use mt_fparith::FpOp;
 use mt_isa::cpu::BranchCond;
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
-use mt_sim::{Backend, Machine, Program, RunError, SimConfig, ViolationKind};
+use mt_sim::{Backend, Machine, Program, RunError, SimConfig, Timeline, ViolationKind};
+use mt_trace::TraceEvent;
 
 fn r(i: u8) -> FReg {
     FReg::new(i)
@@ -395,6 +396,65 @@ fn cycle_limit_error() {
     assert!(matches!(m.run(), Err(RunError::CycleLimit(1000))));
 }
 
+/// Regression: limits near `u64::MAX` mean "no limit". The boundary
+/// sums `start + max_cycles + 1` and `last_progress + watchdog + 1`
+/// wrapped in release builds, pinning the translated backend to a
+/// boundary it never advanced past (a worker wedged forever), and
+/// panicked on the overflow in debug builds.
+#[test]
+fn huge_limits_run_like_the_defaults() {
+    // A short countdown loop: r1 = 5; loop: r1 -= 1; bne r1, r0, loop.
+    let instrs = [
+        Instr::Addi {
+            rd: ir(1),
+            rs1: ir(0),
+            imm: 5,
+        },
+        Instr::Addi {
+            rd: ir(1),
+            rs1: ir(1),
+            imm: -1,
+        },
+        Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: ir(1),
+            rs2: ir(0),
+            offset: -2,
+        },
+        Instr::Halt,
+    ];
+    let prog = Program::assemble(&instrs).unwrap();
+    for backend in [Backend::Tick, Backend::Xlate] {
+        let run = |config: SimConfig| {
+            let mut m = Machine::new(SimConfig { backend, ..config });
+            m.load_program(&prog);
+            m.run()
+        };
+        let want = run(SimConfig::default()).unwrap();
+        for config in [
+            SimConfig {
+                max_cycles: u64::MAX,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                max_cycles: u64::MAX,
+                watchdog_cycles: u64::MAX,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                watchdog_cycles: u64::MAX - 5,
+                ..SimConfig::default()
+            },
+        ] {
+            let label = format!(
+                "{backend}: max_cycles {} watchdog {}",
+                config.max_cycles, config.watchdog_cycles
+            );
+            assert_eq!(run(config), Ok(want.clone()), "{label}");
+        }
+    }
+}
+
 #[test]
 fn bad_instruction_error() {
     let mut m = Machine::new(SimConfig::default());
@@ -412,27 +472,27 @@ fn bad_instruction_error() {
     }
 }
 
+/// The CPU log of a recorded run: one line per completed instruction.
+fn cpu_log(m: &mut Machine) -> Vec<String> {
+    let mut events: Vec<TraceEvent> = Vec::new();
+    m.run_with_sink(&mut events).unwrap();
+    events.iter().filter_map(TraceEvent::cpu_log_line).collect()
+}
+
 #[test]
-fn trace_records_completed_instructions() {
-    let prog = Program::assemble(&[
+fn cpu_log_records_completed_instructions() {
+    let m = &mut machine_with(&[
         Instr::Addi {
             rd: ir(1),
             rs1: ir(0),
             imm: 7,
         },
         Instr::Halt,
-    ])
-    .unwrap();
-    let mut m = Machine::new(SimConfig {
-        trace: true,
-        ..SimConfig::default()
-    });
-    m.load_program(&prog);
-    m.warm_instructions(&prog);
-    m.run().unwrap();
-    assert_eq!(m.trace_log().len(), 2);
-    assert!(m.trace_log()[0].contains("addi r1, r0, 7"));
-    assert!(m.trace_log()[1].contains("halt"));
+    ]);
+    let log = cpu_log(m);
+    assert_eq!(log.len(), 2);
+    assert!(log[0].contains("addi r1, r0, 7"));
+    assert!(log[1].contains("halt"));
 }
 
 #[test]
@@ -533,19 +593,13 @@ fn vectors_continue_long_after_an_interrupt() {
 
 #[test]
 fn timeline_reproduces_figure_8() {
-    let prog = Program::assemble(&[
+    let m = &mut machine_with(&[
         Instr::Falu(FpuAluInstr::vector(FpOp::Add, r(2), r(1), r(0), 8).unwrap()),
         Instr::Halt,
-    ])
-    .unwrap();
-    let mut m = Machine::new(SimConfig {
-        trace: true,
-        ..SimConfig::default()
-    });
-    m.load_program(&prog);
-    m.warm_instructions(&prog);
-    m.run().unwrap();
-    let t = m.timeline();
+    ]);
+    let mut events: Vec<TraceEvent> = Vec::new();
+    m.run_with_sink(&mut events).unwrap();
+    let t = Timeline::from_events(&events, |_| None);
     // One transfer row + 8 element rows (halt records no timeline row).
     assert_eq!(t.len(), 9);
     let rendered = t.render(64);
@@ -626,44 +680,28 @@ fn interrupt_inside_fetch_penalty_keeps_accounting_exact() {
     }
 }
 
-/// Regression (PR 3): `trace_log` and `trace_events` hold the most recent
-/// run only. They used to accumulate across `run` calls on a reused
-/// machine — unbounded growth and cross-run contamination.
+/// A warm re-run narrates only itself: each run's stream goes to the
+/// sink it was handed, and the machine keeps no log across runs.
 #[test]
-fn trace_buffers_hold_most_recent_run_only() {
-    let prog = Program::assemble(&[
+fn rerun_cpu_log_covers_that_run_only() {
+    let m = &mut machine_with(&[
         Instr::Addi {
             rd: ir(1),
             rs1: ir(0),
             imm: 7,
         },
         Instr::Halt,
-    ])
-    .expect("assembles");
-    let mut m = Machine::new(SimConfig {
-        trace: true,
-        ..SimConfig::default()
-    });
-    m.load_program(&prog);
-    m.warm_instructions(&prog);
-    m.run().unwrap();
-    let first_log = m.trace_log().to_vec();
-    let first_events = m.trace_events().len();
-    assert!(!first_log.is_empty() && first_events > 0);
-
+    ]);
+    let first = cpu_log(m);
+    assert!(!first.is_empty());
     m.reset_for_rerun();
-    m.run().unwrap();
+    let second = cpu_log(m);
     // Same shape as the first run (cycle numbers keep counting across
     // reruns, so compare everything after the cycle column).
-    assert_eq!(
-        m.trace_log().len(),
-        first_log.len(),
-        "replaces, not appends"
-    );
-    for (a, b) in m.trace_log().iter().zip(&first_log) {
-        assert_eq!(&a[8..], &b[8..], "second run replaces, not appends");
+    assert_eq!(second.len(), first.len());
+    for (a, b) in second.iter().zip(&first) {
+        assert_eq!(&a[8..], &b[8..]);
     }
-    assert_eq!(m.trace_events().len(), first_events);
 }
 
 /// Regression (PR 4): the PSW is per-run supervisor state. Before the

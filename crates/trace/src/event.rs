@@ -219,6 +219,19 @@ impl TraceEvent {
             | EventKind::OverflowAbort { .. } => None,
         }
     }
+
+    /// The CPU log's line for this event — cycle, PC and disassembly of a
+    /// completed instruction (`mtasm run --trace`, `/run?trace=1`) — or
+    /// `None` for every event that is not a [`EventKind::CpuComplete`].
+    /// The log is a view of the stream, not a second record of the run.
+    pub fn cpu_log_line(&self) -> Option<String> {
+        match self.kind {
+            EventKind::CpuComplete { pc, instr, .. } => {
+                Some(format!("{:>8}  {pc:#07x}  {instr}", self.cycle))
+            }
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -249,5 +262,31 @@ mod tests {
             kind: EventKind::LoadRetire { dest: FReg::new(0) },
         };
         assert_eq!(retire.attribution(), None);
+    }
+
+    #[test]
+    fn cpu_log_line_formats_completions_only() {
+        let done = TraceEvent {
+            cycle: 12,
+            kind: EventKind::CpuComplete {
+                pc: 0x1_0004,
+                instr_index: 1,
+                instr: Instr::Halt,
+            },
+        };
+        assert_eq!(
+            done.cpu_log_line().as_deref(),
+            Some("      12  0x10004  halt")
+        );
+        let stall = TraceEvent {
+            cycle: 12,
+            kind: EventKind::Stall {
+                pc: 0x1_0004,
+                instr_index: 1,
+                cause: StallCause::Fetch,
+                cycles: 3,
+            },
+        };
+        assert_eq!(stall.cpu_log_line(), None);
     }
 }

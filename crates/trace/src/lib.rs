@@ -7,16 +7,19 @@
 //! own runs. The simulator emits a stream of typed per-cycle
 //! [`TraceEvent`]s — instruction transfers, vector element issue/retire,
 //! load/store port activity, CPU completions, stalls with their cause,
-//! cache hits and misses — and everything downstream is *a consumer of
-//! that stream*:
+//! cache hits and misses — into the [`EventSink`] a caller hands its run
+//! loop. That stream is the only way to watch a run, and everything
+//! downstream is *a consumer of it*:
 //!
 //! * [`Profiler`] folds the stream into per-PC histograms (productive
 //!   cycles, stalls by cause, data-cache misses, elements issued) and
 //!   renders a rustc-style "hot spots" report with source spans;
 //! * [`chrome::trace_json`] exports Chrome trace-event JSON, loadable in
 //!   Perfetto with one track per functional unit/port;
-//! * the simulator's own `Timeline` (Figs. 5–8 style diagrams) rebuilds
-//!   its rows from the same events;
+//! * the simulator's `Timeline` (Figs. 5–8 style diagrams) builds its
+//!   rows from the same events;
+//! * the CPU log (`mtasm run --trace`, `/run?trace=1`) is one
+//!   [`TraceEvent::cpu_log_line`] per completion;
 //! * [`MetricsRegistry`] aggregates named counters and histograms across
 //!   kernels for the `BENCH_*.json` perf trajectory.
 //!

@@ -37,9 +37,9 @@ impl EventSink for NullSink {
     }
 }
 
-/// Recording sink: every event, in order. The simulator uses this for
-/// `SimConfig::trace`; consumers replay the buffer into profilers,
-/// exporters, or timelines.
+/// Recording sink: every event, in order. Consumers replay the buffer
+/// into profilers, exporters, timelines, or the CPU log
+/// ([`TraceEvent::cpu_log_line`]).
 impl EventSink for Vec<TraceEvent> {
     fn event(&mut self, ev: &TraceEvent) {
         self.push(*ev);

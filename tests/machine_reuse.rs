@@ -6,7 +6,8 @@
 //! pure function of `(program, options)` — which it is not if *anything*
 //! leaks across jobs: register files, memory contents, cache residency,
 //! PSW flags, a stale armed interrupt, watchdog bookkeeping, the text
-//! translation and its write watch, trace buffers. This file proves the
+//! translation and its write watch. (A job's event stream cannot leak:
+//! it goes to the sink the job hands its run.) This file proves the
 //! recycling path clean: for random job pairs (A, B) — including an A
 //! that ends in a cycle-limit or watchdog error — running B on the
 //! machine that just ran A is bit-identical to running B on a freshly

@@ -12,12 +12,17 @@
 //! 3. the whole round-trip holds over random programs covering every
 //!    wait class (cold fetches, cache freezes, port conflicts,
 //!    interlocks, IR-busy vectors, branch bubbles).
+//!
+//! `mt-serve` runs every job through `Machine::run_cancellable`, so the
+//! same file holds its checkpoints to the pause contract: a checkpoint
+//! is invisible until it fires, and a fired one leaves exactly the
+//! state of a `run_until` pause at its cycle.
 
 use multititan::fparith::op::ALL_OPS;
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
-use multititan::sim::{ArchState, Backend, Machine, Program, SimConfig};
-use multititan::trace::TraceEvent;
+use multititan::sim::{ArchState, Backend, Machine, Program, RunError, SimConfig};
+use multititan::trace::{NullSink, TraceEvent};
 use proptest::prelude::*;
 
 /// Base address of the data area the random loads/stores hit.
@@ -157,7 +162,7 @@ proptest! {
 
         // Paused run: stop mid-flight, snapshot, resume.
         let mut m = fresh(&instrs, &regs, backend);
-        match m.run_until(stop).unwrap() {
+        match m.run_until(stop, &mut NullSink).unwrap() {
             // `stop` landed inside the final drain span, which never
             // pauses; the completed run must already match.
             Some(_) => prop_assert_eq!(observe(&m), reference),
@@ -194,13 +199,79 @@ proptest! {
 
         let mut m = fresh(&instrs, &regs, Backend::Tick);
         let mut events: Vec<TraceEvent> = Vec::new();
-        match m.run_until_with_sink(stop, &mut events).unwrap() {
+        match m.run_until(stop, &mut events).unwrap() {
             Some(_) => prop_assert_eq!(observe(&m), reference),
             None => {
                 m.run_with_sink(&mut events).unwrap();
                 prop_assert_eq!(observe(&m), reference);
                 prop_assert_eq!(events, whole_events);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A `run_cancellable` whose closure never answers `true` is the
+    /// uninterrupted run — statistics, final state, and (with a sink)
+    /// event stream. One that answers `true` on its `k`-th call stops at
+    /// a cycle where a `run_until` pause leaves the same state, and the
+    /// two machines resume to the same statistics and final state.
+    #[test]
+    fn checkpoints_are_invisible_until_they_fire(
+        instrs in arb_program(),
+        regs in arb_regs(),
+        check_every in 1u64..64,
+        k in 1u32..8,
+        backend in prop_oneof![Just(Backend::Tick), Just(Backend::Xlate)],
+    ) {
+        let mut whole = fresh(&instrs, &regs, backend);
+        let whole_stats = whole.run().unwrap();
+        let reference = observe(&whole);
+
+        let mut unfired = fresh(&instrs, &regs, backend);
+        let stats = unfired
+            .run_cancellable(&mut NullSink, check_every, &mut || false)
+            .unwrap();
+        prop_assert_eq!(&stats, &whole_stats);
+        prop_assert_eq!(observe(&unfired), observe(&whole));
+
+        let mut whole_events: Vec<TraceEvent> = Vec::new();
+        fresh(&instrs, &regs, backend).run_with_sink(&mut whole_events).unwrap();
+        let mut events: Vec<TraceEvent> = Vec::new();
+        fresh(&instrs, &regs, backend)
+            .run_cancellable(&mut events, check_every, &mut || false)
+            .unwrap();
+        prop_assert_eq!(events, whole_events);
+
+        let mut fired = fresh(&instrs, &regs, backend);
+        let mut calls = 0;
+        let outcome = fired.run_cancellable(&mut NullSink, check_every, &mut || {
+            calls += 1;
+            calls == k
+        });
+        match outcome {
+            // The program halted before the k-th checkpoint came due.
+            Ok(stats) => {
+                prop_assert!(calls < k);
+                prop_assert_eq!(stats, whole_stats);
+                prop_assert_eq!(observe(&fired), reference);
+            }
+            Err(RunError::Cancelled { cycle }) => {
+                prop_assert_eq!(calls, k);
+                let mut paused = fresh(&instrs, &regs, backend);
+                prop_assert!(paused.run_until(cycle, &mut NullSink).unwrap().is_none());
+                prop_assert_eq!(fired.snapshot().cycle(), cycle);
+                prop_assert_eq!(paused.snapshot().cycle(), cycle);
+                prop_assert_eq!(observe(&fired), observe(&paused));
+
+                let resumed = fired.run().unwrap();
+                prop_assert_eq!(resumed, paused.run().unwrap());
+                prop_assert_eq!(observe(&fired), observe(&paused));
+                prop_assert_eq!(observe(&fired), reference);
+            }
+            Err(e) => prop_assert!(false, "unexpected run error: {}", e),
         }
     }
 }
