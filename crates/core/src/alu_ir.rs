@@ -84,7 +84,12 @@ impl AluIr {
             instr,
             next_element: 0,
             id,
-            refs: instr.element(0),
+            // Element 0 reads the specifiers as transferred.
+            refs: ElementRefs {
+                rr: instr.rr,
+                ra: instr.ra,
+                rb: instr.rb,
+            },
         });
         id
     }

@@ -6,6 +6,13 @@
 //! is write-back with write-allocate; the paper quotes a single miss-penalty
 //! number, so a dirty-line writeback is folded into that same penalty
 //! (recorded separately in the statistics).
+//!
+//! Every instruction fetch and data access of the simulator probes one of
+//! these, so the direct-mapped geometry (every cache of the paper's
+//! machine) takes its own path: one tag compare against the set's only
+//! line, with no way scan and no recency bookkeeping. Associative
+//! geometries (`ways > 1`, the design-space knob) keep LRU access stamps
+//! beside the lines and replace the least recently used way.
 
 use std::fmt;
 
@@ -128,12 +135,11 @@ struct Line {
     valid: bool,
     dirty: bool,
     tag: u32,
-    /// Access-order stamp for LRU victim selection (unused at `ways = 1`).
-    last_used: u64,
 }
 
 /// A set-associative write-back cache (timing/residency model); `ways = 1`
-/// is the paper's direct-mapped geometry.
+/// is the paper's direct-mapped geometry, probed without a way scan and
+/// without LRU stamps, which exist only at `ways > 1`.
 ///
 /// ```
 /// use mt_mem::{Cache, CacheConfig, AccessKind};
@@ -147,8 +153,11 @@ pub struct Cache {
     /// Lines stored set-major: set `s`'s ways occupy
     /// `lines[s * ways .. (s + 1) * ways]`.
     lines: Vec<Line>,
+    /// Access-order stamp of each line, indexed like `lines`, for LRU
+    /// victim selection; empty at `ways = 1`, where there is no choice.
+    last_used: Vec<u64>,
     stats: CacheStats,
-    /// Monotone access counter driving the LRU stamps.
+    /// Monotone access counter driving the LRU stamps (`ways > 1` only).
     tick: u64,
     /// `log2(line_bytes)` — the model is on the simulator's per-access hot
     /// path, so index/tag extraction uses shifts and masks, not divisions.
@@ -183,6 +192,11 @@ impl Cache {
         Cache {
             config,
             lines: vec![Line::default(); config.lines() as usize],
+            last_used: if config.ways > 1 {
+                vec![0; config.lines() as usize]
+            } else {
+                Vec::new()
+            },
             stats: CacheStats::default(),
             tick: 0,
             line_shift: config.line_bytes.trailing_zeros(),
@@ -221,16 +235,36 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u32, kind: AccessKind) -> u64 {
         let (set, tag) = self.index_and_tag(addr);
+        if self.config.ways > 1 {
+            return self.access_set(set, tag, kind);
+        }
+        let line = &mut self.lines[set];
+        if line.valid && line.tag == tag {
+            self.stats.hits += 1;
+            if kind == AccessKind::Write {
+                line.dirty = true;
+            }
+            return 0;
+        }
+        self.fill(set, tag, kind)
+    }
+
+    /// [`Cache::access`] for an associative geometry: scans the set's
+    /// ways and keeps the LRU stamps.
+    fn access_set(&mut self, set: usize, tag: u32, kind: AccessKind) -> u64 {
         let ways = self.config.ways as usize;
         let base = set * ways;
         self.tick += 1;
         let tick = self.tick;
 
         // Hit in any way of the set?
-        for line in &mut self.lines[base..base + ways] {
+        for (line, last_used) in self.lines[base..base + ways]
+            .iter_mut()
+            .zip(&mut self.last_used[base..base + ways])
+        {
             if line.valid && line.tag == tag {
                 self.stats.hits += 1;
-                line.last_used = tick;
+                *last_used = tick;
                 if kind == AccessKind::Write {
                     line.dirty = true;
                 }
@@ -239,19 +273,28 @@ impl Cache {
         }
 
         // Miss: fill an invalid way if one exists, else evict the LRU way.
+        let victim = base
+            + self.lines[base..base + ways]
+                .iter()
+                .position(|l| !l.valid)
+                .unwrap_or_else(|| {
+                    self.last_used[base..base + ways]
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|&(_, &stamp)| stamp)
+                        .map(|(i, _)| i)
+                        .expect("a set has at least one way")
+                });
+        self.last_used[victim] = tick;
+        self.fill(victim, tag, kind)
+    }
+
+    /// A miss that evicts line `index`: counts the miss, and a writeback
+    /// when the victim is dirty, fills the line with `tag`, and returns
+    /// the miss penalty.
+    fn fill(&mut self, index: usize, tag: u32, kind: AccessKind) -> u64 {
         self.stats.misses += 1;
-        let victim = self.lines[base..base + ways]
-            .iter()
-            .position(|l| !l.valid)
-            .unwrap_or_else(|| {
-                self.lines[base..base + ways]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.last_used)
-                    .map(|(i, _)| i)
-                    .unwrap()
-            });
-        let line = &mut self.lines[base + victim];
+        let line = &mut self.lines[index];
         if line.valid && line.dirty {
             self.stats.writebacks += 1;
         }
@@ -259,7 +302,6 @@ impl Cache {
             valid: true,
             dirty: kind == AccessKind::Write,
             tag,
-            last_used: tick,
         };
         self.config.miss_penalty
     }
@@ -298,6 +340,7 @@ impl Cache {
     /// Invalidates every line (cold start) without clearing statistics.
     pub fn flush(&mut self) {
         self.lines.fill(Line::default());
+        self.last_used.fill(0);
     }
 
     /// Clears statistics without touching residency (used between the

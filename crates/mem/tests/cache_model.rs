@@ -1,80 +1,115 @@
-//! Property tests: the cache against naive reference models — a map-based
-//! model for the direct-mapped geometry, and a per-set recency list for
-//! set-associative LRU.
+//! Property tests: the cache against a naive set-major LRU reference
+//! model. Both simulator backends share this cache, so the xlate ≡ tick
+//! differential cannot see a cache bug; these tests can.
 
-use mt_mem::{AccessKind, Cache, CacheConfig};
+use mt_mem::{AccessKind, Cache, CacheConfig, CacheStats};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
-/// Naive reference: a map from set index to (tag, dirty).
-struct RefModel {
-    lines: HashMap<u32, (u32, bool)>,
+/// One line of the reference model: the state `flip_line_state` flips.
+#[derive(Debug, Clone, Copy, Default)]
+struct ModelLine {
+    valid: bool,
+    dirty: bool,
+    tag: u32,
+}
+
+/// Naive reference: lines stored set-major like the cache's, plus each
+/// set's ways ordered least recently used first. A fresh or flushed set
+/// lists its ways in index order, so untouched ways are evicted lowest
+/// index first.
+struct Model {
     config: CacheConfig,
+    lines: Vec<ModelLine>,
+    recency: Vec<Vec<usize>>,
+    stats: CacheStats,
 }
 
-impl RefModel {
-    fn new(config: CacheConfig) -> RefModel {
-        RefModel {
-            lines: HashMap::new(),
+impl Model {
+    fn new(config: CacheConfig) -> Model {
+        let mut model = Model {
             config,
+            lines: Vec::new(),
+            recency: Vec::new(),
+            stats: CacheStats::default(),
+        };
+        model.flush();
+        model
+    }
+
+    /// (set, tag) of `addr`, by division.
+    fn locate(&self, addr: u32) -> (usize, u32) {
+        let line = addr / self.config.line_bytes;
+        (
+            (line % self.config.sets()) as usize,
+            line / self.config.sets(),
+        )
+    }
+
+    /// Index into `lines` of the way of `set` holding `tag`, if resident.
+    fn find(&self, set: usize, tag: u32) -> Option<usize> {
+        let ways = self.config.ways as usize;
+        (0..ways)
+            .find(|&w| {
+                let l = self.lines[set * ways + w];
+                l.valid && l.tag == tag
+            })
+            .map(|w| set * ways + w)
+    }
+
+    fn touch(&mut self, set: usize, way: usize) {
+        let order = &mut self.recency[set];
+        order.retain(|&w| w != way);
+        order.push(way);
+    }
+
+    /// One access; returns the penalty.
+    fn access(&mut self, addr: u32, kind: AccessKind) -> u64 {
+        let (set, tag) = self.locate(addr);
+        let ways = self.config.ways as usize;
+        let write = kind == AccessKind::Write;
+        if let Some(i) = self.find(set, tag) {
+            self.stats.hits += 1;
+            self.lines[i].dirty |= write;
+            self.touch(set, i - set * ways);
+            return 0;
+        }
+        self.stats.misses += 1;
+        let way = (0..ways)
+            .find(|&w| !self.lines[set * ways + w].valid)
+            .unwrap_or(self.recency[set][0]);
+        let victim = &mut self.lines[set * ways + way];
+        if victim.valid && victim.dirty {
+            self.stats.writebacks += 1;
+        }
+        *victim = ModelLine {
+            valid: true,
+            dirty: write,
+            tag,
+        };
+        self.touch(set, way);
+        self.config.miss_penalty
+    }
+
+    fn probe(&self, addr: u32) -> bool {
+        let (set, tag) = self.locate(addr);
+        self.find(set, tag).is_some()
+    }
+
+    fn flip_line_state(&mut self, line: usize, bit: u32) {
+        let len = self.lines.len();
+        let l = &mut self.lines[line % len];
+        match bit {
+            0 => l.valid = !l.valid,
+            1 => l.dirty = !l.dirty,
+            b => l.tag ^= 1 << ((b - 2) % 32),
         }
     }
 
-    /// Returns (hit, wrote_back).
-    fn access(&mut self, addr: u32, kind: AccessKind) -> (bool, bool) {
-        let line_addr = addr / self.config.line_bytes;
-        let index = line_addr % self.config.lines();
-        let tag = line_addr / self.config.lines();
-        match self.lines.get_mut(&index) {
-            Some((t, dirty)) if *t == tag => {
-                if kind == AccessKind::Write {
-                    *dirty = true;
-                }
-                (true, false)
-            }
-            other => {
-                let wb = matches!(other, Some((_, true)));
-                self.lines.insert(index, (tag, kind == AccessKind::Write));
-                (false, wb)
-            }
-        }
-    }
-}
-
-/// Naive set-associative LRU reference: each set is a recency-ordered list
-/// of (tag, dirty), most recent last.
-struct LruRefModel {
-    sets: Vec<Vec<(u32, bool)>>,
-    config: CacheConfig,
-}
-
-impl LruRefModel {
-    fn new(config: CacheConfig) -> LruRefModel {
-        LruRefModel {
-            sets: (0..config.sets()).map(|_| Vec::new()).collect(),
-            config,
-        }
-    }
-
-    /// Returns (hit, wrote_back).
-    fn access(&mut self, addr: u32, kind: AccessKind) -> (bool, bool) {
-        let line_addr = addr / self.config.line_bytes;
-        let index = (line_addr % self.config.sets()) as usize;
-        let tag = line_addr / self.config.sets();
-        let dirty = kind == AccessKind::Write;
-        let set = &mut self.sets[index];
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            let (t, was_dirty) = set.remove(pos);
-            set.push((t, was_dirty || dirty));
-            return (true, false);
-        }
-        let mut wb = false;
-        if set.len() == self.config.ways as usize {
-            let (_, victim_dirty) = set.remove(0);
-            wb = victim_dirty;
-        }
-        set.push((tag, dirty));
-        (false, wb)
+    fn flush(&mut self) {
+        self.lines = vec![ModelLine::default(); self.config.lines() as usize];
+        self.recency = (0..self.config.sets())
+            .map(|_| (0..self.config.ways as usize).collect())
+            .collect();
     }
 }
 
@@ -95,23 +130,13 @@ proptest! {
             miss_penalty: 14,
         };
         let mut cache = Cache::new(config);
-        let mut model = RefModel::new(config);
-        let mut model_hits = 0u64;
-        let mut model_misses = 0u64;
-        let mut model_wbs = 0u64;
+        let mut model = Model::new(config);
 
         for &(addr, write) in &accesses {
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
-            let penalty = cache.access(addr, kind);
-            let (hit, wb) = model.access(addr, kind);
-            prop_assert_eq!(penalty == 0, hit, "addr {:#x}", addr);
-            if hit { model_hits += 1 } else { model_misses += 1 }
-            if wb { model_wbs += 1 }
+            prop_assert_eq!(cache.access(addr, kind), model.access(addr, kind), "addr {:#x}", addr);
         }
-        let stats = cache.stats();
-        prop_assert_eq!(stats.hits, model_hits);
-        prop_assert_eq!(stats.misses, model_misses);
-        prop_assert_eq!(stats.writebacks, model_wbs);
+        prop_assert_eq!(cache.stats(), model.stats);
     }
 
     #[test]
@@ -129,22 +154,73 @@ proptest! {
             miss_penalty: 14,
         };
         let mut cache = Cache::new(config);
-        let mut model = LruRefModel::new(config);
-        let mut model_hits = 0u64;
-        let mut model_wbs = 0u64;
+        let mut model = Model::new(config);
 
         for &(addr, write) in &accesses {
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
-            let penalty = cache.access(addr, kind);
-            let (hit, wb) = model.access(addr, kind);
-            prop_assert_eq!(penalty == 0, hit, "addr {:#x}", addr);
+            prop_assert_eq!(cache.access(addr, kind), model.access(addr, kind), "addr {:#x}", addr);
             prop_assert_eq!(cache.probe(addr), true, "just-accessed line resident");
-            if hit { model_hits += 1 }
-            if wb { model_wbs += 1 }
         }
-        let stats = cache.stats();
-        prop_assert_eq!(stats.hits, model_hits);
-        prop_assert_eq!(stats.writebacks, model_wbs);
+        prop_assert_eq!(cache.stats(), model.stats);
+    }
+
+    /// Small geometries driven over a few conflicting lines per set, with
+    /// flushes, statistics resets and fault-injection flips interleaved:
+    /// after every step the penalty, residency of every line in play, and
+    /// the statistics equal the model's.
+    #[test]
+    fn cache_matches_model_under_flushes_resets_and_flips(
+        way_pow in 0u32..3,
+        sets in 1u32..=8,
+        line_pow in 4u32..6,
+        steps in prop::collection::vec(
+            (0u32..16, 0u32..1024, any::<bool>(), 0usize..64, 0u32..40),
+            1..300,
+        ),
+    ) {
+        let ways = 1 << way_pow;
+        let line_bytes = 1 << line_pow;
+        let config = CacheConfig {
+            size_bytes: sets * ways * line_bytes,
+            line_bytes,
+            ways,
+            miss_penalty: 14,
+        };
+        let mut cache = Cache::new(config);
+        let mut model = Model::new(config);
+        // Two more tags per set than it has ways, so every set evicts.
+        let in_play = sets * (ways + 2);
+
+        for (i, &(op, pick, write, line, bit)) in steps.iter().enumerate() {
+            match op {
+                0 => {
+                    cache.flush();
+                    model.flush();
+                }
+                1 => {
+                    cache.reset_stats();
+                    model.stats = CacheStats::default();
+                }
+                2 | 3 => {
+                    cache.flip_line_state(line, bit);
+                    model.flip_line_state(line, bit);
+                }
+                _ => {
+                    let addr = (pick % in_play) * line_bytes + pick % line_bytes;
+                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                    prop_assert_eq!(
+                        cache.access(addr, kind),
+                        model.access(addr, kind),
+                        "step {} {:?} {:#x}", i, kind, addr
+                    );
+                }
+            }
+            for l in 0..in_play {
+                let addr = l * line_bytes;
+                prop_assert_eq!(cache.probe(addr), model.probe(addr), "step {} line {:#x}", i, addr);
+            }
+            prop_assert_eq!(cache.stats(), model.stats, "step {}", i);
+        }
     }
 
     #[test]

@@ -223,24 +223,22 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
     read_body(reader, head)
 }
 
-/// Decodes `%xx` escapes and `+` (space); invalid escapes pass through.
+/// Decodes `%xx` escapes (`x` an ASCII hex digit) and `+` (space);
+/// invalid escapes pass through.
 fn percent_decode(s: &str) -> String {
+    let hex = |b: u8| (b as char).to_digit(16);
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
             b'+' => out.push(b' '),
-            b'%' => match bytes
-                .get(i + 1..i + 3)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-            {
-                Some(b) => {
-                    out.push(b);
+            b'%' => match bytes.get(i + 1..i + 3).map(|h| (hex(h[0]), hex(h[1]))) {
+                Some((Some(hi), Some(lo))) => {
+                    out.push((hi << 4 | lo) as u8);
                     i += 2;
                 }
-                None => out.push(b'%'),
+                _ => out.push(b'%'),
             },
             b => out.push(b),
         }
@@ -465,6 +463,18 @@ mod tests {
         assert_eq!(req.body, b"halt\n");
     }
 
+    /// `u8::from_str_radix` accepts a leading sign, so parsing the two
+    /// bytes after `%` with it decodes `%+5` to U+0005. An escape takes
+    /// exactly two hex digits; anything else passes through (and `+`
+    /// still means space).
+    #[test]
+    fn signed_percent_escape_passes_through() {
+        let req = parse("GET /run?name=%+5&b=%-1&c=%4a%4 HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(req.query_get("name"), Some("% 5"));
+        assert_eq!(req.query_get("b"), Some("%-1"));
+        assert_eq!(req.query_get("c"), Some("J%4"));
+    }
+
     #[test]
     fn rejects_garbage_and_truncation() {
         assert_eq!(parse("").unwrap_err(), HttpError::Closed);
@@ -610,6 +620,60 @@ mod tests {
         let err = (&stream).read(&mut buf).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::TimedOut);
         assert!(start.elapsed() < Duration::from_millis(100));
+    }
+
+    use proptest::prelude::*;
+
+    /// Percent-encodes every byte outside the unreserved set.
+    fn percent_encode(s: &str) -> String {
+        s.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
+                    (b as char).to_string()
+                }
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any bytes, bare or after a plausible request prefix, parse to a
+        /// request or a structured error — never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser(
+            prefix in 0usize..4,
+            noise in prop::collection::vec(any::<u8>(), 0..300),
+            terminated in any::<bool>(),
+        ) {
+            let mut raw = [
+                "",
+                "GET /run?",
+                "POST /run?lint=1&x=%4 HTTP/1.1\r\nContent-Length: 4\r\n",
+                "GET / HTTP/1.1\r\nHost: x\r\n",
+            ][prefix]
+                .as_bytes()
+                .to_vec();
+            raw.extend_from_slice(&noise);
+            if terminated {
+                raw.extend_from_slice(b"\r\n\r\n");
+            }
+            if let Ok(req) = read_request(&mut BufReader::new(raw.as_slice())) {
+                prop_assert!(!req.method.is_empty());
+                prop_assert!(req.body.len() <= MAX_BODY_BYTES);
+            }
+        }
+
+        /// A percent-encoded string decodes back to itself as a query
+        /// value.
+        #[test]
+        fn percent_encoded_query_values_round_trip(value in ".{0,48}") {
+            let raw = format!("GET /run?k={}&z=1 HTTP/1.1\r\n\r\n", percent_encode(&value));
+            let req = parse(&raw).unwrap();
+            prop_assert_eq!(req.query_get("k"), Some(value.as_str()));
+            prop_assert_eq!(req.query_get("z"), Some("1"));
+        }
     }
 
     #[test]

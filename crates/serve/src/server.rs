@@ -673,12 +673,12 @@ fn worker_loop(shared: &Shared, index: usize) {
                     sim: None,
                 };
                 let body = shed_body("worker-panic", "job panicked; worker recovered");
-                let _ = job.reply.send((500, body, spans));
                 shared.metrics.record_worker_job(
                     index,
                     done.saturating_duration_since(picked).as_micros() as u64,
                 );
                 drop(busy);
+                let _ = job.reply.send((500, body, spans));
                 continue;
             }
         };
@@ -710,14 +710,17 @@ fn worker_loop(shared: &Shared, index: usize) {
                 .sim
                 .map(|(start, dur)| (offset_us(job.t0, start), dur.as_micros() as u64)),
         };
-        // A vanished handler (client hung up) is fine; the result is
-        // already cached for the retry.
-        let _ = job.reply.send((result.status, result.body, spans));
+        // Settle the job counters and the busy gauge before replying,
+        // so a client that reads `/metrics` right after its reply sees
+        // this worker idle.
         shared.metrics.record_worker_job(
             index,
             done.saturating_duration_since(picked).as_micros() as u64,
         );
         drop(busy);
+        // A vanished handler (client hung up) is fine; the result is
+        // already cached for the retry.
+        let _ = job.reply.send((result.status, result.body, spans));
     }
 }
 
@@ -1364,6 +1367,42 @@ mod tests {
         // A closed cache parks nobody.
         assert_eq!(cache.park(), None);
         assert_eq!(cache.hand_off(4), Err(4));
+    }
+
+    /// A worker settles the busy gauge and its job count before it sends
+    /// the reply, so whoever receives a reply — and a client reading
+    /// `/metrics` right after its response — sees the worker idle.
+    #[test]
+    fn worker_settles_its_gauges_before_replying() {
+        let handle = serve(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let shared = Arc::clone(&handle.shared);
+        for i in 0..32u64 {
+            let (reply, replied) = mpsc::sync_channel(1);
+            let job = QueuedJob {
+                request: JobRequest {
+                    endpoint: Endpoint::Run,
+                    source: format!("addi r1, r0, {i}\nhalt\n"),
+                    options: RunOptions::default(),
+                },
+                key: format!("settle-{i}"),
+                reply,
+                t0: Instant::now(),
+                deadline: None,
+            };
+            assert!(shared.queue.push("test", job).is_ok(), "queue has room");
+            let (status, _, _) = replied.recv().expect("the worker replies");
+            assert_eq!(status, 200);
+            assert_eq!(shared.gauges().busy_workers, 0, "job {i}: gauge settled");
+            let doc = shared.metrics.to_json(shared.gauges());
+            let jobs = doc.get("per_worker").unwrap().items()[0].get("jobs");
+            assert_eq!(jobs.and_then(Json::as_f64), Some((i + 1) as f64));
+        }
+        handle.shutdown();
     }
 
     #[test]

@@ -834,7 +834,8 @@ impl Machine {
     /// retirement (a scoreboard-blocked IR, or no horizon of its own) —
     /// to the next FPU retirement, charging `stall` and any scoreboard
     /// stalls per skipped cycle. `stall` is `None` for a branch bubble,
-    /// which was charged in bulk at the branch.
+    /// which was charged in bulk at the branch. A wait on an occupied IR
+    /// calls this once per cycle from [`Machine::issue_until_ir_empty`].
     #[inline]
     fn hop_wait(&mut self, stall: Option<StallCause>, horizon: u64, boundary: u64) {
         let ir_stalled = match self.fpu.issue_blocked() {
@@ -867,6 +868,34 @@ impl Machine {
         self.cycle = t;
     }
 
+    /// Runs a CPU wait on an occupied IR (`IrBusy`: a pending transfer,
+    /// or any instruction under serialized issue) until the IR empties or
+    /// `boundary` is reached. Nothing on the CPU side can change before
+    /// the IR empties, so the vector's elements issue in a loop of their
+    /// own — one element per cycle through the scalar issue path, as the
+    /// paper re-issues the IR (§2.1.1) — without re-entering the span:
+    /// each turn is the [`Machine::hop_wait`] the span would make (an
+    /// issuing element is single-stepped, a blocked one hops to the next
+    /// retirement), then phase 1's retirements at the new cycle. An
+    /// overflow abort squashing the IR ends the loop like a last element.
+    /// `boundary` may be stale (the watchdog term grows as elements issue),
+    /// which only returns early; the span re-checks its boundary and the
+    /// guards on return.
+    fn issue_until_ir_empty(&mut self, boundary: u64) {
+        loop {
+            self.hop_wait(Some(StallCause::IrBusy), u64::MAX, boundary);
+            if self.cycle >= boundary {
+                return;
+            }
+            if self.fpu.next_retire_at().is_some_and(|r| r <= self.cycle) {
+                self.fpu.begin_cycle(self.cycle);
+            }
+            if !self.fpu.ir_busy() {
+                return;
+            }
+        }
+    }
+
     /// The translated backend: runs micro-ops from the block cache until
     /// a boundary cycle, a PC it cannot translate, or a text write —
     /// the per-cycle semantics of [`Machine::step`] with every static
@@ -896,6 +925,11 @@ impl Machine {
     ///   the micro-op's precomputed cost row — the same
     ///   [`mt_isa::cost::InstrCost`] values `execute` would recompute —
     ///   in the same order ([`Machine::cost_stall_horizon`]);
+    /// * each instruction's micro-op is looked up once: at the fetch that
+    ///   latches it, or at span entry for an inherited pending one (`pc`
+    ///   cannot move while an instruction is pending, and the table is
+    ///   immutable), and the span holds a reference to it until it
+    ///   completes;
     /// * waits go through [`Machine::hop_wait`], which hops only over
     ///   cycles nothing could change in: a scoreboard-*blocked* IR merely
     ///   re-stalls, and a wait that can lapse at a retirement is clamped
@@ -903,6 +937,10 @@ impl Machine {
     ///   them: `pop_ready` retires strictly in readiness order, so the
     ///   next `begin_cycle` retires the span's writes into the same
     ///   registers, scoreboard, and PSW as cycle-by-cycle processing;
+    /// * a wait on an occupied IR runs the vector out in
+    ///   [`Machine::issue_until_ir_empty`]: the same `hop_wait` and
+    ///   phase-1 steps per cycle, without the span's re-checks, which
+    ///   cannot change their answer until the IR empties;
     /// * execution mirrors [`Machine::execute`]'s arms with the
     ///   pre-resolved target substituted for the target arithmetic;
     /// * the issue stage runs whenever the IR is occupied; with an empty
@@ -929,6 +967,15 @@ impl Machine {
         if let Some(at) = self.interrupt_at {
             static_boundary = static_boundary.min(at);
         }
+        // The pending instruction's micro-op, valid whenever `pending` is
+        // set: latched by the fetch below, or looked up here for one the
+        // span inherits (fetched by the interpreter or by a span that
+        // paused mid-penalty). `None` for an inherited instruction at a PC
+        // without a micro-op, which the interpreter executes.
+        let mut fetched: Option<&Uop> = match self.pending {
+            Some(_) => xp.uop(self.pc),
+            None => None,
+        };
         loop {
             let mut boundary = static_boundary;
             if watchdog > 0 {
@@ -954,7 +1001,7 @@ impl Machine {
             }
 
             // Phase 2: the CPU's slice, from the micro-op table.
-            let uop: Uop = match self.pending {
+            let uop: &Uop = match self.pending {
                 None if self.cycle < self.fetch_ready_at => {
                     // Branch bubble (charged at the branch): only the
                     // issue stage runs until the fetch window opens.
@@ -969,12 +1016,13 @@ impl Machine {
                     if self.mem.memory.watch_writes() != 0 {
                         return Ok(SpanExit::Disabled);
                     }
-                    let Some(&uop) = xp.uop(self.pc) else {
+                    let Some(uop) = xp.uop(self.pc) else {
                         return Ok(SpanExit::Tick);
                     };
                     let penalty = self.mem.fetch_timing(self.pc);
                     self.pending = Some(uop.instr);
                     self.pending_ready_at = self.cycle + penalty;
+                    fetched = Some(uop);
                     if penalty > 0 {
                         // First elapsed cycle of the fetch penalty.
                         self.stalls.fetch += 1;
@@ -991,16 +1039,11 @@ impl Machine {
                     self.hop_wait(Some(StallCause::Fetch), self.pending_ready_at, boundary);
                     continue;
                 }
-                Some(_) => {
-                    // Pending and ready: re-derive the micro-op from the
-                    // PC (unchanged while an instruction is pending; the
-                    // table is immutable and the text unwritten, so it
-                    // still matches what was latched).
-                    let Some(&uop) = xp.uop(self.pc) else {
-                        return Ok(SpanExit::Tick);
-                    };
-                    uop
-                }
+                // Pending and ready: the micro-op latched with it.
+                Some(_) => match fetched {
+                    Some(uop) => uop,
+                    None => return Ok(SpanExit::Tick),
+                },
             };
 
             // Guards, in the hardware's order: the serialized-issue
@@ -1013,9 +1056,16 @@ impl Machine {
             } else {
                 self.cost_stall_horizon(&uop.cost)
             };
-            if let Some((cause, horizon)) = wait {
-                self.hop_wait(Some(cause), horizon, boundary);
-                continue;
+            match wait {
+                Some((StallCause::IrBusy, _)) => {
+                    self.issue_until_ir_empty(boundary);
+                    continue;
+                }
+                Some((cause, horizon)) => {
+                    self.hop_wait(Some(cause), horizon, boundary);
+                    continue;
+                }
+                None => {}
             }
 
             // Execute — [`Machine::execute`]'s arms, pre-resolved.
