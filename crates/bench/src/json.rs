@@ -7,21 +7,12 @@
 //! schema string is versioned; additive changes keep `-v1`, anything that
 //! renames or re-types a field bumps it.
 
+use mt_dse::json::report_json;
 use mt_kernels::KernelReport;
-use mt_sim::json::stats_json;
 use mt_trace::{Json, MetricsRegistry};
 
 /// Schema identifier embedded in every document.
 pub const SCHEMA: &str = "mt-bench-v1";
-
-/// One kernel's cold/warm pair.
-pub fn report_json(r: &KernelReport) -> Json {
-    Json::obj([
-        ("name", Json::Str(r.name.clone())),
-        ("cold", stats_json(&r.cold)),
-        ("warm", stats_json(&r.warm)),
-    ])
-}
 
 /// A whole benchmark document: schema marker, per-kernel reports, and a
 /// [`MetricsRegistry`] of cross-kernel aggregates. Callers may `push`

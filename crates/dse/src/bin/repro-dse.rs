@@ -18,14 +18,9 @@
 //! CI regenerates `BENCH_dse.json` from it and byte-diffs.
 
 use mt_dse::grid::GridSpec;
-use mt_dse::runner::{pareto_front, run_grid, CellResult, CellSpec};
+use mt_dse::runner::{pareto_front, run_grid, CellResult, CellSpec, DEFAULT_LOOPS};
 use mt_sim::MachineConfig;
 use mt_trace::Json;
-
-/// Spans the vectorizable (1, 7, 12), reduction (3), recurrence (5, 11),
-/// and scalar (21, 23) Livermore classes — same subset as
-/// `repro-ablations`.
-const LOOPS: [u8; 8] = [1, 3, 5, 7, 11, 12, 21, 23];
 
 /// The committed grid: both axes of the tentpole question.
 const GRID: &str = "mode=cartesian\nfpu_latency=1,3,5\nfpu_lanes=1,2,4\n";
@@ -41,7 +36,7 @@ fn comparison_cells() -> Vec<CellSpec> {
 }
 
 fn json_report(grid: &GridSpec, results: &[CellResult], comparison: &[CellResult], ms: u128) {
-    let mut doc = mt_dse::json::sweep_json(grid, &LOOPS, results);
+    let mut doc = mt_dse::json::sweep_json(grid, &DEFAULT_LOOPS, results);
     doc.push(
         "comparison",
         Json::Arr(comparison.iter().map(mt_dse::json::cell_json).collect()),
@@ -54,15 +49,15 @@ fn main() {
     let started = std::time::Instant::now();
     let grid = GridSpec::parse(GRID).expect("the committed grid parses");
     let cells = grid.enumerate().expect("the committed grid is valid");
-    let results = run_grid(&cells, &LOOPS);
-    let comparison = run_grid(&comparison_cells(), &LOOPS);
+    let results = run_grid(&cells, &DEFAULT_LOOPS);
+    let comparison = run_grid(&comparison_cells(), &DEFAULT_LOOPS);
 
     if std::env::args().any(|a| a == "--json") {
         json_report(&grid, &results, &comparison, started.elapsed().as_millis());
         return;
     }
 
-    println!("Design-space sweep (harmonic-mean MFLOPS over Livermore loops {LOOPS:?})\n");
+    println!("Design-space sweep (harmonic-mean MFLOPS over Livermore loops {DEFAULT_LOOPS:?})\n");
     println!("FPU latency × element lanes:");
     println!(
         "  {:<28} {:>12} {:>12} {:>14}",

@@ -1,26 +1,29 @@
 //! The stable `mt-dse-v1` JSON schema: one document per sweep.
 //!
 //! `BENCH_dse.json` is regenerated by `repro-dse --json` and gated
-//! byte-for-byte in CI, and `POST /sweep` returns the same renderer's
-//! output — so the document must be byte-stable across runs: no
-//! timestamps inside the gated sections, no hash-map ordering, floats
-//! rendered by the one shared formatter (`mt_trace::Json`). Wall-clock
-//! fields live at the top level under names the `dse` benchdiff profile
-//! ignores (`elapsed_ms`).
+//! byte-for-byte in CI. `POST /sweep` returns the same renderer's
+//! output: each of its kernel-cell jobs answers with its cell as
+//! [`cell_json`] renders it, and [`sweep_doc`] assembles those cells
+//! into the document [`sweep_json`] builds. So the document must be
+//! byte-stable across runs: no timestamps inside the gated sections, no
+//! hash-map ordering, floats rendered by the one shared formatter
+//! (`mt_trace::Json`). Wall-clock fields live at the top level under
+//! names the `dse` benchdiff profile ignores (`elapsed_ms`).
 
 use mt_kernels::KernelReport;
 use mt_sim::json::stats_json;
 use mt_trace::Json;
 
 use crate::grid::GridSpec;
-use crate::runner::{pareto_front, CellResult};
+use crate::runner::{pareto_of, CellResult, CellSpec};
 
 /// Schema identifier embedded in every document.
 pub const SCHEMA: &str = "mt-dse-v1";
 
 /// One kernel's cold/warm pair — the `mt-bench-v1` per-kernel shape, so
-/// dse cells and `BENCH_sim.json` read identically.
-fn report_json(r: &KernelReport) -> Json {
+/// dse cells and `BENCH_sim.json` (whose documents render kernels here
+/// too) read identically.
+pub fn report_json(r: &KernelReport) -> Json {
     Json::obj([
         ("name", Json::Str(r.name.clone())),
         ("cold", stats_json(&r.cold)),
@@ -28,9 +31,8 @@ fn report_json(r: &KernelReport) -> Json {
     ])
 }
 
-/// The grid section: mode plus every axis with its values. Public so
-/// `POST /sweep` can echo the parsed grid in its aggregate document.
-pub fn grid_json(grid: &GridSpec) -> Json {
+/// The grid section: mode plus every axis with its values.
+fn grid_json(grid: &GridSpec) -> Json {
     Json::obj([
         ("mode", Json::Str(grid.mode.name().to_string())),
         (
@@ -84,7 +86,41 @@ pub fn cell_json(r: &CellResult) -> Json {
 /// in their own section; the Pareto front is computed over the grid cells
 /// only.
 pub fn sweep_json(grid: &GridSpec, loops: &[u8], results: &[CellResult]) -> Json {
-    let front = pareto_front(results);
+    sweep_doc(grid, loops, results.iter().map(|r| (&r.spec, cell_json(r))))
+}
+
+/// [`sweep_json`] over cells already rendered by [`cell_json`], each
+/// with the spec it measured, in grid order: `POST /sweep` assembles its
+/// kernel-cell jobs' bodies here. A cell takes its spec's name (a job
+/// renders its cell nameless, because names stay out of the cache key),
+/// and the Pareto front is read off the rendered summaries, so the two
+/// faces emit the same bytes.
+pub fn sweep_doc<'a>(
+    grid: &GridSpec,
+    loops: &[u8],
+    cells: impl IntoIterator<Item = (&'a CellSpec, Json)>,
+) -> Json {
+    let (specs, cells): (Vec<&CellSpec>, Vec<Json>) = cells
+        .into_iter()
+        .map(|(spec, cell)| (spec, named(cell, &spec.name)))
+        .unzip();
+    let summary = |i: usize, key: &str| cells[i].get(key).cloned().unwrap_or(Json::Null);
+    let mflops = |cell: &Json| cell.get("warm_hm_mflops").and_then(Json::as_f64);
+    let pareto = pareto_of(specs.iter().copied().zip(cells.iter().map(mflops)))
+        .into_iter()
+        .map(|i| {
+            Json::obj([
+                ("name", Json::Str(specs[i].name.clone())),
+                ("reg_file_bits", Json::U64(specs[i].reg_file_bits)),
+                ("fpu_lanes", Json::U64(specs[i].machine.timing.fpu_lanes)),
+                ("warm_hm_mflops", summary(i, "warm_hm_mflops")),
+                (
+                    "warm_cycles_per_element",
+                    summary(i, "warm_cycles_per_element"),
+                ),
+            ])
+        })
+        .collect();
     Json::obj([
         ("schema", Json::Str(SCHEMA.to_string())),
         ("grid", grid_json(grid)),
@@ -92,29 +128,19 @@ pub fn sweep_json(grid: &GridSpec, loops: &[u8], results: &[CellResult]) -> Json
             "loops",
             Json::Arr(loops.iter().map(|&n| Json::U64(n as u64)).collect()),
         ),
-        ("cells", Json::Arr(results.iter().map(cell_json).collect())),
-        (
-            "pareto",
-            Json::Arr(
-                front
-                    .into_iter()
-                    .map(|i| {
-                        let r = &results[i];
-                        Json::obj([
-                            ("name", Json::Str(r.spec.name.clone())),
-                            ("reg_file_bits", Json::U64(r.spec.reg_file_bits)),
-                            ("fpu_lanes", Json::U64(r.spec.machine.timing.fpu_lanes)),
-                            ("warm_hm_mflops", Json::F64(r.warm_hm_mflops())),
-                            (
-                                "warm_cycles_per_element",
-                                Json::F64(r.warm_cycles_per_element()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("cells", Json::Arr(cells)),
+        ("pareto", Json::Arr(pareto)),
     ])
+}
+
+/// A rendered cell under another name.
+fn named(mut cell: Json, name: &str) -> Json {
+    if let Json::Obj(members) = &mut cell {
+        if let Some((_, value)) = members.iter_mut().find(|(key, _)| key == "name") {
+            *value = Json::Str(name.to_string());
+        }
+    }
+    cell
 }
 
 #[cfg(test)]

@@ -11,9 +11,11 @@
 //! * [`runner`] — runs every (cell × kernel) pair through the ordinary
 //!   kernel harness, fanned across cores by [`sweep`], and computes
 //!   per-cell summaries (harmonic-mean warm MFLOPS, warm cycles per
-//!   element, register-file bits) plus the Pareto frontier;
+//!   element, register-file bits) plus the Pareto frontier. Its one
+//!   cell runner, [`CellSpec::run_loop`], also runs `POST /sweep`'s
+//!   kernel-cell jobs;
 //! * [`json`] — the byte-stable `mt-dse-v1` document behind
-//!   `BENCH_dse.json` and `POST /sweep`;
+//!   `BENCH_dse.json` and `POST /sweep`, one renderer for both;
 //! * [`sweep`] — the work-stealing parallel driver every `repro-*`
 //!   binary fans its kernels through.
 //!
@@ -28,4 +30,4 @@ pub mod sweep;
 
 pub use grid::{Axis, GridMode, GridSpec};
 pub use json::SCHEMA;
-pub use runner::{pareto_front, pareto_of_points, run_grid, CellResult, CellSpec};
+pub use runner::{pareto_front, parse_loops, run_grid, CellResult, CellSpec};

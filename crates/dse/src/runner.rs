@@ -39,14 +39,24 @@ impl CellSpec {
     }
 
     /// The `SimConfig` this cell runs under: default everything except the
-    /// machine and the issue-policy ablation. `POST /sweep` and `repro-dse`
-    /// both build cell configs here, which is why they agree bit-for-bit.
+    /// machine and the issue-policy ablation.
     pub fn config(&self) -> SimConfig {
         SimConfig {
             machine: self.machine,
             serialized_issue: self.serialized_issue,
             ..SimConfig::default()
         }
+    }
+
+    /// Runs one Livermore loop (by number) on this cell through the
+    /// ordinary kernel harness: the one cell runner behind [`run_grid`]
+    /// and `POST /sweep`'s kernel-cell jobs. A program beyond the
+    /// machine's bounds, or data beyond its memory, is an `Err`.
+    pub fn run_loop(&self, n: u8) -> Result<KernelReport, String> {
+        let kernel = livermore::by_number(n);
+        self.machine
+            .validate_program(&kernel.routine.program)
+            .and_then(|()| harness::run_kernel_with(&kernel, self.config()))
     }
 }
 
@@ -63,6 +73,24 @@ pub struct CellResult {
 }
 
 impl CellResult {
+    /// Folds a cell's per-loop runs, in loop order, into its result. The
+    /// first failure wins and a failed cell reports no numbers (partial
+    /// means would silently skew the summary).
+    pub fn from_runs(
+        spec: CellSpec,
+        runs: impl IntoIterator<Item = Result<KernelReport, String>>,
+    ) -> CellResult {
+        let (reports, error) = match runs.into_iter().collect() {
+            Ok(reports) => (reports, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        CellResult {
+            spec,
+            reports,
+            error,
+        }
+    }
+
     /// Harmonic-mean warm MFLOPS over the kernels — the paper's summary
     /// statistic (a harmonic mean weights the slow kernels, as total
     /// runtime does).
@@ -100,48 +128,46 @@ fn harmonic_mean(rates: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+/// The Livermore loops a sweep measures by default: the vectorizable
+/// (1, 7, 12), reduction (3), recurrence (5, 11) and scalar (21, 23)
+/// classes — `BENCH_dse.json`'s subset (also `repro-ablations`'), and
+/// `POST /sweep`'s without `?loops=`.
+pub const DEFAULT_LOOPS: [u8; 8] = [1, 3, 5, 7, 11, 12, 21, 23];
+
+/// Parses a comma-separated Livermore loop list (`"1,3,7"`): the
+/// `?loops=` of `POST /sweep` and the source of its kernel-cell jobs.
+pub fn parse_loops(text: &str) -> Result<Vec<u8>, String> {
+    let loops = text
+        .split(',')
+        .map(|t| {
+            t.trim()
+                .parse::<u8>()
+                .map_err(|_| format!("bad loop number {t:?}"))
+        })
+        .collect::<Result<Vec<u8>, String>>()?;
+    if !loops.iter().all(|n| (1..=24).contains(n)) {
+        return Err("loop numbers must be 1..=24".to_string());
+    }
+    Ok(loops)
+}
+
 /// Runs every cell over the given Livermore loops (by number), fanning
 /// all (cell × kernel) pairs across cores at once. Results are in cell
 /// order, each with reports in kernel order; per-cell failures are
 /// recorded, not propagated.
 pub fn run_grid(cells: &[CellSpec], loops: &[u8]) -> Vec<CellResult> {
-    let work: Vec<(usize, u8)> = cells
+    let work: Vec<(&CellSpec, u8)> = cells
         .iter()
-        .enumerate()
-        .flat_map(|(c, _)| loops.iter().map(move |&n| (c, n)))
+        .flat_map(|cell| loops.iter().map(move |&n| (cell, n)))
         .collect();
-    let runs = crate::sweep::sweep(&work, |&(c, n)| {
-        let cell = &cells[c];
-        let kernel = livermore::by_number(n);
-        cell.machine
-            .validate_program(&kernel.routine.program)
-            .and_then(|()| harness::run_kernel_with(&kernel, cell.config()))
-    });
-
-    let mut out: Vec<CellResult> = cells
+    let mut runs = crate::sweep::sweep(&work, |&(cell, n)| cell.run_loop(n)).into_iter();
+    cells
         .iter()
-        .map(|spec| CellResult {
-            spec: spec.clone(),
-            reports: Vec::new(),
-            error: None,
+        .map(|spec| {
+            let cell_runs: Vec<_> = runs.by_ref().take(loops.len()).collect();
+            CellResult::from_runs(spec.clone(), cell_runs)
         })
-        .collect();
-    for ((c, _), run) in work.into_iter().zip(runs) {
-        let cell = &mut out[c];
-        match run {
-            Ok(report) if cell.error.is_none() => cell.reports.push(report),
-            Ok(_) => {}
-            Err(e) => {
-                // First failure wins; a failed cell reports no numbers
-                // (partial means would silently skew the summary).
-                if cell.error.is_none() {
-                    cell.error = Some(e);
-                    cell.reports.clear();
-                }
-            }
-        }
-    }
-    out
+        .collect()
 }
 
 /// Indices of the Pareto-optimal cells: no other successful cell is at
@@ -149,26 +175,23 @@ pub fn run_grid(cells: &[CellSpec], loops: &[u8]) -> Vec<CellResult> {
 /// register-file bits *and* at most as many element lanes, strictly
 /// better somewhere. Failed cells never qualify.
 pub fn pareto_front(results: &[CellResult]) -> Vec<usize> {
-    let points: Vec<Option<(f64, u64, u64)>> = results
-        .iter()
-        .map(|r| {
-            r.error.is_none().then(|| {
-                (
-                    r.warm_hm_mflops(),
-                    r.spec.reg_file_bits,
-                    r.spec.machine.timing.fpu_lanes,
-                )
-            })
-        })
-        .collect();
-    pareto_of_points(&points)
+    pareto_of(
+        results
+            .iter()
+            .map(|r| (&r.spec, r.error.is_none().then(|| r.warm_hm_mflops()))),
+    )
 }
 
-/// [`pareto_front`] over raw `(warm MFLOPS, register bits, lanes)`
-/// points (`None` = failed cell, never on the front). `POST /sweep`
-/// computes its front here from parsed per-cell numbers, so the service
-/// and `repro-dse` agree by construction.
-pub fn pareto_of_points(points: &[Option<(f64, u64, u64)>]) -> Vec<usize> {
+/// [`pareto_front`] over `(cell, warm MFLOPS)` pairs, `None` for a
+/// failed cell.
+pub(crate) fn pareto_of<'a>(
+    cells: impl Iterator<Item = (&'a CellSpec, Option<f64>)>,
+) -> Vec<usize> {
+    let points: Vec<Option<(f64, u64, u64)>> = cells
+        .map(|(spec, mflops)| {
+            mflops.map(|m| (m, spec.reg_file_bits, spec.machine.timing.fpu_lanes))
+        })
+        .collect();
     let dominates = |a: (f64, u64, u64), b: (f64, u64, u64)| {
         a.0 >= b.0 && a.1 <= b.1 && a.2 <= b.2 && (a.0 > b.0 || a.1 < b.1 || a.2 < b.2)
     };
@@ -222,20 +245,46 @@ mod tests {
         );
     }
 
+    /// Too few registers, or a memory that cannot hold the kernel's text
+    /// (64 KiB: the text starts at 64 KiB) or data (1 MiB: the data
+    /// starts at 1 MiB), make error cells. The memory cases used to abort
+    /// the whole sweep with a worker panic.
     #[test]
     fn a_cell_too_small_for_the_kernel_reports_an_error() {
-        let tiny = MachineConfig {
-            num_fpu_regs: 2,
-            ..MachineConfig::default()
+        let tiny = |knob: &str, value: u64| {
+            let mut machine = MachineConfig::default();
+            machine.set_knob(knob, value).unwrap();
+            CellSpec::new(format!("{knob}={value}"), machine, false)
         };
         let cells = [
-            CellSpec::new("tiny".into(), tiny, false),
+            tiny("num_fpu_regs", 2),
+            tiny("memory_bytes", 64 << 10),
+            tiny("memory_bytes", 1 << 20),
             CellSpec::new("default".into(), MachineConfig::default(), false),
         ];
         let results = run_grid(&cells, &[7]);
-        assert!(results[0].error.is_some(), "2 registers cannot hold LL7");
-        assert!(results[0].reports.is_empty());
-        assert!(results[1].error.is_none(), "other cells unaffected");
+        for r in &results[..3] {
+            assert!(r.error.is_some(), "{} cannot hold LL7", r.spec.name);
+            assert!(r.reports.is_empty());
+        }
+        for r in &results[1..3] {
+            let error = r.error.as_deref().unwrap();
+            assert!(
+                error.contains("beyond the configured memory_bytes"),
+                "{error}"
+            );
+        }
+        assert!(results[3].error.is_none(), "other cells unaffected");
+    }
+
+    #[test]
+    fn parse_loops_accepts_lists_and_rejects_the_rest() {
+        assert_eq!(parse_loops("1, 7,24"), Ok(vec![1, 7, 24]));
+        assert_eq!(parse_loops("3,x"), Err("bad loop number \"x\"".to_string()));
+        assert_eq!(parse_loops(""), Err("bad loop number \"\"".to_string()));
+        for bad in ["0", "25", "7,300"] {
+            assert!(parse_loops(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

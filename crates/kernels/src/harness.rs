@@ -78,6 +78,7 @@ fn run_protocol<C: EventSink, W: EventSink>(
     warm_sink: &mut W,
 ) -> Result<KernelReport, String> {
     let tag = |e: String| format!("{}: {e}", kernel.name);
+    check_data_fits(kernel, &config).map_err(tag)?;
     let mut m = Machine::new(config);
     kernel.routine.install(&mut m);
     (kernel.init)(&mut m);
@@ -94,6 +95,29 @@ fn run_protocol<C: EventSink, W: EventSink>(
         cold,
         warm,
     })
+}
+
+/// Refuses a machine whose memory cannot hold the kernel's data. Set-up
+/// (`install`, then `init`) writes through the infallible memory
+/// accessors, which panic past the end of memory, so on a machine with
+/// less memory than the paper machine — which holds every kernel — it is
+/// replayed first on a paper-machine probe and its highest write
+/// compared against the configured size.
+fn check_data_fits(kernel: &Kernel, config: &SimConfig) -> Result<(), String> {
+    let size = config.machine.mem.memory_bytes;
+    if size >= SimConfig::default().machine.mem.memory_bytes {
+        return Ok(());
+    }
+    let mut probe = Machine::new(SimConfig::default());
+    kernel.routine.install(&mut probe);
+    (kernel.init)(&mut probe);
+    let end = probe.mem.memory.high_water();
+    if end > size {
+        return Err(format!(
+            "set-up writes up to {end:#x}, beyond the configured memory_bytes {size}"
+        ));
+    }
+    Ok(())
 }
 
 /// Runs a kernel with the default (paper) configuration.
@@ -183,6 +207,24 @@ mod tests {
         assert!(report.warm.dcache.misses == 0, "second pass hits");
         assert!(report.mflops_warm() > report.mflops_cold());
         assert_eq!(report.warm.fpu.flops, 8);
+    }
+
+    /// The data sits at `DATA_BASE` (1 MiB): a 1 MiB machine holds the
+    /// text but not the data, which is an error, not a panic.
+    #[test]
+    fn data_beyond_memory_is_an_error() {
+        let with_memory = |bytes: u64| {
+            let mut config = SimConfig::default();
+            config.machine.set_knob("memory_bytes", bytes).unwrap();
+            run_kernel_with(&tiny_kernel(), config)
+        };
+        let err = with_memory(1 << 20).unwrap_err();
+        assert!(
+            err.starts_with("tiny: set-up writes up to 0x100080, beyond"),
+            "{err}"
+        );
+        let fits = with_memory(2 << 20).unwrap();
+        assert_eq!(fits.warm, run_kernel(&tiny_kernel()).unwrap().warm);
     }
 
     #[test]

@@ -118,6 +118,13 @@ impl Memory {
         self.size
     }
 
+    /// One past the highest byte written since creation or the last
+    /// [`Memory::clear`] (0 if nothing was written): how much memory the
+    /// writes so far needed.
+    pub fn high_water(&self) -> usize {
+        self.bytes.len()
+    }
+
     /// Validates alignment and bounds without touching the data.
     #[inline]
     pub fn try_check(&self, addr: u32, len: u32) -> Result<(), MemError> {
@@ -336,6 +343,18 @@ mod tests {
         let data: Vec<f64> = (0..10).map(|i| i as f64 * 1.5).collect();
         m.write_f64_slice(64, &data);
         assert_eq!(m.read_f64_slice(64, 10), data);
+    }
+
+    #[test]
+    fn high_water_tracks_the_highest_write() {
+        let mut m = Memory::new(1 << 20);
+        assert_eq!(m.high_water(), 0);
+        m.write_u64(4096, 1);
+        assert_eq!(m.read_u64(1 << 16), 0, "reads do not raise it");
+        m.write_u32(8, 1);
+        assert_eq!(m.high_water(), 4096 + 8);
+        m.clear();
+        assert_eq!(m.high_water(), 0);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use mt_asm::{parse_with_source_map, PlainDiagnostic, SourceMap};
+use mt_dse::json::cell_json;
 use mt_dse::runner::{CellResult, CellSpec};
 use mt_lint::{lint_program_with, LintOptions, Severity};
 use mt_sim::json::stats_json;
@@ -44,7 +45,8 @@ pub enum Endpoint {
     Run,
     /// One `POST /sweep` grid cell: the source is a comma-separated
     /// Livermore loop list (`"1,3,7"`), run under the job's
-    /// [`RunOptions::machine`] through the ordinary kernel harness.
+    /// [`RunOptions::machine`] and [`RunOptions::serialized`] by the
+    /// `mt-dse` cell runner.
     Kernel,
 }
 
@@ -81,7 +83,8 @@ pub struct RunOptions {
     /// Execution backend: the simulator default (the block-translated
     /// backend) unless `?backend=tick` forces the reference interpreter.
     /// Both produce bit-identical responses, so this knob is deliberately
-    /// *not* cache-key material.
+    /// *not* cache-key material. Kernel-cell jobs run on their cell's own
+    /// `CellSpec::config` and ignore it.
     pub backend: Backend,
     /// The simulated microarchitecture (`?config=knob=v,...` and the
     /// `?lanes=` shorthand). Changes the response body, so its full
@@ -215,6 +218,20 @@ pub struct JobControl<'a> {
     /// Server drain flag; a `true` load abandons the run with a
     /// structured 503 `draining`.
     pub cancel: Option<&'a AtomicBool>,
+}
+
+impl JobControl<'_> {
+    /// Why the job must stop now, if it must: the drain flag wins over
+    /// the deadline.
+    fn stop(&self) -> Option<CancelKind> {
+        if self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            return Some(CancelKind::Draining);
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(CancelKind::Deadline);
+        }
+        None
+    }
 }
 
 /// Why a controlled run was abandoned.
@@ -467,19 +484,8 @@ pub fn execute_controlled(
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut why: Option<CancelKind> = None;
     let mut check = || {
-        if let Some(flag) = control.cancel {
-            if flag.load(Ordering::Relaxed) {
-                why = Some(CancelKind::Draining);
-                return true;
-            }
-        }
-        if let Some(d) = control.deadline {
-            if Instant::now() >= d {
-                why = Some(CancelKind::Deadline);
-                return true;
-            }
-        }
-        false
+        why = control.stop();
+        why.is_some()
     };
     let outcome = if recording {
         machine.run_cancellable(&mut events, CANCEL_CHECK_CYCLES, &mut check)
@@ -519,126 +525,56 @@ pub fn execute_controlled(
     )
 }
 
-/// Executes one sweep cell ([`Endpoint::Kernel`]): every Livermore loop
-/// in the job's source list, under the job's machine, through the
-/// ordinary kernel harness — the same [`CellSpec::config`] path
-/// `repro-dse` takes, which is why `POST /sweep` returns the same
-/// numbers. The deadline and drain flag are observed between kernels
-/// (each is milliseconds of simulation, the same granularity as the
-/// in-run checkpoints of `/run`).
+/// Executes one sweep cell ([`Endpoint::Kernel`]): the Livermore loops
+/// of the job's source list, in order on this thread, each through the
+/// `mt-dse` cell runner that `run_grid` uses, under the job's machine.
+/// The answer is the cell as `mt_dse::json::cell_json` renders it —
+/// nameless, because names stay out of the cache key; `POST /sweep`
+/// names it — with 422 for a failed cell. The deadline and drain flag
+/// are observed between kernels (each is milliseconds of simulation, the
+/// same granularity as the in-run checkpoints of `/run`).
 fn execute_kernel_cell(job: &JobRequest, control: &JobControl) -> (JobResult, JobTiming) {
     let mut timing = JobTiming::default();
-    let bad_list = |m: String| {
-        (
-            JobResult::new(400, error_doc("kernel-list", [("message", Json::Str(m))])),
-            JobTiming::default(),
-        )
+    let loops = match mt_dse::parse_loops(&job.source) {
+        Ok(loops) => loops,
+        Err(m) => {
+            let doc = error_doc("kernel-list", [("message", Json::Str(m))]);
+            return (JobResult::new(400, doc), timing);
+        }
     };
-    let loops: Vec<u8> = match job
-        .source
-        .split(',')
-        .map(|t| {
-            let t = t.trim();
-            t.parse::<u8>()
-                .map_err(|_| format!("bad Livermore loop number {t:?}"))
-        })
-        .collect()
-    {
-        Ok(l) => l,
-        Err(m) => return bad_list(m),
-    };
-    if loops.is_empty() || !loops.iter().all(|n| (1..=24).contains(n)) {
-        return bad_list("loop numbers must be 1..=24".to_string());
-    }
     if let Err(m) = job.options.machine.validate() {
-        return (
-            JobResult::new(
-                422,
-                error_doc("machine-config", [("message", Json::Str(m))]),
-            ),
-            timing,
-        );
+        let doc = error_doc("machine-config", [("message", Json::Str(m))]);
+        return (JobResult::new(422, doc), timing);
     }
 
-    let cell = CellSpec::new(String::new(), job.options.machine, job.options.serialized);
-    let config = SimConfig {
-        backend: job.options.backend,
-        ..cell.config()
-    };
+    let spec = CellSpec::new(String::new(), job.options.machine, job.options.serialized);
     let sim_start = Instant::now();
-    let mut reports = Vec::with_capacity(loops.len());
+    let mut runs = Vec::with_capacity(loops.len());
     for &n in &loops {
-        if let Some(flag) = control.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return (cancel_result(CancelKind::Draining), timing);
-            }
+        if let Some(kind) = control.stop() {
+            timing.sim = Some((sim_start, sim_start.elapsed()));
+            return (cancel_result(kind), timing);
         }
-        if let Some(d) = control.deadline {
-            if Instant::now() >= d {
-                timing.sim = Some((sim_start, sim_start.elapsed()));
-                return (cancel_result(CancelKind::Deadline), timing);
-            }
-        }
-        let kernel = mt_kernels::livermore::by_number(n);
-        let run = cell
-            .machine
-            .validate_program(&kernel.routine.program)
-            .and_then(|()| mt_kernels::harness::run_kernel_with(&kernel, config.clone()));
-        match run {
-            Ok(r) => reports.push(r),
-            Err(m) => {
-                timing.sim = Some((sim_start, sim_start.elapsed()));
-                return (
-                    JobResult::new(422, error_doc("kernel-failed", [("message", Json::Str(m))])),
-                    timing,
-                );
-            }
+        let run = spec.run_loop(n);
+        let failed = run.is_err();
+        runs.push(run);
+        if failed {
+            break;
         }
     }
     timing.sim = Some((sim_start, sim_start.elapsed()));
-    let total_cycles: u64 = reports.iter().map(|r| r.cold.cycles + r.warm.cycles).sum();
-    let result = CellResult {
-        spec: cell,
-        reports,
-        error: None,
+    let cell = CellResult::from_runs(spec, runs);
+    let cycles: u64 = cell
+        .reports
+        .iter()
+        .map(|r| r.cold.cycles + r.warm.cycles)
+        .sum();
+    let result = JobResult {
+        status: if cell.error.is_some() { 422 } else { 200 },
+        body: cell_json(&cell).pretty(),
+        cycles: cell.error.is_none().then_some(cycles),
     };
-    let doc = Json::obj([
-        ("schema", Json::Str(SCHEMA.to_string())),
-        ("status", Json::Str("ok".to_string())),
-        ("endpoint", Json::Str(job.endpoint.name().to_string())),
-        ("machine", Json::Str(result.spec.machine.key_material())),
-        ("serialized_issue", Json::Bool(result.spec.serialized_issue)),
-        ("reg_file_bits", Json::U64(result.spec.reg_file_bits)),
-        ("warm_hm_mflops", Json::F64(result.warm_hm_mflops())),
-        (
-            "warm_cycles_per_element",
-            Json::F64(result.warm_cycles_per_element()),
-        ),
-        (
-            "kernels",
-            Json::Arr(
-                result
-                    .reports
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("name", Json::Str(r.name.clone())),
-                            ("cold", stats_json(&r.cold)),
-                            ("warm", stats_json(&r.warm)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    (
-        JobResult {
-            status: 200,
-            body: doc.pretty(),
-            cycles: Some(total_cycles),
-        },
-        timing,
-    )
+    (result, timing)
 }
 
 #[cfg(test)]
@@ -899,87 +835,99 @@ halt
         );
     }
 
-    /// Kernel-cell jobs run the same numbers `repro-dse` computes (both
-    /// go through `CellSpec::config` and the kernel harness).
-    #[test]
-    fn kernel_cell_matches_the_dse_runner() {
+    /// Runs a kernel-cell job for `loops` on `machine`.
+    fn kernel_job(loops: &str, machine: MachineConfig) -> JobResult {
         let mut m = Machine::new(SimConfig::default());
         let job = JobRequest {
             endpoint: Endpoint::Kernel,
-            source: "7,12".to_string(),
-            options: RunOptions::default(),
+            source: loops.to_string(),
+            options: RunOptions {
+                machine,
+                ..RunOptions::default()
+            },
         };
-        let r = execute(&job, &mut m);
-        assert_eq!(r.status, 200);
-        let doc = mt_trace::json::parse(&r.body).unwrap();
-        assert_eq!(doc.get("endpoint").unwrap().as_str(), Some("kernel"));
+        execute(&job, &mut m)
+    }
 
-        let cell = CellSpec::new(String::new(), MachineConfig::default(), false);
-        let direct = mt_dse::run_grid(std::slice::from_ref(&cell), &[7, 12]);
+    /// The body `repro-dse`'s runner and renderer give the same
+    /// (nameless) cell.
+    fn dse_cell_body(machine: MachineConfig, loops: &[u8]) -> String {
+        let cell = CellSpec::new(String::new(), machine, false);
+        let direct = mt_dse::run_grid(std::slice::from_ref(&cell), loops);
+        cell_json(&direct[0]).pretty()
+    }
+
+    /// A kernel-cell job answers with the cell `repro-dse` computes and
+    /// renders, byte for byte.
+    #[test]
+    fn kernel_cell_matches_the_dse_runner() {
+        let r = kernel_job("7,12", MachineConfig::default());
+        assert_eq!(r.status, 200);
         assert_eq!(
-            doc.get("warm_hm_mflops").unwrap().as_f64().unwrap(),
-            direct[0].warm_hm_mflops(),
+            r.body,
+            dse_cell_body(MachineConfig::default(), &[7, 12]),
             "service and repro-dse disagree on the same cell"
         );
-        let kernels = doc.get("kernels").unwrap().items();
-        assert_eq!(kernels.len(), 2);
-        assert_eq!(
-            kernels[0]
-                .get("warm")
-                .unwrap()
-                .get("cycles")
-                .unwrap()
-                .as_f64(),
-            Some(direct[0].reports[0].warm.cycles as f64)
-        );
+        let doc = mt_trace::json::parse(&r.body).unwrap();
+        assert_eq!(doc.get("kernels").unwrap().items().len(), 2);
+        assert!(r.cycles.is_some_and(|c| c > 0));
     }
 
     #[test]
     fn kernel_cell_rejects_bad_lists_and_tiny_machines() {
-        let mut m = Machine::new(SimConfig::default());
-        for (source, status, kind) in [
-            ("0", 400, "kernel-list"),
-            ("25", 400, "kernel-list"),
-            ("seven", 400, "kernel-list"),
-            ("", 400, "kernel-list"),
-        ] {
-            let r = execute(
-                &JobRequest {
-                    endpoint: Endpoint::Kernel,
-                    source: source.to_string(),
-                    options: RunOptions::default(),
-                },
-                &mut m,
-            );
-            assert_eq!(r.status, status, "{source:?}");
+        for source in ["0", "25", "seven", ""] {
+            let r = kernel_job(source, MachineConfig::default());
+            assert_eq!(r.status, 400, "{source:?}");
             let doc = mt_trace::json::parse(&r.body).unwrap();
-            assert_eq!(doc.get("kind").unwrap().as_str(), Some(kind));
+            assert_eq!(doc.get("kind").unwrap().as_str(), Some("kernel-list"));
         }
-        // A machine too small for the kernels is a 422 cell failure.
-        let mut options = RunOptions::default();
-        options.machine.num_fpu_regs = 2;
-        let r = execute(
-            &JobRequest {
-                endpoint: Endpoint::Kernel,
-                source: "7".to_string(),
-                options,
-            },
-            &mut m,
-        );
+        // A machine too small for the kernels is a 422 error cell: too
+        // few registers, a 64 KiB memory (the text starts at 64 KiB) or a
+        // 1 MiB one (the data starts at 1 MiB). The memory cases used to
+        // panic the worker.
+        for config in [
+            "num_fpu_regs=2",
+            "memory_bytes=65536",
+            "memory_bytes=1048576",
+        ] {
+            let tiny = MachineConfig::parse(config).unwrap();
+            let r = kernel_job("7", tiny);
+            assert_eq!(r.status, 422, "{config}");
+            assert_eq!(r.cycles, None);
+            assert_eq!(r.body, dse_cell_body(tiny, &[7]), "{config}");
+            let doc = mt_trace::json::parse(&r.body).unwrap();
+            assert!(doc.get("error").is_some(), "{config}");
+        }
+        // An invalid machine handed straight to `execute` keeps its
+        // structured 422.
+        let invalid = MachineConfig {
+            num_fpu_regs: 0,
+            ..MachineConfig::default()
+        };
+        let r = kernel_job("7", invalid);
         assert_eq!(r.status, 422);
         let doc = mt_trace::json::parse(&r.body).unwrap();
-        assert_eq!(doc.get("kind").unwrap().as_str(), Some("kernel-failed"));
+        assert_eq!(doc.get("kind").unwrap().as_str(), Some("machine-config"));
     }
 
-    /// A bounds-restricted machine rejects over-limit assembly on `/run`.
+    /// A bounds-restricted machine rejects over-limit assembly on `/run`:
+    /// registers beyond its file, and text beyond its memory (which used
+    /// to panic the worker in `Machine::load_program`).
     #[test]
-    fn run_rejects_programs_beyond_the_configured_register_file() {
-        let mut options = RunOptions::default();
-        options.machine.num_fpu_regs = 8;
-        let r = run_job(FIB, options);
-        assert_eq!(r.status, 422, "R10 is beyond an 8-register file");
-        let doc = mt_trace::json::parse(&r.body).unwrap();
-        assert_eq!(doc.get("kind").unwrap().as_str(), Some("machine-bounds"));
+    fn run_rejects_programs_beyond_the_configured_bounds() {
+        for (config, src) in [
+            ("num_fpu_regs=8", FIB),
+            ("memory_bytes=65536", "li r1, 1\naddi r1, r1, 1\nhalt\n"),
+        ] {
+            let options = RunOptions {
+                machine: MachineConfig::parse(config).unwrap(),
+                ..RunOptions::default()
+            };
+            let r = run_job(src, options);
+            assert_eq!(r.status, 422, "{config}: {}", r.body);
+            let doc = mt_trace::json::parse(&r.body).unwrap();
+            assert_eq!(doc.get("kind").unwrap().as_str(), Some("machine-bounds"));
+        }
     }
 
     /// A controlled run that is never cancelled must be bit-identical to

@@ -215,6 +215,7 @@ mod tests {
         /// lost, none is duplicated. This is the conservation law the
         /// server's accounting invariant (`accepted == completed +
         /// rejected + shed + failed`) rests on during shutdown.
+        #[test]
         fn close_under_concurrent_pushers_conserves_jobs(
             pushers in 1usize..5,
             per_pusher in 1usize..24,

@@ -1102,18 +1102,12 @@ fn parse_options(request: &Request) -> Result<RunOptions, String> {
 /// before any cell runs.
 pub const MAX_SWEEP_CELLS: usize = 64;
 
-/// Livermore loops a sweep measures when `?loops=` is absent — the same
-/// representative subset `repro-dse` commits, so the default service
-/// sweep is directly comparable to `BENCH_dse.json`.
-const DEFAULT_SWEEP_LOOPS: [u8; 8] = [1, 3, 5, 7, 11, 12, 21, 23];
-
 /// `POST /sweep`: parse the grid spec body, bound it, and run every cell
 /// as an ordinary [`Endpoint::Kernel`] job through [`admit`] — each cell
-/// gets the normal cache / deadline / accounting treatment — then
-/// aggregate the per-cell bodies into one `mt-dse-v1` document with the
-/// Pareto front. Cell configs and the front come from `mt-dse` itself,
-/// so the response carries the same numbers `repro-dse` prints for the
-/// same grid.
+/// gets the normal cache / deadline / accounting treatment — then hand
+/// the cell bodies to `mt_dse::json::sweep_doc`. The cells run on the
+/// `mt-dse` cell runner and render through its renderer, so the answer
+/// is byte for byte the document `repro-dse` builds for the same grid.
 fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut SpanSet) -> Response {
     let parse_start = Instant::now();
     let Ok(text) = String::from_utf8(request.body.clone()) else {
@@ -1140,25 +1134,10 @@ fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut Sp
             return Response::json(422, format!("{}\n", doc.pretty()));
         }
     };
-    let loops: Vec<u8> = match request.query_get("loops") {
-        None => DEFAULT_SWEEP_LOOPS.to_vec(),
-        Some(v) => {
-            let parsed: Result<Vec<u8>, String> = v
-                .split(',')
-                .map(|t| {
-                    t.trim()
-                        .parse::<u8>()
-                        .map_err(|_| format!("bad loop number {t:?}"))
-                })
-                .collect();
-            match parsed {
-                Ok(l) if !l.is_empty() && l.iter().all(|n| (1..=24).contains(n)) => l,
-                Ok(_) => {
-                    return error_response(400, "bad-query", Some("loop numbers must be 1..=24"))
-                }
-                Err(m) => return error_response(400, "bad-query", Some(&m)),
-            }
-        }
+    let loops = match request.query_get("loops").map(mt_dse::parse_loops) {
+        None => mt_dse::runner::DEFAULT_LOOPS.to_vec(),
+        Some(Ok(loops)) => loops,
+        Some(Err(m)) => return error_response(400, "bad-query", Some(&m)),
     };
     let deadline = match parse_deadline(request, spans.t0()) {
         Ok(d) => d,
@@ -1172,9 +1151,7 @@ fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut Sp
         .map(u8::to_string)
         .collect::<Vec<_>>()
         .join(",");
-    let mut cell_docs: Vec<Json> = Vec::with_capacity(cells.len());
-    let mut points: Vec<Option<(f64, u64, u64)>> = Vec::with_capacity(cells.len());
-    let mut summaries: Vec<Option<(f64, f64)>> = Vec::with_capacity(cells.len());
+    let mut bodies = Vec::with_capacity(cells.len());
     for cell in &cells {
         let job = JobRequest {
             endpoint: Endpoint::Kernel,
@@ -1190,83 +1167,17 @@ fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut Sp
             Ok(answer) => answer,
             Err(response) => return response,
         };
-        let mut doc = Json::obj([
-            ("name", Json::Str(cell.name.clone())),
-            ("machine", Json::Str(cell.machine.key_material())),
-            ("serialized_issue", Json::Bool(cell.serialized_issue)),
-            ("reg_file_bits", Json::U64(cell.reg_file_bits)),
-        ]);
         match (status, mt_trace::json::parse(&body)) {
-            (200, Ok(parsed)) => {
-                let hm = parsed
-                    .get("warm_hm_mflops")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                let cpe = parsed
-                    .get("warm_cycles_per_element")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                points.push(Some((
-                    hm,
-                    cell.reg_file_bits,
-                    cell.machine.timing.fpu_lanes,
-                )));
-                summaries.push(Some((hm, cpe)));
-                doc.push("warm_hm_mflops", Json::F64(hm));
-                doc.push("warm_cycles_per_element", Json::F64(cpe));
-                doc.push(
-                    "kernels",
-                    parsed.get("kernels").cloned().unwrap_or(Json::Arr(vec![])),
-                );
-            }
-            (422, Ok(parsed)) => {
-                // A cell whose machine rejects the kernels (register-file
-                // bounds, say) is an error *cell*, not an error sweep —
-                // same policy as `repro-dse`.
-                let message = parsed
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("cell failed")
-                    .to_string();
-                points.push(None);
-                summaries.push(None);
-                doc.push("error", Json::Str(message));
-            }
+            // A cell whose machine cannot run the kernels (register-file
+            // bounds, memory too small) answers 422 with its error cell:
+            // an error *cell*, not an error sweep — same as `repro-dse`.
+            (200 | 422, Ok(cell)) => bodies.push(cell),
             // Shed, drained, failed, or unparseable: the sweep cannot
             // produce a faithful aggregate — propagate the cell's answer.
             _ => return Response::json(status, body),
         }
-        cell_docs.push(doc);
     }
-
-    let front = mt_dse::pareto_of_points(&points);
-    let doc = Json::obj([
-        ("schema", Json::Str(mt_dse::SCHEMA.to_string())),
-        ("grid", mt_dse::json::grid_json(&grid)),
-        (
-            "loops",
-            Json::Arr(loops.iter().map(|&n| Json::U64(n as u64)).collect()),
-        ),
-        ("cells", Json::Arr(cell_docs)),
-        (
-            "pareto",
-            Json::Arr(
-                front
-                    .into_iter()
-                    .map(|i| {
-                        let (hm, cpe) = summaries[i].expect("front cells succeeded");
-                        Json::obj([
-                            ("name", Json::Str(cells[i].name.clone())),
-                            ("reg_file_bits", Json::U64(cells[i].reg_file_bits)),
-                            ("fpu_lanes", Json::U64(cells[i].machine.timing.fpu_lanes)),
-                            ("warm_hm_mflops", Json::F64(hm)),
-                            ("warm_cycles_per_element", Json::F64(cpe)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let doc = mt_dse::json::sweep_doc(&grid, &loops, cells.iter().zip(bodies));
     Response::json(200, format!("{}\n", doc.pretty()))
 }
 

@@ -1,7 +1,9 @@
 //! End-to-end `POST /sweep` acceptance over a real TCP server:
 //!
-//! 1. a small grid returns an aggregated `mt-dse-v1` document whose
-//!    numbers match the `mt-dse` runner for the same grid;
+//! 1. a grid's answer is byte for byte the `mt-dse-v1` document
+//!    `repro-dse`'s runner and renderer build for the same grid, whether
+//!    its cells run or replay from the cache, and a machine too small
+//!    for the kernels is one error cell, not a worker panic;
 //! 2. an oversized grid answers a structured `422 grid-too-large`
 //!    before any cell runs;
 //! 3. `?deadline-ms=` is honored per cell (an expired deadline sheds
@@ -10,6 +12,7 @@
 //!    never replays a `lanes=1` body.
 
 use mt_chaos::httpc::{self, Reply};
+use mt_dse::json::sweep_json;
 use mt_dse::{run_grid, GridSpec};
 use mt_serve::{serve, ServerConfig};
 
@@ -27,56 +30,74 @@ fn start() -> (mt_serve::ServerHandle, String) {
     (handle, addr)
 }
 
+/// The `/sweep` body `repro-dse`'s runner and renderer give `grid_text`
+/// over `loops`.
+fn expected_body(grid_text: &str, loops: &[u8]) -> String {
+    let grid = GridSpec::parse(grid_text).unwrap();
+    let results = run_grid(&grid.enumerate().unwrap(), loops);
+    format!("{}\n", sweep_json(&grid, loops, &results).pretty())
+}
+
+/// A `/metrics` counter; one never bumped is absent, so zero.
+fn counter(addr: &str, name: &str) -> u64 {
+    let doc = httpc::metrics(addr).expect("metrics");
+    httpc::field_u64(&doc, &["registry", "counters", name]).unwrap_or(0)
+}
+
 #[test]
 fn sweep_aggregates_and_matches_the_dse_runner() {
     let (handle, addr) = start();
-    let grid_text = "fpu_latency=1,3\nfpu_lanes=1,2\n";
-    let reply = post(&addr, "/sweep?loops=12,21", grid_text);
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    let doc = mt_trace::json::parse(&reply.body).unwrap();
-    assert_eq!(doc.get("schema").unwrap().as_str(), Some("mt-dse-v1"));
-    assert_eq!(
-        doc.get("grid").unwrap().get("mode").unwrap().as_str(),
-        Some("cartesian")
-    );
-    let cells = doc.get("cells").unwrap().items();
-    assert_eq!(cells.len(), 4);
+    // The CI smoke's grid, a paired grid, and a grid with an error cell
+    // (two registers cannot hold the loops).
+    for (grid_text, cells) in [
+        ("fpu_latency=1,3\nfpu_lanes=1,2\n", 4),
+        ("mode=paired\nfpu_latency=1,5\ndcache_miss=7,28\n", 2),
+        ("num_fpu_regs=2,52\n", 2),
+    ] {
+        let expected = expected_body(grid_text, &[12, 21]);
+        let reply = post(&addr, "/sweep?loops=12,21", grid_text);
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply.body, expected, "grid {grid_text:?}");
 
-    // The service's numbers are the dse runner's numbers, cell by cell.
-    let grid = GridSpec::parse(grid_text).unwrap();
-    let direct = run_grid(&grid.enumerate().unwrap(), &[12, 21]);
-    for (cell, expect) in cells.iter().zip(&direct) {
-        assert_eq!(
-            cell.get("name").unwrap().as_str(),
-            Some(expect.spec.name.as_str())
-        );
-        assert_eq!(
-            cell.get("warm_hm_mflops").unwrap().as_f64().unwrap(),
-            expect.warm_hm_mflops(),
-            "cell {}",
-            expect.spec.name
-        );
-        let kernels = cell.get("kernels").unwrap().items();
-        assert_eq!(kernels.len(), 2);
-        assert_eq!(
-            kernels[0]
-                .get("warm")
-                .unwrap()
-                .get("cycles")
-                .unwrap()
-                .as_f64(),
-            Some(expect.reports[0].warm.cycles as f64)
-        );
+        // A repeat replays every cell from the cache, to the same bytes.
+        let hits = counter(&addr, "cache_hits");
+        let again = post(&addr, "/sweep?loops=12,21", grid_text);
+        assert_eq!(again.status, 200);
+        assert_eq!(again.body, expected, "cached grid {grid_text:?}");
+        assert_eq!(counter(&addr, "cache_hits"), hits + cells);
     }
-    assert!(!doc.get("pareto").unwrap().items().is_empty());
-
-    // Rerunning the same sweep replays every cell from the cache and
-    // aggregates to the same bytes.
-    let again = post(&addr, "/sweep?loops=12,21", grid_text);
-    assert_eq!(again.status, 200);
-    assert_eq!(again.body, reply.body, "sweep is deterministic");
-
     handle.shutdown();
+}
+
+/// Regression: a cell whose memory cannot hold the kernels answered 500
+/// for the whole sweep and panicked a worker. It is one error cell now.
+#[test]
+fn a_machine_too_small_for_the_kernels_is_one_error_cell() {
+    let (handle, addr) = start();
+    let grid_text = "memory_bytes=65536,4194304\n";
+    let reply = post(&addr, "/sweep?loops=12", grid_text);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(reply.body, expected_body(grid_text, &[12]));
+    let doc = mt_trace::json::parse(&reply.body).unwrap();
+    let cells = doc.get("cells").unwrap().items();
+    assert!(cells[0].get("error").is_some());
+    assert!(cells[1].get("error").is_none());
+    assert_eq!(counter(&addr, "worker_panics"), 0);
+    handle.shutdown();
+}
+
+/// The committed `/sweep` answer `./ci` diffs its live smoke against.
+/// Regenerate with:
+///   printf 'fpu_latency=1,3\nfpu_lanes=1,2\n' | curl -s --data-binary @- \
+///       'http://<addr>/sweep?loops=12,21' > crates/serve/tests/data/sweep.golden.json
+#[test]
+fn committed_sweep_golden_matches_the_computation() {
+    let golden = include_str!("data/sweep.golden.json");
+    assert_eq!(
+        expected_body("fpu_latency=1,3\nfpu_lanes=1,2\n", &[12, 21]),
+        golden,
+        "sweep golden drifted"
+    );
 }
 
 #[test]

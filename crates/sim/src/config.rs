@@ -245,13 +245,32 @@ impl MachineConfig {
             .join(",")
     }
 
-    /// Checks a program against this machine's register-file bounds:
-    /// every decodable FPU instruction must keep its register references
-    /// below `num_fpu_regs` and its vector length at or below
-    /// `max_vector_len`. Undecodable words are ignored here — they fault
-    /// at execution time with a typed [`crate::RunError`] regardless of
-    /// the configuration.
+    /// Checks a program against this machine: its text and data segments
+    /// must lie inside `memory_bytes` (loading them writes memory, which
+    /// panics out of bounds), and every decodable FPU instruction must
+    /// keep its register references below `num_fpu_regs` and its vector
+    /// length at or below `max_vector_len`. Undecodable words are ignored
+    /// here — they fault at execution time with a typed
+    /// [`crate::RunError`] regardless of the configuration.
     pub fn validate_program(&self, program: &Program) -> Result<(), String> {
+        let fits = |what: String, base: u32, len: usize| {
+            let end = base as u64 + len as u64;
+            if end > self.mem.memory_bytes as u64 {
+                return Err(format!(
+                    "{what} ends at {end:#x}, beyond the configured memory_bytes {}",
+                    self.mem.memory_bytes
+                ));
+            }
+            Ok(())
+        };
+        fits("text".to_string(), program.base, 4 * program.words.len())?;
+        for seg in &program.segments {
+            fits(
+                format!("data segment at {:#x}", seg.base),
+                seg.base,
+                seg.bytes.len(),
+            )?;
+        }
         let reg_ok = |r: mt_isa::FReg| r.index() < self.num_fpu_regs;
         for (i, &word) in program.words.iter().enumerate() {
             let Ok(instr) = Instr::decode(word) else {
@@ -476,5 +495,35 @@ mod tests {
             ..MachineConfig::default()
         };
         assert!(enough.validate_program(&program).is_ok());
+
+        // Text at 0x10000 does not fit a 64 KiB memory; nor does a data
+        // segment that runs one byte past the end.
+        let tiny = MachineConfig::parse("memory_bytes=65536").unwrap();
+        let err = tiny.validate_program(&program).unwrap_err();
+        assert!(err.contains("text ends at 0x10008"), "{err}");
+        let low = Program {
+            base: 0x1000,
+            segments: vec![mt_isa::DataSegment {
+                base: 0xfff8,
+                bytes: vec![0; 9],
+            }],
+            ..program
+        };
+        let err = tiny.validate_program(&low).unwrap_err();
+        assert!(
+            err.contains("data segment at 0xfff8 ends at 0x10001"),
+            "{err}"
+        );
+        let fits = Program {
+            segments: vec![mt_isa::DataSegment {
+                base: 0xfff8,
+                bytes: vec![0; 8],
+            }],
+            ..low
+        };
+        assert!(
+            tiny.validate_program(&fits).is_ok(),
+            "ends exactly at 64 KiB"
+        );
     }
 }
