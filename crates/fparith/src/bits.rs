@@ -172,6 +172,50 @@ pub fn infinity(sign: bool) -> u64 {
     }
 }
 
+/// Seeded operand draws for the tests that hold each host path to its
+/// general path: every operand class the paths split on.
+#[cfg(test)]
+pub(crate) mod sample {
+    use super::*;
+
+    /// One step of a 64-bit linear congruential generator.
+    pub(crate) fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state
+    }
+
+    /// Draws an operand of random sign and mantissa from one class: zero,
+    /// subnormal, normal at a free biased exponent, normal within 2 or 60
+    /// of the biased exponent `near`, biased exponent 2045 or 2046,
+    /// infinity, or NaN. Half the mantissas end in a random run of zeros,
+    /// so that exact sums and products are common.
+    pub(crate) fn operand(state: &mut u64, near: u64) -> u64 {
+        let r = lcg(state);
+        let pick = lcg(state);
+        let zeros = if pick >> 63 == 0 {
+            0
+        } else {
+            (r >> MANT_BITS) % 53
+        };
+        let (sign, mant) = (r & SIGN_MASK, r & MANT_MASK & (u64::MAX << zeros));
+        let spread = |width: u64| (near + (pick >> 8) % (2 * width + 1)).saturating_sub(width);
+        let exp = match pick % 11 {
+            0 => return sign,
+            1 => return sign | mant.max(1),
+            2..=4 => 1 + (pick >> 8) % 2046,
+            5 => spread(2).clamp(1, 2046),
+            6 => spread(60).clamp(1, 2046),
+            7 => 2045,
+            8 => 2046,
+            9 => return sign | POS_INF,
+            _ => return sign | POS_INF | mant | 1,
+        };
+        sign | (exp << MANT_BITS) | mant
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,6 +25,14 @@
 //! add/subtract/multiply operations are bit-exact IEEE-754 binary64 with
 //! round-to-nearest-even, which is property-tested against the host FPU.
 //!
+//! The near/far-path adder and the carry-save multiplier are the *general*
+//! paths: they handle every operand class and are the specification. Where
+//! the flags follow from the operands and the result alone — add/subtract
+//! of finite operands below 2^1023, multiply of normals with a normal
+//! product — [`fp_add`], [`fp_sub`] and [`fp_mul`] return the host FPU's
+//! result with exactly computed flags instead, and the unit tests hold those
+//! host paths to the general ones on value and flags.
+//!
 //! # Example
 //!
 //! ```

@@ -1,20 +1,28 @@
 //! The MultiTitan multiply unit: multiplication, the Newton–Raphson
 //! *iteration step*, and (in hardware) integer multiply.
 //!
+//! [`fp_mul`] returns the host FPU's product when both operands and the
+//! product are normal. The product then can neither overflow nor underflow,
+//! and it is exact exactly when the operands' significands carry enough
+//! trailing zeros between them, so INEXACT is decided from the exponents and
+//! trailing-zero counts. Every other operand pair takes the general path,
+//! which is also the bit-level specification the host path is tested
+//! against.
+//!
 //! The paper (§2.2.3) describes the multiplier's partial products being
 //! reduced through a novel "chunky binary tree" that is faster in practice
-//! than a Wallace tree. We model the structure: partial products are
-//! generated one per multiplier bit and reduced pairwise through a binary
-//! tree of carry-save (3:2) compressors before a single carry-propagate
-//! addition — see [`significand_product`]. The tree is property-tested
-//! bit-equal to plain `u128` multiplication, which is what [`fp_mul`]
-//! computes on the simulator's hot path; the result is rounded once,
-//! making [`fp_mul`] bit-exact IEEE-754 round-to-nearest-even (also
-//! property-tested against the host FPU).
+//! than a Wallace tree. The general path models the structure: partial
+//! products are generated one per multiplier bit and reduced pairwise
+//! through a binary tree of carry-save (3:2) compressors before a single
+//! carry-propagate addition — see [`significand_product`]. The tree is
+//! property-tested bit-equal to plain `u128` multiplication, which is what
+//! the general path computes; the result is rounded once, making [`fp_mul`]
+//! bit-exact IEEE-754 round-to-nearest-even (also property-tested against
+//! the host FPU).
 
 use crate::bits::{self, Class};
 use crate::exception::Exceptions;
-use crate::round::{round_pack, round_pack64};
+use crate::round::round_pack;
 
 /// Multiplies two 53-bit significands through an explicit partial-product
 /// carry-save tree, modelling the hardware reduction structure.
@@ -72,32 +80,32 @@ fn carry_save_add(x: u128, y: u128, z: u128) -> (u128, u128) {
 /// ```
 #[inline]
 pub fn fp_mul(a: u64, b: u64) -> (u64, Exceptions) {
-    let ea = (a >> 52) & bits::EXP_MASK;
-    let eb = (b >> 52) & bits::EXP_MASK;
-    // Both operands normal (biased exponent in 1..=2046): the whole
-    // datapath is a 53×53 product folded to a u64 with sticky. Zeros,
-    // subnormals, infinities, and NaNs take the general path below, which
-    // also serves as the differential oracle in tests.
-    if ea.wrapping_sub(1) < 2046 && eb.wrapping_sub(1) < 2046 {
-        let sign = ((a ^ b) & bits::SIGN_MASK) != 0;
-        let sa = (a & bits::MANT_MASK) | bits::HIDDEN_BIT;
-        let sb = (b & bits::MANT_MASK) | bits::HIDDEN_BIT;
-        let prod = (sa as u128) * (sb as u128);
-        // prod ∈ [2^104, 2^106): drop 42 bits into the sticky position —
-        // they all sit below the rounding window after round_pack64's
-        // final ≥ 7-bit right shift. value = folded × 2^(ea'+eb'−104+42)
-        // with ea' = ea − bias, so the round_pack64 scale (2^(exp−55)) is
-        // met at exp = ea + eb − 2·bias − 7.
-        let lost = (prod as u64) & ((1u64 << 42) - 1);
-        let folded = ((prod >> 42) as u64) | u64::from(lost != 0);
-        return round_pack64(sign, ea as i32 + eb as i32 - 2 * bits::EXP_BIAS - 7, folded);
+    let p = (f64::from_bits(a) * f64::from_bits(b)).to_bits();
+    let (ea, eb, ep) = (
+        bits::biased_exp(a),
+        bits::biased_exp(b),
+        bits::biased_exp(p),
+    );
+    if ea.wrapping_sub(1) < 2046 && eb.wrapping_sub(1) < 2046 && ep.wrapping_sub(1) < 2046 {
+        // The significand product has 105 bits plus one per binade the
+        // result sits above `ea + eb − 1023` (a carry, or rounding up into
+        // the next binade, which is inexact anyway). It fits the result's
+        // 53 bits exactly when its trailing zeros cover the excess.
+        let tz = (a | bits::HIDDEN_BIT).trailing_zeros() + (b | bits::HIDDEN_BIT).trailing_zeros();
+        let flags = if (tz as i32) < 52 + ep as i32 - (ea as i32 + eb as i32 - bits::EXP_BIAS) {
+            Exceptions::INEXACT
+        } else {
+            Exceptions::empty()
+        };
+        return (p, flags);
     }
     fp_mul_general(a, b)
 }
 
 /// General path of [`fp_mul`]: full operand-class decision tree and exact
-/// `u128` datapath, handling every operand class.
-fn fp_mul_general(a: u64, b: u64) -> (u64, Exceptions) {
+/// `u128` datapath, handling every operand class; tests hold the host path
+/// to it.
+pub(crate) fn fp_mul_general(a: u64, b: u64) -> (u64, Exceptions) {
     let (ca, cb) = (bits::classify(a), bits::classify(b));
     let sign = bits::sign_of(a) ^ bits::sign_of(b);
 
@@ -118,9 +126,8 @@ fn fp_mul_general(a: u64, b: u64) -> (u64, Exceptions) {
     let ua = bits::unpack(a);
     let ub = bits::unpack(b);
     // The hardware's reduction structure is modelled (and property-tested
-    // bit-equal to this) in [`significand_product`]; the simulator hot path
-    // takes the plain product, which multiplies millions of elements per
-    // second without walking the explicit compressor tree.
+    // bit-equal to this) in [`significand_product`]; the datapath takes the
+    // plain product rather than walking the explicit compressor tree.
     let prod = (ua.sig as u128) * (ub.sig as u128);
     // prod = siga × sigb ∈ [2^104, 2^106); value = prod × 2^(ea + eb − 104),
     // so present it to round_pack at scale 2^(exp − 55).
@@ -235,31 +242,101 @@ mod tests {
         }
     }
 
-    /// The u64 fast path must agree with the general `u128` path — bit
-    /// pattern AND exception flags — on normal operands across the full
-    /// exponent range (including results that overflow or denormalize),
-    /// and with the host FPU on the value.
+    /// The host path must agree with the general `u128` path — bit pattern
+    /// AND exception flags — for a million seeded pairs each of `fp_mul`
+    /// and `fp_iteration_step` across every operand class, with exponents
+    /// drawn to put many products near the underflow and overflow
+    /// thresholds, and with the host FPU on the product's value (any NaN
+    /// matching any NaN).
     #[test]
     fn fast_path_matches_general_and_host() {
+        use crate::add::add_general;
+        use crate::bits::sample::{lcg, operand};
+        const TWO: u64 = 0x4000_0000_0000_0000;
         let mut s = 0x9E37_79B9_7F4A_7C15u64;
-        let mut lcg = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s
-        };
-        for _ in 0..300_000u64 {
-            let ra = lcg();
-            let rb = lcg();
-            let ea = 1 + lcg() % 2046;
-            let eb = 1 + lcg() % 2046;
-            let a = (ra & (bits::SIGN_MASK | bits::MANT_MASK)) | (ea << 52);
-            let b = (rb & (bits::SIGN_MASK | bits::MANT_MASK)) | (eb << 52);
-            let fast = fp_mul(a, b);
-            let general = fp_mul_general(a, b);
-            assert_eq!(fast, general, "mul({a:#018x}, {b:#018x})");
-            let host = (f64::from_bits(a) * f64::from_bits(b)).to_bits();
-            assert_eq!(fast.0, host, "host mismatch: mul({a:#018x}, {b:#018x})");
+        for i in 0..1_000_000u64 {
+            let near = 1 + lcg(&mut s) % 2046;
+            let a = operand(&mut s, near);
+            let edge = if i % 2 == 0 { 1024 } else { 3069 };
+            let b = operand(&mut s, edge - bits::biased_exp(a).min(edge - 1));
+            let got = fp_mul(a, b);
+            assert_eq!(got, fp_mul_general(a, b), "mul({a:#018x}, {b:#018x})");
+            let host = f64::from_bits(a) * f64::from_bits(b);
+            assert!(
+                got.0 == host.to_bits() || (host.is_nan() && bits::is_nan(got.0)),
+                "host mismatch: mul({a:#018x}, {b:#018x})"
+            );
+            let (p, e1) = fp_mul_general(a, b);
+            let (r, e2) = add_general(TWO, p ^ bits::SIGN_MASK);
+            assert_eq!(
+                fp_iteration_step(a, b),
+                (r, e1 | e2),
+                "istep({a:#018x}, {b:#018x})"
+            );
+        }
+    }
+
+    /// Zeros, subnormals, products at, just below and just above the
+    /// normal range's ends, and overflowing products agree between the
+    /// paths; the flags of the targeted products are pinned.
+    #[test]
+    fn fast_path_edge_ranges_match_general() {
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let edges = [
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0xF_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE * (1.0 + f64::EPSILON),
+            below_one,
+            1.0 - f64::EPSILON,
+            0.5,
+            0.75,
+            1.0,
+            1.5,
+            2f64.powi(-511),
+            2f64.powi(511),
+            2f64.powi(512),
+            f64::MAX,
+            f64::from_bits(2046u64 << 52),
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &x in &edges {
+            for &y in &edges {
+                for (p, q) in [(x, y), (x, -y), (-x, y), (-x, -y)] {
+                    let (pb, qb) = (p.to_bits(), q.to_bits());
+                    assert_eq!(fp_mul(pb, qb), fp_mul_general(pb, qb), "mul({p:e}, {q:e})");
+                }
+            }
+        }
+        let none = Exceptions::empty();
+        let inexact = Exceptions::INEXACT;
+        let overflow = Exceptions::OVERFLOW | Exceptions::INEXACT;
+        let largest_subnormal = f64::from_bits(0xF_FFFF_FFFF_FFFF);
+        for (a, b, want, flags) in [
+            (2f64.powi(-511), 2f64.powi(-511), f64::MIN_POSITIVE, none),
+            (f64::MIN_POSITIVE, below_one, f64::MIN_POSITIVE, inexact),
+            (
+                f64::MIN_POSITIVE,
+                1.0 - f64::EPSILON,
+                largest_subnormal,
+                none,
+            ),
+            (f64::MIN_POSITIVE, 0.75, f64::MIN_POSITIVE * 0.75, none),
+            (
+                2f64.powi(511),
+                2f64.powi(512),
+                f64::from_bits(2046u64 << 52),
+                none,
+            ),
+            (2f64.powi(512), 2f64.powi(512), f64::INFINITY, overflow),
+            (f64::MAX, 1.5, f64::INFINITY, overflow),
+            (1.5, 1.5, 2.25, none),
+            (0.1, 3.0, 0.1 * 3.0, inexact),
+        ] {
+            let got = fp_mul(a.to_bits(), b.to_bits());
+            assert_eq!(got, (want.to_bits(), flags), "mul({a:e}, {b:e})");
         }
     }
 

@@ -29,38 +29,20 @@ pub(crate) const NORM_MSB: u32 = MANT_BITS + GRS_BITS; // 55
 /// A zero significand packs to a signed zero (used by callers for exact
 /// cancellation, though most handle that case themselves).
 pub(crate) fn round_pack(sign: bool, exp: i32, sig: u128) -> (u64, Exceptions) {
-    // Fold the wide significand into a u64 (sticky-summarizing any
-    // shifted-out bits) and finish in the 64-bit rounding path. Shifting
-    // right while bumping `exp` preserves the encoded value.
-    let hi = (sig >> 64) as u64;
-    if hi == 0 {
-        return round_pack64(sign, exp, sig as u64);
-    }
-    let msb = 64 + (63 - hi.leading_zeros());
-    let shift = msb - 63;
-    let lost = sig & ((1u128 << shift) - 1);
-    let folded = ((sig >> shift) as u64) | u64::from(lost != 0);
-    round_pack64(sign, exp + shift as i32, folded)
-}
-
-/// [`round_pack`] specialized to significands that fit in a `u64`. The add
-/// unit calls this directly from its u64 datapath; the wide entry point
-/// folds down to it.
-#[inline]
-pub(crate) fn round_pack64(sign: bool, exp: i32, sig: u64) -> (u64, Exceptions) {
     if sig == 0 {
         return (bits::zero(sign), Exceptions::empty());
     }
 
-    // Normalize branch-free: shift the MSB to bit 63, then take the top
+    // Normalize branch-free: shift the MSB to bit 127, then take the top
     // 56 bits (MSB back at NORM_MSB) folding the rest into the sticky
-    // position. An MSB at or below NORM_MSB leaves the folded byte zero
+    // position. An MSB at or below NORM_MSB leaves the folded bits zero
     // (the net shift is left), so nothing is lost; an MSB above it folds
     // exactly the bits the right shift would have.
+    const FOLD: u32 = 127 - NORM_MSB;
     let clz = sig.leading_zeros();
     let full = sig << clz;
-    let mut exp = exp + (63 - NORM_MSB as i32) - clz as i32;
-    let mut sig = (full >> (63 - NORM_MSB)) | u64::from(full & 0xFF != 0);
+    let mut exp = exp + FOLD as i32 - clz as i32;
+    let mut sig = (full >> FOLD) as u64 | u64::from(full & ((1u128 << FOLD) - 1) != 0);
 
     // Denormalize results whose exponent is below the normal range.
     if exp < EXP_MIN {
@@ -200,25 +182,6 @@ mod tests {
     fn zero_significand_is_signed_zero() {
         assert_eq!(round_pack(false, 0, 0).0, 0);
         assert_eq!(round_pack(true, 0, 0).0, bits::NEG_ZERO);
-    }
-
-    #[test]
-    fn narrow_and_wide_entry_points_agree() {
-        let mut s = 0x243F_6A88_85A3_08D3u64;
-        for _ in 0..200_000 {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let sig = s >> (s % 8); // vary the MSB position
-            let exp = ((s >> 7) % 2400) as i32 - 1200;
-            for sign in [false, true] {
-                assert_eq!(
-                    round_pack64(sign, exp, sig),
-                    round_pack(sign, exp, sig as u128),
-                    "sign={sign} exp={exp} sig={sig:#x}"
-                );
-            }
-        }
     }
 
     #[test]

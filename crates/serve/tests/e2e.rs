@@ -274,6 +274,10 @@ fn metrics_expose_stage_latency_and_windows() {
 
     let body = get(&addr, "/metrics").body;
     let doc = mt_trace::json::parse(&body).unwrap();
+    assert_eq!(
+        doc.get("schema").and_then(|s| s.as_str()),
+        Some("mt-serve-metrics-v1")
+    );
     let latency = doc.get("latency_us").unwrap();
     // Every pipeline stage is present with a full quantile summary.
     for stage in [

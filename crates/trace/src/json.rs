@@ -345,6 +345,7 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {start}"))?;
                             let cp = u32::from_str_radix(hex, 16)
@@ -389,20 +390,28 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a number by RFC 8259's grammar: an optional `-`, then `0`
+    /// or a digit run not starting with `0`, then an optional fraction and
+    /// exponent, each with at least one digit.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
+        let bad = || format!("bad number at byte {start}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad()),
         }
         let mut float = false;
         if self.peek() == Some(b'.') {
             float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -411,8 +420,8 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
@@ -427,6 +436,15 @@ impl Parser<'_> {
                 .map(Json::I64)
                 .map_err(|e| format!("bad number at byte {start}: {e}"))
         }
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -474,6 +492,11 @@ mod tests {
             "1 2",
             "\"\\x\"",
             "nul",
+            "\"\\u+041\"",
+            "01",
+            "-01",
+            "1.",
+            "1.e5",
         ] {
             assert!(validate(bad).is_err(), "{bad:?} should be rejected");
         }
