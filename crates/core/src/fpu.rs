@@ -241,11 +241,7 @@ impl Fpu {
         let op = active.instr.op;
         let id = active.id;
 
-        // Normal scalar interlocks: both sources readable, destination free.
-        let blocked = self.scoreboard.is_reserved(refs.ra)
-            || (!op.is_unary() && self.scoreboard.is_reserved(refs.rb))
-            || self.scoreboard.is_reserved(refs.rr);
-        if blocked {
+        if self.element_blocked(op, refs) {
             if charge_stall {
                 self.stats.scoreboard_stall_cycles += 1;
             }
@@ -425,13 +421,16 @@ impl Fpu {
     #[inline]
     pub fn issue_blocked(&self) -> Option<bool> {
         let active = self.ir.active()?;
-        let refs = active.current_refs();
-        let op = active.instr.op;
-        Some(
-            self.scoreboard.is_reserved(refs.ra)
-                || (!op.is_unary() && self.scoreboard.is_reserved(refs.rb))
-                || self.scoreboard.is_reserved(refs.rr),
-        )
+        Some(self.element_blocked(active.instr.op, active.current_refs()))
+    }
+
+    /// The normal scalar interlock on one element: both sources readable
+    /// (the second only when the op is binary) and the destination free.
+    #[inline(always)]
+    fn element_blocked(&self, op: FpOp, refs: mt_isa::fpu::ElementRefs) -> bool {
+        self.scoreboard.is_reserved(refs.ra)
+            || (!op.is_unary() && self.scoreboard.is_reserved(refs.rb))
+            || self.scoreboard.is_reserved(refs.rr)
     }
 
     /// Adds `n` synthesized scoreboard-stall cycles: the translated

@@ -21,8 +21,8 @@ use mt_isa::Program;
 /// and [`RunError`] behavior (`tests/hot_loop_equivalence.rs` proves it
 /// over generated programs and the kernel corpus). The tick interpreter
 /// is the specification; the translated backend is the fast engine: it
-/// runs pre-resolved micro-ops instead of re-deriving decode and cost
-/// metadata every cycle, and hops over multi-cycle waits.
+/// runs the interpreter's own guard and execute code over instructions
+/// decoded once at load, and hops over multi-cycle waits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// The reference cycle interpreter: fetch (reading the decoded
@@ -32,9 +32,11 @@ pub enum Backend {
     /// [`SimConfig::checked_ordering`] on, for any PC without a micro-op,
     /// and for the rest of a run after a write into the text.
     Tick,
-    /// Block-translated execution: the run loop executes whole spans
-    /// through the micro-ops [`Machine::load_program`] compiled
-    /// ([`mt_xlate::TranslatedProgram`]), falling back to the tick
+    /// The span engine: the run loop executes instructions back to back
+    /// from the micro-op table [`Machine::load_program`] built
+    /// ([`mt_xlate::TranslatedProgram`]: each word's decoded instruction
+    /// and cost row) through the interpreter's guard and execute code,
+    /// taking each wait in one hop, and falls back to the tick
     /// interpreter in the cases listed above.
     #[default]
     Xlate,
@@ -231,12 +233,13 @@ pub struct ArchState {
     pub psw: Psw,
 }
 
-/// Outcome of attempting to execute the pending instruction this cycle.
+/// Where an executed instruction sends the CPU ([`Machine::perform`]).
 enum Exec {
-    /// Completed; `Some(target)` redirects the PC (branch taken / jump).
-    Done(Option<u32>),
-    /// Blocked; retry next cycle (the stall has been accounted).
-    Stall,
+    /// Completed; the PC falls through to the next word.
+    Next,
+    /// Completed; the PC moves to this byte address (a taken branch or a
+    /// jump).
+    Jump(u32),
     /// Completed and the machine is halting.
     Halted,
 }
@@ -294,10 +297,10 @@ pub struct Machine {
     ir_pc: u32,
     ir_index: u32,
     violations: Vec<OrderingViolation>,
-    /// The loaded program's text compiled to pre-resolved micro-ops
-    /// (built by every [`Machine::load_program`]): the PC-indexed block
-    /// cache of the translated backend, and the decoded text the tick
-    /// fetch reads while no write has landed in it. `Arc` keeps
+    /// The loaded program's text decoded to micro-ops (built by every
+    /// [`Machine::load_program`]): the PC-indexed table the translated
+    /// backend runs, and the decoded text the tick fetch reads while no
+    /// write has landed in it. `Arc` keeps
     /// [`Machine::snapshot`]/clone cheap: the table is immutable, so
     /// every checkpoint shares it.
     xlate: Option<Arc<TranslatedProgram>>,
@@ -791,15 +794,17 @@ impl Machine {
     /// the hazard guarantees exists). `None` means the instruction would
     /// execute.
     ///
-    /// Mirrors the guard order of [`Machine::execute`] exactly — the
-    /// integer load interlock, the load/store port, the FPU register
-    /// hazard, the IR — all read from the shared
-    /// [`mt_isa::cost::InstrCost`] table, the same table the execute
-    /// stage and `mt-mca`'s static replay consume. The horizons are
-    /// exact because nothing that feeds the guards (`int_ready`,
-    /// `ls_free_at`, the IR, the scoreboard) changes while both the CPU
-    /// and the issue stage stall.
-    #[inline]
+    /// The hazard guards in the hardware's order — the integer load
+    /// interlock, the load/store port, the FPU register hazard, the IR —
+    /// read from the shared [`mt_isa::cost::InstrCost`] table, which
+    /// `mt-mca` replays statically. Both engines ask it: the tick loop
+    /// charges the cause for one cycle, the span hops to the horizon.
+    /// The horizons are exact because nothing that feeds the guards
+    /// (`int_ready`, `ls_free_at`, the IR, the scoreboard) changes while
+    /// both the CPU and the issue stage stall. Always inlined: left to
+    /// LLVM, its two callers call out-of-line copies, one guard call per
+    /// instruction attempt.
+    #[inline(always)]
     fn cost_stall_horizon(&self, cost: &InstrCost) -> Option<(StallCause, u64)> {
         if cost.int_guard_regs().any(|r| self.int_blocked(r)) {
             // Blocked until the last checked register is ready (free ones
@@ -896,15 +901,14 @@ impl Machine {
         }
     }
 
-    /// The translated backend: runs micro-ops from the block cache until
-    /// a boundary cycle, a PC it cannot translate, or a text write —
-    /// the per-cycle semantics of [`Machine::step`] with every static
-    /// re-derivation (decode, cost-table dispatch, target arithmetic)
-    /// already resolved, the no-op FPU phases skipped (a `begin_cycle`
-    /// with no retirement due and an `issue` with an empty IR do
-    /// nothing), and every multi-cycle wait — freeze, branch bubble,
-    /// fetch penalty, interlock — taken in one hop with the per-cycle
-    /// stall accounting the skipped ticks would have accrued.
+    /// The translated backend: runs micro-ops from the table until a
+    /// boundary cycle, a PC without a micro-op, or a text write — the
+    /// per-cycle semantics of [`Machine::step`] with decode and the
+    /// cost-table lookup done once at load, the no-op FPU phases skipped
+    /// (a `begin_cycle` with no retirement due and an `issue` with an
+    /// empty IR do nothing), and every multi-cycle wait — freeze, branch
+    /// bubble, fetch penalty, interlock — taken in one hop with the
+    /// per-cycle stall accounting the skipped ticks would have accrued.
     ///
     /// Equivalence argument, per cycle phase (DESIGN.md §13 spells out
     /// the full case analysis):
@@ -921,10 +925,10 @@ impl Machine {
     ///   against the write watch before *every* fetch — aligned, in
     ///   range, decodable), and charge the same `fetch_timing`; every
     ///   other PC exits to the interpreter;
-    /// * guard evaluation applies the serialized-issue gate, then reads
-    ///   the micro-op's precomputed cost row — the same
-    ///   [`mt_isa::cost::InstrCost`] values `execute` would recompute —
-    ///   in the same order ([`Machine::cost_stall_horizon`]);
+    /// * guard evaluation applies the serialized-issue gate, then asks
+    ///   [`Machine::cost_stall_horizon`] — the interpreter's guard —
+    ///   with the micro-op's cost row, the same
+    ///   [`mt_isa::cost::InstrCost`] value the interpreter computes;
     /// * each instruction's micro-op is looked up once: at the fetch that
     ///   latches it, or at span entry for an inherited pending one (`pc`
     ///   cannot move while an instruction is pending, and the table is
@@ -941,8 +945,8 @@ impl Machine {
     ///   [`Machine::issue_until_ir_empty`]: the same `hop_wait` and
     ///   phase-1 steps per cycle, without the span's re-checks, which
     ///   cannot change their answer until the IR empties;
-    /// * execution mirrors [`Machine::execute`]'s arms with the
-    ///   pre-resolved target substituted for the target arithmetic;
+    /// * execution and completion are the interpreter's own
+    ///   ([`Machine::perform`], [`Machine::complete`]) over [`NullSink`];
     /// * the issue stage runs whenever the IR is occupied; with an empty
     ///   IR `issue` returns `Idle` without side effects.
     fn xlate_span(&mut self, limit_cycle: u64, stop_at: Option<u64>) -> Result<SpanExit, RunError> {
@@ -1068,157 +1072,18 @@ impl Machine {
                 None => {}
             }
 
-            // Execute — [`Machine::execute`]'s arms, pre-resolved.
-            let next_pc = match uop.instr {
-                Instr::Nop => uop.target,
-                Instr::Halt => {
-                    self.instructions += 1;
-                    self.last_progress = self.cycle;
-                    self.pending = None;
-                    self.halted = true;
-                    if self.fpu.ir_busy() {
-                        self.issue_and_record(&mut NullSink);
-                    }
-                    self.cycle += 1;
-                    return Ok(SpanExit::Boundary);
-                }
-                Instr::Mfpsw { rd } => {
-                    let psw = self.fpu.psw();
-                    let mut v = psw.flags.bits() as i32;
-                    if let Some(dest) = psw.overflow_dest {
-                        v |= (dest.index() as i32) << 8 | 1 << 15;
-                    }
-                    self.set_ireg(rd, v);
-                    uop.target
-                }
-                Instr::ClrPsw => {
-                    self.fpu.clear_psw();
-                    uop.target
-                }
-                Instr::Alu { op, rd, rs1, rs2 } => {
-                    let a = self.ireg(rs1);
-                    let b = self.ireg(rs2);
-                    let v = match op {
-                        AluOp::Add => a.wrapping_add(b),
-                        AluOp::Sub => a.wrapping_sub(b),
-                        AluOp::And => a & b,
-                        AluOp::Or => a | b,
-                        AluOp::Xor => a ^ b,
-                        AluOp::Sll => ((a as u32) << (b as u32 & 31)) as i32,
-                        AluOp::Srl => ((a as u32) >> (b as u32 & 31)) as i32,
-                        AluOp::Sra => a >> (b as u32 & 31),
-                        AluOp::Slt => (a < b) as i32,
-                        AluOp::Mul => a.wrapping_mul(b),
-                    };
-                    self.set_ireg(rd, v);
-                    uop.target
-                }
-                Instr::Addi { rd, rs1, imm } => {
-                    self.set_ireg(rd, self.ireg(rs1).wrapping_add(imm));
-                    uop.target
-                }
-                Instr::Lui { rd, imm } => {
-                    self.set_ireg(rd, ((imm << 14) & 0xFFFF_C000) as i32);
-                    uop.target
-                }
-                Instr::Lw { rd, base, offset } => {
-                    let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                    let (value, penalty) = self
-                        .mem
-                        .try_load_u32(addr)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    self.set_ireg(rd, value as i32);
-                    self.int_ready[rd.index() as usize] =
-                        self.cycle + penalty + self.timing.int_load_delay_cycles;
-                    self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
-                    self.apply_miss(penalty, &mut NullSink);
-                    uop.target
-                }
-                Instr::Sw { rs, base, offset } => {
-                    let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                    let penalty = self
-                        .mem
-                        .try_store_u32(addr, self.ireg(rs) as u32)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
-                    self.apply_miss(penalty, &mut NullSink);
-                    uop.target
-                }
-                Instr::Fld { fr, base, offset } => {
-                    let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                    let (bits, penalty) = self
-                        .mem
-                        .try_load_f64(addr)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    self.fpu.load_write(fr, bits, self.cycle + penalty);
-                    self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
-                    self.apply_miss(penalty, &mut NullSink);
-                    uop.target
-                }
-                Instr::Fst { fr, base, offset } => {
-                    let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                    self.mem
-                        .memory
-                        .try_check(addr, 8)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    let bits = self.fpu.read_reg_for_store(fr);
-                    let penalty = self
-                        .mem
-                        .try_store_f64(addr, bits)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
-                    self.apply_miss(penalty, &mut NullSink);
-                    uop.target
-                }
-                Instr::Branch { cond, rs1, rs2, .. } => {
-                    if cond.eval(self.ireg(rs1), self.ireg(rs2)) {
-                        self.take_branch_bubble(&mut NullSink);
-                        uop.target
-                    } else {
-                        self.pc.wrapping_add(4)
-                    }
-                }
-                Instr::Jump { .. } => {
-                    self.take_branch_bubble(&mut NullSink);
-                    uop.target
-                }
-                Instr::Jal { .. } => {
-                    self.set_ireg(IReg::new(31), self.pc.wrapping_add(4) as i32);
-                    self.take_branch_bubble(&mut NullSink);
-                    uop.target
-                }
-                Instr::Jr { rs } => {
-                    self.take_branch_bubble(&mut NullSink);
-                    self.ireg(rs) as u32
-                }
-                Instr::Falu(f) => {
-                    if self.fpu.try_transfer(f) {
-                        self.ir_pc = self.pc;
-                        self.ir_index = self.instr_index();
-                        uop.target
-                    } else {
-                        // Unreachable — the `fpu_transfer` guard above
-                        // already held — but mirror the interpreter's
-                        // stall handling rather than assume it.
-                        self.stalls.ir_busy += 1;
-                        self.issue_and_record(&mut NullSink);
-                        self.cycle += 1;
-                        continue;
-                    }
-                }
-            };
-
-            // Completion bookkeeping ([`Machine::cpu_step`]'s `Done`
-            // path), then phase 3: the issue stage, skipped when the IR
-            // is empty (`issue` would return `Idle` without effects).
-            self.instructions += 1;
-            self.last_progress = self.cycle;
-            self.pending = None;
-            self.pc = next_pc;
+            // Execute and complete — the interpreter's own arms — then
+            // phase 3: the issue stage, skipped when the IR is empty
+            // (`issue` would return `Idle` without effects).
+            let exec = self.perform(uop.instr, &mut NullSink)?;
+            self.complete(uop.instr, exec, &mut NullSink);
             if self.fpu.ir_busy() {
                 self.issue_and_record(&mut NullSink);
             }
             self.cycle += 1;
+            if self.halted {
+                return Ok(SpanExit::Boundary);
+            }
         }
     }
 
@@ -1356,41 +1221,36 @@ impl Machine {
             self.emit_stall(sink, StallCause::IrBusy, 1);
             return Ok(());
         }
+        if let Some((cause, _)) = self.cost_stall_horizon(&InstrCost::of(&instr)) {
+            self.emit_stall(sink, cause, 1);
+            return Ok(());
+        }
+        let exec = self.perform(instr, sink)?;
+        self.complete(instr, exec, sink);
+        Ok(())
+    }
 
-        match self.execute(instr, sink)? {
-            Exec::Stall => Ok(()),
-            Exec::Done(redirect) => {
-                self.instructions += 1;
-                self.last_progress = self.cycle;
-                self.pending = None;
-                emit(
-                    sink,
-                    self.cycle,
-                    EventKind::CpuComplete {
-                        pc: self.pc,
-                        instr_index: self.instr_index(),
-                        instr,
-                    },
-                );
-                self.pc = redirect.unwrap_or_else(|| self.pc.wrapping_add(4));
-                Ok(())
-            }
-            Exec::Halted => {
-                self.instructions += 1;
-                self.last_progress = self.cycle;
-                self.pending = None;
-                self.halted = true;
-                emit(
-                    sink,
-                    self.cycle,
-                    EventKind::CpuComplete {
-                        pc: self.pc,
-                        instr_index: self.instr_index(),
-                        instr,
-                    },
-                );
-                Ok(())
-            }
+    /// Completes the instruction at the current PC once
+    /// [`Machine::perform`] ran it, for both engines: counts it, marks
+    /// progress for the watchdog, frees the fetch slot, reports the
+    /// completion, and moves the PC or halts.
+    fn complete<S: EventSink>(&mut self, instr: Instr, exec: Exec, sink: &mut S) {
+        self.instructions += 1;
+        self.last_progress = self.cycle;
+        self.pending = None;
+        emit(
+            sink,
+            self.cycle,
+            EventKind::CpuComplete {
+                pc: self.pc,
+                instr_index: self.instr_index(),
+                instr,
+            },
+        );
+        match exec {
+            Exec::Next => self.pc = self.pc.wrapping_add(4),
+            Exec::Jump(target) => self.pc = target,
+            Exec::Halted => self.halted = true,
         }
     }
 
@@ -1415,29 +1275,14 @@ impl Machine {
         self.cycle < self.int_ready[r.index() as usize]
     }
 
-    fn execute<S: EventSink>(&mut self, instr: Instr, sink: &mut S) -> Result<Exec, RunError> {
-        // Hazard guards, in the hardware's order — integer load
-        // interlock, then the load/store port, then the FPU register
-        // hazard — driven by the shared [`mt_isa::cost::InstrCost`]
-        // table. `mt-mca` replays exactly these guards statically; a
-        // change to the table changes both in lock step.
-        let cost = InstrCost::of(&instr);
-        if cost.int_guard_regs().any(|r| self.int_blocked(r)) {
-            self.emit_stall(sink, StallCause::IntLoadHazard, 1);
-            return Ok(Exec::Stall);
-        }
-        if cost.port.is_some() && self.cycle < self.ls_free_at {
-            self.emit_stall(sink, StallCause::LsPortBusy, 1);
-            return Ok(Exec::Stall);
-        }
-        if let Some((fr, is_load)) = cost.fpu_mem {
-            if self.fpu.reg_reserved(fr) || self.current_element_conflict(fr, is_load) {
-                self.emit_stall(sink, StallCause::FpuRegHazard, 1);
-                return Ok(Exec::Stall);
-            }
-        }
+    /// Executes `instr` at the current PC — the one copy of the
+    /// instruction semantics, run by both engines once
+    /// [`Machine::cost_stall_horizon`] found no hazard. Always inlined,
+    /// like the guard: the span runs it once per instruction.
+    #[inline(always)]
+    fn perform<S: EventSink>(&mut self, instr: Instr, sink: &mut S) -> Result<Exec, RunError> {
         match instr {
-            Instr::Nop => Ok(Exec::Done(None)),
+            Instr::Nop => Ok(Exec::Next),
             Instr::Halt => Ok(Exec::Halted),
 
             Instr::Mfpsw { rd } => {
@@ -1447,12 +1292,12 @@ impl Machine {
                     v |= (dest.index() as i32) << 8 | 1 << 15;
                 }
                 self.set_ireg(rd, v);
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::ClrPsw => {
                 self.fpu.clear_psw();
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::Alu { op, rd, rs1, rs2 } => {
@@ -1471,17 +1316,17 @@ impl Machine {
                     AluOp::Mul => a.wrapping_mul(b),
                 };
                 self.set_ireg(rd, v);
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::Addi { rd, rs1, imm } => {
                 self.set_ireg(rd, self.ireg(rs1).wrapping_add(imm));
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::Lui { rd, imm } => {
                 self.set_ireg(rd, ((imm << 14) & 0xFFFF_C000) as i32);
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::Lw { rd, base, offset } => {
@@ -1497,7 +1342,7 @@ impl Machine {
                 self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
                 self.emit_dcache(sink, false, penalty);
                 self.apply_miss(penalty, sink);
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::Sw { rs, base, offset } => {
@@ -1510,7 +1355,7 @@ impl Machine {
                 self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
                 self.emit_dcache(sink, true, penalty);
                 self.apply_miss(penalty, sink);
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::Fld { fr, base, offset } => {
@@ -1526,7 +1371,7 @@ impl Machine {
                 self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
                 self.emit_dcache(sink, false, penalty);
                 self.apply_miss(penalty, sink);
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::Fst { fr, base, offset } => {
@@ -1547,7 +1392,7 @@ impl Machine {
                 self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
                 self.emit_dcache(sink, true, penalty);
                 self.apply_miss(penalty, sink);
-                Ok(Exec::Done(None))
+                Ok(Exec::Next)
             }
 
             Instr::Branch {
@@ -1559,48 +1404,45 @@ impl Machine {
                 if cond.eval(self.ireg(rs1), self.ireg(rs2)) {
                     self.take_branch_bubble(sink);
                     let target = (self.pc / 4).wrapping_add(1).wrapping_add(offset as u32);
-                    Ok(Exec::Done(Some(target.wrapping_mul(4))))
+                    Ok(Exec::Jump(target.wrapping_mul(4)))
                 } else {
-                    Ok(Exec::Done(None))
+                    Ok(Exec::Next)
                 }
             }
 
             Instr::Jump { target } => {
                 self.take_branch_bubble(sink);
-                Ok(Exec::Done(Some(target.wrapping_mul(4))))
+                Ok(Exec::Jump(target.wrapping_mul(4)))
             }
 
             Instr::Jal { target } => {
                 self.set_ireg(IReg::new(31), self.pc.wrapping_add(4) as i32);
                 self.take_branch_bubble(sink);
-                Ok(Exec::Done(Some(target.wrapping_mul(4))))
+                Ok(Exec::Jump(target.wrapping_mul(4)))
             }
 
             Instr::Jr { rs } => {
                 self.take_branch_bubble(sink);
-                Ok(Exec::Done(Some(self.ireg(rs) as u32)))
+                Ok(Exec::Jump(self.ireg(rs) as u32))
             }
 
             Instr::Falu(f) => {
-                if self.fpu.try_transfer(f) {
-                    // Subsequent FPU-side events (element issues, scoreboard
-                    // stalls, drain) belong to this instruction.
-                    self.ir_pc = self.pc;
-                    self.ir_index = self.instr_index();
-                    emit(
-                        sink,
-                        self.cycle,
-                        EventKind::Transfer {
-                            pc: self.pc,
-                            instr_index: self.ir_index,
-                            instr: f,
-                        },
-                    );
-                    Ok(Exec::Done(None))
-                } else {
-                    self.emit_stall(sink, StallCause::IrBusy, 1);
-                    Ok(Exec::Stall)
-                }
+                let transferred = self.fpu.try_transfer(f);
+                debug_assert!(transferred, "the IR guard held this transfer");
+                // Subsequent FPU-side events (element issues, scoreboard
+                // stalls, drain) belong to this instruction.
+                self.ir_pc = self.pc;
+                self.ir_index = self.instr_index();
+                emit(
+                    sink,
+                    self.cycle,
+                    EventKind::Transfer {
+                        pc: self.pc,
+                        instr_index: self.ir_index,
+                        instr: f,
+                    },
+                );
+                Ok(Exec::Next)
             }
         }
     }

@@ -497,27 +497,57 @@ fn cpu_log_records_completed_instructions() {
 
 #[test]
 fn jal_and_jr_implement_calls() {
+    // Every kind of control transfer, on both engines: a taken forward
+    // branch, a not-taken one, a taken backward one (a three-trip loop),
+    // jal, jr and j. A wrong target skips or repeats a leg's register
+    // write, or changes the instruction count.
     let base = mt_sim::DEFAULT_TEXT_BASE;
-    let m = &mut machine_with(&[
-        Instr::Jal {
-            target: base / 4 + 3,
-        }, // call subroutine
-        Instr::Addi {
-            rd: ir(2),
-            rs1: ir(1),
-            imm: 1,
-        }, // after return
-        Instr::Halt,
-        // Subroutine: r1 = 41; return.
-        Instr::Addi {
-            rd: ir(1),
-            rs1: ir(0),
-            imm: 41,
-        },
-        Instr::Jr { rs: ir(31) },
-    ]);
-    m.run().unwrap();
-    assert_eq!(m.ireg(ir(2)), 42);
+    let word = |i| base / 4 + i;
+    let addi = |rd, rs1, imm| Instr::Addi {
+        rd: ir(rd),
+        rs1: ir(rs1),
+        imm,
+    };
+    let branch = |cond, rs1, offset| Instr::Branch {
+        cond,
+        rs1: ir(rs1),
+        rs2: ir(0),
+        offset,
+    };
+    let prog = Program::assemble(&[
+        addi(1, 0, 3),                    // 0: r1 = 3 loop trips
+        branch(BranchCond::Eq, 0, 1),     // 1: taken forward, to 3
+        addi(9, 0, 99),                   // 2: skipped
+        branch(BranchCond::Ne, 0, 5),     // 3: not taken (would go to 9)
+        addi(2, 2, 1),                    // 4: loop body: r2 += 1
+        addi(1, 1, -1),                   // 5: r1 -= 1
+        branch(BranchCond::Ne, 1, -3),    // 6: taken backward, to 4, while r1 != 0
+        Instr::Jal { target: word(11) },  // 7: call 11; r31 = word 8
+        Instr::Jump { target: word(10) }, // 8: after the return, over 9
+        addi(9, 0, 99),                   // 9: skipped
+        Instr::Halt,                      // 10
+        addi(4, 0, 41),                   // 11: subroutine: r4 = 41
+        Instr::Jr { rs: ir(31) },         // 12: return to 8
+    ])
+    .expect("assembles");
+    for backend in [Backend::Tick, Backend::Xlate] {
+        let mut m = Machine::new(SimConfig {
+            backend,
+            ..SimConfig::default()
+        });
+        m.load_program(&prog);
+        m.warm_instructions(&prog);
+        let stats = m.run().unwrap();
+        let regs = [1, 2, 4, 9].map(|i| m.ireg(ir(i)));
+        assert_eq!(regs, [0, 3, 41, 0], "r1, r2, r4, r9 on {backend}");
+        assert_eq!(
+            m.ireg(ir(31)) as u32,
+            base + 4 * 8,
+            "return address on {backend}"
+        );
+        // 0, 1, 3, three trips of 4..=6, 7, 11, 12, 8, 10.
+        assert_eq!(stats.instructions, 17, "{backend}");
+    }
 }
 
 #[test]

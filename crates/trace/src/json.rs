@@ -319,6 +319,14 @@ impl Parser<'_> {
         }
     }
 
+    /// The UTF-16 code unit spelled by the four hex digits at byte `at`.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        self.bytes
+            .get(at..at + 4)?
+            .iter()
+            .try_fold(0, |unit, &b| Some(unit << 4 | (b as char).to_digit(16)?))
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -342,18 +350,27 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .and_then(|h| std::str::from_utf8(h).ok())
+                            let unit = self
+                                .hex4(self.pos + 1)
                                 .ok_or_else(|| format!("bad \\u escape at byte {start}"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {start}"))?;
-                            // Surrogates only appear in pairs we never emit;
-                            // map lone ones to the replacement character.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                             self.pos += 4;
+                            // A high surrogate escape followed by a low
+                            // one is one UTF-16 pair; any other surrogate
+                            // stands alone and becomes U+FFFD.
+                            let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                                Some(b"\\u") if (0xD800..0xDC00).contains(&unit) => self
+                                    .hex4(self.pos + 3)
+                                    .filter(|lo| (0xDC00..0xE000).contains(lo)),
+                                _ => None,
+                            };
+                            let cp = match low {
+                                Some(lo) => {
+                                    self.pos += 6;
+                                    0x10000 + ((unit - 0xD800) << 10) + (lo - 0xDC00)
+                                }
+                                None => unit,
+                            };
+                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(format!("bad escape at byte {start}")),
                     }
@@ -519,6 +536,17 @@ mod tests {
         let s = Json::Str("a\"b\\c\nd\u{1}".into()).to_string();
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
         assert_eq!(parse(&s).unwrap().as_str(), Some("a\"b\\c\nd\u{1}"));
+        // An escaped surrogate pair is one scalar; a lone surrogate of
+        // either kind is U+FFFD.
+        for (doc, want) in [
+            (r#""\ud83d\ude00""#, "\u{1F600}"),
+            (r#""\uD83D\uDE00""#, "\u{1F600}"),
+            (r#""\ud83d""#, "\u{FFFD}"),
+            (r#""\ude00""#, "\u{FFFD}"),
+            (r#""\ud83d\u0041""#, "\u{FFFD}A"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Basic-block translation for MultiTitan programs.
+//! Translation of MultiTitan programs for analysis and execution.
 //!
 //! Two layers:
 //!
 //! * [`cfg`] — the decoded program view, control-flow successors, and the
-//!   basic-block partition. Shared by the static analyses (`mt-lint`,
-//!   `mt-mca`) and by the translator below.
-//! * [`translate`] — compiles each basic block into flat, pre-resolved
-//!   micro-ops ([`Uop`]): the decoded instruction, its issue-cost/hazard
+//!   basic-block partition the static analyses (`mt-lint`, `mt-mca`) are
+//!   built on.
+//! * [`translate`] — decodes each text word once into a micro-op
+//!   ([`Uop`]): the decoded instruction and its issue-cost/hazard
 //!   metadata ([`mt_isa::InstrCost`] — guard registers, port use, stall
-//!   classes), and the pre-computed control-flow target. The simulator's
-//!   block-translated backend executes these without per-instruction
-//!   decode or cost-table dispatch; the table is indexed directly by PC,
-//!   which is what chains translated blocks together.
+//!   classes). The simulator's translated backend executes these without
+//!   per-instruction decode or cost-table dispatch; the table is indexed
+//!   directly by PC.
 //!
 //! Translation is purely static: it never changes architectural or timing
-//! semantics (the executor re-checks every dynamic hazard each cycle), it
-//! only removes re-derivation of static facts from the hot loop.
+//! semantics (the executor re-checks every dynamic hazard each cycle and
+//! computes every control-flow target), it only removes re-derivation of
+//! static facts from the hot loop.
 
 pub mod cfg;
 pub mod translate;

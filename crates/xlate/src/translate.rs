@@ -1,32 +1,28 @@
-//! Block translation: each basic block compiled into flat, pre-resolved
-//! micro-ops.
+//! Translation: each text word decoded once into a micro-op.
 //!
-//! The translator walks the [`crate::cfg`] basic-block partition of a
-//! program's text section and emits one [`Uop`] per decodable word,
-//! indexed by `(pc - base) / 4`. A micro-op carries everything the
-//! execute stage would otherwise re-derive per dynamic instruction:
+//! The translator makes one pass over a program's text section and
+//! emits one [`Uop`] per decodable word, indexed by `(pc - base) / 4`. A
+//! micro-op carries what the execute stage would otherwise re-derive per
+//! dynamic instruction:
 //!
 //! * the decoded instruction itself (no fetch-word decode),
 //! * its [`InstrCost`] row — guard registers, load/store port use,
 //!   FPU hazard registers, stall classes — (no per-attempt cost-table
 //!   dispatch; a stalled instruction retries every cycle, so this is
-//!   paid many times per dynamic instruction in interlocked code),
-//! * the resolved control-flow target as an absolute byte PC (no
-//!   word/byte address arithmetic at the taken branch).
+//!   paid many times per dynamic instruction in interlocked code).
 //!
 //! Undecodable words translate to `None`: they cannot execute, and an
 //! executor that reaches one falls back to the interpreter, which
 //! reports the identical [`BadInstruction`] fault. Nothing dynamic is
 //! decided here — every hazard guard is still evaluated each cycle by
-//! the executor against live machine state, so translation can never
-//! change architectural results or cycle accounting.
+//! the executor against live machine state, and control-flow targets are
+//! computed by the executor from the instruction, so translation can
+//! never change architectural results or cycle accounting.
 
 use mt_isa::cost::InstrCost;
 use mt_isa::{Instr, Program};
 
-use crate::cfg::{Blocks, ProgramView};
-
-/// One pre-resolved micro-op.
+/// One micro-op: a decoded instruction and its cost row.
 #[derive(Debug, Clone, Copy)]
 pub struct Uop {
     /// The decoded instruction (also what a fallback interpreter step
@@ -35,61 +31,37 @@ pub struct Uop {
     /// The instruction's static issue-cost/hazard metadata, precomputed
     /// once at translation instead of per execute attempt.
     pub cost: InstrCost,
-    /// Resolved control-flow target as an absolute byte PC: the taken
-    /// destination for `Branch`/`Jump`/`Jal`, the fall-through `pc + 4`
-    /// otherwise. (`Jr` targets are runtime register values; the field
-    /// holds the fall-through and the executor ignores it.)
-    pub target: u32,
 }
 
-/// A program's text section compiled to micro-ops, indexed by PC.
+/// A program's text section decoded to micro-ops, indexed by PC.
 ///
-/// This is the block cache of the translated backend: `uop(pc)` is the
-/// lookup that chains one translated block into the next, and the whole
-/// table is dropped (the executor falls back to interpretation) when the
-/// memory system reports a write into the watched text range.
+/// This is the table the translated backend runs: `uop(pc)` is its one
+/// lookup, and the whole table is dropped (the executor falls back to
+/// interpretation) when the memory system reports a write into the
+/// watched text range.
 #[derive(Debug, Clone)]
 pub struct TranslatedProgram {
     base: u32,
     uops: Vec<Option<Uop>>,
-    blocks: Blocks,
 }
 
 impl TranslatedProgram {
-    /// Translates every basic block of `program`'s text section.
+    /// Decodes every word of `program`'s text section.
     pub fn translate(program: &Program) -> TranslatedProgram {
-        let view = ProgramView::decode(program);
-        let blocks = view.basic_blocks();
-        let mut uops: Vec<Option<Uop>> = vec![None; view.slots.len()];
-        // Per block, in text order; blocks partition the text, so every
-        // slot is visited exactly once.
-        for block in &blocks.blocks {
-            for idx in block.indices() {
-                let Some(instr) = view.slots[idx].instr else {
-                    continue;
-                };
-                let pc = view.pc(idx);
-                let target = match instr {
-                    // Exactly the execute stage's target arithmetic:
-                    // word-granular PC+1+offset, then back to bytes.
-                    Instr::Branch { offset, .. } => (pc / 4)
-                        .wrapping_add(1)
-                        .wrapping_add(offset as u32)
-                        .wrapping_mul(4),
-                    Instr::Jump { target } | Instr::Jal { target } => target.wrapping_mul(4),
-                    _ => pc.wrapping_add(4),
-                };
-                uops[idx] = Some(Uop {
+        let uops = program
+            .words
+            .iter()
+            .map(|&word| {
+                let instr = Instr::decode(word).ok()?;
+                Some(Uop {
                     instr,
                     cost: InstrCost::of(&instr),
-                    target,
-                });
-            }
-        }
+                })
+            })
+            .collect();
         TranslatedProgram {
             base: program.base,
             uops,
-            blocks,
         }
     }
 
@@ -104,88 +76,25 @@ impl TranslatedProgram {
         }
         self.uops.get((off / 4) as usize)?.as_ref()
     }
-
-    /// Base address of the translated text.
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// Number of translated slots (text words).
-    pub fn len(&self) -> usize {
-        self.uops.len()
-    }
-
-    /// Whether the text section is empty.
-    pub fn is_empty(&self) -> bool {
-        self.uops.is_empty()
-    }
-
-    /// The basic-block partition the translation was built from.
-    pub fn blocks(&self) -> &Blocks {
-        &self.blocks
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mt_isa::cpu::BranchCond;
     use mt_isa::{IReg, DEFAULT_TEXT_BASE};
-
-    fn translate(instrs: &[Instr]) -> TranslatedProgram {
-        TranslatedProgram::translate(&Program::assemble(instrs).unwrap())
-    }
-
-    #[test]
-    fn targets_are_pre_resolved_byte_pcs() {
-        let base_word = DEFAULT_TEXT_BASE / 4;
-        let t = translate(&[
-            Instr::Nop,
-            Instr::Branch {
-                cond: BranchCond::Lt,
-                rs1: IReg::new(0),
-                rs2: IReg::new(1),
-                offset: -2,
-            },
-            Instr::Jump {
-                target: base_word + 4,
-            },
-            Instr::Jal { target: base_word },
-            Instr::Halt,
-        ]);
-        assert_eq!(t.base(), DEFAULT_TEXT_BASE);
-        assert_eq!(t.len(), 5);
-        // nop falls through.
-        assert_eq!(
-            t.uop(DEFAULT_TEXT_BASE).unwrap().target,
-            DEFAULT_TEXT_BASE + 4
-        );
-        // branch at word 1, offset -2 → word 0.
-        assert_eq!(
-            t.uop(DEFAULT_TEXT_BASE + 4).unwrap().target,
-            DEFAULT_TEXT_BASE
-        );
-        // jump/jal targets are absolute words scaled to bytes.
-        assert_eq!(
-            t.uop(DEFAULT_TEXT_BASE + 8).unwrap().target,
-            DEFAULT_TEXT_BASE + 16
-        );
-        assert_eq!(
-            t.uop(DEFAULT_TEXT_BASE + 12).unwrap().target,
-            DEFAULT_TEXT_BASE
-        );
-    }
 
     #[test]
     fn cost_matches_the_shared_table() {
-        let t = translate(&[
+        let program = Program::assemble(&[
             Instr::Lw {
                 rd: IReg::new(3),
                 base: IReg::new(1),
                 offset: 8,
             },
             Instr::Halt,
-        ]);
+        ])
+        .unwrap();
+        let t = TranslatedProgram::translate(&program);
         let u = t.uop(DEFAULT_TEXT_BASE).unwrap();
         assert_eq!(u.cost, InstrCost::of(&u.instr));
         assert_eq!(u.cost.int_load_dest, Some(IReg::new(3)));
@@ -207,21 +116,5 @@ mod tests {
         assert!(t.uop(DEFAULT_TEXT_BASE + 4).is_none(), "undecodable");
         assert!(t.uop(DEFAULT_TEXT_BASE + 8).is_none(), "past text");
         assert!(t.uop(0).is_none(), "before text");
-    }
-
-    #[test]
-    fn blocks_partition_survives_translation() {
-        let t = translate(&[
-            Instr::Nop,
-            Instr::Branch {
-                cond: BranchCond::Eq,
-                rs1: IReg::new(0),
-                rs2: IReg::new(0),
-                offset: -2,
-            },
-            Instr::Halt,
-        ]);
-        assert_eq!(t.blocks().blocks.len(), 2);
-        assert_eq!(t.blocks().block_of.len(), t.len());
     }
 }
