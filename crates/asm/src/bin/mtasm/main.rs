@@ -222,7 +222,6 @@ fn fault_campaign(src: &str, opts: &Options) -> Result<(), String> {
         seed: opts.seed,
         injections: opts.injections,
         backend: opts.backend,
-        ..CampaignConfig::default()
     };
     let result = run_program_campaign(&program, &opts.path, &cfg)?;
     if opts.json {
@@ -489,8 +488,3 @@ fn main() -> ExitCode {
         }
     }
 }
-
-// Silence the unused warning for Program, used only through parse's return
-// type in this binary.
-#[allow(unused)]
-fn _uses(_: Program) {}

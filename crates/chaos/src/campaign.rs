@@ -34,10 +34,14 @@ struct Row {
     note: String,
 }
 
+/// How long to wait for the server to quiesce or respawn a worker between
+/// scenarios before declaring it wedged.
+const QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Polls `/metrics` until the server is quiescent (no busy workers, an
 /// empty queue). Returns an error note on timeout.
 fn wait_quiesce(cfg: &ChaosConfig) -> Result<(), String> {
-    let deadline = Instant::now() + cfg.quiesce_timeout;
+    let deadline = Instant::now() + QUIESCE_TIMEOUT;
     loop {
         if let Ok(doc) = httpc::metrics(&cfg.addr) {
             let busy = field_u64(&doc, &["busy_workers"]).unwrap_or(u64::MAX);
@@ -56,7 +60,7 @@ fn wait_quiesce(cfg: &ChaosConfig) -> Result<(), String> {
 /// Polls until `registry.counters.worker_respawns` reaches `want`, so a
 /// killed worker is back before the next scenario leans on the pool.
 fn wait_respawns(cfg: &ChaosConfig, want: u64) -> Result<(), String> {
-    let deadline = Instant::now() + cfg.quiesce_timeout;
+    let deadline = Instant::now() + QUIESCE_TIMEOUT;
     loop {
         if let Ok(doc) = httpc::metrics(&cfg.addr) {
             if respawn_count(&doc) >= want {

@@ -68,9 +68,6 @@ pub struct ChaosConfig {
     /// Whether the target was started with `--chaos-hooks`. When false
     /// the plan never draws `PanicJob`/`KillWorker`.
     pub expect_hooks: bool,
-    /// How long to wait for the server to quiesce (no busy workers, an
-    /// empty queue) between scenarios before declaring it wedged.
-    pub quiesce_timeout: Duration,
     /// How long the slow-loris scenario stalls mid-header. Point this
     /// past the server's `--header-timeout-ms` to exercise the defense;
     /// shorter stalls still verify the server survives a dribbled head.
@@ -87,7 +84,6 @@ impl Default for ChaosConfig {
             seed: 0xC4A19,
             scenarios: 14,
             expect_hooks: false,
-            quiesce_timeout: Duration::from_secs(30),
             slow_wait: Duration::from_millis(600),
         }
     }

@@ -83,7 +83,6 @@ pub struct Fpu {
     pipeline: Pipeline,
     psw: Psw,
     stats: FpuStats,
-    ir_instr_id: u64,
     latency: u64,
 }
 
@@ -115,7 +114,6 @@ impl Fpu {
             pipeline: Pipeline::new(),
             psw: Psw::new(),
             stats: FpuStats::default(),
-            ir_instr_id: 0,
             latency,
         }
     }
@@ -209,7 +207,7 @@ impl Fpu {
         if self.ir.occupied() {
             return false;
         }
-        self.ir_instr_id = self.ir.load(instr);
+        self.ir.load(instr);
         self.stats.instructions_transferred += 1;
         true
     }
@@ -383,8 +381,10 @@ impl Fpu {
         self.ir.occupied()
     }
 
-    /// The instruction currently occupying the IR, if any (checked-mode
-    /// ordering analysis in the simulator inspects the unissued elements).
+    /// The instruction currently occupying the IR, if any (the
+    /// simulator's load/store interlock inspects its unissued elements;
+    /// `mt_sim::ordering_violations` follows the same IR through a
+    /// recorded run's events).
     pub fn ir_active(&self) -> Option<&crate::alu_ir::ActiveVector> {
         self.ir.active()
     }

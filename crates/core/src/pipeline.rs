@@ -40,9 +40,6 @@ pub struct InFlight {
     pub source: WriteSource,
 }
 
-/// A retirement delivered by [`Pipeline::take_ready`].
-pub type Retired = InFlight;
-
 /// Ring capacity. Every in-flight write holds a scoreboard reservation on
 /// a distinct register (issue and the load port both stall on a reserved
 /// destination), so at most [`mt_isa::NUM_FPU_REGS`] operations can be in
@@ -123,23 +120,13 @@ impl Pipeline {
         self.len += 1;
     }
 
-    /// Removes and returns every operation whose result is visible at
-    /// `cycle`, in issue order.
-    pub fn take_ready(&mut self, cycle: u64) -> Vec<Retired> {
-        let mut ready: Vec<InFlight> = Vec::new();
-        while let Some(op) = self.pop_ready(cycle) {
-            ready.push(op);
-        }
-        ready
-    }
-
     /// Removes and returns the next operation whose result is visible at
     /// `cycle`: the earliest `ready_at`, ties broken by issue order — the
     /// front of the sorted queue. The simulator's per-cycle retire loop
-    /// uses this directly so the common cycles (zero or one retirement)
-    /// cost one compare and never touch the allocator.
+    /// calls it until it answers `None`, so the common cycles (zero or
+    /// one retirement) cost one compare and never touch the allocator.
     #[inline]
-    pub fn pop_ready(&mut self, cycle: u64) -> Option<Retired> {
+    pub fn pop_ready(&mut self, cycle: u64) -> Option<InFlight> {
         if self.len == 0 || self.buf[self.head as usize & (CAP - 1)].ready_at > cycle {
             return None;
         }
@@ -229,10 +216,9 @@ mod tests {
     fn retires_at_ready_cycle() {
         let mut p = Pipeline::new();
         p.push(op(3, 1, 10, WriteSource::Load));
-        assert!(p.take_ready(2).is_empty());
-        let r = p.take_ready(3);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].value, 10);
+        assert!(p.pop_ready(2).is_none());
+        assert_eq!(p.pop_ready(3).map(|r| r.value), Some(10));
+        assert!(p.pop_ready(3).is_none());
         assert!(p.is_empty());
     }
 
@@ -241,9 +227,8 @@ mod tests {
         let mut p = Pipeline::new();
         p.push(op(4, 1, 1, WriteSource::Load));
         p.push(op(3, 2, 2, WriteSource::Load));
-        let r = p.take_ready(10);
-        assert_eq!(r[0].dest, FReg::new(2));
-        assert_eq!(r[1].dest, FReg::new(1));
+        assert_eq!(p.pop_ready(10).map(|r| r.dest), Some(FReg::new(2)));
+        assert_eq!(p.pop_ready(10).map(|r| r.dest), Some(FReg::new(1)));
     }
 
     #[test]

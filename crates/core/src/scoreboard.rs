@@ -5,7 +5,7 @@
 //! interlocks scalar operations, vector elements, and loads/stores — reusing
 //! it for vector elements is what makes the vector capability nearly free.
 
-use mt_isa::{FReg, NUM_FPU_REGS};
+use mt_isa::FReg;
 
 /// The 52-bit reservation table.
 ///
@@ -71,18 +71,6 @@ impl Scoreboard {
     pub fn count(&self) -> u32 {
         self.bits.count_ones()
     }
-
-    /// Returns `true` if no register is reserved.
-    pub fn is_idle(&self) -> bool {
-        self.bits == 0
-    }
-
-    /// Iterates over the reserved registers.
-    pub fn iter_reserved(&self) -> impl Iterator<Item = FReg> + '_ {
-        (0..NUM_FPU_REGS)
-            .filter(|&i| self.bits & (1 << i) != 0)
-            .map(FReg::new)
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +80,7 @@ mod tests {
     #[test]
     fn reserve_and_clear() {
         let mut sb = Scoreboard::new();
-        assert!(sb.is_idle());
+        assert_eq!(sb.count(), 0);
         sb.reserve(FReg::new(0));
         sb.reserve(FReg::new(51));
         assert_eq!(sb.count(), 2);
@@ -107,7 +95,7 @@ mod tests {
     fn clear_is_idempotent() {
         let mut sb = Scoreboard::new();
         sb.clear(FReg::new(3));
-        assert!(sb.is_idle());
+        assert_eq!(sb.count(), 0);
     }
 
     #[test]
@@ -117,15 +105,5 @@ mod tests {
         let mut sb = Scoreboard::new();
         sb.reserve(FReg::new(9));
         sb.reserve(FReg::new(9));
-    }
-
-    #[test]
-    fn iter_reserved_lists_in_order() {
-        let mut sb = Scoreboard::new();
-        for i in [5u8, 17, 40] {
-            sb.reserve(FReg::new(i));
-        }
-        let regs: Vec<u8> = sb.iter_reserved().map(|r| r.index()).collect();
-        assert_eq!(regs, vec![5, 17, 40]);
     }
 }

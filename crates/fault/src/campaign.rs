@@ -79,11 +79,6 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Number of injections, round-robined across the workloads.
     pub injections: usize,
-    /// Simulator cycle limit per injected run (hang backstop of last
-    /// resort; the watchdog usually fires much earlier).
-    pub max_cycles: u64,
-    /// No-progress watchdog threshold for injected runs (cycles).
-    pub watchdog_cycles: u64,
     /// Execution backend for golden and injected runs: the simulator
     /// default (the block-translated backend) unless overridden.
     /// Outcomes are bit-identical either way (a text-region flip bumps
@@ -97,21 +92,20 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 0xA5,
             injections: 500,
-            max_cycles: 200_000,
-            watchdog_cycles: 20_000,
             backend: Backend::default(),
         }
     }
 }
 
 impl CampaignConfig {
-    /// The simulator configuration injected runs execute under: the
-    /// campaign's cycle limit, watchdog, and backend on top of the
-    /// defaults.
+    /// The simulator configuration injected runs execute under: a
+    /// 20 000-cycle no-progress watchdog, a 200 000-cycle limit as the
+    /// hang backstop of last resort, and the campaign's backend on top of
+    /// the defaults.
     pub fn sim_config(&self) -> SimConfig {
         SimConfig {
-            max_cycles: self.max_cycles,
-            watchdog_cycles: self.watchdog_cycles,
+            max_cycles: 200_000,
+            watchdog_cycles: 20_000,
             backend: self.backend,
             ..SimConfig::default()
         }

@@ -1,7 +1,7 @@
 //! Fault targets and deterministic plan generation.
 //!
 //! A *plan* is a list of [`Injection`]s — (cycle, target) pairs — drawn
-//! from a seeded [`SplitMix64`](crate::rng::SplitMix64) stream. The plan
+//! from a seeded [`SplitMix64`] stream. The plan
 //! is a pure function of the seed and the [`PlanBounds`] (which are
 //! themselves derived from the deterministic golden run), so a campaign
 //! is reproducible from its seed alone.

@@ -10,7 +10,8 @@
 //!   the repository's one static timing model — under the machine's
 //!   [`LintOptions::timing`] with warm caches, and *possible* hazards
 //!   (warnings) from a timing-insensitive control-flow analysis that
-//!   over-approximates the simulator's dynamic checked mode;
+//!   over-approximates the dynamic check of a recorded run
+//!   ([`mt_sim::ordering_violations`]);
 //! * **register dataflow** over the 52-register file and PSW —
 //!   possibly-uninitialized reads, dead stores, and write-after-write
 //!   clobbers inside overlapping vector register ranges;

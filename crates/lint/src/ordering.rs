@@ -10,9 +10,10 @@
 //!   executes, with no timing assumptions. Any overlap between the
 //!   load/store register and elements `1..VL` of a possibly-in-flight
 //!   vector is flagged. This tier is a sound over-approximation of the
-//!   simulator's dynamic checked mode: every dynamic `OrderingViolation`
-//!   is covered by one of these findings (a property the cross-crate
-//!   tests assert on random programs).
+//!   dynamic check, [`mt_sim::ordering_violations`] over a recorded run:
+//!   every dynamic `OrderingViolation` is covered by one of these
+//!   findings (a property the cross-crate tests assert on random
+//!   programs).
 //! * **Provable violations** (errors): the straight-line entry block run
 //!   on `mt_mca`'s abstract timing machine under the program's
 //!   [`LintOptions::timing`], assuming warm caches (the paper's kernel
@@ -21,7 +22,7 @@
 //!   fires under that timing is a definite program bug.
 //!
 //! Both tiers classify overlaps with [`ViolationKind::clashes`], the rule
-//! the simulator's interlock and checked mode use.
+//! the simulator's interlock and [`mt_sim::ordering_violations`] use.
 
 use mt_isa::{FReg, FpuAluInstr, Instr};
 use mt_mca::AbstractMachine;
@@ -144,8 +145,8 @@ pub fn possible_hazards(prog: &ProgramView, out: &mut Vec<Finding>) {
 /// control transfer, `halt`, undecodable word, or 100 000 cycles) on the
 /// abstract timing machine. A load/store reports every overlap with the
 /// elements after the current one of the vector it found in the ALU IR
-/// when it executed — the simulator's checked-mode probe, under proven
-/// timing.
+/// when it executed — what [`mt_sim::ordering_violations`] reports for a
+/// recorded run, under proven timing.
 pub fn provable_violations(prog: &ProgramView, opts: &LintOptions, out: &mut Vec<Finding>) {
     let mut machine = AbstractMachine::new(opts.timing);
     for (idx, slot) in prog.slots.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! The provable ordering tier against the simulator, on any machine:
 //! for a straight-line program, the `ordering-violation` findings at each
-//! instruction must be exactly the violations the simulator's checked
-//! mode reports there on a warm rerun — same count, same kinds, same
+//! instruction must be exactly the violations `mt_sim::ordering_violations`
+//! finds there in the recorded warm rerun — same count, same kinds, same
 //! order — under randomized issue timing.
 
 use std::collections::BTreeMap;
@@ -11,7 +11,7 @@ use mt_isa::cost::IssueTiming;
 use mt_isa::cpu::AluOp;
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
 use mt_lint::{lint_program_with, Lint, LintOptions};
-use mt_sim::{Machine, MachineConfig, Program, SimConfig, ViolationKind};
+use mt_sim::{ordering_violations, Machine, MachineConfig, Program, SimConfig, ViolationKind};
 use proptest::prelude::*;
 
 /// Base registers preset to disjoint data regions and never written by
@@ -22,11 +22,10 @@ const REGION: [(u8, i32); 3] = [(1, 0x2000), (2, 0x3000), (3, 0x4000)];
 /// Violations per instruction index, in reporting order.
 type PerIndex = BTreeMap<usize, Vec<ViolationKind>>;
 
-/// The simulator's checked-mode violations on the warm rerun (§3.2
+/// The simulator's violations on the recorded warm rerun (§3.2
 /// protocol: a cold pass, then a rerun with every cache warm).
 fn simulated(prog: &Program, timing: IssueTiming) -> PerIndex {
     let mut m = Machine::new(SimConfig {
-        checked_ordering: true,
         machine: MachineConfig {
             timing,
             ..MachineConfig::default()
@@ -42,9 +41,10 @@ fn simulated(prog: &Program, timing: IssueTiming) -> PerIndex {
     for (r, addr) in REGION {
         m.set_ireg(IReg::new(r), addr);
     }
-    let warm = m.run().expect("warm run halts");
+    let mut warm = Vec::new();
+    m.run_with_sink(&mut warm).expect("warm run halts");
     let mut out = PerIndex::new();
-    for v in warm.violations {
+    for v in ordering_violations(&warm) {
         out.entry(v.instr_index).or_default().push(v.kind);
     }
     out

@@ -1,11 +1,11 @@
-//! The static/dynamic soundness property: every ordering violation the
-//! simulator's checked mode reports at runtime is covered by a static
-//! finding (provable or possible) at the same instruction.
+//! The static/dynamic soundness property: every ordering violation
+//! `mt_sim::ordering_violations` finds in a recorded run is covered by a
+//! static finding (provable or possible) at the same instruction.
 
 use mt_fparith::FpOp;
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
 use mt_lint::{lint_program, Lint};
-use mt_sim::{Machine, Program, SimConfig};
+use mt_sim::{ordering_violations, Machine, OrderingViolation, Program, SimConfig};
 use proptest::prelude::*;
 
 /// Vector arithmetic over the low 51 registers (so every stride/VL
@@ -63,6 +63,15 @@ fn instr() -> BoxedStrategy<Instr> {
     prop_oneof![falu(), fld(), fst()].boxed()
 }
 
+/// Runs `m` to halt with the run recorded and returns the §2.3.2 view of
+/// it.
+fn recorded_violations(m: &mut Machine) -> Vec<OrderingViolation> {
+    let mut events = Vec::new();
+    m.run_with_sink(&mut events)
+        .expect("straight-line programs run to halt");
+    ordering_violations(&events)
+}
+
 /// Guard against the property holding vacuously: this known-hazardous
 /// program must make the dynamic checker fire, and the static analyzer
 /// must cover it.
@@ -79,17 +88,13 @@ fn property_is_not_vacuous() {
         Instr::Halt,
     ])
     .unwrap();
-    let config = SimConfig {
-        checked_ordering: true,
-        ..SimConfig::default()
-    };
-    let mut m = Machine::new(config);
+    let mut m = Machine::new(SimConfig::default());
     m.load_program(&prog);
     m.warm_instructions(&prog);
-    let stats = m.run().unwrap();
-    assert!(!stats.violations.is_empty(), "dynamic checker must fire");
+    let violations = recorded_violations(&mut m);
+    assert!(!violations.is_empty(), "dynamic checker must fire");
     let findings = lint_program(&prog);
-    for v in &stats.violations {
+    for v in &violations {
         assert!(
             findings.iter().any(|f| f.instr_index == v.instr_index
                 && matches!(
@@ -112,18 +117,14 @@ proptest! {
         instrs.push(Instr::Halt);
         let prog = Program::assemble(&instrs).expect("all generated instructions encode");
 
-        let config = SimConfig {
-            checked_ordering: true,
-            ..SimConfig::default()
-        };
-        let mut m = Machine::new(config);
+        let mut m = Machine::new(SimConfig::default());
         m.load_program(&prog);
         m.warm_instructions(&prog); // warm fetch path: more CPU/FPU overlap,
                                     // hence more chances for violations
-        let stats = m.run().expect("straight-line programs run to halt");
+        let violations = recorded_violations(&mut m);
 
         let findings = lint_program(&prog);
-        for v in &stats.violations {
+        for v in &violations {
             let covered = findings.iter().any(|f| {
                 f.instr_index == v.instr_index
                     && matches!(

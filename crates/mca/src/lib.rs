@@ -58,7 +58,8 @@
 //! `mt-lint`'s provable §2.3.2 tier reads the ALU IR state that
 //! [`AbstractMachine::exec`] hands back for each load and store, and
 //! classifies overlaps with `mt_sim::ViolationKind::clashes`, the rule
-//! the simulator's interlock and checked mode use.
+//! the simulator's interlock and `mt_sim::ordering_violations`, its view
+//! of a recorded run, use.
 
 pub mod analysis;
 pub mod json;

@@ -9,7 +9,7 @@
 //!
 //! # Bucket layout
 //!
-//! With `sub_bits = b`, values below `2^b` get one bucket each (exact).
+//! With `b` = [`SUB_BITS`], values below `2^b` get one bucket each (exact).
 //! Above that, every power-of-two octave `[2^m, 2^(m+1))` is split into
 //! `2^b` equal sub-buckets of width `2^(m-b)`. The array size is
 //! `(65 - b) · 2^b` buckets regardless of how many samples are recorded
@@ -27,21 +27,20 @@
 //! |estimate - x| / x  ≤  (width/2) / lower  ≤  2^-(b+1)
 //! ```
 //!
-//! With the default `b = 5` the quantile estimate is within **1/64 ≈
-//! 1.5625 %** of the exact nearest-rank value (and *exact* below `2^b`).
+//! With `b = 5` the quantile estimate is within **1/64 ≈ 1.5625 %** of
+//! the exact nearest-rank value (and *exact* below `2^b`).
 //! `tests/properties.rs` proves this against the exact oracle on
 //! adversarial distributions.
 
 use mt_trace::Json;
 
-/// Default octave split (`2^5 = 32` sub-buckets per power of two):
-/// quantiles within 2^-6 ≈ 1.6 % of exact, 15 KiB per histogram.
-pub const DEFAULT_SUB_BITS: u32 = 5;
+/// The octave split (`2^5 = 32` sub-buckets per power of two): quantiles
+/// within 2^-6 ≈ 1.6 % of exact, 15 KiB per histogram.
+pub const SUB_BITS: u32 = 5;
 
 /// A fixed-memory log-linear histogram of `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HdrHistogram {
-    sub_bits: u32,
     count: u64,
     /// Saturating sum (overflow pins to `u64::MAX` rather than wrapping).
     sum: u64,
@@ -52,33 +51,20 @@ pub struct HdrHistogram {
 
 impl Default for HdrHistogram {
     fn default() -> HdrHistogram {
-        HdrHistogram::new(DEFAULT_SUB_BITS)
-    }
-}
-
-impl HdrHistogram {
-    /// A histogram splitting each octave into `2^sub_bits` buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ sub_bits ≤ 16` (the useful range; beyond 16
-    /// the array would dwarf any realistic exact buffer).
-    pub fn new(sub_bits: u32) -> HdrHistogram {
-        assert!((1..=16).contains(&sub_bits), "sub_bits out of range");
-        let len = (65 - sub_bits as usize) << sub_bits;
         HdrHistogram {
-            sub_bits,
             count: 0,
             sum: 0,
             min: 0,
             max: 0,
-            buckets: vec![0; len].into_boxed_slice(),
+            buckets: vec![0; (65 - SUB_BITS as usize) << SUB_BITS].into_boxed_slice(),
         }
     }
+}
 
+impl HdrHistogram {
     /// The bucket index holding `value`.
     fn index(&self, value: u64) -> usize {
-        let b = self.sub_bits;
+        let b = SUB_BITS;
         if value >> b == 0 {
             return value as usize;
         }
@@ -90,7 +76,7 @@ impl HdrHistogram {
 
     /// Inclusive lower bound of bucket `i`.
     fn bucket_lower(&self, i: usize) -> u64 {
-        let b = self.sub_bits;
+        let b = SUB_BITS;
         let octave = i >> b;
         if octave == 0 {
             return i as u64;
@@ -102,7 +88,7 @@ impl HdrHistogram {
 
     /// Width of bucket `i` (1 in the exact range).
     fn bucket_width(&self, i: usize) -> u64 {
-        let octave = i >> self.sub_bits;
+        let octave = i >> SUB_BITS;
         if octave == 0 {
             1
         } else {
@@ -151,9 +137,9 @@ impl HdrHistogram {
     }
 
     /// The documented relative-error bound of [`quantile`](Self::quantile)
-    /// vs the exact nearest-rank value: `2^-(sub_bits+1)`.
+    /// vs the exact nearest-rank value: `2^-(SUB_BITS+1)`.
     pub fn relative_error_bound(&self) -> f64 {
-        1.0 / (1u64 << (self.sub_bits + 1)) as f64
+        1.0 / (1u64 << (SUB_BITS + 1)) as f64
     }
 
     /// Nearest-rank quantile estimate (`p` in `[0, 100]`); `None` when
@@ -180,16 +166,7 @@ impl HdrHistogram {
     /// Merges `other` into `self` — bucket counts add losslessly, so
     /// merge order never changes any quantile (associative and
     /// commutative; `tests/properties.rs` proves both).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two histograms use different `sub_bits` (their
-    /// buckets would not line up).
     pub fn merge(&mut self, other: &HdrHistogram) {
-        assert_eq!(
-            self.sub_bits, other.sub_bits,
-            "cannot merge histograms with different sub_bits"
-        );
         if other.count == 0 {
             return;
         }
@@ -204,9 +181,9 @@ impl HdrHistogram {
         }
     }
 
-    /// Resident size of the bucket array — a constant for a given
-    /// `sub_bits`, independent of `count` (the O(1)-memory regression
-    /// test in `mt-serve` pins this).
+    /// Resident size of the bucket array — a constant, independent of
+    /// `count` (the O(1)-memory regression test in `mt-serve` pins
+    /// this).
     pub fn memory_bytes(&self) -> usize {
         self.buckets.len() * std::mem::size_of::<u64>()
     }
@@ -254,7 +231,7 @@ mod tests {
 
     #[test]
     fn exact_below_the_linear_range() {
-        let mut h = HdrHistogram::new(5);
+        let mut h = HdrHistogram::default();
         for v in 0..32u64 {
             h.record(v);
         }

@@ -11,7 +11,7 @@
 //!
 //! * [`hdr`] — bounded log-linear (HDR-style) histograms: fixed memory
 //!   over the full `u64` range, mergeable, p50/p99/p999 within a proven
-//!   relative-error bound (`2^-(sub_bits+1)`, ≈1.6 % at the default).
+//!   relative-error bound (`2^-(SUB_BITS+1)` ≈ 1.6 %).
 //!   Replaces the unbounded exact sample buffer in the serve metrics.
 //! * [`span`] — request-scoped span trees (`read-request` →
 //!   `queue-wait` → `worker-service` ⊃ `sim-run` → `respond`) with

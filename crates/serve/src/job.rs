@@ -74,7 +74,7 @@ pub struct RunOptions {
     pub profile: bool,
     /// Include the CPU log, one line per completed instruction, built
     /// from the run's recorded events (truncated after
-    /// [`TRACE_MAX_LINES`] lines).
+    /// `TRACE_MAX_LINES` lines).
     pub trace: bool,
     /// Per-job cycle limit (0 = the simulator default).
     pub max_cycles: u64,

@@ -16,7 +16,7 @@
 //! the windowed rates, which are instantaneous reads.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use mt_obs::{HdrHistogram, PromText, WindowedCounter};
@@ -122,6 +122,12 @@ impl ServeMetrics {
         ServeMetrics::default()
     }
 
+    /// Every update leaves the state whole, so a poisoned lock is safe to
+    /// take back.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Seconds since the server started (the window clock).
     fn now_s(&self) -> u64 {
         self.started.elapsed().as_secs()
@@ -134,7 +140,7 @@ impl ServeMetrics {
 
     /// Sizes the per-worker table (called once when the pool spawns).
     pub fn set_workers(&self, workers: usize) {
-        self.state.lock().unwrap().worker_busy = vec![(0, 0); workers];
+        self.lock().worker_busy = vec![(0, 0); workers];
     }
 
     /// Bumps a named counter. Counters with windowed twins
@@ -143,7 +149,7 @@ impl ServeMetrics {
     /// too, so the rates can never drift from the totals.
     pub fn add(&self, name: &str, delta: u64) {
         let now = self.now_s();
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.lock();
         s.registry.add(name, delta);
         match name {
             "requests_total" => s.requests_win.add(now, delta),
@@ -158,12 +164,12 @@ impl ServeMetrics {
 
     /// Reads a counter.
     pub fn counter(&self, name: &str) -> u64 {
-        self.state.lock().unwrap().registry.counter(name)
+        self.lock().registry.counter(name)
     }
 
     /// Records one completed simulation's cycle count.
     pub fn record_service_cycles(&self, cycles: u64) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.lock();
         s.registry.record("service_cycles", cycles);
         s.service_cycles.record(cycles);
     }
@@ -171,7 +177,7 @@ impl ServeMetrics {
     /// Records one request stage's wall-clock duration. Unknown stage
     /// names are dropped (the set is fixed so memory stays bounded).
     pub fn record_stage_us(&self, stage: &str, us: u64) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.lock();
         if let Some(h) = s.stages.get_mut(stage) {
             h.record(us);
         }
@@ -179,7 +185,7 @@ impl ServeMetrics {
 
     /// Adds one finished job to worker `index`'s utilization tally.
     pub fn record_worker_job(&self, index: usize, busy_us: u64) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.lock();
         if let Some(w) = s.worker_busy.get_mut(index) {
             w.0 += 1;
             w.1 += busy_us;
@@ -189,7 +195,7 @@ impl ServeMetrics {
     /// Approximate resident size of all bounded sample storage — a
     /// constant once the worker table exists, regardless of traffic.
     pub fn memory_bytes(&self) -> usize {
-        let s = self.state.lock().unwrap();
+        let s = self.lock();
         s.service_cycles.memory_bytes()
             + s.stages
                 .values()
@@ -203,7 +209,7 @@ impl ServeMetrics {
     pub fn to_json(&self, g: Gauges) -> Json {
         let now = self.now_s();
         let uptime_us = self.uptime_us();
-        let s = self.state.lock().unwrap();
+        let s = self.lock();
         let hits = s.registry.counter("cache_hits");
         let misses = s.registry.counter("cache_misses");
         let hit_ratio = if hits + misses == 0 {
@@ -298,7 +304,7 @@ impl ServeMetrics {
     pub fn to_prometheus(&self, g: Gauges) -> String {
         let now = self.now_s();
         let uptime_us = self.uptime_us();
-        let s = self.state.lock().unwrap();
+        let s = self.lock();
         let mut p = PromText::new();
         p.counter(
             "mtserve_requests_total",
@@ -681,6 +687,34 @@ mod tests {
         assert!(text.contains("mtserve_conn_threads_parked 2\n"));
         assert!(text.contains("mtserve_request_stage_microseconds_count{stage=\"total\"} 1\n"));
         assert!(text.contains("mtserve_service_cycles{quantile=\"0.5\"}"));
+    }
+
+    #[test]
+    fn poisoned_metrics_still_count_and_render() {
+        let m = ServeMetrics::new();
+        m.set_workers(1);
+        m.add("requests_total", 1);
+        // A thread that panics holding the lock poisons it.
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = m.state.lock();
+                panic!("poisoning the metrics lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(m.state.is_poisoned());
+        m.add("requests_total", 2);
+        m.record_service_cycles(40);
+        m.record_stage_us("total", 9);
+        m.record_worker_job(0, 5);
+        assert_eq!(m.counter("requests_total"), 3);
+        assert!(m.memory_bytes() > 0);
+        let doc = m.to_json(Gauges::default());
+        assert_eq!(get_f64(&doc, &["service_cycles", "count"]), Some(1.0));
+        assert_eq!(get_f64(&doc, &["latency_us", "total", "count"]), Some(1.0));
+        let text = m.to_prometheus(Gauges::default());
+        mt_obs::prom::validate(&text).expect("valid exposition format");
+        assert!(text.contains("mtserve_requests_total 3\n"), "{text}");
     }
 
     #[test]

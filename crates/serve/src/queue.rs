@@ -7,7 +7,7 @@
 //! that into `429 Retry-After`) instead of blocking the accept path.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 #[derive(Debug)]
 struct Inner<T> {
@@ -19,6 +19,22 @@ struct Inner<T> {
     len: usize,
     capacity: usize,
     closed: bool,
+}
+
+impl<T> Inner<T> {
+    /// Takes the next job in round-robin client order, if any.
+    fn take(&mut self) -> Option<T> {
+        let client = self.rotation.pop_front()?;
+        let lane = self.lanes.get_mut(&client).expect("rotation tracks lanes");
+        let job = lane.pop_front().expect("lanes in rotation are non-empty");
+        if lane.is_empty() {
+            self.lanes.remove(&client);
+        } else {
+            self.rotation.push_back(client);
+        }
+        self.len -= 1;
+        Some(job)
+    }
 }
 
 /// The queue. `push` never blocks; `pop` blocks until a job or close.
@@ -43,10 +59,16 @@ impl<T> JobQueue<T> {
         }
     }
 
+    /// Every update leaves the queue whole, so a poisoned lock is safe to
+    /// take back.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueues a job for `client`. Returns the job back when the queue
     /// is full or closed — the caller owes the client a `429`/`503`.
     pub fn push(&self, client: &str, job: T) -> Result<(), T> {
-        let mut q = self.inner.lock().unwrap();
+        let mut q = self.lock();
         if q.closed || q.len >= q.capacity {
             return Err(job);
         }
@@ -67,30 +89,25 @@ impl<T> JobQueue<T> {
     /// the queue is empty. Returns `None` once the queue is closed and
     /// drained.
     pub fn pop(&self) -> Option<T> {
-        let mut q = self.inner.lock().unwrap();
+        let mut q = self.lock();
         loop {
-            if let Some(client) = q.rotation.pop_front() {
-                let lane = q.lanes.get_mut(&client).expect("rotation tracks lanes");
-                let job = lane.pop_front().expect("lanes in rotation are non-empty");
-                if lane.is_empty() {
-                    q.lanes.remove(&client);
-                } else {
-                    q.rotation.push_back(client);
-                }
-                q.len -= 1;
+            if let Some(job) = q.take() {
                 return Some(job);
             }
             if q.closed {
                 return None;
             }
-            q = self.available.wait(q).unwrap();
+            q = self
+                .available
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Closes the queue: pending jobs still drain, new pushes fail, and
     /// blocked `pop`s wake with `None` once empty.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.lock().closed = true;
         self.available.notify_all();
     }
 
@@ -101,20 +118,9 @@ impl<T> JobQueue<T> {
     /// dropping it (the accounting invariant counts them as shed).
     /// Blocked `pop`s wake with `None`; subsequent pushes fail.
     pub fn close_and_take(&self) -> Vec<T> {
-        let mut q = self.inner.lock().unwrap();
+        let mut q = self.lock();
         q.closed = true;
-        let mut orphans = Vec::with_capacity(q.len);
-        while let Some(client) = q.rotation.pop_front() {
-            let lane = q.lanes.get_mut(&client).expect("rotation tracks lanes");
-            let job = lane.pop_front().expect("lanes in rotation are non-empty");
-            if lane.is_empty() {
-                q.lanes.remove(&client);
-            } else {
-                q.rotation.push_back(client);
-            }
-            q.len -= 1;
-            orphans.push(job);
-        }
+        let orphans: Vec<T> = std::iter::from_fn(|| q.take()).collect();
         debug_assert_eq!(q.len, 0);
         drop(q);
         self.available.notify_all();
@@ -123,12 +129,12 @@ impl<T> JobQueue<T> {
 
     /// Jobs currently queued (not counting those being executed).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len
+        self.lock().len
     }
 
     /// The total bound `push` enforces.
     pub fn capacity(&self) -> usize {
-        self.inner.lock().unwrap().capacity
+        self.lock().capacity
     }
 
     /// True when no jobs are queued.
@@ -203,6 +209,32 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None, "closed and drained");
         assert_eq!(q.push("a", "late".to_string()), Err("late".to_string()));
+    }
+
+    #[test]
+    fn poisoned_queue_still_pushes_pops_and_closes() {
+        let q = JobQueue::new(4);
+        q.push("a", 1).unwrap();
+        // A thread that panics holding the lock poisons it.
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = q.inner.lock();
+                panic!("poisoning the queue lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(q.inner.is_poisoned());
+        q.push("b", 2).unwrap();
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.capacity(), 4);
+        assert_eq!(q.pop(), Some(1));
+        q.push("a", 3).unwrap();
+        q.close();
+        assert_eq!(q.push("a", 4), Err(4), "closed queue rejects");
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.close_and_take(), [3]);
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
     use proptest::prelude::*;

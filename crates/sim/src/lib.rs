@@ -21,9 +21,9 @@
 //! * taken branches cost one bubble (substrate assumption, documented in
 //!   DESIGN.md).
 //!
-//! The simulator also offers a *checked mode* that reports violations of
-//! the §2.3.2 software rule — loads/stores that slip past not-yet-issued
-//! elements of an in-flight vector instruction they depend on.
+//! The §2.3.2 software rule — loads/stores must not slip past unissued
+//! elements of an in-flight vector they depend on — is checked over a
+//! recorded run by [`ordering_violations`], a view like the [`Timeline`].
 //!
 //! # Example
 //!
@@ -57,5 +57,5 @@ pub mod timeline;
 pub use config::{MachineConfig, KNOB_NAMES};
 pub use machine::{ArchState, Backend, Machine, RunError, SimConfig, Snapshot};
 pub use mt_isa::{DataSegment, Program, DEFAULT_TEXT_BASE};
-pub use stats::{OrderingViolation, RunStats, StallBreakdown, ViolationKind};
+pub use stats::{ordering_violations, OrderingViolation, RunStats, StallBreakdown, ViolationKind};
 pub use timeline::Timeline;

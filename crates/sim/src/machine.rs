@@ -11,7 +11,7 @@ use mt_trace::{EventKind, EventSink, NullSink, StallCause, TraceEvent};
 use mt_xlate::{TranslatedProgram, Uop};
 
 use crate::config::MachineConfig;
-use crate::stats::{OrderingViolation, RunStats, StallBreakdown, ViolationKind};
+use crate::stats::{RunStats, StallBreakdown, ViolationKind};
 use mt_isa::Program;
 
 /// Which execution backend [`Machine::run`] drives.
@@ -28,9 +28,9 @@ pub enum Backend {
     /// The reference cycle interpreter: fetch (reading the decoded
     /// instruction from the program's translation while the text is
     /// unmodified), guard evaluation, and execution, one cycle at a time.
-    /// Always used while an enabled event sink is attached, with
-    /// [`SimConfig::checked_ordering`] on, for any PC without a micro-op,
-    /// and for the rest of a run after a write into the text.
+    /// Always used while an enabled event sink is attached, for any PC
+    /// without a micro-op, and for the rest of a run after a write into
+    /// the text.
     Tick,
     /// The span engine: the run loop executes instructions back to back
     /// from the micro-op table [`Machine::load_program`] built
@@ -74,8 +74,6 @@ pub struct SimConfig {
     pub machine: MachineConfig,
     /// Abort with [`RunError::CycleLimit`] after this many cycles.
     pub max_cycles: u64,
-    /// Detect and record §2.3.2 ordering-rule violations.
-    pub checked_ordering: bool,
     /// Ablation: serialize the Load/Store and ALU instruction registers —
     /// the CPU stalls completely while a vector is issuing, destroying the
     /// two-operations-per-cycle overlap of §2.4.
@@ -109,7 +107,6 @@ impl Default for SimConfig {
         SimConfig {
             machine: MachineConfig::default(),
             max_cycles: 200_000_000,
-            checked_ordering: false,
             serialized_issue: false,
             full_range_interlock: false,
             watchdog_cycles: 0,
@@ -296,7 +293,6 @@ pub struct Machine {
     /// are attributed to it.
     ir_pc: u32,
     ir_index: u32,
-    violations: Vec<OrderingViolation>,
     /// The loaded program's text decoded to micro-ops (built by every
     /// [`Machine::load_program`]): the PC-indexed table the translated
     /// backend runs, and the decoded text the tick fetch reads while no
@@ -346,7 +342,6 @@ impl Machine {
             drain_cycles: 0,
             ir_pc: 0,
             ir_index: 0,
-            violations: Vec::new(),
             xlate: None,
             last_progress: 0,
         }
@@ -450,8 +445,8 @@ impl Machine {
 
     /// Resets the machine to the state [`Machine::new`]`(config)` would
     /// build — fresh registers, zeroed memory, cold caches, cleared PSW,
-    /// no pending interrupt, zeroed statistics and diagnostics — while
-    /// keeping the large allocations (memory backing, violation list).
+    /// no pending interrupt, zeroed statistics — while keeping the large
+    /// allocation (the memory backing).
     ///
     /// This is the worker-recycling path: a long-lived service worker owns
     /// one `Machine` and runs *arbitrary, unrelated* programs back to
@@ -485,7 +480,6 @@ impl Machine {
         self.drain_cycles = 0;
         self.ir_pc = 0;
         self.ir_index = 0;
-        self.violations.clear();
         self.xlate = None;
         self.last_progress = 0;
     }
@@ -618,19 +612,15 @@ impl Machine {
         let start_stalls = self.stalls;
         let start_drain = self.drain_cycles;
         let start_fpu = *self.fpu.stats();
-        let start_violations = self.violations.len();
         let dcache0 = self.mem.dcache_stats();
         let icache0 = self.mem.icache_stats();
         let ibuffer0 = self.mem.ibuffer_stats();
 
-        // The translated backend emits no per-cycle events and skips the
-        // checked-ordering diagnostics, so watched and checked runs stay
-        // on the reference interpreter, whose code paths they instrument.
-        // Ineligible runs execute tick-by-tick and are bit-identical by
-        // construction.
-        let mut use_xlate = self.config.backend == Backend::Xlate
-            && !sink.enabled()
-            && !self.config.checked_ordering;
+        // The translated backend emits no per-cycle events, so watched
+        // runs stay on the reference interpreter, whose code paths the
+        // events instrument. Ineligible runs execute tick-by-tick and are
+        // bit-identical by construction.
+        let mut use_xlate = self.config.backend == Backend::Xlate && !sink.enabled();
         // First cycle at which the tick loop would report CycleLimit; a
         // hop may land there but never beyond. Saturating, so a limit near
         // `u64::MAX` cannot wrap into a boundary no span advances past.
@@ -766,7 +756,6 @@ impl Machine {
             dcache: delta(self.mem.dcache_stats(), dcache0),
             icache: delta(self.mem.icache_stats(), icache0),
             ibuffer: delta(self.mem.ibuffer_stats(), ibuffer0),
-            violations: self.violations[start_violations..].to_vec(),
         }))
     }
 
@@ -1359,9 +1348,6 @@ impl Machine {
             }
 
             Instr::Fld { fr, base, offset } => {
-                if self.config.checked_ordering {
-                    self.check_ordering(fr, true);
-                }
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
                 let (bits, penalty) = self
                     .mem
@@ -1375,9 +1361,6 @@ impl Machine {
             }
 
             Instr::Fst { fr, base, offset } => {
-                if self.config.checked_ordering {
-                    self.check_ordering(fr, false);
-                }
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
                 self.mem
                     .memory
@@ -1484,7 +1467,8 @@ impl Machine {
     /// elements in a vector other than the first, the compiler must break
     /// the vector" — the first unissued element is interlocked by this
     /// comparator against the IR's live specifier fields; later elements
-    /// are software's responsibility (see checked mode).
+    /// are software's responsibility, which [`crate::ordering_violations`]
+    /// checks over a recorded run.
     fn current_element_conflict(&self, fr: FReg, is_load: bool) -> bool {
         let Some(active) = self.fpu.ir_active() else {
             return false;
@@ -1499,35 +1483,5 @@ impl Machine {
         // Ardent-Titan-style hardware: check every unissued element's
         // register ranges (§2.3.2's first approach).
         (active.next_element..active.instr.vl).any(|e| clashes(active.instr.element(e)))
-    }
-
-    /// §2.3.2 checked mode: a load or store completing now interacts with
-    /// elements of the in-flight vector instruction beyond the
-    /// hardware-interlocked current one.
-    fn check_ordering(&mut self, fr: FReg, is_load: bool) {
-        let Some(&active) = self.fpu.ir_active() else {
-            return;
-        };
-        let unary = active.instr.op.is_unary();
-        for e in active.next_element + 1..active.instr.vl {
-            for kind in ViolationKind::clashes(active.instr.element(e), unary, fr, is_load)
-                .into_iter()
-                .flatten()
-            {
-                let v = self.violation(kind, fr);
-                self.violations.push(v);
-            }
-        }
-    }
-
-    /// Builds a checked-mode diagnostic anchored to the current PC.
-    fn violation(&self, kind: ViolationKind, reg: FReg) -> OrderingViolation {
-        OrderingViolation {
-            cycle: self.cycle,
-            kind,
-            reg,
-            pc: self.pc,
-            instr_index: (self.pc.wrapping_sub(self.entry) / 4) as usize,
-        }
     }
 }

@@ -1,14 +1,16 @@
 //! Run statistics: cycle and FLOP accounting, stall breakdowns, cache
-//! behaviour, and checked-mode ordering diagnostics.
+//! behaviour, and the §2.3.2 ordering diagnostics of a recorded run
+//! ([`ordering_violations`]).
 
 use std::fmt;
 
 use mt_core::FpuStats;
 use mt_fparith::latency::mflops;
+use mt_isa::cost::InstrCost;
 use mt_isa::fpu::ElementRefs;
-use mt_isa::FReg;
+use mt_isa::{FReg, FpuAluInstr};
 use mt_mem::CacheStats;
-use mt_trace::StallCause;
+use mt_trace::{EventKind, StallCause, TraceEvent};
 
 /// Why the CPU could not complete an instruction in a given cycle: one
 /// counter per [`StallCause`], in its order.
@@ -71,7 +73,7 @@ impl StallBreakdown {
     }
 }
 
-/// The kind of §2.3.2 ordering rule violated (checked mode).
+/// The kind of §2.3.2 ordering rule violated ([`ordering_violations`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
     /// A load wrote a register that a not-yet-issued element of an earlier
@@ -87,8 +89,8 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
-    /// The §2.3.2 overlap rule, shared by the simulator's interlock and
-    /// checked mode and by both static analyzers: the ways a load
+    /// The §2.3.2 overlap rule, shared by the simulator's interlock,
+    /// [`ordering_violations`] and both static analyzers: the ways a load
     /// (`is_load`) or store of `fr` clashes with one vector element
     /// touching `refs`, in reporting order (`[None, None]` when they do
     /// not clash). A load clashes with an element that reads its register
@@ -114,7 +116,7 @@ impl ViolationKind {
     }
 }
 
-/// One checked-mode diagnostic.
+/// One §2.3.2 ordering diagnostic of [`ordering_violations`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderingViolation {
     /// Cycle of the offending load/store.
@@ -140,6 +142,78 @@ impl fmt::Display for OrderingViolation {
     }
 }
 
+/// The §2.3.2 software rule over a recorded run
+/// ([`crate::Machine::run_with_sink`] into a `Vec<TraceEvent>`): each FPU
+/// load or store that completed while an element of the in-flight vector
+/// beyond the interlocked current one referenced its register yields that
+/// element's [`ViolationKind::clashes`], in element order, stamped with
+/// the load/store's cycle, `pc` and `instr_index`.
+///
+/// The view follows the ALU IR through the events: `Transfer` loads it,
+/// `ElementIssue` advances it and its last element empties it, and an
+/// `OverflowAbort` at cycle C empties it when its occupant transferred at
+/// or before C − latency (the overflowing element issued `latency` cycles
+/// earlier, so it is the occupant's exactly then). A cycle's events come
+/// in phase order (retire, CPU, issue), so a load or store's
+/// `CpuComplete` sees the IR the machine's interlock saw. The stream must
+/// start with an idle FPU, as every run from `load_program`,
+/// `reset_for_rerun` or `reset_for_new_job` does; the streams of a paused
+/// and resumed run may be concatenated.
+pub fn ordering_violations(events: &[TraceEvent]) -> Vec<OrderingViolation> {
+    // The IR's occupant: instruction, next element, transfer cycle.
+    let mut ir: Option<(FpuAluInstr, u8, u64)> = None;
+    let mut latency = 0;
+    let mut violations = Vec::new();
+    for event in events {
+        match event.kind {
+            EventKind::Transfer { instr, .. } => ir = Some((instr, 0, event.cycle)),
+            EventKind::ElementIssue {
+                element,
+                latency: l,
+                ..
+            } => {
+                latency = l;
+                ir = ir
+                    .map(|(instr, _, at)| (instr, element + 1, at))
+                    .filter(|(instr, next, _)| *next < instr.vl);
+            }
+            EventKind::OverflowAbort { .. }
+                if ir.is_some_and(|(_, _, at)| at + latency <= event.cycle) =>
+            {
+                ir = None;
+            }
+            EventKind::CpuComplete {
+                pc,
+                instr_index,
+                instr,
+            } => {
+                let (Some((fr, is_load)), Some((vector, next, _))) =
+                    (InstrCost::of(&instr).fpu_mem, ir)
+                else {
+                    continue;
+                };
+                let unary = vector.op.is_unary();
+                for e in next + 1..vector.vl {
+                    for kind in ViolationKind::clashes(vector.element(e), unary, fr, is_load)
+                        .into_iter()
+                        .flatten()
+                    {
+                        violations.push(OrderingViolation {
+                            cycle: event.cycle,
+                            kind,
+                            reg: fr,
+                            pc,
+                            instr_index: instr_index as usize,
+                        });
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    violations
+}
+
 /// Statistics of one run (or the delta of a warm re-run).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
@@ -160,9 +234,6 @@ pub struct RunStats {
     pub icache: CacheStats,
     /// Instruction buffer behaviour.
     pub ibuffer: CacheStats,
-    /// Checked-mode ordering diagnostics (empty when the mode is off or the
-    /// program is clean).
-    pub violations: Vec<OrderingViolation>,
 }
 
 impl RunStats {

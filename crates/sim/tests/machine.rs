@@ -1,11 +1,14 @@
 //! Machine-level behaviour tests: CPU loops, memory timing, cold/warm cache
-//! protocol, the dual-issue overlap, checked-mode ordering diagnostics, and
-//! failure modes.
+//! protocol, the dual-issue overlap, the §2.3.2 ordering view of a recorded
+//! run, and failure modes.
 
 use mt_fparith::FpOp;
 use mt_isa::cpu::BranchCond;
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
-use mt_sim::{Backend, Machine, Program, RunError, SimConfig, Timeline, ViolationKind};
+use mt_sim::{
+    ordering_violations, Backend, Machine, OrderingViolation, Program, RunError, SimConfig,
+    Timeline, ViolationKind,
+};
 use mt_trace::TraceEvent;
 
 fn r(i: u8) -> FReg {
@@ -241,7 +244,7 @@ fn dual_issue_overlaps_loads_with_vector_elements() {
 }
 
 #[test]
-fn checked_mode_flags_store_before_element_issue() {
+fn view_flags_store_before_element_issue() {
     // Store element 3's result register while the vector has only begun
     // issuing — the §2.3.2 case the compiler must break.
     let instrs = [
@@ -254,26 +257,22 @@ fn checked_mode_flags_store_before_element_issue() {
         Instr::Halt,
     ];
     let prog = Program::assemble(&instrs).unwrap();
-    let mut m = Machine::new(SimConfig {
-        checked_ordering: true,
-        ..SimConfig::default()
-    });
+    let mut m = Machine::new(SimConfig::default());
     m.load_program(&prog);
     m.warm_instructions(&prog);
     m.mem.load_f64(0x2000);
-    let stats = m.run().unwrap();
+    let violations = recorded_violations(&mut m);
     assert!(
-        stats
-            .violations
+        violations
             .iter()
             .any(|v| v.kind == ViolationKind::StoreReadsPendingDest && v.reg == r(23)),
         "violations: {:?}",
-        stats.violations
+        violations
     );
 }
 
 #[test]
-fn checked_mode_flags_load_clobbering_pending_source() {
+fn view_flags_load_clobbering_pending_source() {
     let instrs = [
         Instr::Falu(FpuAluInstr::vector(FpOp::Add, r(16), r(0), r(8), 8).unwrap()),
         Instr::Fld {
@@ -284,22 +283,18 @@ fn checked_mode_flags_load_clobbering_pending_source() {
         Instr::Halt,
     ];
     let prog = Program::assemble(&instrs).unwrap();
-    let mut m = Machine::new(SimConfig {
-        checked_ordering: true,
-        ..SimConfig::default()
-    });
+    let mut m = Machine::new(SimConfig::default());
     m.load_program(&prog);
     m.warm_instructions(&prog);
     m.mem.load_f64(0x2000);
-    let stats = m.run().unwrap();
-    assert!(stats
-        .violations
+    let violations = recorded_violations(&mut m);
+    assert!(violations
         .iter()
         .any(|v| v.kind == ViolationKind::LoadClobbersPendingSource && v.reg == r(7)));
 }
 
 #[test]
-fn checked_mode_flags_load_into_pending_dest() {
+fn view_flags_load_into_pending_dest() {
     let instrs = [
         Instr::Falu(FpuAluInstr::vector(FpOp::Add, r(16), r(0), r(8), 8).unwrap()),
         Instr::Fld {
@@ -310,16 +305,12 @@ fn checked_mode_flags_load_into_pending_dest() {
         Instr::Halt,
     ];
     let prog = Program::assemble(&instrs).unwrap();
-    let mut m = Machine::new(SimConfig {
-        checked_ordering: true,
-        ..SimConfig::default()
-    });
+    let mut m = Machine::new(SimConfig::default());
     m.load_program(&prog);
     m.warm_instructions(&prog);
     m.mem.load_f64(0x2000);
-    let stats = m.run().unwrap();
-    assert!(stats
-        .violations
+    let violations = recorded_violations(&mut m);
+    assert!(violations
         .iter()
         .any(|v| v.kind == ViolationKind::LoadIntoPendingDest && v.reg == r(23)));
 }
@@ -336,15 +327,12 @@ fn ordering_violation_display_carries_instr_index_and_pc() {
         Instr::Halt,
     ];
     let prog = Program::assemble(&instrs).unwrap();
-    let mut m = Machine::new(SimConfig {
-        checked_ordering: true,
-        ..SimConfig::default()
-    });
+    let mut m = Machine::new(SimConfig::default());
     m.load_program(&prog);
     m.warm_instructions(&prog);
     m.mem.load_f64(0x2000);
-    let stats = m.run().unwrap();
-    let v = stats.violations.first().expect("violation fires");
+    let violations = recorded_violations(&mut m);
+    let v = violations.first().expect("violation fires");
     assert_eq!(v.instr_index, 1);
     assert_eq!(v.pc, prog.base + 4);
     let text = v.to_string();
@@ -353,7 +341,7 @@ fn ordering_violation_display_carries_instr_index_and_pc() {
 }
 
 #[test]
-fn checked_mode_is_quiet_for_in_order_stores() {
+fn view_is_quiet_for_in_order_stores() {
     // Storing results in element order is the sanctioned pattern: each
     // store waits (scoreboard) for its element, never slipping ahead.
     let mut instrs = vec![Instr::Falu(
@@ -368,18 +356,99 @@ fn checked_mode_is_quiet_for_in_order_stores() {
     }
     instrs.push(Instr::Halt);
     let prog = Program::assemble(&instrs).unwrap();
-    let mut m = Machine::new(SimConfig {
-        checked_ordering: true,
-        ..SimConfig::default()
-    });
+    let mut m = Machine::new(SimConfig::default());
     m.load_program(&prog);
     m.warm_instructions(&prog);
-    let stats = m.run().unwrap();
+    let violations = recorded_violations(&mut m);
     assert!(
-        stats.violations.is_empty(),
+        violations.is_empty(),
         "in-order stores are legal: {:?}",
-        stats.violations
+        violations
     );
+}
+
+/// A vector whose element 0 overflows (§2.3.1) is squashed before the
+/// load two cycles later: `R16..R23 := R0..R7 * R16` with element 1
+/// waiting on element 0's R16, so the abort at cycle 3 meets the IR at
+/// element 1 and a load of R2 (element 2 reads it) completes that cycle
+/// against an empty IR. With finite operands the same load is flagged.
+#[test]
+fn overflow_abort_squashes_the_vector_the_view_tracks() {
+    let instrs = [
+        Instr::Falu(FpuAluInstr::vector_scalar(FpOp::Mul, r(16), r(0), r(16), 8).unwrap()),
+        Instr::Nop,
+        Instr::Nop,
+        Instr::Fld {
+            fr: r(2),
+            base: ir(0),
+            offset: 0x2000,
+        },
+        Instr::Halt,
+    ];
+    let run = |big: f64| {
+        let mut m = machine_with(&instrs);
+        m.mem.load_f64(0x2000);
+        m.fpu.regs_mut().write_f64(r(0), big);
+        m.fpu.regs_mut().write_f64(r(16), big);
+        let mut events: Vec<TraceEvent> = Vec::new();
+        let stats = m.run_with_sink(&mut events).unwrap();
+        (stats.fpu.overflow_aborts, ordering_violations(&events))
+    };
+    let (aborts, violations) = run(1e308);
+    assert_eq!(aborts, 1);
+    assert!(violations.is_empty(), "squashed IR: {violations:?}");
+    let (aborts, violations) = run(1.0);
+    assert_eq!(aborts, 0);
+    assert_eq!(
+        violations
+            .iter()
+            .map(|v| (v.kind, v.reg))
+            .collect::<Vec<_>>(),
+        [(ViolationKind::LoadClobbersPendingSource, r(2))]
+    );
+}
+
+/// A scalar that overflows while a later vector occupies the IR squashes
+/// only itself: the vector stays, so a load of R5 (element 5 reads it)
+/// in the abort's cycle is flagged.
+#[test]
+fn overflow_of_an_earlier_scalar_leaves_the_vector_in_the_ir() {
+    let mut m = machine_with(&[
+        Instr::Falu(FpuAluInstr::scalar(FpOp::Mul, r(40), r(41), r(41))),
+        Instr::Falu(FpuAluInstr::vector(FpOp::Add, r(16), r(0), r(8), 8).unwrap()),
+        Instr::Nop,
+        Instr::Fld {
+            fr: r(5),
+            base: ir(0),
+            offset: 0x2000,
+        },
+        Instr::Halt,
+    ]);
+    m.mem.load_f64(0x2000);
+    m.fpu.regs_mut().write_f64(r(41), 1e308);
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let stats = m.run_with_sink(&mut events).unwrap();
+    assert_eq!(stats.fpu.overflow_aborts, 1);
+    let abort = events
+        .iter()
+        .find(|e| matches!(e.kind, mt_trace::EventKind::OverflowAbort { .. }))
+        .expect("the scalar overflows");
+    let violations = ordering_violations(&events);
+    assert_eq!(
+        violations
+            .iter()
+            .map(|v| (v.kind, v.reg, v.cycle))
+            .collect::<Vec<_>>(),
+        [(ViolationKind::LoadClobbersPendingSource, r(5), abort.cycle)]
+    );
+}
+
+/// Runs `m` to halt with the run recorded and returns the §2.3.2 view of
+/// it.
+fn recorded_violations(m: &mut Machine) -> Vec<OrderingViolation> {
+    let mut events: Vec<TraceEvent> = Vec::new();
+    m.run_with_sink(&mut events).unwrap();
+    ordering_violations(&events)
 }
 
 #[test]

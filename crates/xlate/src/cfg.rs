@@ -89,7 +89,7 @@ impl ProgramView {
     ///   return point — an over-approximation, since a specific `jr`
     ///   dynamically returns only to the call sites that can actually
     ///   reach it, but a sound one: every dynamic successor is in the
-    ///   set. See [`ProgramView::jal_return_points`].
+    ///   set. See `ProgramView::jal_return_points`.
     /// * `jr r31` in a program with any other `r31` write, and `jr` of
     ///   any other register, remain analysis-ending: the target is a
     ///   runtime value the decoder cannot bound. Analyses treat such an

@@ -2,7 +2,7 @@
 //!
 //! Two layers:
 //!
-//! * [`cfg`] — the decoded program view, control-flow successors, and the
+//! * [`cfg`](mod@cfg) — the decoded program view, control-flow successors, and the
 //!   basic-block partition the static analyses (`mt-lint`, `mt-mca`) are
 //!   built on.
 //! * [`translate`] — decodes each text word once into a micro-op

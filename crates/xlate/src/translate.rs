@@ -13,7 +13,7 @@
 //!
 //! Undecodable words translate to `None`: they cannot execute, and an
 //! executor that reaches one falls back to the interpreter, which
-//! reports the identical [`BadInstruction`] fault. Nothing dynamic is
+//! reports the identical `RunError::BadInstruction` fault. Nothing dynamic is
 //! decided here — every hazard guard is still evaluated each cycle by
 //! the executor against live machine state, and control-flow targets are
 //! computed by the executor from the instruction, so translation can

@@ -2,8 +2,9 @@
 //!
 //! `Machine::run` has one reference engine, the tick interpreter, and one
 //! fast engine, the block-translated backend (`Backend::Xlate`, the
-//! default), which executes whole basic blocks of pre-resolved micro-ops
-//! and hops over multi-cycle waits, synthesizing the per-cycle stall
+//! default), whose micro-ops are each the decoded instruction and its cost
+//! row, run through the interpreter's own guard and execute code, and
+//! which hops over multi-cycle waits, synthesizing the per-cycle stall
 //! accounting the tick loop would have produced. This file proves the
 //! fast engine a pure optimization as a **two-way differential** (tick vs
 //! xlate) over random programs that exercise every wait class: cold-fetch

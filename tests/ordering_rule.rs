@@ -1,16 +1,26 @@
 //! §2.3.2 compliance: every generated workload must be free of the
-//! out-of-order load/store hazards the hardware cannot interlock. The
-//! simulator's checked mode detects them; the mini-Mahler fences are what
-//! should prevent them. Any violation here is a code-generator bug.
+//! out-of-order load/store hazards the hardware cannot interlock.
+//! `ordering_violations` finds them in a recorded run; the mini-Mahler
+//! fences are what should prevent them. Any violation here is a
+//! code-generator bug.
 
-use multititan::kernels::{harness, linpack, livermore};
-use multititan::sim::SimConfig;
+use multititan::kernels::harness::{self, Kernel};
+use multititan::kernels::{linpack, livermore};
+use multititan::sim::{ordering_violations, OrderingViolation, SimConfig};
 
-fn checked() -> SimConfig {
-    SimConfig {
-        checked_ordering: true,
-        ..SimConfig::default()
-    }
+/// The violations of each pass of a §3.2 run.
+struct Checked {
+    cold: Vec<OrderingViolation>,
+    warm: Vec<OrderingViolation>,
+}
+
+/// Runs `kernel` with both passes recorded and applies the §2.3.2 view.
+fn checked(kernel: &Kernel) -> Result<Checked, String> {
+    let traced = harness::run_kernel_recorded(kernel, SimConfig::default())?;
+    Ok(Checked {
+        cold: ordering_violations(&traced.cold_events),
+        warm: ordering_violations(&traced.warm_events),
+    })
 }
 
 #[test]
@@ -18,23 +28,19 @@ fn vectorized_livermore_loops_are_ordering_clean() {
     // The loops with real vector work are the ones at risk.
     for n in [1u8, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 18, 21] {
         let kernel = livermore::by_number(n);
-        let report = harness::run_kernel_with(&kernel, checked()).unwrap_or_else(|e| panic!("{e}"));
+        let report = checked(&kernel).unwrap_or_else(|e| panic!("{e}"));
         assert!(
-            report.cold.violations.is_empty() && report.warm.violations.is_empty(),
+            report.cold.is_empty() && report.warm.is_empty(),
             "loop {n}: ordering violations {:?}",
-            report.cold.violations
+            report.cold
         );
     }
 }
 
 #[test]
 fn vector_linpack_is_ordering_clean() {
-    let report = harness::run_kernel_with(&linpack::linpack(24, true), checked()).unwrap();
-    assert!(
-        report.warm.violations.is_empty(),
-        "violations: {:?}",
-        report.warm.violations
-    );
+    let report = checked(&linpack::linpack(24, true)).unwrap();
+    assert!(report.warm.is_empty(), "violations: {:?}", report.warm);
 }
 
 #[test]
@@ -50,11 +56,7 @@ fn figure_kernels_are_ordering_clean() {
         graphics::transform_points(8),
     ] {
         let name = kernel.name.clone();
-        let report = harness::run_kernel_with(&kernel, checked()).unwrap_or_else(|e| panic!("{e}"));
-        assert!(
-            report.warm.violations.is_empty(),
-            "{name}: {:?}",
-            report.warm.violations
-        );
+        let report = checked(&kernel).unwrap_or_else(|e| panic!("{e}"));
+        assert!(report.warm.is_empty(), "{name}: {:?}", report.warm);
     }
 }
