@@ -70,13 +70,13 @@ impl AluIr {
         self.active.as_ref()
     }
 
-    /// Loads a newly transferred instruction, returning its id.
+    /// Loads a newly transferred instruction under the next id.
     ///
     /// # Panics
     ///
     /// Panics if the IR is occupied — callers must check [`AluIr::occupied`]
     /// (the transfer handshake does in hardware).
-    pub fn load(&mut self, instr: FpuAluInstr) -> u64 {
+    pub fn load(&mut self, instr: FpuAluInstr) {
         assert!(!self.occupied(), "ALU IR transfer while occupied");
         let id = self.next_id;
         self.next_id += 1;
@@ -91,7 +91,6 @@ impl AluIr {
                 rb: instr.rb,
             },
         });
-        id
     }
 
     /// Advances past the just-issued element: decrements the length field
@@ -179,9 +178,11 @@ mod tests {
     #[test]
     fn ids_are_unique_and_increasing() {
         let mut ir = AluIr::new();
-        let a = ir.load(FpuAluInstr::scalar(FpOp::Add, r(2), r(0), r(1)));
+        ir.load(FpuAluInstr::scalar(FpOp::Add, r(2), r(0), r(1)));
+        let a = ir.active().unwrap().id;
         ir.advance();
-        let b = ir.load(FpuAluInstr::scalar(FpOp::Add, r(3), r(0), r(1)));
+        ir.load(FpuAluInstr::scalar(FpOp::Add, r(3), r(0), r(1)));
+        let b = ir.active().unwrap().id;
         assert!(b > a);
     }
 

@@ -47,6 +47,12 @@ impl GridMode {
 /// [`MachineConfig`] knob — it changes issue policy, not geometry.
 pub const SERIALIZED_ISSUE_AXIS: &str = "serialized_issue";
 
+/// Most cells [`GridSpec::enumerate`] expands a grid to. A few hundred
+/// bytes of grid text can name billions of cells, and expanding them
+/// would fail the allocation; `repro-dse`'s grid has 9 cells and
+/// `POST /sweep` caps its grids at 64.
+pub const MAX_GRID_CELLS: usize = 65_536;
+
 /// One sweep axis: a knob name and the values it takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Axis {
@@ -152,9 +158,15 @@ impl GridSpec {
     /// Expands the spec into concrete, validated cells. Each cell starts
     /// from the default (paper) machine and applies one value per axis;
     /// the cell name is the canonical `knob=value` list of *swept* knobs
-    /// only, so grid cells are self-describing in reports.
+    /// only, so grid cells are self-describing in reports. A grid of more
+    /// than [`MAX_GRID_CELLS`] cells is an error.
     pub fn enumerate(&self) -> Result<Vec<CellSpec>, String> {
         let count = self.cell_count();
+        if count > MAX_GRID_CELLS {
+            return Err(format!(
+                "grid has {count} cells, more than the {MAX_GRID_CELLS} a grid may expand to"
+            ));
+        }
         let mut cells = Vec::with_capacity(count);
         for i in 0..count {
             let mut machine = MachineConfig::default();
@@ -269,6 +281,18 @@ mod tests {
         );
         let err = GridSpec::parse("fpu_lanes=1\nfpu_latency=oops").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn a_grid_over_the_cap_is_an_error_not_an_allocation() {
+        let text: String = KNOB_NAMES[..9]
+            .iter()
+            .map(|k| format!("{k}=1,2,3,4,5,6,7,8\n"))
+            .collect();
+        let spec = GridSpec::parse(&text).unwrap();
+        assert_eq!(spec.cell_count(), 1 << 27);
+        let err = spec.enumerate().unwrap_err();
+        assert!(err.contains("134217728 cells"), "{err}");
     }
 
     #[test]

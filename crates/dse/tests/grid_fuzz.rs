@@ -6,9 +6,11 @@
 //! Lines name every `KNOB_NAMES` entry, `serialized_issue` and `mode`.
 //! Most values come from inside a knob's valid range (cache geometry as
 //! powers of two), some from outside it, plus `u64` extremes and
-//! garbage tokens.
+//! garbage tokens. A grid has up to 22 distinct axes, as many as there
+//! are, so some grids name more cells than `MAX_GRID_CELLS` and must be
+//! an error rather than an allocation failure.
 
-use mt_dse::{run_grid, GridSpec};
+use mt_dse::{run_grid, GridSpec, MAX_GRID_CELLS};
 use mt_sim::KNOB_NAMES;
 use proptest::prelude::*;
 
@@ -56,20 +58,18 @@ fn value(knob: &str, pick: u32, raw: u64) -> String {
     }
 }
 
-/// One line of grid text.
-fn line() -> impl Strategy<Value = String> {
-    let axis = (
-        0..KNOB_NAMES.len() + 1,
-        prop::collection::vec((0u32..100, any::<u64>()), 1..=3),
-    )
-        .prop_map(|(k, picks)| {
-            let knob = KNOB_NAMES.get(k).copied().unwrap_or("serialized_issue");
-            let values: Vec<String> = picks
-                .into_iter()
-                .map(|(pick, raw)| value(knob, pick, raw))
-                .collect();
-            format!("{knob}={}", values.join(","))
-        });
+/// One axis line for `knob`.
+fn axis_line(knob: &str, picks: Vec<(u32, u64)>) -> String {
+    let values: Vec<String> = picks
+        .into_iter()
+        .map(|(pick, raw)| value(knob, pick, raw))
+        .collect();
+    format!("{knob}={}", values.join(","))
+}
+
+/// One line that is not a fresh axis: a mode line, a comment, printable
+/// noise or a repeated axis.
+fn other_line() -> impl Strategy<Value = String> {
     let mode = (0usize..6).prop_map(|i| {
         [
             "mode=cartesian",
@@ -81,22 +81,68 @@ fn line() -> impl Strategy<Value = String> {
         ][i]
             .to_string()
     });
+    let repeat = (0..KNOB_NAMES.len(), 0u64..100)
+        .prop_map(|(k, raw)| axis_line(KNOB_NAMES[k], vec![(0, raw)]));
     prop_oneof![
-        12 => axis,
-        3 => mode,
-        1 => "[ -~]{0,16}",
+        6 => mode,
+        2 => "[ -~]{0,16}",
+        1 => repeat,
     ]
 }
 
+/// Grid text: up to 22 distinct axes (every knob and `serialized_issue`)
+/// in random order, and at most one other line at a random place. Most
+/// grids have a few axes of one to three values, so most parse and run;
+/// a fifth have 16 or more axes of up to eight values, mostly past
+/// `MAX_GRID_CELLS` and some past what memory could hold.
+fn grid_text() -> impl Strategy<Value = String> {
+    let axes = KNOB_NAMES.len() + 1;
+    (
+        prop::collection::vec(
+            (
+                any::<u64>(),
+                prop::collection::vec((0u32..100, any::<u64>()), 1..=8),
+            ),
+            axes,
+        ),
+        // (axes, most values per axis)
+        prop_oneof![
+            6 => (1..=4usize, Just(3usize)),
+            1 => (5..=15, Just(3)),
+            2 => (16..=axes, Just(8)),
+        ],
+        prop::collection::vec((any::<u64>(), other_line()), 0..=1),
+    )
+        .prop_map(|(drawn, (n, most), others)| {
+            let mut lines: Vec<(u64, String)> = drawn
+                .into_iter()
+                .enumerate()
+                .map(|(k, (key, mut picks))| {
+                    let knob = KNOB_NAMES.get(k).copied().unwrap_or("serialized_issue");
+                    picks.truncate(most);
+                    (key, axis_line(knob, picks))
+                })
+                .collect();
+            lines.sort();
+            lines.truncate(n);
+            lines.extend(others);
+            lines.sort_by_key(|&(key, _)| key);
+            lines
+                .into_iter()
+                .map(|(_, line)| line)
+                .collect::<Vec<_>>()
+                .join("\n")
+        })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1000))]
+    #![proptest_config(ProptestConfig::with_cases(2000))]
 
     #[test]
     fn grid_text_parses_enumerates_and_runs_without_panicking(
-        lines in prop::collection::vec(line(), 1..5),
+        text in grid_text(),
         loop_number in 1u8..=24,
     ) {
-        let text = lines.join("\n");
         let Ok(grid) = GridSpec::parse(&text) else {
             return Ok(());
         };
@@ -104,6 +150,7 @@ proptest! {
         let Ok(cells) = grid.enumerate() else {
             return Ok(());
         };
+        prop_assert!(count <= MAX_GRID_CELLS, "{:?}", text);
         prop_assert_eq!(cells.len(), count, "{:?}", text);
         for cell in &cells {
             prop_assert!(cell.machine.validate().is_ok(), "{}", cell.name);

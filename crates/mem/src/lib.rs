@@ -5,7 +5,8 @@
 //! 64 KB external instruction cache; and a 2 KB on-chip instruction buffer.
 //! This crate provides:
 //!
-//! * [`Memory`] — flat byte-addressed main memory with typed accessors;
+//! * [`Memory`] — byte-addressed main memory with typed accessors, backed
+//!   by pages allocated on first write;
 //! * [`Cache`] — a parametric direct-mapped write-back cache model with
 //!   hit/miss statistics;
 //! * [`MemorySystem`] — the assembled hierarchy with the paper's parameters

@@ -1,4 +1,4 @@
-//! Flat byte-addressed main memory.
+//! Byte-addressed main memory, backed by pages allocated on first write.
 
 use std::fmt;
 
@@ -47,11 +47,20 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-/// Main memory: a flat little-endian byte array.
+/// Bytes per page of [`Memory`]'s backing: a power of two of at least 8,
+/// so no naturally aligned access straddles two pages.
+const PAGE_BYTES: usize = 4096;
+const _: () = assert!(PAGE_BYTES.is_power_of_two() && PAGE_BYTES >= 8);
+
+/// What a page never written reads as.
+static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
+
+/// Main memory: a little-endian byte array over a 32-bit address space.
 ///
 /// Addresses are 32-bit as on the MultiTitan (Fig. 1 shows a 32-bit address
-/// bus). Accesses must be naturally aligned — the simulator treats
-/// misalignment as a program bug and panics with the offending address.
+/// bus). The `try_*` accessors (the simulator's run path) reject a
+/// misaligned or out-of-bounds access with a [`MemError`]; the infallible
+/// set-up accessors panic with the offending address instead.
 ///
 /// ```
 /// use mt_mem::Memory;
@@ -61,11 +70,14 @@ impl std::error::Error for MemError {}
 /// ```
 #[derive(Clone)]
 pub struct Memory {
-    /// Physical backing, grown lazily on first write: a fresh `Memory` is
-    /// all zeros, so pages never written need no storage. Simulations
-    /// create many short-lived machines (one per kernel per sweep point),
-    /// and eagerly zeroing megabytes per machine dominated their setup.
-    bytes: Vec<u8>,
+    /// Fixed-size pages, each allocated zeroed on its first write; `None`,
+    /// or an index past the end of the table, reads as zeros. Simulations
+    /// create many short-lived machines (one per kernel per sweep point)
+    /// that write a few kilobytes each, so a machine pays only for the
+    /// pages its run writes, and a clone copies only those.
+    pages: Vec<Option<Box<[u8; PAGE_BYTES]>>>,
+    /// One past the highest byte written (0 if nothing was).
+    high_water: usize,
     /// Logical size in bytes — the address-space bound accesses are
     /// checked against, independent of how much backing exists.
     size: usize,
@@ -77,11 +89,12 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Creates `size` bytes of zeroed memory (backing allocated on first
-    /// write).
+    /// Creates `size` bytes of zeroed memory (backing allocated a page at
+    /// a time, on first write).
     pub fn new(size: usize) -> Memory {
         Memory {
-            bytes: Vec::new(),
+            pages: Vec::new(),
+            high_water: 0,
             size,
             watch: (0, 0),
             watch_writes: 0,
@@ -97,20 +110,19 @@ impl Memory {
         self.watch_writes = 0;
     }
 
-    /// Number of writes that have touched the watched range.
+    /// Number of writes that have touched the watched range: nonzero
+    /// exactly when some write since [`Memory::watch_range`] overlapped it.
     pub fn watch_writes(&self) -> u64 {
         self.watch_writes
     }
 
     /// Returns the memory to its freshly-created all-zeros state — and
-    /// clears any watch — while keeping the backing allocation, so a
-    /// long-lived worker (one `mt-serve` worker thread per core, each
-    /// recycling its machine across arbitrary jobs) never leaks one job's
-    /// data into the next and never re-allocates per job.
+    /// clears any watch — dropping every page, so a long-lived worker (one
+    /// `mt-serve` worker thread per core, each recycling its machine
+    /// across arbitrary jobs) neither leaks one job's data into the next
+    /// nor keeps a large job's backing.
     pub fn clear(&mut self) {
-        self.bytes.clear();
-        self.watch = (0, 0);
-        self.watch_writes = 0;
+        *self = Memory::new(self.size);
     }
 
     /// Memory size in bytes.
@@ -122,7 +134,7 @@ impl Memory {
     /// [`Memory::clear`] (0 if nothing was written): how much memory the
     /// writes so far needed.
     pub fn high_water(&self) -> usize {
-        self.bytes.len()
+        self.high_water
     }
 
     /// Validates alignment and bounds without touching the data.
@@ -148,8 +160,101 @@ impl Memory {
         }
     }
 
-    /// Reads `N` bytes at `addr`; bytes beyond the written extent are the
-    /// zeros they have always been.
+    /// Checks that `len` bytes from `addr` lie in memory, returning the
+    /// range `[start, end)`. An empty range needs no room.
+    #[track_caller]
+    fn check_span(&self, addr: u32, len: usize) -> (usize, usize) {
+        let start = addr as usize;
+        let end = start.saturating_add(len);
+        if len > 0 && end > self.size {
+            panic!(
+                "{}",
+                MemError::OutOfBounds {
+                    addr,
+                    len: u32::try_from(len).unwrap_or(u32::MAX),
+                    size: self.size,
+                }
+            );
+        }
+        (start, end)
+    }
+
+    /// [`Memory::check_span`] for `count` aligned doubles.
+    #[track_caller]
+    fn check_f64s(&self, addr: u32, count: usize) -> (usize, usize) {
+        if count > 0 {
+            self.check(addr, 8);
+        }
+        self.check_span(addr, count.saturating_mul(8))
+    }
+
+    /// The page holding byte `a`, or the zero page if it was never
+    /// written.
+    #[inline]
+    fn page(&self, a: usize) -> &[u8; PAGE_BYTES] {
+        match self.pages.get(a / PAGE_BYTES) {
+            Some(Some(page)) => page,
+            _ => &ZERO_PAGE,
+        }
+    }
+
+    /// The page holding byte `a`, allocated zeroed if this is its first
+    /// write (the table grows only as high as the highest page written).
+    #[inline]
+    fn page_mut(&mut self, a: usize) -> &mut [u8; PAGE_BYTES] {
+        let i = a / PAGE_BYTES;
+        if i >= self.pages.len() {
+            self.pages.resize_with(i + 1, || None);
+        }
+        self.pages[i].get_or_insert_with(|| Box::new([0; PAGE_BYTES]))
+    }
+
+    /// Records a write of the non-empty range `[start, end)` for
+    /// [`Memory::high_water`] and the watch.
+    #[inline]
+    fn note_write(&mut self, start: usize, end: usize) {
+        if start < self.watch.1 as usize && end > self.watch.0 as usize {
+            self.watch_writes += 1;
+        }
+        self.high_water = self.high_water.max(end);
+    }
+
+    /// Calls `f(done, piece)` for each page-bounded piece of the checked
+    /// range `[start, end)` in address order, where `done` is the number
+    /// of bytes before the piece.
+    fn for_each_piece(&self, start: usize, end: usize, mut f: impl FnMut(usize, &[u8])) {
+        let mut a = start;
+        while a < end {
+            let off = a % PAGE_BYTES;
+            let n = (PAGE_BYTES - off).min(end - a);
+            f(a - start, &self.page(a)[off..off + n]);
+            a += n;
+        }
+    }
+
+    /// [`Memory::for_each_piece`] for writing: allocates the pages the
+    /// range covers and records the write. An empty range writes nothing.
+    fn for_each_piece_mut(
+        &mut self,
+        start: usize,
+        end: usize,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) {
+        if start == end {
+            return;
+        }
+        self.note_write(start, end);
+        let mut a = start;
+        while a < end {
+            let off = a % PAGE_BYTES;
+            let n = (PAGE_BYTES - off).min(end - a);
+            f(a - start, &mut self.page_mut(a)[off..off + n]);
+            a += n;
+        }
+    }
+
+    /// Reads `N` bytes at `addr`; bytes never written are the zeros they
+    /// have always been.
     #[track_caller]
     #[inline]
     fn read_n<const N: usize>(&self, addr: u32) -> [u8; N] {
@@ -157,23 +262,16 @@ impl Memory {
         self.read_n_unchecked(addr)
     }
 
-    /// [`Memory::read_n`] after a successful [`Memory::try_check`].
+    /// [`Memory::read_n`] after a successful [`Memory::try_check`]: an
+    /// aligned access lies in one page.
     #[inline]
     fn read_n_unchecked<const N: usize>(&self, addr: u32) -> [u8; N] {
         let a = addr as usize;
-        if a + N <= self.bytes.len() {
-            self.bytes[a..a + N].try_into().unwrap()
-        } else {
-            let mut out = [0u8; N];
-            if a < self.bytes.len() {
-                let have = self.bytes.len() - a;
-                out[..have].copy_from_slice(&self.bytes[a..]);
-            }
-            out
-        }
+        let off = a % PAGE_BYTES;
+        self.page(a)[off..off + N].try_into().unwrap()
     }
 
-    /// Writes `N` bytes at `addr`, zero-extending the backing to cover it.
+    /// Writes `N` bytes at `addr`, allocating its page on first write.
     #[track_caller]
     #[inline]
     fn write_n<const N: usize>(&mut self, addr: u32, data: [u8; N]) {
@@ -184,14 +282,10 @@ impl Memory {
     /// [`Memory::write_n`] after a successful [`Memory::try_check`].
     #[inline]
     fn write_n_unchecked<const N: usize>(&mut self, addr: u32, data: [u8; N]) {
-        if addr < self.watch.1 && addr + N as u32 > self.watch.0 {
-            self.watch_writes += 1;
-        }
         let a = addr as usize;
-        if a + N > self.bytes.len() {
-            self.bytes.resize(a + N, 0);
-        }
-        self.bytes[a..a + N].copy_from_slice(&data);
+        self.note_write(a, a + N);
+        let off = a % PAGE_BYTES;
+        self.page_mut(a)[off..off + N].copy_from_slice(&data);
     }
 
     /// Reads a 32-bit word.
@@ -281,21 +375,54 @@ impl Memory {
         self.write_u64(addr, value.to_bits());
     }
 
+    /// Copies `bytes` into memory from `addr`, with no alignment
+    /// requirement (set-up: a program's data segments).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range extends beyond the memory size.
+    #[track_caller]
+    pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
+        let (start, end) = self.check_span(addr, bytes.len());
+        self.for_each_piece_mut(start, end, |done, dst| {
+            dst.copy_from_slice(&bytes[done..done + dst.len()]);
+        });
+    }
+
     /// Writes a slice of doubles starting at `addr` (a convenience for
     /// loading workload arrays).
+    ///
+    /// # Panics
+    ///
+    /// Panics, before writing anything, if `addr` is misaligned or the
+    /// slice extends beyond the memory size.
     #[track_caller]
     pub fn write_f64_slice(&mut self, addr: u32, values: &[f64]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write_f64(addr + 8 * i as u32, v);
-        }
+        let (start, end) = self.check_f64s(addr, values.len());
+        self.for_each_piece_mut(start, end, |done, dst| {
+            for (d, v) in dst.chunks_exact_mut(8).zip(&values[done / 8..]) {
+                d.copy_from_slice(&v.to_bits().to_le_bytes());
+            }
+        });
     }
 
     /// Reads `count` doubles starting at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is misaligned or the range extends beyond the
+    /// memory size.
     #[track_caller]
     pub fn read_f64_slice(&self, addr: u32, count: usize) -> Vec<f64> {
-        (0..count)
-            .map(|i| self.read_f64(addr + 8 * i as u32))
-            .collect()
+        let (start, end) = self.check_f64s(addr, count);
+        let mut out = Vec::with_capacity(count);
+        self.for_each_piece(start, end, |_, src| {
+            out.extend(
+                src.chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+            );
+        });
+        out
     }
 }
 
@@ -358,6 +485,52 @@ mod tests {
     }
 
     #[test]
+    fn writing_the_last_word_of_a_gigabyte_allocates_one_page() {
+        let mut m = Memory::new(1 << 30);
+        m.write_u64((1 << 30) - 8, u64::MAX);
+        assert_eq!(m.pages.iter().flatten().count(), 1);
+        assert_eq!(m.pages.len(), (1 << 30) / PAGE_BYTES);
+        assert_eq!(m.high_water(), 1 << 30);
+        assert_eq!(m.read_u64((1 << 30) - 8), u64::MAX);
+        assert_eq!(m.read_u64((1 << 30) - 16), 0);
+        m.clear();
+        assert!(m.pages.is_empty(), "clear drops the pages and the table");
+        assert_eq!(m.read_u64((1 << 30) - 8), 0);
+    }
+
+    #[test]
+    fn bulk_copies_cross_pages() {
+        let mut m = Memory::new(4 * PAGE_BYTES);
+        let bytes: Vec<u8> = (0..PAGE_BYTES + 8).map(|i| i as u8).collect();
+        m.write_bytes(PAGE_BYTES as u32 - 3, &bytes);
+        assert_eq!(m.high_water(), 2 * PAGE_BYTES + 5);
+        assert_eq!(m.read_u32(PAGE_BYTES as u32 - 4), 0x0201_0000);
+        assert_eq!(m.read_u32(2 * PAGE_BYTES as u32), 0x0605_0403);
+        let data: Vec<f64> = (0..PAGE_BYTES / 4).map(|i| i as f64).collect();
+        m.write_f64_slice(PAGE_BYTES as u32 / 2, &data);
+        assert_eq!(m.read_f64_slice(PAGE_BYTES as u32 / 2, data.len()), data);
+        assert_eq!(m.read_f64_slice(3 * PAGE_BYTES as u32, 4), [0.0; 4]);
+        // Empty copies need no room, aligned or not, and write nothing.
+        let high = m.high_water();
+        m.write_bytes(4 * PAGE_BYTES as u32 + 1, &[]);
+        m.write_f64_slice(4 * PAGE_BYTES as u32 + 4, &[]);
+        assert!(m.read_f64_slice(u32::MAX, 0).is_empty());
+        assert_eq!(m.high_water(), high);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond memory size")]
+    fn write_bytes_past_the_end_panics() {
+        Memory::new(64).write_bytes(60, &[1; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond memory size")]
+    fn slices_past_the_end_panic() {
+        Memory::new(64).read_f64_slice(56, 2);
+    }
+
+    #[test]
     #[should_panic(expected = "misaligned")]
     fn misaligned_u64_panics() {
         Memory::new(64).read_u64(4);
@@ -413,5 +586,9 @@ mod tests {
         assert_eq!(m.watch_writes(), 1, "fallible writes count too");
         m.try_write_u32(32, 7).unwrap();
         assert_eq!(m.watch_writes(), 1);
+        m.write_bytes(15, &[1, 2]);
+        assert_eq!(m.watch_writes(), 2, "a bulk copy counts when it overlaps");
+        m.write_bytes(16, &[1, 2]);
+        assert_eq!(m.watch_writes(), 2);
     }
 }

@@ -165,10 +165,10 @@ impl MemorySystem {
         self.ibuffer.flush();
     }
 
-    /// Full reset to the just-built state: memory back to all zeros (the
-    /// backing allocation survives), all three caches cold, all statistics
-    /// zero. Equivalent to `MemorySystem::new` with the same config, minus
-    /// the allocations — the recycling path for a worker that runs
+    /// Full reset to the just-built state: memory back to all zeros (its
+    /// pages dropped), all three caches cold, all statistics zero.
+    /// Equivalent to `MemorySystem::new` with the same config, minus the
+    /// cache allocations — the recycling path for a worker that runs
     /// arbitrary programs back to back.
     pub fn reset(&mut self) {
         self.memory.clear();

@@ -354,15 +354,7 @@ impl Machine {
             self.mem.memory.write_u32(program.base + 4 * i as u32, w);
         }
         for seg in &program.segments {
-            for (i, &b) in seg.bytes.iter().enumerate() {
-                let addr = seg.base + i as u32;
-                // Byte-granular writes through the word interface.
-                let word_addr = addr & !3;
-                let shift = 8 * (addr & 3);
-                let old = self.mem.memory.read_u32(word_addr);
-                let new = (old & !(0xFF << shift)) | ((b as u32) << shift);
-                self.mem.memory.write_u32(word_addr, new);
-            }
+            self.mem.memory.write_bytes(seg.base, &seg.bytes);
         }
         self.pc = program.base;
         self.entry = program.base;
@@ -445,8 +437,9 @@ impl Machine {
 
     /// Resets the machine to the state [`Machine::new`]`(config)` would
     /// build — fresh registers, zeroed memory, cold caches, cleared PSW,
-    /// no pending interrupt, zeroed statistics — while keeping the large
-    /// allocation (the memory backing).
+    /// no pending interrupt, zeroed statistics — while keeping the cache
+    /// arrays when the memory geometry is unchanged. Memory pages are
+    /// dropped, so a large job leaves no backing behind.
     ///
     /// This is the worker-recycling path: a long-lived service worker owns
     /// one `Machine` and runs *arbitrary, unrelated* programs back to
