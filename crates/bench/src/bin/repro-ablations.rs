@@ -3,142 +3,79 @@
 //! * FPU functional-unit latency sweep (§2.2: "low latency is essential");
 //! * data-cache miss-penalty sweep (§3.2's cold/warm gap);
 //! * serialized issue — the two-ops-per-cycle overlap disabled (§2.4);
-//! * the Cray-class comparator model: long-vector rates vs short vectors.
+//! * full-range load/store interlock against the current-element one
+//!   (§2.3.2);
+//! * the context-switch cost of the unified file, and the Cray-class
+//!   comparator model: long-vector rates vs short vectors (§2.1.2).
 //!
+//! The first three are one-axis grids over
+//! `mt_dse::runner::DEFAULT_LOOPS`, each run once by `mt_dse::run_grid`.
 //! Run with `cargo run --release -p mt-bench --bin repro-ablations`;
-//! `--json` emits the subset reports plus the sweep harmonic means as an
-//! `mt-bench-v1` document.
+//! `--json` emits one object holding each grid's `mt-dse-v1` document
+//! under its knob's name (the committed `BENCH_ablations.json`,
+//! byte-gated by `./ci`).
 
 use mt_asm::Asm;
 use mt_baseline::published::harmonic_mean;
 use mt_baseline::{ClassicalVectorMachine, CrayConfig, VectorOp};
+use mt_bench::Study;
+use mt_dse::runner::DEFAULT_LOOPS;
+use mt_dse::CellResult;
 use mt_isa::{FReg, IReg};
-use mt_kernels::livermore;
-use mt_mem::CacheConfig;
-use mt_sim::{Machine, MachineConfig, SimConfig};
+use mt_kernels::{harness, livermore, KernelReport};
+use mt_sim::{Machine, SimConfig};
+use mt_trace::Json;
 
-/// A representative subset keeps each sweep fast while spanning the
-/// vectorized (1, 7, 12), reduction (3), recurrence (5, 11), and scalar
-/// (21, 23) classes.
-const SUBSET: [u8; 8] = [1, 3, 5, 7, 11, 12, 21, 23];
+/// The grid studies, one per line: each line is a one-axis grid over
+/// `DEFAULT_LOOPS` whose comment titles its table. A new study is one
+/// more line.
+const STUDIES: &str = "\
+fpu_latency=1,2,3,4,6,8   # FPU latency sweep (the machine is 3; §2.2 argues low latency)
+dcache_miss=0,7,14,21,28  # Data-cache miss penalty sweep (the machine is 14; §3.2's cold/warm gap)
+serialized_issue=0,1      # Dual issue (the 2 ops/cycle overlap of §2.4)
+";
 
-fn subset_hm(config: &SimConfig, warm: bool) -> f64 {
-    let rates = mt_dse::sweep::sweep(&SUBSET, |&n| {
-        let r = mt_bench::run_with(&livermore::by_number(n), config.clone());
-        if warm {
-            r.mflops_warm()
-        } else {
-            r.mflops_cold()
-        }
-    });
-    harmonic_mean(&rates)
-}
-
-/// `--json`: subset reports at the paper configuration, plus the latency
-/// sweep and the serialized-issue ablation as extra sections.
-fn json_report() {
-    use mt_trace::Json;
-    let reports = mt_dse::sweep::sweep(&SUBSET, |&n| mt_bench::run(&livermore::by_number(n)));
-    let mut doc = mt_bench::json::bench_json("ablations", &reports);
-    let sweep: Vec<Json> = [1u64, 2, 3, 4, 6, 8]
-        .iter()
-        .map(|&latency| {
-            let mut machine = MachineConfig::default();
-            machine.timing.fpu_latency = latency;
-            let cfg = SimConfig {
-                machine,
-                ..SimConfig::default()
-            };
-            Json::obj([
-                ("fpu_latency", Json::U64(latency)),
-                ("warm_hm_mflops", Json::F64(subset_hm(&cfg, true))),
-            ])
-        })
-        .collect();
-    doc.push("fpu_latency_sweep", Json::Arr(sweep));
-    let serialized = SimConfig {
-        serialized_issue: true,
-        ..SimConfig::default()
-    };
-    doc.push(
-        "serialized_issue_warm_hm_mflops",
-        Json::F64(subset_hm(&serialized, true)),
-    );
-    println!("{}", doc.pretty());
+/// Harmonic-mean MFLOPS of one pass (`KernelReport::mflops_cold` or
+/// `mflops_warm`) over `reports`.
+fn hm(reports: &[KernelReport], pass: fn(&KernelReport) -> f64) -> f64 {
+    harmonic_mean(&reports.iter().map(pass).collect::<Vec<f64>>())
 }
 
 fn main() {
+    let studies: Vec<(Study, &str)> = STUDIES
+        .lines()
+        .map(|line| {
+            let title = line.split_once('#').map_or("", |(_, title)| title.trim());
+            (Study::run(line, &DEFAULT_LOOPS), title)
+        })
+        .collect();
     if std::env::args().any(|a| a == "--json") {
-        json_report();
+        let doc = studies
+            .iter()
+            .map(|(s, _)| (s.grid.axes[0].knob.clone(), s.json()))
+            .collect();
+        println!("{}", Json::Obj(doc).pretty());
         return;
     }
-    println!("Ablations (harmonic-mean MFLOPS over Livermore loops {SUBSET:?})\n");
 
-    println!("FPU latency sweep (the machine is 3; §2.2 argues low latency):");
-    for latency in [1u64, 2, 3, 4, 6, 8] {
-        let mut machine = MachineConfig::default();
-        machine.timing.fpu_latency = latency;
-        let cfg = SimConfig {
-            machine,
-            ..SimConfig::default()
-        };
-        println!(
-            "  latency {latency}: warm {:.2} MFLOPS",
-            subset_hm(&cfg, true)
-        );
+    println!("Ablations (harmonic-mean MFLOPS over Livermore loops {DEFAULT_LOOPS:?})");
+    for (study, title) in &studies {
+        println!("\n{title}:");
+        for r in &study.results {
+            let cold = hm(&r.reports, KernelReport::mflops_cold);
+            let warm = r.warm_hm_mflops();
+            println!(
+                "  {:<20} cold {cold:>5.2} / warm {warm:>5.2} MFLOPS",
+                r.spec.name
+            );
+        }
     }
+    // The dual-issue grid's cells, in grid order: overlapped, serialized.
+    let (paper, serialized) = (&studies[2].0.results[0], &studies[2].0.results[1]);
+    let loss = 100.0 * (1.0 - serialized.warm_hm_mflops() / paper.warm_hm_mflops());
+    println!("  serialized issue loses {loss:.0}% of the warm rate");
 
-    println!("\nData-cache miss penalty sweep (the machine is 14):");
-    for penalty in [0u64, 7, 14, 21, 28] {
-        let mut machine = MachineConfig::default();
-        machine.mem.data_cache = CacheConfig {
-            miss_penalty: penalty,
-            ..machine.mem.data_cache
-        };
-        let cfg = SimConfig {
-            machine,
-            ..SimConfig::default()
-        };
-        println!(
-            "  penalty {penalty:>2}: cold {:.2} / warm {:.2} MFLOPS",
-            subset_hm(&cfg, false),
-            subset_hm(&cfg, true)
-        );
-    }
-
-    println!("\nDual issue (the 2 ops/cycle overlap of §2.4):");
-    let base = subset_hm(&SimConfig::default(), true);
-    let serialized = subset_hm(
-        &SimConfig {
-            serialized_issue: true,
-            ..SimConfig::default()
-        },
-        true,
-    );
-    println!("  overlapped: {base:.2} MFLOPS");
-    println!(
-        "  serialized: {serialized:.2} MFLOPS ({:.0}% loss)",
-        100.0 * (1.0 - serialized / base)
-    );
-
-    println!("\nFull-range load/store interlock (the Ardent Titan approach, §2.3.2):");
-    let full_range = subset_hm(
-        &SimConfig {
-            full_range_interlock: true,
-            ..SimConfig::default()
-        },
-        true,
-    );
-    println!("  current-element comparator (MultiTitan): {base:.2} MFLOPS");
-    println!(
-        "  full-range comparators (Ardent-style)  : {full_range:.2} MFLOPS ({:+.1}%)",
-        100.0 * (full_range / base - 1.0)
-    );
-    println!(
-        "  — compiler-fenced code gains nothing from the extra hardware,\n\
-         \x20   which is the paper's §2.3.2 argument for the cheap scheme"
-    );
-
+    full_range(paper);
     context_switch();
 
     println!("\nClassical vector machine model (register-file trade, §2.1.2):");
@@ -159,6 +96,37 @@ fn main() {
         );
     }
     println!("  (the MultiTitan holds its scalar-class rate at every n — see repro-figures n½)");
+}
+
+/// §2.3.2: the Ardent Titan's full-range load/store comparators against
+/// the MultiTitan's current-element one. Full-range interlock is a
+/// `SimConfig` flag rather than a grid axis, so the paper cell's loops
+/// run once more here with it set, and are compared with that cell's
+/// reports (`tests/ordering_rule.rs` holds the two equal).
+fn full_range(paper: &CellResult) {
+    let config = SimConfig {
+        full_range_interlock: true,
+        ..paper.spec.config()
+    };
+    let reports = mt_dse::sweep::sweep(&DEFAULT_LOOPS, |&n| {
+        harness::run_kernel_with(&livermore::by_number(n), config.clone())
+            .unwrap_or_else(|e| panic!("{e}"))
+    });
+    let base = paper.warm_hm_mflops();
+    let full = hm(&reports, KernelReport::mflops_warm);
+    let same = |(f, p): (&KernelReport, &KernelReport)| f.cold == p.cold && f.warm == p.warm;
+    let identical = reports.iter().zip(&paper.reports).all(same);
+    println!("\nFull-range load/store interlock (the Ardent Titan approach, §2.3.2):");
+    println!("  current-element comparator (MultiTitan): {base:.2} MFLOPS");
+    println!(
+        "  full-range comparators (Ardent-style)  : {full:.2} MFLOPS ({:+.1}%)",
+        100.0 * (full / base - 1.0)
+    );
+    println!("  cold and warm run statistics identical on every loop: {identical}");
+    println!(
+        "  — compiler-fenced code gains nothing from the extra hardware,\n\
+         \x20   which is the paper's §2.3.2 argument for the cheap scheme"
+    );
 }
 
 /// §2.1.2: "the context switch cost is smaller than that of traditional

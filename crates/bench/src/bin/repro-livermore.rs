@@ -10,8 +10,9 @@ use mt_baseline::published::{
     harmonic_mean, PUBLISHED_HARMONIC_13_24, PUBLISHED_HARMONIC_1_12, PUBLISHED_HARMONIC_1_24,
     PUBLISHED_LIVERMORE,
 };
-use mt_bench::{f1, livermore_mflops_with, row};
-use mt_sim::Backend;
+use mt_bench::{f1, row};
+use mt_kernels::{harness, livermore, KernelReport};
+use mt_sim::{Backend, SimConfig};
 
 /// `--backend tick|xlate` (default: the simulator's default, `xlate`.
 /// Both backends produce bit-identical reports, so the flag only picks
@@ -28,13 +29,31 @@ fn backend_arg() -> Backend {
     Backend::default()
 }
 
+/// All 24 Livermore loop reports under the default configuration on
+/// `backend`, simulated in parallel and returned in loop order: the
+/// table, `--stalls` and the `--json` document all read these.
+fn reports(backend: Backend) -> Vec<KernelReport> {
+    let loops: Vec<u8> = (1..=24).collect();
+    let config = SimConfig {
+        backend,
+        ..SimConfig::default()
+    };
+    mt_dse::sweep::sweep(&loops, |&n| {
+        harness::run_kernel_with(&livermore::by_number(n), config.clone())
+            .unwrap_or_else(|e| panic!("{e}"))
+    })
+}
+
 fn main() {
+    let wall = std::time::Instant::now();
+    let reports = reports(backend_arg());
+    let elapsed = wall.elapsed();
     if std::env::args().any(|a| a == "--json") {
-        json_report();
+        json_report(&reports, elapsed);
         return;
     }
     if std::env::args().any(|a| a == "--stalls") {
-        stall_attribution();
+        stall_attribution(&reports);
         return;
     }
     println!("Figure 14 — Uniprocessor Livermore Loops (MFLOPS)");
@@ -42,49 +61,22 @@ fn main() {
     println!("  (* = loop vectorized on the Cray, per the paper)\n");
 
     let widths = [5usize, 9, 9, 9, 9, 9, 9];
-    println!(
-        "{}",
-        row(
-            &[
-                "loop".into(),
-                "cold".into(),
-                "warm".into(),
-                "cold*".into(),
-                "warm*".into(),
-                "Cray-1S".into(),
-                "X-MP".into(),
-            ],
-            &widths
-        )
-    );
-    println!(
-        "{}",
-        row(
-            &[
-                "".into(),
-                "meas.".into(),
-                "meas.".into(),
-                "paper".into(),
-                "paper".into(),
-                "paper".into(),
-                "paper".into(),
-            ],
-            &widths
-        )
-    );
+    let header = |cells: [&str; 7]| println!("{}", row(&cells.map(String::from), &widths));
+    header(["loop", "cold", "warm", "cold*", "warm*", "Cray-1S", "X-MP"]);
+    header(["", "meas.", "meas.", "paper", "paper", "paper", "paper"]);
 
-    let measured = livermore_mflops_with(backend_arg());
     let mut cold = Vec::new();
     let mut warm = Vec::new();
-    for ((n, c, w), pubrow) in measured.iter().zip(PUBLISHED_LIVERMORE.iter()) {
+    for ((n, r), pubrow) in (1u8..).zip(&reports).zip(PUBLISHED_LIVERMORE.iter()) {
         let star = if pubrow.cray_vectorized { "*" } else { " " };
+        let (c, w) = (r.mflops_cold(), r.mflops_warm());
         println!(
             "{}",
             row(
                 &[
                     format!("{n}{star}"),
-                    f1(*c),
-                    f1(*w),
+                    f1(c),
+                    f1(w),
                     f1(pubrow.mt_cold),
                     f1(pubrow.mt_warm),
                     f1(pubrow.cray_1s),
@@ -93,9 +85,9 @@ fn main() {
                 &widths
             )
         );
-        cold.push(*c);
-        warm.push(*w);
-        if *n == 12 {
+        cold.push(c);
+        warm.push(w);
+        if n == 12 {
             print_hmean("hm 1-12", &cold, &warm, &PUBLISHED_HARMONIC_1_12, &widths);
         }
     }
@@ -129,12 +121,9 @@ fn main() {
 /// the regenerated document against `BENCH_sim.json` with
 /// `repro-benchdiff`, holding `cycles_per_second` to a relative band and
 /// everything else exact.
-fn json_report() {
-    let wall = std::time::Instant::now();
-    let reports = mt_bench::livermore_reports_with(backend_arg());
-    let elapsed = wall.elapsed();
+fn json_report(reports: &[KernelReport], elapsed: std::time::Duration) {
     let simulated: u64 = reports.iter().map(|r| r.cold.cycles + r.warm.cycles).sum();
-    let mut doc = mt_bench::json::bench_json("livermore", &reports);
+    let mut doc = mt_bench::json::bench_json("livermore", reports);
     doc.push(
         "sim_throughput",
         mt_trace::Json::obj([
@@ -164,11 +153,10 @@ fn json_report() {
 
 /// `--stalls`: where each loop's warm cycles go — the §3.2 bottleneck
 /// analysis ("the primary bottleneck … is its limited memory bandwidth").
-fn stall_attribution() {
+fn stall_attribution(reports: &[KernelReport]) {
     println!("Warm-cache stall attribution (cycles %):\n");
     println!("loop    cycles   ls-port  fpu-hzd  ir-busy  int-hzd   branch  sb-stall");
-    for n in 1..=24u8 {
-        let r = mt_bench::run(&mt_kernels::livermore::by_number(n));
+    for (n, r) in (1u8..).zip(reports) {
         let w = &r.warm;
         let pct = |v: u64| 100.0 * v as f64 / w.cycles as f64;
         println!(
@@ -188,7 +176,7 @@ fn stall_attribution() {
 fn print_hmean(label: &str, cold: &[f64], warm: &[f64], paper: &[f64; 4], widths: &[usize]) {
     println!(
         "{}",
-        mt_bench::row(
+        row(
             &[
                 label.into(),
                 f1(harmonic_mean(cold)),

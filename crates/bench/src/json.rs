@@ -1,5 +1,6 @@
-//! The stable `mt-bench-v1` JSON stats schema behind every repro
-//! binary's `--json` flag.
+//! The stable `mt-bench-v1` JSON stats schema behind the repro binaries'
+//! `--json` flag. The parameter studies (`repro-ablations`,
+//! `repro-amdahl`) emit `mt_dse::json`'s `mt-dse-v1` grids instead.
 //!
 //! CI regenerates `BENCH_sim.json` from `repro-livermore --json`, so the
 //! document must be byte-stable across runs: no timestamps, no hash-map

@@ -6,13 +6,18 @@
 //! MFLOPS are simulated at the paper's machine parameters (40 ns clock,
 //! 3-cycle FPU, 64 KB caches); the claim being reproduced is *shape* —
 //! who wins, by roughly what factor, and where the crossovers sit.
+//!
+//! Every parameter study (`repro-ablations`, `repro-amdahl`) is grid text
+//! run by [`mt_dse::run_grid`], the runner behind `repro-dse` and
+//! `POST /sweep`, and rendered by [`mt_dse::json::sweep_json`]: see
+//! [`Study`].
 
 pub mod fault;
 pub mod json;
 
-use mt_dse::sweep;
-use mt_kernels::{harness, livermore, Kernel, KernelReport};
-use mt_sim::{Backend, SimConfig};
+use mt_dse::{run_grid, CellResult, GridSpec};
+use mt_kernels::{harness, Kernel, KernelReport};
+use mt_trace::Json;
 
 /// Runs one kernel under the default configuration, panicking with context
 /// on any failure (benches want loud failures).
@@ -20,52 +25,41 @@ pub fn run(kernel: &Kernel) -> KernelReport {
     harness::run_kernel(kernel).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Runs one kernel under a custom configuration.
-pub fn run_with(kernel: &Kernel, config: SimConfig) -> KernelReport {
-    harness::run_kernel_with(kernel, config).unwrap_or_else(|e| panic!("{e}"))
+/// A parameter study: grid text run once by [`run_grid`] over a list of
+/// Livermore loops. A binary prints its tables and renders its `--json`
+/// document from the same results.
+pub struct Study {
+    /// The parsed grid.
+    pub grid: GridSpec,
+    /// The Livermore loops every cell ran, in report order.
+    pub loops: Vec<u8>,
+    /// One result per grid cell, in cell order.
+    pub results: Vec<CellResult>,
 }
 
-/// Measured cold/warm MFLOPS for all 24 Livermore loops, in order
-/// (simulated in parallel across cores; results are deterministic).
-pub fn livermore_mflops() -> Vec<(u8, f64, f64)> {
-    livermore_mflops_with(Backend::default())
-}
+impl Study {
+    /// Parses `text` as a [`GridSpec`] and runs every cell over `loops`,
+    /// panicking with context on a malformed grid or a failed cell.
+    pub fn run(text: &str, loops: &[u8]) -> Study {
+        let grid = GridSpec::parse(text).unwrap_or_else(|e| panic!("{e}"));
+        let cells = grid.enumerate().unwrap_or_else(|e| panic!("{e}"));
+        let results = run_grid(&cells, loops);
+        for r in &results {
+            if let Some(e) = &r.error {
+                panic!("{}: {e}", r.spec.name);
+            }
+        }
+        Study {
+            grid,
+            loops: loops.to_vec(),
+            results,
+        }
+    }
 
-/// [`livermore_mflops`] under an explicit execution backend. Both backends
-/// produce bit-identical reports; the choice only affects how fast the
-/// simulation itself runs.
-pub fn livermore_mflops_with(backend: Backend) -> Vec<(u8, f64, f64)> {
-    let loops: Vec<u8> = (1..=24).collect();
-    let config = SimConfig {
-        backend,
-        ..SimConfig::default()
-    };
-    sweep::sweep(&loops, |&n| {
-        let report = run_with(&livermore::by_number(n), config.clone());
-        (n, report.mflops_cold(), report.mflops_warm())
-    })
-}
-
-/// All 24 Livermore loop reports under the default configuration,
-/// simulated in parallel (deterministic input order, as [`sweep::sweep`]
-/// guarantees — `BENCH_sim.json` is built from this).
-pub fn livermore_reports() -> Vec<KernelReport> {
-    livermore_reports_with(Backend::default())
-}
-
-/// [`livermore_reports`] under an explicit execution backend. The reports
-/// are bit-identical across backends (the equivalence tests prove it);
-/// `BENCH_sim.json`'s `sim_throughput` section is measured over the
-/// translated backend because that is the speed that matters in practice.
-pub fn livermore_reports_with(backend: Backend) -> Vec<KernelReport> {
-    let loops: Vec<u8> = (1..=24).collect();
-    let config = SimConfig {
-        backend,
-        ..SimConfig::default()
-    };
-    sweep::sweep(&loops, |&n| {
-        run_with(&livermore::by_number(n), config.clone())
-    })
+    /// The study as an `mt-dse-v1` document.
+    pub fn json(&self) -> Json {
+        mt_dse::json::sweep_json(&self.grid, &self.loops, &self.results)
+    }
 }
 
 /// Formats one row of a fixed-width table.

@@ -130,12 +130,15 @@ fn harmonic_mean(rates: impl Iterator<Item = f64>) -> f64 {
 
 /// The Livermore loops a sweep measures by default: the vectorizable
 /// (1, 7, 12), reduction (3), recurrence (5, 11) and scalar (21, 23)
-/// classes — `BENCH_dse.json`'s subset (also `repro-ablations`'), and
-/// `POST /sweep`'s without `?loops=`.
+/// classes. `repro-dse` and `repro-ablations` run their grids over it
+/// (`BENCH_dse.json`, `BENCH_ablations.json`), and so does `POST /sweep`
+/// without `?loops=`.
 pub const DEFAULT_LOOPS: [u8; 8] = [1, 3, 5, 7, 11, 12, 21, 23];
 
 /// Parses a comma-separated Livermore loop list (`"1,3,7"`): the
 /// `?loops=` of `POST /sweep` and the source of its kernel-cell jobs.
+/// A list names each loop at most once, so a cell runs at most 24
+/// kernels however long the list's text.
 pub fn parse_loops(text: &str) -> Result<Vec<u8>, String> {
     let loops = text
         .split(',')
@@ -147,6 +150,11 @@ pub fn parse_loops(text: &str) -> Result<Vec<u8>, String> {
         .collect::<Result<Vec<u8>, String>>()?;
     if !loops.iter().all(|n| (1..=24).contains(n)) {
         return Err("loop numbers must be 1..=24".to_string());
+    }
+    for (i, n) in loops.iter().enumerate() {
+        if loops[..i].contains(n) {
+            return Err(format!("loop {n} is named twice"));
+        }
     }
     Ok(loops)
 }
@@ -282,9 +290,13 @@ mod tests {
         assert_eq!(parse_loops("1, 7,24"), Ok(vec![1, 7, 24]));
         assert_eq!(parse_loops("3,x"), Err("bad loop number \"x\"".to_string()));
         assert_eq!(parse_loops(""), Err("bad loop number \"\"".to_string()));
-        for bad in ["0", "25", "7,300"] {
+        for bad in ["0", "25", "7,300", "7,7", "1,2,1"] {
             assert!(parse_loops(bad).is_err(), "{bad}");
         }
+        assert_eq!(
+            parse_loops("1,2,1"),
+            Err("loop 1 is named twice".to_string())
+        );
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Parallel sweep driver for independent simulation points.
 //!
-//! Every sweep in the workspace — the 24 Livermore loops, the ablation
-//! configurations, the serialized-issue Amdahl runs, and every mt-dse
-//! grid cell — is embarrassingly parallel: each point builds its own
+//! Every sweep in the workspace — `repro-livermore`'s 24 loops and the
+//! (cell × kernel) pairs of every grid [`crate::run_grid`] measures: the
+//! `repro-dse`, `repro-ablations` and `repro-amdahl` studies and
+//! `POST /sweep` — is embarrassingly parallel: each point builds its own
 //! [`mt_sim::Machine`] and shares nothing. This module fans the points
 //! out over `std::thread::scope` workers and collects the results **in
 //! deterministic input order**, so documents built from them
-//! (`BENCH_sim.json` and `BENCH_dse.json` in particular) are byte-stable
-//! no matter how many workers ran or how the OS scheduled them.
+//! (`BENCH_sim.json`, `BENCH_dse.json`, `BENCH_ablations.json` and
+//! `BENCH_amdahl.json`) are byte-stable no matter how many workers ran
+//! or how the OS scheduled them.
 //!
 //! Workers pull indices from a shared atomic counter (work stealing), so
 //! an expensive point (say, a cold Linpack) does not serialize the cheap

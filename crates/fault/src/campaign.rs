@@ -80,10 +80,10 @@ pub struct CampaignConfig {
     /// Number of injections, round-robined across the workloads.
     pub injections: usize,
     /// Execution backend for golden and injected runs: the simulator
-    /// default (the block-translated backend) unless overridden.
-    /// Outcomes are bit-identical either way (a text-region flip bumps
-    /// the write watch, which drops the translated block before the next
-    /// fetch).
+    /// default (the translated backend) unless overridden. Outcomes are
+    /// bit-identical either way (a text-region flip trips the write
+    /// watch, which marks the translation stale and hands the rest of
+    /// the run to the interpreter).
     pub backend: Backend,
 }
 

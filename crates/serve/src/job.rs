@@ -80,8 +80,8 @@ pub struct RunOptions {
     pub max_cycles: u64,
     /// Per-job no-progress watchdog (0 = off).
     pub watchdog: u64,
-    /// Execution backend: the simulator default (the block-translated
-    /// backend) unless `?backend=tick` forces the reference interpreter.
+    /// Execution backend: the simulator default (the translated backend)
+    /// unless `?backend=tick` forces the reference interpreter.
     /// Both produce bit-identical responses, so this knob is deliberately
     /// *not* cache-key material. Kernel-cell jobs run on their cell's own
     /// `CellSpec::config` and ignore it.

@@ -126,6 +126,13 @@ fn oversized_and_malformed_grids_are_rejected_up_front() {
     let invalid = post(&addr, "/sweep", "dcache_line=24\n");
     assert_eq!(invalid.status, 422, "{}", invalid.body);
 
+    // A loop list names each loop at most once, so no request can make
+    // a cell run more than 24 kernels.
+    let repeated = post(&addr, "/sweep?loops=7,7", "fpu_lanes=1\n");
+    assert_eq!(repeated.status, 400, "{}", repeated.body);
+    let doc = mt_trace::json::parse(&repeated.body).unwrap();
+    assert_eq!(doc.get("kind").unwrap().as_str(), Some("bad-query"));
+
     handle.shutdown();
 }
 

@@ -1,8 +1,8 @@
 //! Property: the simulator's fast engine is invisible.
 //!
 //! `Machine::run` has one reference engine, the tick interpreter, and one
-//! fast engine, the block-translated backend (`Backend::Xlate`, the
-//! default), whose micro-ops are each the decoded instruction and its cost
+//! fast engine, the translated backend (`Backend::Xlate`, the default),
+//! whose predecoded micro-ops are each the decoded instruction and its cost
 //! row, run through the interpreter's own guard and execute code, and
 //! which hops over multi-cycle waits, synthesizing the per-cycle stall
 //! accounting the tick loop would have produced. This file proves the
@@ -297,7 +297,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The two-way differential: the tick interpreter and the
-    /// block-translated backend agree bit for bit — statistics,
+    /// translated backend agree bit for bit — statistics,
     /// per-cause stall accounting, registers, PSW — and every cycle is
     /// attributed to a cause.
     #[test]

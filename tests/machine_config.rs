@@ -9,7 +9,7 @@
 //!    default on every backend, for random programs and for the whole
 //!    Livermore corpus. The refactor changed no observable behavior.
 //! 2. **Off-default coherence** — a *non*-default configuration is
-//!    still one machine: tick and the block-translated backend agree bit
+//!    still one machine: tick and the translated backend agree bit
 //!    for bit under random timing/cache knobs and issue ablations, and
 //!    the knobs move performance in the physically sensible direction
 //!    (slower FPU ⇒ no faster warm loops; costlier misses ⇒ no faster
@@ -192,7 +192,7 @@ proptest! {
 
     /// Off-default coherence: under a random valid configuration — with
     /// the serialized-issue and full-range-interlock ablations drawn too —
-    /// tick and the block-translated backend are still one machine:
+    /// tick and the translated backend are still one machine:
     /// statistics, stall accounting, registers, PSW, and every cycle
     /// attributed to a cause.
     #[test]

@@ -5,7 +5,7 @@
 //! code-generator bug.
 
 use multititan::kernels::harness::{self, Kernel};
-use multititan::kernels::{linpack, livermore};
+use multititan::kernels::{gather, graphics, linpack, livermore, reductions};
 use multititan::sim::{ordering_violations, OrderingViolation, SimConfig};
 
 /// The violations of each pass of a §3.2 run.
@@ -43,10 +43,9 @@ fn vector_linpack_is_ordering_clean() {
     assert!(report.warm.is_empty(), "violations: {:?}", report.warm);
 }
 
-#[test]
-fn figure_kernels_are_ordering_clean() {
-    use multititan::kernels::{gather, graphics, reductions};
-    for kernel in [
+/// The paper's figure kernels (Figs. 5–9, 12/13).
+fn figure_kernels() -> [Kernel; 7] {
+    [
         reductions::scalar_tree_sum(),
         reductions::linear_vector_sum(),
         reductions::vector_tree_sum(),
@@ -54,9 +53,39 @@ fn figure_kernels_are_ordering_clean() {
         gather::fixed_stride(2),
         gather::linked_list(),
         graphics::transform_points(8),
-    ] {
+    ]
+}
+
+#[test]
+fn figure_kernels_are_ordering_clean() {
+    for kernel in figure_kernels() {
         let name = kernel.name.clone();
         let report = checked(&kernel).unwrap_or_else(|e| panic!("{e}"));
         assert!(report.warm.is_empty(), "{name}: {:?}", report.warm);
+    }
+}
+
+/// §2.3.2: the Ardent Titan's full-range load/store comparators buy
+/// nothing on code that obeys the ordering rule. On every kernel this
+/// file checks, and on all 24 Livermore loops, they leave the cold and
+/// warm run statistics exactly as the MultiTitan's current-element
+/// comparator does. `repro-ablations` prints this comparison.
+#[test]
+fn full_range_interlock_is_free_on_ordering_clean_code() {
+    let full_range = SimConfig {
+        full_range_interlock: true,
+        ..SimConfig::default()
+    };
+    let kernels = (1..=24)
+        .map(livermore::by_number)
+        .chain([linpack::linpack(24, true)])
+        .chain(figure_kernels());
+    for kernel in kernels {
+        let run = |config: SimConfig| {
+            harness::run_kernel_with(&kernel, config).unwrap_or_else(|e| panic!("{e}"))
+        };
+        let (current, full) = (run(SimConfig::default()), run(full_range.clone()));
+        assert_eq!(full.cold, current.cold, "{}: cold pass", kernel.name);
+        assert_eq!(full.warm, current.warm, "{}: warm pass", kernel.name);
     }
 }
