@@ -113,6 +113,12 @@ impl AluIr {
         issued
     }
 
+    /// Advances the id counter past `n` transfers that happened without
+    /// passing through the IR (a replayed loop iteration's).
+    pub fn skip_ids(&mut self, n: u64) {
+        self.next_id += n;
+    }
+
     /// Clears the IR (overflow abort discards remaining elements).
     pub fn squash(&mut self) {
         self.active = None;

@@ -74,6 +74,36 @@ pub struct FpuStats {
     pub elements_squashed: u64,
 }
 
+impl FpuStats {
+    /// The counts accrued since `earlier`, a snapshot of the same
+    /// counters.
+    pub fn since(&self, earlier: &FpuStats) -> FpuStats {
+        FpuStats {
+            instructions_transferred: self.instructions_transferred
+                - earlier.instructions_transferred,
+            elements_issued: self.elements_issued - earlier.elements_issued,
+            flops: self.flops - earlier.flops,
+            scoreboard_stall_cycles: self.scoreboard_stall_cycles - earlier.scoreboard_stall_cycles,
+            loads: self.loads - earlier.loads,
+            stores: self.stores - earlier.stores,
+            overflow_aborts: self.overflow_aborts - earlier.overflow_aborts,
+            elements_squashed: self.elements_squashed - earlier.elements_squashed,
+        }
+    }
+
+    /// Adds `delta`, the counts of another stretch of execution.
+    pub fn add(&mut self, delta: &FpuStats) {
+        self.instructions_transferred += delta.instructions_transferred;
+        self.elements_issued += delta.elements_issued;
+        self.flops += delta.flops;
+        self.scoreboard_stall_cycles += delta.scoreboard_stall_cycles;
+        self.loads += delta.loads;
+        self.stores += delta.stores;
+        self.overflow_aborts += delta.overflow_aborts;
+        self.elements_squashed += delta.elements_squashed;
+    }
+}
+
 /// The MultiTitan FPU.
 #[derive(Debug, Clone)]
 pub struct Fpu {
@@ -392,6 +422,28 @@ impl Fpu {
     /// Returns `true` while anything is in flight or pending issue.
     pub fn busy(&self) -> bool {
         self.ir.occupied() || !self.pipeline.is_empty()
+    }
+
+    /// Returns `true` when nothing is pending issue, in flight or
+    /// reserved: the FPU holds no timing state beyond its register file,
+    /// PSW and counters. A stuck reservation bit (fault injection) is
+    /// not quiescent.
+    #[inline]
+    pub fn quiescent(&self) -> bool {
+        !self.busy() && self.scoreboard.count() == 0
+    }
+
+    /// Commits a stretch of execution that ran with the FPU quiescent at
+    /// both ends and wrote its loads and element results straight into
+    /// the register file: adds its counters, moves the IR's instruction
+    /// ids past its transfers, and ORs its element flags into the PSW —
+    /// what the transfers, issues and retirements of that stretch would
+    /// have left behind.
+    pub fn commit_replayed(&mut self, delta: &FpuStats, flags: Exceptions) {
+        debug_assert!(self.quiescent(), "a replay commits onto a quiescent FPU");
+        self.stats.add(delta);
+        self.ir.skip_ids(delta.instructions_transferred);
+        self.psw.accumulate(flags);
     }
 
     /// Number of outstanding register reservations (equals the number of

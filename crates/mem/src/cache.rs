@@ -137,6 +137,38 @@ struct Line {
     tag: u32,
 }
 
+/// What a run of [`Cache::access_journaled`] calls changed, saved before
+/// each change so [`Cache::roll_back`] can put the cache back exactly:
+/// residency, dirty bits, LRU stamps and statistics.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CacheJournal {
+    /// `(line index, old line, old LRU stamp)`, oldest first.
+    saved: Vec<(u32, Line, u64)>,
+    /// Statistics and LRU clock at [`Cache::begin_journal`].
+    stats: CacheStats,
+    tick: u64,
+}
+
+/// Where an access saves a line it is about to change: nowhere on the
+/// normal path ([`NoSave`] compiles away), a [`CacheJournal`] on the
+/// journaled one.
+trait Saver {
+    fn save(&mut self, index: usize, line: Line, stamp: u64);
+}
+
+struct NoSave;
+
+impl Saver for NoSave {
+    #[inline(always)]
+    fn save(&mut self, _: usize, _: Line, _: u64) {}
+}
+
+impl Saver for CacheJournal {
+    fn save(&mut self, index: usize, line: Line, stamp: u64) {
+        self.saved.push((index as u32, line, stamp));
+    }
+}
+
 /// A set-associative write-back cache (timing/residency model); `ways = 1`
 /// is the paper's direct-mapped geometry, probed without a way scan and
 /// without LRU stamps, which exist only at `ways > 1`.
@@ -234,35 +266,81 @@ impl Cache {
     /// (0 on hit, `miss_penalty` on miss).
     #[inline]
     pub fn access(&mut self, addr: u32, kind: AccessKind) -> u64 {
+        self.access_with(addr, kind, &mut NoSave)
+    }
+
+    /// [`Cache::access`] that first saves into `journal` whatever it
+    /// changes, for [`Cache::roll_back`].
+    #[inline]
+    pub(crate) fn access_journaled(
+        &mut self,
+        addr: u32,
+        kind: AccessKind,
+        journal: &mut CacheJournal,
+    ) -> u64 {
+        self.access_with(addr, kind, journal)
+    }
+
+    /// Starts `journal` afresh at the cache's current state.
+    pub(crate) fn begin_journal(&self, journal: &mut CacheJournal) {
+        journal.saved.clear();
+        journal.stats = self.stats;
+        journal.tick = self.tick;
+    }
+
+    /// Undoes every [`Cache::access_journaled`] since
+    /// [`Cache::begin_journal`], newest first.
+    pub(crate) fn roll_back(&mut self, journal: &mut CacheJournal) {
+        for (index, line, stamp) in journal.saved.drain(..).rev() {
+            self.lines[index as usize] = line;
+            if let Some(s) = self.last_used.get_mut(index as usize) {
+                *s = stamp;
+            }
+        }
+        self.stats = journal.stats;
+        self.tick = journal.tick;
+    }
+
+    #[inline(always)]
+    fn access_with<J: Saver>(&mut self, addr: u32, kind: AccessKind, journal: &mut J) -> u64 {
         let (set, tag) = self.index_and_tag(addr);
         if self.config.ways > 1 {
-            return self.access_set(set, tag, kind);
+            return self.access_set(set, tag, kind, journal);
         }
         let line = &mut self.lines[set];
         if line.valid && line.tag == tag {
             self.stats.hits += 1;
             if kind == AccessKind::Write {
+                journal.save(set, *line, 0);
                 line.dirty = true;
             }
             return 0;
         }
-        self.fill(set, tag, kind)
+        self.fill(set, tag, kind, journal)
     }
 
     /// [`Cache::access`] for an associative geometry: scans the set's
     /// ways and keeps the LRU stamps.
-    fn access_set(&mut self, set: usize, tag: u32, kind: AccessKind) -> u64 {
+    fn access_set<J: Saver>(
+        &mut self,
+        set: usize,
+        tag: u32,
+        kind: AccessKind,
+        journal: &mut J,
+    ) -> u64 {
         let ways = self.config.ways as usize;
         let base = set * ways;
         self.tick += 1;
         let tick = self.tick;
 
         // Hit in any way of the set?
-        for (line, last_used) in self.lines[base..base + ways]
+        for (i, (line, last_used)) in self.lines[base..base + ways]
             .iter_mut()
             .zip(&mut self.last_used[base..base + ways])
+            .enumerate()
         {
             if line.valid && line.tag == tag {
+                journal.save(base + i, *line, *last_used);
                 self.stats.hits += 1;
                 *last_used = tick;
                 if kind == AccessKind::Write {
@@ -285,16 +363,19 @@ impl Cache {
                         .map(|(i, _)| i)
                         .expect("a set has at least one way")
                 });
+        let penalty = self.fill(victim, tag, kind, journal);
         self.last_used[victim] = tick;
-        self.fill(victim, tag, kind)
+        penalty
     }
 
     /// A miss that evicts line `index`: counts the miss, and a writeback
     /// when the victim is dirty, fills the line with `tag`, and returns
     /// the miss penalty.
-    fn fill(&mut self, index: usize, tag: u32, kind: AccessKind) -> u64 {
+    fn fill<J: Saver>(&mut self, index: usize, tag: u32, kind: AccessKind, journal: &mut J) -> u64 {
         self.stats.misses += 1;
+        let stamp = self.last_used.get(index).copied().unwrap_or(0);
         let line = &mut self.lines[index];
+        journal.save(index, *line, stamp);
         if line.valid && line.dirty {
             self.stats.writebacks += 1;
         }

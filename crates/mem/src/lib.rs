@@ -23,4 +23,4 @@ pub mod system;
 
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats};
 pub use memory::{MemError, Memory};
-pub use system::{MemConfig, MemorySystem};
+pub use system::{Journal, MemConfig, MemorySystem};

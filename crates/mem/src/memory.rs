@@ -265,7 +265,7 @@ impl Memory {
     /// [`Memory::read_n`] after a successful [`Memory::try_check`]: an
     /// aligned access lies in one page.
     #[inline]
-    fn read_n_unchecked<const N: usize>(&self, addr: u32) -> [u8; N] {
+    pub(crate) fn read_n_unchecked<const N: usize>(&self, addr: u32) -> [u8; N] {
         let a = addr as usize;
         let off = a % PAGE_BYTES;
         self.page(a)[off..off + N].try_into().unwrap()
@@ -281,11 +281,32 @@ impl Memory {
 
     /// [`Memory::write_n`] after a successful [`Memory::try_check`].
     #[inline]
-    fn write_n_unchecked<const N: usize>(&mut self, addr: u32, data: [u8; N]) {
+    pub(crate) fn write_n_unchecked<const N: usize>(&mut self, addr: u32, data: [u8; N]) {
         let a = addr as usize;
         self.note_write(a, a + N);
+        self.put_back(addr, data);
+    }
+
+    /// Writes bytes at a checked address without counting the write: how
+    /// a journal puts back what a journaled write replaced (the counters
+    /// are restored with [`Memory::set_write_marks`]).
+    #[inline]
+    pub(crate) fn put_back<const N: usize>(&mut self, addr: u32, data: [u8; N]) {
+        let a = addr as usize;
         let off = a % PAGE_BYTES;
         self.page_mut(a)[off..off + N].copy_from_slice(&data);
+    }
+
+    /// The write counters: [`Memory::high_water`] and
+    /// [`Memory::watch_writes`].
+    pub(crate) fn write_marks(&self) -> (usize, u64) {
+        (self.high_water, self.watch_writes)
+    }
+
+    /// Restores counters taken by [`Memory::write_marks`].
+    pub(crate) fn set_write_marks(&mut self, (high_water, watch_writes): (usize, u64)) {
+        self.high_water = high_water;
+        self.watch_writes = watch_writes;
     }
 
     /// Reads a 32-bit word.

@@ -1,6 +1,6 @@
 //! The assembled memory hierarchy of one MultiTitan processor.
 
-use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats};
+use crate::cache::{AccessKind, Cache, CacheConfig, CacheJournal, CacheStats};
 use crate::memory::{MemError, Memory};
 
 /// Configuration of the whole hierarchy.
@@ -40,6 +40,21 @@ impl Default for MemConfig {
     fn default() -> MemConfig {
         MemConfig::multititan()
     }
+}
+
+/// What the journaled accessors of a [`MemorySystem`] changed, so
+/// [`MemorySystem::roll_back`] can undo a speculative run of accesses
+/// without a trace. Reused across runs: [`MemorySystem::begin_journal`]
+/// empties it.
+#[derive(Debug, Clone, Default)]
+pub struct Journal {
+    dcache: CacheJournal,
+    icache: CacheJournal,
+    ibuffer: CacheJournal,
+    /// `(address, width, replaced bytes)` of each journaled store.
+    words: Vec<(u32, u8, u64)>,
+    /// [`Memory`]'s write counters at the start.
+    marks: (usize, u64),
 }
 
 /// Main memory plus the three caches, with the access paths the simulator
@@ -98,35 +113,125 @@ impl MemorySystem {
     /// Fallible [`MemorySystem::load_f64`]: validates the address *before*
     /// touching the cache, so a faulting access leaves residency and
     /// statistics exactly as they were (a rejected access never reached
-    /// the board-level cache on real hardware either).
+    /// the board-level cache on real hardware either). The one check
+    /// covers the data access too, which reads its page unchecked.
     #[inline]
     pub fn try_load_f64(&mut self, addr: u32) -> Result<(u64, u64), MemError> {
-        self.memory.try_check(addr, 8)?;
-        Ok(self.load_f64(addr))
+        let (bytes, penalty) = self.read(addr, None)?;
+        Ok((u64::from_le_bytes(bytes), penalty))
     }
 
-    /// Fallible [`MemorySystem::store_f64`] (address validated before the
-    /// cache access).
+    /// Fallible [`MemorySystem::store_f64`] (address validated once,
+    /// before the cache access).
     #[inline]
     pub fn try_store_f64(&mut self, addr: u32, bits: u64) -> Result<u64, MemError> {
-        self.memory.try_check(addr, 8)?;
-        Ok(self.store_f64(addr, bits))
+        self.write(addr, bits.to_le_bytes(), None)
     }
 
-    /// Fallible [`MemorySystem::load_u32`] (address validated before the
-    /// cache access).
+    /// Fallible [`MemorySystem::load_u32`] (address validated once,
+    /// before the cache access).
     #[inline]
     pub fn try_load_u32(&mut self, addr: u32) -> Result<(u32, u64), MemError> {
-        self.memory.try_check(addr, 4)?;
-        Ok(self.load_u32(addr))
+        let (bytes, penalty) = self.read(addr, None)?;
+        Ok((u32::from_le_bytes(bytes), penalty))
     }
 
-    /// Fallible [`MemorySystem::store_u32`] (address validated before the
-    /// cache access).
+    /// Fallible [`MemorySystem::store_u32`] (address validated once,
+    /// before the cache access).
     #[inline]
     pub fn try_store_u32(&mut self, addr: u32, value: u32) -> Result<u64, MemError> {
-        self.memory.try_check(addr, 4)?;
-        Ok(self.store_u32(addr, value))
+        self.write(addr, value.to_le_bytes(), None)
+    }
+
+    /// [`MemorySystem::try_load_f64`], saving what it changes in
+    /// `journal` for [`MemorySystem::roll_back`].
+    #[inline]
+    pub fn try_load_f64_journaled(
+        &mut self,
+        addr: u32,
+        journal: &mut Journal,
+    ) -> Result<(u64, u64), MemError> {
+        let (bytes, penalty) = self.read(addr, Some(journal))?;
+        Ok((u64::from_le_bytes(bytes), penalty))
+    }
+
+    /// [`MemorySystem::try_store_f64`], saving what it changes in
+    /// `journal`.
+    #[inline]
+    pub fn try_store_f64_journaled(
+        &mut self,
+        addr: u32,
+        bits: u64,
+        journal: &mut Journal,
+    ) -> Result<u64, MemError> {
+        self.write(addr, bits.to_le_bytes(), Some(journal))
+    }
+
+    /// [`MemorySystem::try_load_u32`], saving what it changes in
+    /// `journal`.
+    #[inline]
+    pub fn try_load_u32_journaled(
+        &mut self,
+        addr: u32,
+        journal: &mut Journal,
+    ) -> Result<(u32, u64), MemError> {
+        let (bytes, penalty) = self.read(addr, Some(journal))?;
+        Ok((u32::from_le_bytes(bytes), penalty))
+    }
+
+    /// [`MemorySystem::try_store_u32`], saving what it changes in
+    /// `journal`.
+    #[inline]
+    pub fn try_store_u32_journaled(
+        &mut self,
+        addr: u32,
+        value: u32,
+        journal: &mut Journal,
+    ) -> Result<u64, MemError> {
+        self.write(addr, value.to_le_bytes(), Some(journal))
+    }
+
+    /// The data read behind the `try_load_*` accessors: one address
+    /// check, the data-cache probe (journaled or not), then an unchecked
+    /// page read.
+    #[inline(always)]
+    fn read<const N: usize>(
+        &mut self,
+        addr: u32,
+        journal: Option<&mut Journal>,
+    ) -> Result<([u8; N], u64), MemError> {
+        self.memory.try_check(addr, N as u32)?;
+        let penalty = match journal {
+            None => self.dcache.access(addr, AccessKind::Read),
+            Some(j) => self
+                .dcache
+                .access_journaled(addr, AccessKind::Read, &mut j.dcache),
+        };
+        Ok((self.memory.read_n_unchecked(addr), penalty))
+    }
+
+    /// The data write behind the `try_store_*` accessors; a journaled
+    /// write also saves the bytes it replaces.
+    #[inline(always)]
+    fn write<const N: usize>(
+        &mut self,
+        addr: u32,
+        data: [u8; N],
+        journal: Option<&mut Journal>,
+    ) -> Result<u64, MemError> {
+        self.memory.try_check(addr, N as u32)?;
+        let penalty = match journal {
+            None => self.dcache.access(addr, AccessKind::Write),
+            Some(j) => {
+                let mut old = [0; 8];
+                old[..N].copy_from_slice(&self.memory.read_n_unchecked::<N>(addr));
+                j.words.push((addr, N as u8, u64::from_le_bytes(old)));
+                self.dcache
+                    .access_journaled(addr, AccessKind::Write, &mut j.dcache)
+            }
+        };
+        self.memory.write_n_unchecked(addr, data);
+        Ok(penalty)
     }
 
     /// Instruction fetch: first the on-chip buffer, then the external
@@ -155,6 +260,49 @@ impl MemorySystem {
             penalty += self.icache.access(addr, AccessKind::Read);
         }
         penalty
+    }
+
+    /// [`MemorySystem::fetch_timing`], saving what it changes in
+    /// `journal`.
+    #[inline]
+    pub fn fetch_timing_journaled(&mut self, addr: u32, journal: &mut Journal) -> u64 {
+        let mut penalty =
+            self.ibuffer
+                .access_journaled(addr, AccessKind::Read, &mut journal.ibuffer);
+        if penalty > 0 {
+            penalty += self
+                .icache
+                .access_journaled(addr, AccessKind::Read, &mut journal.icache);
+        }
+        penalty
+    }
+
+    /// Starts `journal` afresh at the hierarchy's current state.
+    pub fn begin_journal(&self, journal: &mut Journal) {
+        self.dcache.begin_journal(&mut journal.dcache);
+        self.icache.begin_journal(&mut journal.icache);
+        self.ibuffer.begin_journal(&mut journal.ibuffer);
+        journal.words.clear();
+        journal.marks = self.memory.write_marks();
+    }
+
+    /// Undoes every journaled access since [`MemorySystem::begin_journal`]:
+    /// memory words, cache lines and every counter read as it was, and
+    /// the write watch counts none of the undone writes.
+    pub fn roll_back(&mut self, journal: &mut Journal) {
+        for (addr, len, old) in journal.words.drain(..).rev() {
+            let bytes = old.to_le_bytes();
+            if len == 8 {
+                self.memory.put_back(addr, bytes);
+            } else {
+                self.memory
+                    .put_back::<4>(addr, bytes[..4].try_into().unwrap());
+            }
+        }
+        self.memory.set_write_marks(journal.marks);
+        self.dcache.roll_back(&mut journal.dcache);
+        self.icache.roll_back(&mut journal.icache);
+        self.ibuffer.roll_back(&mut journal.ibuffer);
     }
 
     /// Cold-start: invalidates all three caches (statistics survive; use
@@ -273,6 +421,65 @@ mod tests {
         );
         let (bits, p) = s.try_load_f64(0x100).unwrap();
         assert_eq!((bits, p), (0, 0), "resident line still hits");
+    }
+
+    #[test]
+    fn roll_back_undoes_journaled_accesses() {
+        for ways in [1, 2] {
+            let cfg = CacheConfig {
+                ways,
+                ..CacheConfig::multititan_data()
+            };
+            let mut s = MemorySystem::new(MemConfig {
+                data_cache: cfg,
+                instr_cache: CacheConfig { ways, ..cfg },
+                instr_buffer: CacheConfig {
+                    ways,
+                    ..CacheConfig::multititan_ibuffer()
+                },
+                ..MemConfig::multititan()
+            });
+            s.memory.write_u64(0x100, 5);
+            s.memory.watch_range(0x40, 0x50);
+            s.load_f64(0x100);
+            s.fetch(0x40);
+            let before = (
+                s.dcache_stats(),
+                s.icache_stats(),
+                s.ibuffer_stats(),
+                s.memory.high_water(),
+            );
+            let mut j = Journal::default();
+            s.begin_journal(&mut j);
+            s.try_store_f64_journaled(0x100, 9, &mut j).unwrap();
+            s.try_store_u32_journaled(0x10_0000, 7, &mut j).unwrap();
+            s.try_store_u32_journaled(0x44, 7, &mut j).unwrap();
+            s.try_load_u32_journaled(0x10_0000 + 64 * 1024, &mut j)
+                .unwrap();
+            s.try_load_f64_journaled(0x2000, &mut j).unwrap();
+            s.fetch_timing_journaled(0x40 + 2048, &mut j);
+            assert!(s.try_load_f64_journaled(0x104, &mut j).is_err());
+            s.roll_back(&mut j);
+            assert_eq!(s.memory.read_u64(0x100), 5);
+            assert_eq!(s.memory.read_u32(0x10_0000), 0);
+            assert_eq!(s.memory.watch_writes(), 0, "undone text write");
+            let after = (
+                s.dcache_stats(),
+                s.icache_stats(),
+                s.ibuffer_stats(),
+                s.memory.high_water(),
+            );
+            assert_eq!(before, after, "{ways}-way");
+            // Residency as before: 0x100 hits clean (no writeback when
+            // evicted), 0x10_0000 and 0x2000 miss, the fetch line hits.
+            assert_eq!(s.load_f64(0x100).1, 0);
+            assert_eq!(s.fetch_timing(0x40), 0);
+            assert_eq!(s.load_u32(0x2000).1, 14);
+            assert_eq!(s.load_u32(0x10_0000).1, 14);
+            s.load_f64(0x100 + 64 * 1024);
+            s.load_f64(0x100 + 128 * 1024);
+            assert_eq!(s.dcache_stats().writebacks, 0, "{ways}-way");
+        }
     }
 
     #[test]

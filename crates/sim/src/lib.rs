@@ -55,7 +55,7 @@ pub mod stats;
 pub mod timeline;
 
 pub use config::{MachineConfig, KNOB_NAMES};
-pub use machine::{ArchState, Backend, Machine, RunError, SimConfig, Snapshot};
+pub use machine::{ArchState, Backend, Machine, MemoCounts, RunError, SimConfig, Snapshot};
 pub use mt_isa::{DataSegment, Program, DEFAULT_TEXT_BASE};
 pub use stats::{ordering_violations, OrderingViolation, RunStats, StallBreakdown, ViolationKind};
 pub use timeline::Timeline;

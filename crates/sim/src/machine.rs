@@ -5,7 +5,7 @@ use std::sync::Arc;
 use mt_core::{Fpu, Psw};
 use mt_isa::cost::{InstrCost, IssueTiming};
 use mt_isa::cpu::AluOp;
-use mt_isa::{FReg, IReg, Instr};
+use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
 use mt_mem::{MemError, MemorySystem};
 use mt_trace::{EventKind, EventSink, NullSink, StallCause, TraceEvent};
 use mt_xlate::{TranslatedProgram, Uop};
@@ -13,6 +13,10 @@ use mt_xlate::{TranslatedProgram, Uop};
 use crate::config::MachineConfig;
 use crate::stats::{RunStats, StallBreakdown, ViolationKind};
 use mt_isa::Program;
+
+mod memo;
+
+pub use memo::MemoCounts;
 
 /// Which execution backend [`Machine::run`] drives.
 ///
@@ -231,6 +235,7 @@ pub struct ArchState {
 }
 
 /// Where an executed instruction sends the CPU ([`Machine::perform`]).
+#[derive(Clone, Copy)]
 enum Exec {
     /// Completed; the PC falls through to the next word.
     Next,
@@ -254,6 +259,97 @@ enum SpanExit {
     /// A write landed in the watched text range: the translation is
     /// stale, interpretation takes over for the rest of the run.
     Disabled,
+}
+
+/// Why [`Machine::span`] returned to [`Machine::xlate_span`].
+enum SpanStop {
+    /// The span must return this to the outer run loop.
+    Exit(SpanExit),
+    /// A taken backward branch just completed: a loop head, where the
+    /// loop-iteration memo may take over ([`Machine::at_loop_head`]).
+    LoopHead,
+}
+
+/// Where [`Machine::perform`] sends its data accesses and the FPU's
+/// memory-port and transfer traffic. [`Live`] is the machine itself; a
+/// replayed loop iteration sends them through a write-through port that
+/// writes FPU registers at once and journals every change for rollback.
+trait Port {
+    /// `lw`: the word at `addr` and its data-cache penalty.
+    fn lw(&mut self, mem: &mut MemorySystem, addr: u32) -> Result<(u32, u64), MemError>;
+    /// `sw`: stores `value` at `addr`; returns the penalty.
+    fn sw(&mut self, mem: &mut MemorySystem, addr: u32, value: u32) -> Result<u64, MemError>;
+    /// `fld`: loads `addr` into `fr`, readable by elements issuing from
+    /// cycle `now + penalty + 1`; returns the penalty.
+    fn fld(
+        &mut self,
+        mem: &mut MemorySystem,
+        fpu: &mut Fpu,
+        fr: FReg,
+        addr: u32,
+        now: u64,
+    ) -> Result<u64, MemError>;
+    /// `fst`: stores `fr` at `addr`; returns the penalty. A faulting
+    /// store reaches neither the cache nor the FPU's store count.
+    fn fst(
+        &mut self,
+        mem: &mut MemorySystem,
+        fpu: &mut Fpu,
+        fr: FReg,
+        addr: u32,
+    ) -> Result<u64, MemError>;
+    /// Transfers an FPU ALU instruction into the IR.
+    fn transfer(&mut self, fpu: &mut Fpu, f: FpuAluInstr);
+}
+
+/// The port of a normal run: the memory system's own accessors and the
+/// FPU's memory port and IR.
+struct Live;
+
+impl Port for Live {
+    #[inline(always)]
+    fn lw(&mut self, mem: &mut MemorySystem, addr: u32) -> Result<(u32, u64), MemError> {
+        mem.try_load_u32(addr)
+    }
+
+    #[inline(always)]
+    fn sw(&mut self, mem: &mut MemorySystem, addr: u32, value: u32) -> Result<u64, MemError> {
+        mem.try_store_u32(addr, value)
+    }
+
+    #[inline(always)]
+    fn fld(
+        &mut self,
+        mem: &mut MemorySystem,
+        fpu: &mut Fpu,
+        fr: FReg,
+        addr: u32,
+        now: u64,
+    ) -> Result<u64, MemError> {
+        let (bits, penalty) = mem.try_load_f64(addr)?;
+        fpu.load_write(fr, bits, now + penalty);
+        Ok(penalty)
+    }
+
+    #[inline(always)]
+    fn fst(
+        &mut self,
+        mem: &mut MemorySystem,
+        fpu: &mut Fpu,
+        fr: FReg,
+        addr: u32,
+    ) -> Result<u64, MemError> {
+        let penalty = mem.try_store_f64(addr, fpu.read_reg(fr))?;
+        // The store happened: count it (the guard held the register free).
+        fpu.read_reg_for_store(fr);
+        Ok(penalty)
+    }
+
+    #[inline(always)]
+    fn transfer(&mut self, fpu: &mut Fpu, f: FpuAluInstr) {
+        let transferred = fpu.try_transfer(f);
+        debug_assert!(transferred, "the IR guard held this transfer");
+    }
 }
 
 /// One MultiTitan processor.
@@ -304,6 +400,10 @@ pub struct Machine {
     /// instruction completed or an FPU element/load issued) — the
     /// watchdog's reference point. Always `<= cycle`.
     last_progress: u64,
+    /// The translated engine's loop-iteration memo: a cache of recorded
+    /// iterations, not machine state. Clones (and so snapshots) start
+    /// with an empty one; a new program or job clears it.
+    memo: memo::Memo,
 }
 
 /// Forwards one event when the sink wants it. With [`NullSink`] the whole
@@ -344,6 +444,7 @@ impl Machine {
             ir_index: 0,
             xlate: None,
             last_progress: 0,
+            memo: memo::Memo::default(),
         }
     }
 
@@ -364,6 +465,7 @@ impl Machine {
         // state, not residue of whatever ran before.
         self.fpu.clear_psw();
         self.xlate = Some(Arc::new(TranslatedProgram::translate(program)));
+        self.memo.clear();
         // Watch the installed text: while no write has landed on it (by
         // any path, including direct workload pokes at `mem.memory`), a
         // fetch may trust the translation without re-reading the word.
@@ -475,6 +577,16 @@ impl Machine {
         self.ir_index = 0;
         self.xlate = None;
         self.last_progress = 0;
+        self.memo.clear();
+    }
+
+    /// What the translated engine's loop-iteration memo has done since
+    /// the program was loaded: iterations recorded, replayed and rolled
+    /// back, loop heads skipped by reason, and instructions replayed. A
+    /// side channel for tests and studies, outside [`RunStats`]: a
+    /// replay changes no statistic.
+    pub fn memo_counts(&self) -> MemoCounts {
+        self.memo.counts()
     }
 
     /// Runs from the current PC until `halt`, returning the statistics of
@@ -728,23 +840,11 @@ impl Machine {
             misses: a.misses - b.misses,
             writebacks: a.writebacks - b.writebacks,
         };
-        let f = self.fpu.stats();
         Ok(Some(RunStats {
             cycles: self.cycle - start_cycle,
             instructions: self.instructions - start_instructions,
             drain_cycles: self.drain_cycles - start_drain,
-            fpu: mt_core::FpuStats {
-                instructions_transferred: f.instructions_transferred
-                    - start_fpu.instructions_transferred,
-                elements_issued: f.elements_issued - start_fpu.elements_issued,
-                flops: f.flops - start_fpu.flops,
-                scoreboard_stall_cycles: f.scoreboard_stall_cycles
-                    - start_fpu.scoreboard_stall_cycles,
-                loads: f.loads - start_fpu.loads,
-                stores: f.stores - start_fpu.stores,
-                overflow_aborts: f.overflow_aborts - start_fpu.overflow_aborts,
-                elements_squashed: f.elements_squashed - start_fpu.elements_squashed,
-            },
+            fpu: self.fpu.stats().since(&start_fpu),
             stalls: self.stalls.since(&start_stalls),
             dcache: delta(self.mem.dcache_stats(), dcache0),
             icache: delta(self.mem.icache_stats(), icache0),
@@ -824,13 +924,19 @@ impl Machine {
     /// which was charged in bulk at the branch. A wait on an occupied IR
     /// calls this once per cycle from [`Machine::issue_until_ir_empty`].
     #[inline]
-    fn hop_wait(&mut self, stall: Option<StallCause>, horizon: u64, boundary: u64) {
+    fn hop_wait<S: EventSink>(
+        &mut self,
+        stall: Option<StallCause>,
+        horizon: u64,
+        boundary: u64,
+        sink: &mut S,
+    ) {
         let ir_stalled = match self.fpu.issue_blocked() {
             Some(false) => {
                 if let Some(cause) = stall {
                     self.stalls.add(cause, 1);
                 }
-                self.issue_and_record(&mut NullSink);
+                self.issue_and_record(sink);
                 self.cycle += 1;
                 return;
             }
@@ -868,9 +974,9 @@ impl Machine {
     /// `boundary` may be stale (the watchdog term grows as elements issue),
     /// which only returns early; the span re-checks its boundary and the
     /// guards on return.
-    fn issue_until_ir_empty(&mut self, boundary: u64) {
+    fn issue_until_ir_empty<S: EventSink>(&mut self, boundary: u64, sink: &mut S) {
         loop {
-            self.hop_wait(Some(StallCause::IrBusy), u64::MAX, boundary);
+            self.hop_wait(Some(StallCause::IrBusy), u64::MAX, boundary, sink);
             if self.cycle >= boundary {
                 return;
             }
@@ -930,7 +1036,9 @@ impl Machine {
     /// * execution and completion are the interpreter's own
     ///   ([`Machine::perform`], [`Machine::complete`]) over [`NullSink`];
     /// * the issue stage runs whenever the IR is occupied; with an empty
-    ///   IR `issue` returns `Idle` without side effects.
+    ///   IR `issue` returns `Idle` without side effects;
+    /// * at a loop head the memo may replay whole iterations
+    ///   ([`Machine::at_loop_head`]; DESIGN.md §13 gives its argument).
     fn xlate_span(&mut self, limit_cycle: u64, stop_at: Option<u64>) -> Result<SpanExit, RunError> {
         let Some(xp) = self.xlate.clone() else {
             return Ok(SpanExit::Disabled);
@@ -941,7 +1049,6 @@ impl Machine {
         if self.mem.memory.watch_writes() != 0 {
             return Ok(SpanExit::Disabled);
         }
-        let watchdog = self.config.watchdog_cycles;
         // First cycle the outer loop's checks could fire at; the span
         // never crosses it. Only the watchdog term varies (with
         // `last_progress`, which only advances), so the static part is
@@ -953,6 +1060,29 @@ impl Machine {
         if let Some(at) = self.interrupt_at {
             static_boundary = static_boundary.min(at);
         }
+        loop {
+            let exit = match self.span(&xp, static_boundary, &mut NullSink)? {
+                SpanStop::Exit(exit) => Some(exit),
+                SpanStop::LoopHead => self.at_loop_head(&xp, static_boundary)?,
+            };
+            if let Some(exit) = exit {
+                return Ok(exit);
+            }
+        }
+    }
+
+    /// The span proper: runs micro-ops until an exit or a loop head, the
+    /// cycle after a taken backward branch completed, once its
+    /// retirements are in — every head when `sink` records an iteration
+    /// for the memo, otherwise those whose FPU is quiescent (the memo
+    /// needs one). With [`NullSink`] every emission compiles away.
+    fn span<S: EventSink>(
+        &mut self,
+        xp: &TranslatedProgram,
+        static_boundary: u64,
+        sink: &mut S,
+    ) -> Result<SpanStop, RunError> {
+        let watchdog = self.config.watchdog_cycles;
         // The pending instruction's micro-op, valid whenever `pending` is
         // set: latched by the fetch below, or looked up here for one the
         // span inherits (fetched by the interpreter or by a span that
@@ -962,19 +1092,34 @@ impl Machine {
             Some(_) => xp.uop(self.pc),
             None => None,
         };
+        // Set when a taken backward branch completes: this cycle is a
+        // loop head.
+        let mut head = false;
         loop {
             let mut boundary = static_boundary;
             if watchdog > 0 {
                 boundary = boundary.min((self.last_progress + 1).saturating_add(watchdog));
             }
             if self.cycle >= boundary {
-                return Ok(SpanExit::Boundary);
+                return Ok(SpanStop::Exit(SpanExit::Boundary));
             }
 
             // Phase 1: retirements — only on cycles one is due.
             if let Some(retire) = self.fpu.next_retire_at() {
                 if retire <= self.cycle {
                     self.fpu.begin_cycle(self.cycle);
+                }
+            }
+
+            if head {
+                head = false;
+                if sink.enabled() {
+                    return Ok(SpanStop::LoopHead);
+                }
+                if !self.fpu.quiescent() {
+                    self.memo.count_busy_head();
+                } else if !self.memo.skips(self.pc) {
+                    return Ok(SpanStop::LoopHead);
                 }
             }
 
@@ -991,7 +1136,7 @@ impl Machine {
                 None if self.cycle < self.fetch_ready_at => {
                     // Branch bubble (charged at the branch): only the
                     // issue stage runs until the fetch window opens.
-                    self.hop_wait(None, self.fetch_ready_at, boundary);
+                    self.hop_wait(None, self.fetch_ready_at, boundary, sink);
                     continue;
                 }
                 None => {
@@ -1000,10 +1145,10 @@ impl Machine {
                     // translation *before this fetch* — not at the next
                     // block boundary — and interpretation takes over.
                     if self.mem.memory.watch_writes() != 0 {
-                        return Ok(SpanExit::Disabled);
+                        return Ok(SpanStop::Exit(SpanExit::Disabled));
                     }
                     let Some(uop) = xp.uop(self.pc) else {
-                        return Ok(SpanExit::Tick);
+                        return Ok(SpanStop::Exit(SpanExit::Tick));
                     };
                     let penalty = self.mem.fetch_timing(self.pc);
                     self.pending = Some(uop.instr);
@@ -1012,8 +1157,18 @@ impl Machine {
                     if penalty > 0 {
                         // First elapsed cycle of the fetch penalty.
                         self.stalls.fetch += 1;
+                        emit(
+                            sink,
+                            self.cycle,
+                            EventKind::Stall {
+                                pc: self.pc,
+                                instr_index: self.instr_index(),
+                                cause: StallCause::Fetch,
+                                cycles: penalty,
+                            },
+                        );
                         if self.fpu.ir_busy() {
-                            self.issue_and_record(&mut NullSink);
+                            self.issue_and_record(sink);
                         }
                         self.cycle += 1;
                         continue;
@@ -1022,13 +1177,18 @@ impl Machine {
                 }
                 Some(_) if self.cycle < self.pending_ready_at => {
                     // Fetch penalty elapsing: one fetch-stall cycle each.
-                    self.hop_wait(Some(StallCause::Fetch), self.pending_ready_at, boundary);
+                    self.hop_wait(
+                        Some(StallCause::Fetch),
+                        self.pending_ready_at,
+                        boundary,
+                        sink,
+                    );
                     continue;
                 }
                 // Pending and ready: the micro-op latched with it.
                 Some(_) => match fetched {
                     Some(uop) => uop,
-                    None => return Ok(SpanExit::Tick),
+                    None => return Ok(SpanStop::Exit(SpanExit::Tick)),
                 },
             };
 
@@ -1044,11 +1204,11 @@ impl Machine {
             };
             match wait {
                 Some((StallCause::IrBusy, _)) => {
-                    self.issue_until_ir_empty(boundary);
+                    self.issue_until_ir_empty(boundary, sink);
                     continue;
                 }
                 Some((cause, horizon)) => {
-                    self.hop_wait(Some(cause), horizon, boundary);
+                    self.hop_wait(Some(cause), horizon, boundary, sink);
                     continue;
                 }
                 None => {}
@@ -1057,14 +1217,15 @@ impl Machine {
             // Execute and complete — the interpreter's own arms — then
             // phase 3: the issue stage, skipped when the IR is empty
             // (`issue` would return `Idle` without effects).
-            let exec = self.perform(uop.instr, &mut NullSink)?;
-            self.complete(uop.instr, exec, &mut NullSink);
+            let exec = self.perform(uop.instr, sink, &mut Live)?;
+            head = matches!(exec, Exec::Jump(to) if to <= self.pc);
+            self.complete(uop.instr, exec, sink);
             if self.fpu.ir_busy() {
-                self.issue_and_record(&mut NullSink);
+                self.issue_and_record(sink);
             }
             self.cycle += 1;
             if self.halted {
-                return Ok(SpanExit::Boundary);
+                return Ok(SpanStop::Exit(SpanExit::Boundary));
             }
         }
     }
@@ -1207,7 +1368,7 @@ impl Machine {
             self.emit_stall(sink, cause, 1);
             return Ok(());
         }
-        let exec = self.perform(instr, sink)?;
+        let exec = self.perform(instr, sink, &mut Live)?;
         self.complete(instr, exec, sink);
         Ok(())
     }
@@ -1259,10 +1420,16 @@ impl Machine {
 
     /// Executes `instr` at the current PC — the one copy of the
     /// instruction semantics, run by both engines once
-    /// [`Machine::cost_stall_horizon`] found no hazard. Always inlined,
-    /// like the guard: the span runs it once per instruction.
+    /// [`Machine::cost_stall_horizon`] found no hazard, and by a memo
+    /// replay through its write-through `port`. Always inlined, like the
+    /// guard: the span runs it once per instruction.
     #[inline(always)]
-    fn perform<S: EventSink>(&mut self, instr: Instr, sink: &mut S) -> Result<Exec, RunError> {
+    fn perform<S: EventSink, P: Port>(
+        &mut self,
+        instr: Instr,
+        sink: &mut S,
+        port: &mut P,
+    ) -> Result<Exec, RunError> {
         match instr {
             Instr::Nop => Ok(Exec::Next),
             Instr::Halt => Ok(Exec::Halted),
@@ -1313,9 +1480,8 @@ impl Machine {
 
             Instr::Lw { rd, base, offset } => {
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                let (value, penalty) = self
-                    .mem
-                    .try_load_u32(addr)
+                let (value, penalty) = port
+                    .lw(&mut self.mem, addr)
                     .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
                 self.set_ireg(rd, value as i32);
                 // One load delay slot beyond any miss stall.
@@ -1329,9 +1495,9 @@ impl Machine {
 
             Instr::Sw { rs, base, offset } => {
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                let penalty = self
-                    .mem
-                    .try_store_u32(addr, self.ireg(rs) as u32)
+                let value = self.ireg(rs) as u32;
+                let penalty = port
+                    .sw(&mut self.mem, addr, value)
                     .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
                 // Stores take two cycles (§2.4).
                 self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
@@ -1342,11 +1508,9 @@ impl Machine {
 
             Instr::Fld { fr, base, offset } => {
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                let (bits, penalty) = self
-                    .mem
-                    .try_load_f64(addr)
+                let penalty = port
+                    .fld(&mut self.mem, &mut self.fpu, fr, addr, self.cycle)
                     .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                self.fpu.load_write(fr, bits, self.cycle + penalty);
                 self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
                 self.emit_dcache(sink, false, penalty);
                 self.apply_miss(penalty, sink);
@@ -1355,14 +1519,8 @@ impl Machine {
 
             Instr::Fst { fr, base, offset } => {
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                self.mem
-                    .memory
-                    .try_check(addr, 8)
-                    .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                let bits = self.fpu.read_reg_for_store(fr);
-                let penalty = self
-                    .mem
-                    .try_store_f64(addr, bits)
+                let penalty = port
+                    .fst(&mut self.mem, &mut self.fpu, fr, addr)
                     .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
                 // Stores take two cycles (§2.4).
                 self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
@@ -1403,8 +1561,7 @@ impl Machine {
             }
 
             Instr::Falu(f) => {
-                let transferred = self.fpu.try_transfer(f);
-                debug_assert!(transferred, "the IR guard held this transfer");
+                port.transfer(&mut self.fpu, f);
                 // Subsequent FPU-side events (element issues, scoreboard
                 // stalls, drain) belong to this instruction.
                 self.ir_pc = self.pc;

@@ -61,6 +61,17 @@ impl StallBreakdown {
         }
     }
 
+    /// Adds `delta`, the stalls of another stretch of execution.
+    pub(crate) fn add_all(&mut self, delta: &StallBreakdown) {
+        self.ir_busy += delta.ir_busy;
+        self.ls_port_busy += delta.ls_port_busy;
+        self.fpu_reg_hazard += delta.fpu_reg_hazard;
+        self.int_load_hazard += delta.int_load_hazard;
+        self.fetch += delta.fetch;
+        self.data_miss += delta.data_miss;
+        self.branch += delta.branch;
+    }
+
     /// Total stall cycles.
     pub fn total(&self) -> u64 {
         self.ir_busy

@@ -40,6 +40,26 @@ fn dotprod_s() {
 }
 
 #[test]
+fn stream_s() {
+    let m = run("examples/asm/stream.s");
+    for i in 0..160u32 {
+        assert_eq!(
+            m.mem.memory.read_f64(0x3_0000 + 8 * i),
+            100.0 + 2.5 * i as f64,
+            "y[{i}]"
+        );
+    }
+    // The example exists to put the loop-iteration memo on the CI's
+    // tick-vs-xlate smoke: its strips record, replay, and roll back at
+    // the data-dependent exit.
+    let memo = m.memo_counts();
+    assert!(
+        memo.recorded > 0 && memo.replayed >= 10 && memo.rolled_back > 0,
+        "{memo:?}"
+    );
+}
+
+#[test]
 fn every_shipped_program_assembles() {
     for entry in std::fs::read_dir("examples/asm").unwrap() {
         let path = entry.unwrap().path();
