@@ -2,9 +2,12 @@
 //! number in its Figure 14 table, its Fig. 11 effective-vectorization
 //! table and its ablation table must equal the committed
 //! `BENCH_sim.json`, `BENCH_amdahl.json` and `BENCH_ablations.json` at
-//! the precision the binary that regenerates it prints.
+//! the precision the binary that regenerates it prints, and its memo
+//! coverage table must equal what a Livermore pass's runs report.
 
 use mt_baseline::published::harmonic_mean;
+use mt_kernels::livermore;
+use mt_sim::{Machine, MemoCounts, SimConfig};
 use mt_trace::Json;
 
 const EXPERIMENTS: &str = include_str!("../../../EXPERIMENTS.md");
@@ -12,11 +15,14 @@ const BENCH_SIM: &str = include_str!("../../../BENCH_sim.json");
 const BENCH_AMDAHL: &str = include_str!("../../../BENCH_amdahl.json");
 const BENCH_ABLATIONS: &str = include_str!("../../../BENCH_ablations.json");
 
-/// The body rows of the first table under the `## {heading}` section,
-/// each cell trimmed and stripped of bold and code marks.
+/// The body rows of the first table under the `## {heading}` (or
+/// `### {heading}`) section, each cell trimmed and stripped of bold and
+/// code marks.
 fn table(heading: &str) -> Vec<Vec<String>> {
     let start = EXPERIMENTS
-        .find(&format!("\n## {heading}"))
+        .match_indices(heading)
+        .map(|(i, _)| i)
+        .find(|&i| EXPERIMENTS[..i].ends_with("\n## ") || EXPERIMENTS[..i].ends_with("\n### "))
         .unwrap_or_else(|| panic!("EXPERIMENTS.md has no section {heading:?}"));
     let rows: Vec<Vec<String>> = EXPERIMENTS[start..]
         .lines()
@@ -134,4 +140,54 @@ fn ablation_table_quotes_bench_ablations() {
         assert_quotes(row, 1, warm, 2);
         assert_quotes(row, 2, hm(cell.get("kernels").unwrap().items(), "cold"), 2);
     }
+}
+
+/// A coverage row's numbers: instructions, replayed instructions,
+/// recorded, replays, rollbacks, dropped, busy heads, given-up heads.
+fn coverage(instructions: u64, c: &MemoCounts) -> [u64; 8] {
+    [
+        instructions,
+        c.instructions_replayed,
+        c.recorded,
+        c.replayed,
+        c.rolled_back,
+        c.dropped,
+        c.skipped_busy,
+        c.skipped_cut,
+    ]
+}
+
+/// Asserts that a coverage row prints `numbers`, with the replayed
+/// share to one decimal after the replayed instructions.
+fn assert_coverage(row: &[String], numbers: [u64; 8]) {
+    let share = 100.0 * numbers[1] as f64 / numbers[0] as f64;
+    let mut cells: Vec<String> = numbers.iter().map(u64::to_string).collect();
+    cells.insert(2, format!("{share:.1}%"));
+    assert_eq!(row[1..], cells, "EXPERIMENTS.md memo coverage row {row:?}");
+}
+
+#[test]
+fn memo_coverage_table_quotes_a_livermore_pass() {
+    let rows = table("The loop-iteration memo: coverage");
+    assert_eq!(rows.len(), 24 + 1, "24 loops and the all row");
+    let mut all = [0u64; 8];
+    for (n, row) in (1..=24u8).zip(&rows) {
+        // Each loop on its own paper machine, cold then warm.
+        let kernel = livermore::by_number(n);
+        let mut m = Machine::new(SimConfig::default());
+        kernel.routine.install(&mut m);
+        (kernel.init)(&mut m);
+        let cold = m.run().unwrap();
+        (kernel.init)(&mut m);
+        m.reset_for_rerun();
+        let warm = m.run().unwrap();
+        let numbers = coverage(cold.instructions + warm.instructions, &m.memo_counts());
+        assert_eq!(row[0], n.to_string());
+        assert_coverage(row, numbers);
+        for (sum, x) in all.iter_mut().zip(numbers) {
+            *sum += x;
+        }
+    }
+    assert_eq!(rows[24][0], "all");
+    assert_coverage(&rows[24], all);
 }

@@ -234,14 +234,15 @@ pub enum Instr {
         /// Absolute word address.
         target: u32,
     },
-    /// Jump and link (return address in r31).
+    /// Jump and link: r31 receives the byte address of the next
+    /// instruction (`pc + 4`), which `jr r31` returns to.
     Jal {
         /// Absolute word address.
         target: u32,
     },
     /// Jump to register.
     Jr {
-        /// Register holding the word address.
+        /// Register holding the byte address (as `jal` links it).
         rs: IReg,
     },
     /// An FPU ALU (vector/scalar arithmetic) instruction.

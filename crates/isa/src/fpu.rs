@@ -220,16 +220,6 @@ impl FpuAluInstr {
         let srb = word & 1 == 1;
         FpuAluInstr::new(op, rr, ra, rb, vl, sra, srb)
     }
-
-    /// Number of register-file reads the instruction performs per element
-    /// (unary operations read only Ra).
-    pub fn reads_per_element(&self) -> u8 {
-        if self.op.is_unary() {
-            1
-        } else {
-            2
-        }
-    }
 }
 
 /// The concrete registers touched by one vector element.

@@ -29,32 +29,7 @@ use crate::harness::Kernel;
 
 /// Builds all 24 kernels in order.
 pub fn all() -> Vec<Kernel> {
-    vec![
-        loop01(),
-        loop02(),
-        loop03(),
-        loop04(),
-        loop05(),
-        loop06(),
-        loop07(),
-        loop08(),
-        loop09(),
-        loop10(),
-        loop11(),
-        loop12(),
-        loop13(),
-        loop14(),
-        loop15(),
-        loop16(),
-        loop17(),
-        loop18(),
-        loop19(),
-        loop20(),
-        loop21(),
-        loop22(),
-        loop23(),
-        loop24(),
-    ]
+    (1..=24).map(by_number).collect()
 }
 
 /// Builds one kernel by loop number (1–24).

@@ -124,8 +124,3 @@ pub fn error_count(findings: &[Finding]) -> usize {
         .filter(|f| f.severity() == Severity::Error)
         .count()
 }
-
-/// The highest severity present, if any findings exist.
-pub fn max_severity(findings: &[Finding]) -> Option<Severity> {
-    findings.iter().map(|f| f.severity()).max()
-}

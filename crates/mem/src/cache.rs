@@ -137,8 +137,8 @@ struct Line {
     tag: u32,
 }
 
-/// What a run of [`Cache::access_journaled`] calls changed, saved before
-/// each change so [`Cache::roll_back`] can put the cache back exactly:
+/// What a run of accesses given a journal changed, saved before each
+/// change so [`Cache::roll_back`] can put the cache back exactly:
 /// residency, dirty bits, LRU stamps and statistics.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CacheJournal {
@@ -149,23 +149,12 @@ pub(crate) struct CacheJournal {
     tick: u64,
 }
 
-/// Where an access saves a line it is about to change: nowhere on the
-/// normal path ([`NoSave`] compiles away), a [`CacheJournal`] on the
-/// journaled one.
-trait Saver {
-    fn save(&mut self, index: usize, line: Line, stamp: u64);
-}
-
-struct NoSave;
-
-impl Saver for NoSave {
-    #[inline(always)]
-    fn save(&mut self, _: usize, _: Line, _: u64) {}
-}
-
-impl Saver for CacheJournal {
-    fn save(&mut self, index: usize, line: Line, stamp: u64) {
-        self.saved.push((index as u32, line, stamp));
+/// Saves line `index` before an access changes it, when the access has a
+/// journal.
+#[inline(always)]
+fn save(journal: &mut Option<&mut CacheJournal>, index: usize, line: Line, stamp: u64) {
+    if let Some(j) = journal {
+        j.saved.push((index as u32, line, stamp));
     }
 }
 
@@ -266,19 +255,7 @@ impl Cache {
     /// (0 on hit, `miss_penalty` on miss).
     #[inline]
     pub fn access(&mut self, addr: u32, kind: AccessKind) -> u64 {
-        self.access_with(addr, kind, &mut NoSave)
-    }
-
-    /// [`Cache::access`] that first saves into `journal` whatever it
-    /// changes, for [`Cache::roll_back`].
-    #[inline]
-    pub(crate) fn access_journaled(
-        &mut self,
-        addr: u32,
-        kind: AccessKind,
-        journal: &mut CacheJournal,
-    ) -> u64 {
-        self.access_with(addr, kind, journal)
+        self.access_with(addr, kind, None)
     }
 
     /// Starts `journal` afresh at the cache's current state.
@@ -288,7 +265,7 @@ impl Cache {
         journal.tick = self.tick;
     }
 
-    /// Undoes every [`Cache::access_journaled`] since
+    /// Undoes every access given `journal` since
     /// [`Cache::begin_journal`], newest first.
     pub(crate) fn roll_back(&mut self, journal: &mut CacheJournal) {
         for (index, line, stamp) in journal.saved.drain(..).rev() {
@@ -301,8 +278,15 @@ impl Cache {
         self.tick = journal.tick;
     }
 
+    /// [`Cache::access`] that first saves into `journal`, when there is
+    /// one, whatever it changes, for [`Cache::roll_back`].
     #[inline(always)]
-    fn access_with<J: Saver>(&mut self, addr: u32, kind: AccessKind, journal: &mut J) -> u64 {
+    pub(crate) fn access_with(
+        &mut self,
+        addr: u32,
+        kind: AccessKind,
+        mut journal: Option<&mut CacheJournal>,
+    ) -> u64 {
         let (set, tag) = self.index_and_tag(addr);
         if self.config.ways > 1 {
             return self.access_set(set, tag, kind, journal);
@@ -311,7 +295,7 @@ impl Cache {
         if line.valid && line.tag == tag {
             self.stats.hits += 1;
             if kind == AccessKind::Write {
-                journal.save(set, *line, 0);
+                save(&mut journal, set, *line, 0);
                 line.dirty = true;
             }
             return 0;
@@ -321,12 +305,12 @@ impl Cache {
 
     /// [`Cache::access`] for an associative geometry: scans the set's
     /// ways and keeps the LRU stamps.
-    fn access_set<J: Saver>(
+    fn access_set(
         &mut self,
         set: usize,
         tag: u32,
         kind: AccessKind,
-        journal: &mut J,
+        mut journal: Option<&mut CacheJournal>,
     ) -> u64 {
         let ways = self.config.ways as usize;
         let base = set * ways;
@@ -340,7 +324,7 @@ impl Cache {
             .enumerate()
         {
             if line.valid && line.tag == tag {
-                journal.save(base + i, *line, *last_used);
+                save(&mut journal, base + i, *line, *last_used);
                 self.stats.hits += 1;
                 *last_used = tick;
                 if kind == AccessKind::Write {
@@ -371,11 +355,17 @@ impl Cache {
     /// A miss that evicts line `index`: counts the miss, and a writeback
     /// when the victim is dirty, fills the line with `tag`, and returns
     /// the miss penalty.
-    fn fill<J: Saver>(&mut self, index: usize, tag: u32, kind: AccessKind, journal: &mut J) -> u64 {
+    fn fill(
+        &mut self,
+        index: usize,
+        tag: u32,
+        kind: AccessKind,
+        mut journal: Option<&mut CacheJournal>,
+    ) -> u64 {
         self.stats.misses += 1;
         let stamp = self.last_used.get(index).copied().unwrap_or(0);
         let line = &mut self.lines[index];
-        journal.save(index, *line, stamp);
+        save(&mut journal, index, *line, stamp);
         if line.valid && line.dirty {
             self.stats.writebacks += 1;
         }
@@ -395,11 +385,6 @@ impl Cache {
         self.lines[base..base + ways]
             .iter()
             .any(|l| l.valid && l.tag == tag)
-    }
-
-    /// Number of lines (for fault-injection plans).
-    pub fn line_count(&self) -> usize {
-        self.lines.len()
     }
 
     /// Fault-injection hook: flips one bit of a line's state machine —

@@ -42,7 +42,7 @@ impl Default for MemConfig {
     }
 }
 
-/// What the journaled accessors of a [`MemorySystem`] changed, so
+/// What the accessors of a [`MemorySystem`] given a journal changed, so
 /// [`MemorySystem::roll_back`] can undo a speculative run of accesses
 /// without a trace. Reused across runs: [`MemorySystem::begin_journal`]
 /// empties it.
@@ -114,86 +114,58 @@ impl MemorySystem {
     /// touching the cache, so a faulting access leaves residency and
     /// statistics exactly as they were (a rejected access never reached
     /// the board-level cache on real hardware either). The one check
-    /// covers the data access too, which reads its page unchecked.
+    /// covers the data access too, which reads its page unchecked. With
+    /// a `journal`, the access saves what it changes there for
+    /// [`MemorySystem::roll_back`]; so do the other `try_*` accessors
+    /// and [`MemorySystem::fetch_timing`].
     #[inline]
-    pub fn try_load_f64(&mut self, addr: u32) -> Result<(u64, u64), MemError> {
-        let (bytes, penalty) = self.read(addr, None)?;
+    pub fn try_load_f64(
+        &mut self,
+        addr: u32,
+        journal: Option<&mut Journal>,
+    ) -> Result<(u64, u64), MemError> {
+        let (bytes, penalty) = self.read(addr, journal)?;
         Ok((u64::from_le_bytes(bytes), penalty))
     }
 
     /// Fallible [`MemorySystem::store_f64`] (address validated once,
     /// before the cache access).
     #[inline]
-    pub fn try_store_f64(&mut self, addr: u32, bits: u64) -> Result<u64, MemError> {
-        self.write(addr, bits.to_le_bytes(), None)
+    pub fn try_store_f64(
+        &mut self,
+        addr: u32,
+        bits: u64,
+        journal: Option<&mut Journal>,
+    ) -> Result<u64, MemError> {
+        self.write(addr, bits.to_le_bytes(), journal)
     }
 
     /// Fallible [`MemorySystem::load_u32`] (address validated once,
     /// before the cache access).
     #[inline]
-    pub fn try_load_u32(&mut self, addr: u32) -> Result<(u32, u64), MemError> {
-        let (bytes, penalty) = self.read(addr, None)?;
+    pub fn try_load_u32(
+        &mut self,
+        addr: u32,
+        journal: Option<&mut Journal>,
+    ) -> Result<(u32, u64), MemError> {
+        let (bytes, penalty) = self.read(addr, journal)?;
         Ok((u32::from_le_bytes(bytes), penalty))
     }
 
     /// Fallible [`MemorySystem::store_u32`] (address validated once,
     /// before the cache access).
     #[inline]
-    pub fn try_store_u32(&mut self, addr: u32, value: u32) -> Result<u64, MemError> {
-        self.write(addr, value.to_le_bytes(), None)
-    }
-
-    /// [`MemorySystem::try_load_f64`], saving what it changes in
-    /// `journal` for [`MemorySystem::roll_back`].
-    #[inline]
-    pub fn try_load_f64_journaled(
-        &mut self,
-        addr: u32,
-        journal: &mut Journal,
-    ) -> Result<(u64, u64), MemError> {
-        let (bytes, penalty) = self.read(addr, Some(journal))?;
-        Ok((u64::from_le_bytes(bytes), penalty))
-    }
-
-    /// [`MemorySystem::try_store_f64`], saving what it changes in
-    /// `journal`.
-    #[inline]
-    pub fn try_store_f64_journaled(
-        &mut self,
-        addr: u32,
-        bits: u64,
-        journal: &mut Journal,
-    ) -> Result<u64, MemError> {
-        self.write(addr, bits.to_le_bytes(), Some(journal))
-    }
-
-    /// [`MemorySystem::try_load_u32`], saving what it changes in
-    /// `journal`.
-    #[inline]
-    pub fn try_load_u32_journaled(
-        &mut self,
-        addr: u32,
-        journal: &mut Journal,
-    ) -> Result<(u32, u64), MemError> {
-        let (bytes, penalty) = self.read(addr, Some(journal))?;
-        Ok((u32::from_le_bytes(bytes), penalty))
-    }
-
-    /// [`MemorySystem::try_store_u32`], saving what it changes in
-    /// `journal`.
-    #[inline]
-    pub fn try_store_u32_journaled(
+    pub fn try_store_u32(
         &mut self,
         addr: u32,
         value: u32,
-        journal: &mut Journal,
+        journal: Option<&mut Journal>,
     ) -> Result<u64, MemError> {
-        self.write(addr, value.to_le_bytes(), Some(journal))
+        self.write(addr, value.to_le_bytes(), journal)
     }
 
     /// The data read behind the `try_load_*` accessors: one address
-    /// check, the data-cache probe (journaled or not), then an unchecked
-    /// page read.
+    /// check, the data-cache probe, then an unchecked page read.
     #[inline(always)]
     fn read<const N: usize>(
         &mut self,
@@ -201,12 +173,9 @@ impl MemorySystem {
         journal: Option<&mut Journal>,
     ) -> Result<([u8; N], u64), MemError> {
         self.memory.try_check(addr, N as u32)?;
-        let penalty = match journal {
-            None => self.dcache.access(addr, AccessKind::Read),
-            Some(j) => self
-                .dcache
-                .access_journaled(addr, AccessKind::Read, &mut j.dcache),
-        };
+        let penalty =
+            self.dcache
+                .access_with(addr, AccessKind::Read, journal.map(|j| &mut j.dcache));
         Ok((self.memory.read_n_unchecked(addr), penalty))
     }
 
@@ -220,16 +189,13 @@ impl MemorySystem {
         journal: Option<&mut Journal>,
     ) -> Result<u64, MemError> {
         self.memory.try_check(addr, N as u32)?;
-        let penalty = match journal {
-            None => self.dcache.access(addr, AccessKind::Write),
-            Some(j) => {
-                let mut old = [0; 8];
-                old[..N].copy_from_slice(&self.memory.read_n_unchecked::<N>(addr));
-                j.words.push((addr, N as u8, u64::from_le_bytes(old)));
-                self.dcache
-                    .access_journaled(addr, AccessKind::Write, &mut j.dcache)
-            }
-        };
+        let dcache = journal.map(|j| {
+            let mut old = [0; 8];
+            old[..N].copy_from_slice(&self.memory.read_n_unchecked::<N>(addr));
+            j.words.push((addr, N as u8, u64::from_le_bytes(old)));
+            &mut j.dcache
+        });
+        let penalty = self.dcache.access_with(addr, AccessKind::Write, dcache);
         self.memory.write_n_unchecked(addr, data);
         Ok(penalty)
     }
@@ -238,7 +204,7 @@ impl MemorySystem {
     /// instruction cache. Returns `(word, penalty)` where the penalty
     /// accumulates both levels' misses.
     pub fn fetch(&mut self, addr: u32) -> (u32, u64) {
-        let penalty = self.fetch_timing(addr);
+        let penalty = self.fetch_timing(addr, None);
         (self.memory.read_u32(addr), penalty)
     }
 
@@ -252,27 +218,18 @@ impl MemorySystem {
 
     /// The cache-path side effects and penalty of [`MemorySystem::fetch`]
     /// without reading the word — for callers that can prove they already
-    /// hold the text at `addr` (the simulator's translated-text fetch).
-    #[inline]
-    pub fn fetch_timing(&mut self, addr: u32) -> u64 {
-        let mut penalty = self.ibuffer.access(addr, AccessKind::Read);
+    /// hold the text at `addr` (the simulator's translated-text fetch) —
+    /// saving what it changes in `journal` when there is one. Always
+    /// inlined, like `read` and `write`: it runs once per fetch.
+    #[inline(always)]
+    pub fn fetch_timing(&mut self, addr: u32, journal: Option<&mut Journal>) -> u64 {
+        let (ibuffer, icache) = match journal {
+            Some(j) => (Some(&mut j.ibuffer), Some(&mut j.icache)),
+            None => (None, None),
+        };
+        let mut penalty = self.ibuffer.access_with(addr, AccessKind::Read, ibuffer);
         if penalty > 0 {
-            penalty += self.icache.access(addr, AccessKind::Read);
-        }
-        penalty
-    }
-
-    /// [`MemorySystem::fetch_timing`], saving what it changes in
-    /// `journal`.
-    #[inline]
-    pub fn fetch_timing_journaled(&mut self, addr: u32, journal: &mut Journal) -> u64 {
-        let mut penalty =
-            self.ibuffer
-                .access_journaled(addr, AccessKind::Read, &mut journal.ibuffer);
-        if penalty > 0 {
-            penalty += self
-                .icache
-                .access_journaled(addr, AccessKind::Read, &mut journal.icache);
+            penalty += self.icache.access_with(addr, AccessKind::Read, icache);
         }
         penalty
     }
@@ -365,6 +322,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn data_path_roundtrip_with_penalties() {
@@ -411,74 +369,174 @@ mod tests {
         let mut s = MemorySystem::new(MemConfig::multititan());
         s.load_f64(0x100);
         let before = (s.dcache_stats(), s.ibuffer_stats(), s.icache_stats());
-        assert!(s.try_load_f64(0x104).is_err(), "misaligned");
-        assert!(s.try_store_u32(0xFFFF_FFF0, 1).is_err(), "out of bounds");
+        assert!(s.try_load_f64(0x104, None).is_err(), "misaligned");
+        assert!(
+            s.try_store_u32(0xFFFF_FFF0, 1, None).is_err(),
+            "out of bounds"
+        );
         assert!(s.try_fetch(0x2).is_err(), "misaligned fetch");
         assert_eq!(
             (s.dcache_stats(), s.ibuffer_stats(), s.icache_stats()),
             before,
             "a faulting access must not perturb cache state or statistics"
         );
-        let (bits, p) = s.try_load_f64(0x100).unwrap();
+        let (bits, p) = s.try_load_f64(0x100, None).unwrap();
         assert_eq!((bits, p), (0, 0), "resident line still hits");
     }
 
-    #[test]
-    fn roll_back_undoes_journaled_accesses() {
-        for ways in [1, 2] {
-            let cfg = CacheConfig {
-                ways,
-                ..CacheConfig::multititan_data()
-            };
-            let mut s = MemorySystem::new(MemConfig {
-                data_cache: cfg,
-                instr_cache: CacheConfig { ways, ..cfg },
-                instr_buffer: CacheConfig {
-                    ways,
-                    ..CacheConfig::multititan_ibuffer()
-                },
-                ..MemConfig::multititan()
-            });
-            s.memory.write_u64(0x100, 5);
-            s.memory.watch_range(0x40, 0x50);
-            s.load_f64(0x100);
-            s.fetch(0x40);
-            let before = (
-                s.dcache_stats(),
-                s.icache_stats(),
-                s.ibuffer_stats(),
-                s.memory.high_water(),
-            );
-            let mut j = Journal::default();
-            s.begin_journal(&mut j);
-            s.try_store_f64_journaled(0x100, 9, &mut j).unwrap();
-            s.try_store_u32_journaled(0x10_0000, 7, &mut j).unwrap();
-            s.try_store_u32_journaled(0x44, 7, &mut j).unwrap();
-            s.try_load_u32_journaled(0x10_0000 + 64 * 1024, &mut j)
-                .unwrap();
-            s.try_load_f64_journaled(0x2000, &mut j).unwrap();
-            s.fetch_timing_journaled(0x40 + 2048, &mut j);
-            assert!(s.try_load_f64_journaled(0x104, &mut j).is_err());
-            s.roll_back(&mut j);
-            assert_eq!(s.memory.read_u64(0x100), 5);
-            assert_eq!(s.memory.read_u32(0x10_0000), 0);
-            assert_eq!(s.memory.watch_writes(), 0, "undone text write");
-            let after = (
-                s.dcache_stats(),
-                s.icache_stats(),
-                s.ibuffer_stats(),
-                s.memory.high_water(),
-            );
-            assert_eq!(before, after, "{ways}-way");
-            // Residency as before: 0x100 hits clean (no writeback when
-            // evicted), 0x10_0000 and 0x2000 miss, the fetch line hits.
-            assert_eq!(s.load_f64(0x100).1, 0);
-            assert_eq!(s.fetch_timing(0x40), 0);
-            assert_eq!(s.load_u32(0x2000).1, 14);
-            assert_eq!(s.load_u32(0x10_0000).1, 14);
-            s.load_f64(0x100 + 64 * 1024);
-            s.load_f64(0x100 + 128 * 1024);
-            assert_eq!(s.dcache_stats().writebacks, 0, "{ways}-way");
+    /// The base of the watched text range: stores into its first 64
+    /// bytes count as text writes.
+    const TEXT: u32 = 0x400;
+    /// A tag no generated access uses: the probe's eviction lines.
+    const EVICT: u32 = 8 * 64 * 1024;
+
+    /// Word `word` (0–7: two lines) of line group `group` (0–2, 2 KiB
+    /// apart) under tag `tag` (0–3, 64 KiB apart): accesses share sets
+    /// in every cache, whose set strides all divide 64 KiB.
+    fn word_addr(tag: u32, group: u32, word: u32) -> u32 {
+        TEXT + tag * 64 * 1024 + group * 2048 + word * 4
+    }
+
+    /// Every word a generated access may touch.
+    fn words() -> impl Iterator<Item = u32> {
+        (0..4).flat_map(|t| (0..3).flat_map(move |g| (0..8).map(move |w| word_addr(t, g, w))))
+    }
+
+    fn arb_addr() -> impl Strategy<Value = u32> {
+        (0u32..4, 0u32..3, 0u32..8).prop_map(|(t, g, w)| word_addr(t, g, w))
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Access {
+        Load { addr: u32, wide: bool },
+        Store { addr: u32, wide: bool, value: u64 },
+        Fetch(u32),
+    }
+
+    /// Loads and stores of both widths (a wide one at the 8-aligned word
+    /// at or below its address), faulting ones (misaligned or past the
+    /// end of memory) and fetches.
+    fn arb_access() -> impl Strategy<Value = Access> {
+        let at = || {
+            (arb_addr(), any::<bool>())
+                .prop_map(|(addr, wide)| (if wide { addr & !7 } else { addr }, wide))
+        };
+        prop_oneof![
+            4 => at().prop_map(|(addr, wide)| Access::Load { addr, wide }),
+            4 => (at(), any::<u64>())
+                .prop_map(|((addr, wide), value)| Access::Store { addr, wide, value }),
+            1 => (arb_addr(), any::<bool>(), any::<bool>()).prop_map(|(addr, wide, store)| {
+                let addr = if wide { addr | 4 } else { 0xFFFF_FFF0 };
+                if store {
+                    Access::Store { addr, wide, value: 1 }
+                } else {
+                    Access::Load { addr, wide }
+                }
+            }),
+            2 => arb_addr().prop_map(Access::Fetch),
+        ]
+    }
+
+    /// Runs one access; returns the value read (0 for stores and
+    /// fetches) and the penalty.
+    fn apply(
+        s: &mut MemorySystem,
+        access: Access,
+        journal: Option<&mut Journal>,
+    ) -> Result<(u64, u64), MemError> {
+        match access {
+            Access::Load { addr, wide: true } => s.try_load_f64(addr, journal),
+            Access::Load { addr, wide: false } => s
+                .try_load_u32(addr, journal)
+                .map(|(v, p)| (u64::from(v), p)),
+            Access::Store { addr, wide, value } => if wide {
+                s.try_store_f64(addr, value, journal)
+            } else {
+                s.try_store_u32(addr, value as u32, journal)
+            }
+            .map(|p| (0, p)),
+            Access::Fetch(addr) => Ok((0, s.fetch_timing(addr, journal))),
+        }
+    }
+
+    /// Everything a journaled run may change, observed without changing
+    /// it: every cache's statistics, every word an access may touch, and
+    /// the write counters.
+    fn observe(s: &MemorySystem) -> ([CacheStats; 3], Vec<u32>, usize, u64) {
+        (
+            [s.dcache_stats(), s.icache_stats(), s.ibuffer_stats()],
+            words().map(|a| s.memory.read_u32(a)).collect(),
+            s.memory.high_water(),
+            s.memory.watch_writes(),
+        )
+    }
+
+    /// Residency, dirty bits and LRU order, seen through penalties and
+    /// statistics: one new line in each set the run can touch evicts
+    /// that set's least recently used way (written back if dirty), then
+    /// every line the run can touch is read and fetched again.
+    fn probe(mut s: MemorySystem) -> (Vec<u64>, [CacheStats; 3]) {
+        let lines: Vec<u32> = words().step_by(4).collect();
+        let mut penalties = Vec::new();
+        for &line in lines.iter().take(6) {
+            penalties.push(s.load_u32(line + EVICT).1);
+            penalties.push(s.fetch_timing(line + EVICT, None));
+        }
+        for &line in &lines {
+            penalties.push(s.load_u32(line).1);
+            penalties.push(s.fetch_timing(line, None));
+        }
+        (
+            penalties,
+            [s.dcache_stats(), s.icache_stats(), s.ibuffer_stats()],
+        )
+    }
+
+    /// A hierarchy with the paper's sizes and 1, 2 or 4 ways per cache.
+    fn system(ways: [u32; 3]) -> MemorySystem {
+        let with = |cfg: CacheConfig, w: u32| CacheConfig {
+            ways: 1 << w,
+            ..cfg
+        };
+        let mut s = MemorySystem::new(MemConfig {
+            data_cache: with(CacheConfig::multititan_data(), ways[0]),
+            instr_cache: with(CacheConfig::multititan_instr(), ways[1]),
+            instr_buffer: with(CacheConfig::multititan_ibuffer(), ways[2]),
+            ..MemConfig::multititan()
+        });
+        s.memory.watch_range(TEXT, TEXT + 64);
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Rolling back a journaled run of accesses leaves the hierarchy
+        /// as it was at `begin_journal`, and the journal changes nothing
+        /// the run does.
+        #[test]
+        fn roll_back_undoes_journaled_accesses(
+            ways in (0u32..3, 0u32..3, 0u32..3),
+            prefix in prop::collection::vec(arb_access(), 0..32),
+            run in prop::collection::vec(arb_access(), 0..32),
+        ) {
+            let mut s = system([ways.0, ways.1, ways.2]);
+            for &access in &prefix {
+                let _ = apply(&mut s, access, None);
+            }
+            let before = s.clone();
+            let mut plain = s.clone();
+            let mut journal = Journal::default();
+            s.begin_journal(&mut journal);
+            for &access in &run {
+                let journaled = apply(&mut s, access, Some(&mut journal));
+                prop_assert_eq!(journaled, apply(&mut plain, access, None), "{:?}", access);
+            }
+            prop_assert_eq!(observe(&s), observe(&plain), "the journal changed the run");
+            prop_assert_eq!(probe(s.clone()), probe(plain), "the journal changed the run");
+            s.roll_back(&mut journal);
+            prop_assert_eq!(observe(&s), observe(&before), "roll_back left a trace");
+            prop_assert_eq!(probe(s), probe(before), "roll_back left a trace");
         }
     }
 

@@ -188,15 +188,6 @@ impl HdrHistogram {
         self.buckets.len() * std::mem::size_of::<u64>()
     }
 
-    /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (self.bucket_lower(i), n))
-    }
-
     /// JSON summary: count/min/max/mean plus the tail quantiles the
     /// BENCH trajectory tracks. Keys are stable for byte-diffing.
     pub fn to_json(&self) -> Json {

@@ -309,12 +309,12 @@ struct Live;
 impl Port for Live {
     #[inline(always)]
     fn lw(&mut self, mem: &mut MemorySystem, addr: u32) -> Result<(u32, u64), MemError> {
-        mem.try_load_u32(addr)
+        mem.try_load_u32(addr, None)
     }
 
     #[inline(always)]
     fn sw(&mut self, mem: &mut MemorySystem, addr: u32, value: u32) -> Result<u64, MemError> {
-        mem.try_store_u32(addr, value)
+        mem.try_store_u32(addr, value, None)
     }
 
     #[inline(always)]
@@ -326,7 +326,7 @@ impl Port for Live {
         addr: u32,
         now: u64,
     ) -> Result<u64, MemError> {
-        let (bits, penalty) = mem.try_load_f64(addr)?;
+        let (bits, penalty) = mem.try_load_f64(addr, None)?;
         fpu.load_write(fr, bits, now + penalty);
         Ok(penalty)
     }
@@ -339,7 +339,7 @@ impl Port for Live {
         fr: FReg,
         addr: u32,
     ) -> Result<u64, MemError> {
-        let penalty = mem.try_store_f64(addr, fpu.read_reg(fr))?;
+        let penalty = mem.try_store_f64(addr, fpu.read_reg(fr), None)?;
         // The store happened: count it (the guard held the register free).
         fpu.read_reg_for_store(fr);
         Ok(penalty)
@@ -1049,10 +1049,8 @@ impl Machine {
         if self.mem.memory.watch_writes() != 0 {
             return Ok(SpanExit::Disabled);
         }
-        // First cycle the outer loop's checks could fire at; the span
-        // never crosses it. Only the watchdog term varies (with
-        // `last_progress`, which only advances), so the static part is
-        // hoisted out of the per-cycle loop.
+        // The static part of the span's boundary, which it never
+        // crosses ([`Machine::span_boundary`]).
         let mut static_boundary = limit_cycle;
         if let Some(stop) = stop_at {
             static_boundary = static_boundary.min(stop);
@@ -1071,18 +1069,29 @@ impl Machine {
         }
     }
 
+    /// The span's boundary at the current cycle: the first cycle the
+    /// outer loop's checks could fire at. Only the watchdog term varies
+    /// (with `last_progress`, which only advances), so the static part
+    /// is hoisted out of the span.
+    #[inline(always)]
+    fn span_boundary(&self, static_boundary: u64) -> u64 {
+        match self.config.watchdog_cycles {
+            0 => static_boundary,
+            w => static_boundary.min((self.last_progress + 1).saturating_add(w)),
+        }
+    }
+
     /// The span proper: runs micro-ops until an exit or a loop head, the
     /// cycle after a taken backward branch completed, once its
-    /// retirements are in — every head when `sink` records an iteration
-    /// for the memo, otherwise those whose FPU is quiescent (the memo
-    /// needs one). With [`NullSink`] every emission compiles away.
+    /// retirements are in; the memo decides what happens there
+    /// ([`Machine::at_loop_head`]). With [`NullSink`] every emission
+    /// compiles away.
     fn span<S: EventSink>(
         &mut self,
         xp: &TranslatedProgram,
         static_boundary: u64,
         sink: &mut S,
     ) -> Result<SpanStop, RunError> {
-        let watchdog = self.config.watchdog_cycles;
         // The pending instruction's micro-op, valid whenever `pending` is
         // set: latched by the fetch below, or looked up here for one the
         // span inherits (fetched by the interpreter or by a span that
@@ -1096,10 +1105,7 @@ impl Machine {
         // loop head.
         let mut head = false;
         loop {
-            let mut boundary = static_boundary;
-            if watchdog > 0 {
-                boundary = boundary.min((self.last_progress + 1).saturating_add(watchdog));
-            }
+            let boundary = self.span_boundary(static_boundary);
             if self.cycle >= boundary {
                 return Ok(SpanStop::Exit(SpanExit::Boundary));
             }
@@ -1112,15 +1118,7 @@ impl Machine {
             }
 
             if head {
-                head = false;
-                if sink.enabled() {
-                    return Ok(SpanStop::LoopHead);
-                }
-                if !self.fpu.quiescent() {
-                    self.memo.count_busy_head();
-                } else if !self.memo.skips(self.pc) {
-                    return Ok(SpanStop::LoopHead);
-                }
+                return Ok(SpanStop::LoopHead);
             }
 
             // Data-miss freeze: CPU and issue both gated; hop to the
@@ -1150,23 +1148,10 @@ impl Machine {
                     let Some(uop) = xp.uop(self.pc) else {
                         return Ok(SpanStop::Exit(SpanExit::Tick));
                     };
-                    let penalty = self.mem.fetch_timing(self.pc);
-                    self.pending = Some(uop.instr);
-                    self.pending_ready_at = self.cycle + penalty;
                     fetched = Some(uop);
-                    if penalty > 0 {
-                        // First elapsed cycle of the fetch penalty.
-                        self.stalls.fetch += 1;
-                        emit(
-                            sink,
-                            self.cycle,
-                            EventKind::Stall {
-                                pc: self.pc,
-                                instr_index: self.instr_index(),
-                                cause: StallCause::Fetch,
-                                cycles: penalty,
-                            },
-                        );
+                    let penalty = self.mem.fetch_timing(self.pc, None);
+                    if self.latch_fetch(uop.instr, penalty, sink) {
+                        // The penalty's first cycle elapses.
                         if self.fpu.ir_busy() {
                             self.issue_and_record(sink);
                         }
@@ -1318,7 +1303,7 @@ impl Machine {
                 _ => None,
             };
             let (instr, penalty) = match translated {
-                Some(instr) => (instr, self.mem.fetch_timing(self.pc)),
+                Some(instr) => (instr, self.mem.fetch_timing(self.pc, None)),
                 None => {
                     let (word, penalty) = self
                         .mem
@@ -1331,24 +1316,7 @@ impl Machine {
                     (instr, penalty)
                 }
             };
-            self.pending = Some(instr);
-            self.pending_ready_at = self.cycle + penalty;
-            if penalty > 0 {
-                // Fetch stalls accrue one cycle at a time as the penalty
-                // elapses (this cycle is the first), so a run that ends
-                // mid-penalty has charged exactly the elapsed cycles. The
-                // event still reports the whole penalty up front.
-                self.stalls.fetch += 1;
-                emit(
-                    sink,
-                    self.cycle,
-                    EventKind::Stall {
-                        pc: self.pc,
-                        instr_index: self.instr_index(),
-                        cause: StallCause::Fetch,
-                        cycles: penalty,
-                    },
-                );
+            if self.latch_fetch(instr, penalty, sink) {
                 return Ok(());
             }
         }
@@ -1371,6 +1339,33 @@ impl Machine {
         let exec = self.perform(instr, sink, &mut Live)?;
         self.complete(instr, exec, sink);
         Ok(())
+    }
+
+    /// Latches the instruction fetched at the current PC, for both
+    /// engines, and returns whether its fetch stalls. Fetch stalls accrue
+    /// one cycle at a time as the penalty elapses (this cycle is the
+    /// first), so a run that ends mid-penalty has charged exactly the
+    /// elapsed cycles; the event still reports the whole penalty up
+    /// front.
+    #[inline(always)]
+    fn latch_fetch<S: EventSink>(&mut self, instr: Instr, penalty: u64, sink: &mut S) -> bool {
+        self.pending = Some(instr);
+        self.pending_ready_at = self.cycle + penalty;
+        if penalty == 0 {
+            return false;
+        }
+        self.stalls.fetch += 1;
+        emit(
+            sink,
+            self.cycle,
+            EventKind::Stall {
+                pc: self.pc,
+                instr_index: self.instr_index(),
+                cause: StallCause::Fetch,
+                cycles: penalty,
+            },
+        );
+        true
     }
 
     /// Completes the instruction at the current PC once

@@ -46,8 +46,8 @@ const MAX_STEPS: usize = 4096;
 const ROLLBACK_CUTOFF: u32 = 16;
 /// Slots of the table of loop heads whose key was just given up, by PC.
 const COLD_SLOTS: usize = 32;
-/// Visits to such a head the span makes without asking the memo, before
-/// it asks again.
+/// Visits to such a head the memo lets the span run past without a key,
+/// before it looks again.
 const COLD_SKIP: u32 = 15;
 /// A key with no recording is given up after this many dropped
 /// recordings; a key with recordings stops recording new paths.
@@ -211,26 +211,6 @@ impl Memo {
     pub(super) fn counts(&self) -> MemoCounts {
         self.0.as_ref().map(|s| s.counts).unwrap_or_default()
     }
-
-    /// Counts a loop head the span ran past: its FPU was not quiescent.
-    pub(super) fn count_busy_head(&mut self) {
-        self.0.get_or_insert_with(Box::default).counts.skipped_busy += 1;
-    }
-
-    /// Whether the span should run past the quiescent loop head at `pc`
-    /// without asking: its key was given up at a recent visit.
-    pub(super) fn skips(&mut self, pc: u32) -> bool {
-        let Some(store) = &mut self.0 else {
-            return false;
-        };
-        let slot = &mut store.cold[(pc as usize >> 2) % COLD_SLOTS];
-        if slot.0 != pc || slot.1 == 0 {
-            return false;
-        }
-        slot.1 -= 1;
-        store.counts.skipped_cut += 1;
-        true
-    }
 }
 
 /// The recordings and what the memo needs to replay them.
@@ -261,6 +241,18 @@ impl Store {
         self.index.insert(key, e);
         self.bytes += cost;
         Some(e)
+    }
+
+    /// Whether the span runs past the loop head at `pc` without a key:
+    /// its key was given up at a recent visit.
+    fn skips(&mut self, pc: u32) -> bool {
+        let slot = &mut self.cold[(pc as usize >> 2) % COLD_SLOTS];
+        if slot.0 != pc || slot.1 == 0 {
+            return false;
+        }
+        slot.1 -= 1;
+        self.counts.skipped_cut += 1;
+        true
     }
 }
 
@@ -307,6 +299,11 @@ impl Recorder {
 }
 
 impl EventSink for Recorder {
+    /// A recording that can no longer be replayed takes no more events.
+    fn enabled(&self) -> bool {
+        self.replayable
+    }
+
     fn event(&mut self, ev: &TraceEvent) {
         match ev.kind {
             EventKind::Stall {
@@ -359,13 +356,13 @@ struct WriteThrough<'a> {
 
 impl Port for WriteThrough<'_> {
     fn lw(&mut self, mem: &mut MemorySystem, addr: u32) -> Result<(u32, u64), MemError> {
-        let (value, penalty) = mem.try_load_u32_journaled(addr, self.journal)?;
+        let (value, penalty) = mem.try_load_u32(addr, Some(self.journal))?;
         self.penalty = penalty;
         Ok((value, penalty))
     }
 
     fn sw(&mut self, mem: &mut MemorySystem, addr: u32, value: u32) -> Result<u64, MemError> {
-        self.penalty = mem.try_store_u32_journaled(addr, value, self.journal)?;
+        self.penalty = mem.try_store_u32(addr, value, Some(self.journal))?;
         Ok(self.penalty)
     }
 
@@ -377,7 +374,7 @@ impl Port for WriteThrough<'_> {
         addr: u32,
         _now: u64,
     ) -> Result<u64, MemError> {
-        let (bits, penalty) = mem.try_load_f64_journaled(addr, self.journal)?;
+        let (bits, penalty) = mem.try_load_f64(addr, Some(self.journal))?;
         fpu.write_reg_direct(fr, bits);
         self.penalty = penalty;
         Ok(penalty)
@@ -390,42 +387,39 @@ impl Port for WriteThrough<'_> {
         fr: FReg,
         addr: u32,
     ) -> Result<u64, MemError> {
-        self.penalty = mem.try_store_f64_journaled(addr, fpu.read_reg(fr), self.journal)?;
+        self.penalty = mem.try_store_f64(addr, fpu.read_reg(fr), Some(self.journal))?;
         Ok(self.penalty)
     }
 
     fn transfer(&mut self, _: &mut Fpu, _: FpuAluInstr) {}
 }
 
-/// Counters at the start of a recorded iteration.
-struct Start {
+/// The machine at a loop head: the counters a recording's deltas start
+/// from, and the state a rolled-back replay restores (the memory system
+/// has a journal of its own).
+struct Head {
     cycle: u64,
     instructions: u64,
     stalls: StallBreakdown,
     fpu: FpuStats,
-}
-
-/// The register state a replay changes, for rollback (the memory system
-/// has a journal of its own).
-struct Saved {
     fregs: RegisterFile,
     iregs: [i32; 32],
     int_ready: [u64; 32],
     pc: u32,
-    cycle: u64,
     ls_free_at: u64,
     freeze_until: u64,
     fetch_ready_at: u64,
-    stalls: StallBreakdown,
     ir_pc: u32,
     ir_index: u32,
 }
 
 impl Machine {
-    /// At a loop head the span reached: replays recorded iterations from
-    /// here while their outcomes hold, and records the iteration after a
-    /// timing state not yet seen. Returns the span's exit if one fell
-    /// due, or `None` for the span to go on from where this left it.
+    /// At a loop head the span reached, decides what happens there:
+    /// runs past it (a busy FPU, a given-up key), replays recorded
+    /// iterations from here while their outcomes hold, or records the
+    /// iteration after a timing state not yet seen. Returns the span's
+    /// exit if one fell due, or `None` for the span to go on from where
+    /// this left it.
     pub(super) fn at_loop_head(
         &mut self,
         xp: &TranslatedProgram,
@@ -446,34 +440,38 @@ impl Machine {
         // The recording just replayed, as `(entry, path)`, and its link.
         let mut replayed: Option<(u32, usize)> = None;
         let mut link: Option<(u32, Guess)> = None;
-        // The iteration being recorded: its entry and starting counters.
-        let mut recording: Option<(u32, Start)> = None;
+        // The iteration being recorded: its entry and its loop head.
+        let mut recording: Option<(u32, Head)> = None;
         loop {
-            // What the span's loop top does at this cycle.
+            // Every head here passed the span's loop top: the span's own
+            // (its boundary checked, what was due retired, no store since
+            // the last fetch's watch check), or a committed replay's,
+            // which ends below the boundary it was checked against (the
+            // boundary only grows), leaves nothing in flight and rolls
+            // back any text write.
             let boundary = self.span_boundary(static_boundary);
-            if self.cycle >= boundary {
-                if recording.is_some() {
-                    memo.counts.dropped += 1;
-                }
-                return Ok(Some(SpanExit::Boundary));
+            debug_assert!(
+                self.cycle < boundary
+                    && self.fpu.next_retire_at().is_none_or(|r| r > self.cycle)
+                    && self.mem.memory.watch_writes() == 0,
+                "a loop head passed the span's loop top"
+            );
+            // By reference: a head is a kilobyte, and this runs at every
+            // replayed head.
+            if let Some((entry, head)) = &recording {
+                self.finish_recording(memo, *entry, head);
+                recording = None;
             }
-            if self.fpu.next_retire_at().is_some_and(|r| r <= self.cycle) {
-                self.fpu.begin_cycle(self.cycle);
-            }
-            let quiescent = self.fpu.quiescent();
-            if let Some((entry, start)) = recording.take() {
-                self.finish_recording(memo, entry, &start);
-            }
-            if !quiescent {
+            if !self.fpu.quiescent() {
                 memo.counts.skipped_busy += 1;
-                return Ok(None);
-            }
-            if self.mem.memory.watch_writes() != 0 {
                 return Ok(None);
             }
             let (entry, first) = match link.take() {
                 Some(linked) => linked,
                 None => {
+                    if memo.skips(self.pc) {
+                        return Ok(None);
+                    }
                     let Some(key) = self.head_key() else {
                         memo.counts.skipped_key += 1;
                         return Ok(None);
@@ -545,29 +543,34 @@ impl Machine {
             }
             // Record the iteration the span runs now.
             memo.recorder.begin(self.cycle);
-            let start = Start {
-                cycle: self.cycle,
-                instructions: self.instructions,
-                stalls: self.stalls,
-                fpu: *self.fpu.stats(),
-            };
+            let head = self.head();
             match self.span(xp, static_boundary, &mut memo.recorder)? {
                 SpanStop::Exit(exit) => {
                     memo.counts.dropped += 1;
                     memo.entries[entry as usize].drops += 1;
                     return Ok(Some(exit));
                 }
-                SpanStop::LoopHead => recording = Some((entry, start)),
+                SpanStop::LoopHead => recording = Some((entry, head)),
             }
         }
     }
 
-    /// The span's boundary at the current cycle ([`Machine::span`]'s
-    /// loop top computes the same).
-    fn span_boundary(&self, static_boundary: u64) -> u64 {
-        match self.config.watchdog_cycles {
-            0 => static_boundary,
-            w => static_boundary.min((self.last_progress + 1).saturating_add(w)),
+    /// The machine at the current cycle, a loop head.
+    fn head(&self) -> Head {
+        Head {
+            cycle: self.cycle,
+            instructions: self.instructions,
+            stalls: self.stalls,
+            fpu: *self.fpu.stats(),
+            fregs: self.fpu.regs().clone(),
+            iregs: self.iregs,
+            int_ready: self.int_ready,
+            pc: self.pc,
+            ls_free_at: self.ls_free_at,
+            freeze_until: self.freeze_until,
+            fetch_ready_at: self.fetch_ready_at,
+            ir_pc: self.ir_pc,
+            ir_index: self.ir_index,
         }
     }
 
@@ -594,12 +597,12 @@ impl Machine {
         })
     }
 
-    /// Keeps the iteration just recorded from `start` if it can be
+    /// Keeps the iteration just recorded from `head` if it can be
     /// replayed: the FPU is quiescent again (every write issued in it
     /// also retired in it) and nothing made it unreplayable.
-    fn finish_recording(&mut self, memo: &mut Store, entry: u32, start: &Start) {
+    fn finish_recording(&mut self, memo: &mut Store, entry: u32, head: &Head) {
         let rec = &mut memo.recorder;
-        let fpu = self.fpu.stats().since(&start.fpu);
+        let fpu = self.fpu.stats().since(&head.fpu);
         if !rec.replayable || !self.fpu.quiescent() || fpu.overflow_aborts > 0 {
             memo.counts.dropped += 1;
             memo.entries[entry as usize].drops += 1;
@@ -608,11 +611,11 @@ impl Machine {
         rec.link(self.pc);
         let recording = Recording {
             steps: rec.steps.as_slice().into(),
-            cycles: self.cycle - start.cycle,
-            instructions: self.instructions - start.instructions,
-            last_progress: self.last_progress - start.cycle,
-            pending_ready: self.pending_ready_at - start.cycle,
-            stalls: self.stalls.since(&start.stalls),
+            cycles: self.cycle - head.cycle,
+            instructions: self.instructions - head.instructions,
+            last_progress: self.last_progress - head.cycle,
+            pending_ready: self.pending_ready_at - head.cycle,
+            stalls: self.stalls.since(&head.stalls),
             fpu,
             next: None,
         };
@@ -626,50 +629,37 @@ impl Machine {
     /// back without a trace and returns `false` at the first outcome
     /// that differs from the recording.
     fn replay(&mut self, rec: &Recording, journal: &mut Journal) -> bool {
-        let base = self.cycle;
-        let saved = Saved {
-            fregs: self.fpu.regs().clone(),
-            iregs: self.iregs,
-            int_ready: self.int_ready,
-            pc: self.pc,
-            cycle: self.cycle,
-            ls_free_at: self.ls_free_at,
-            freeze_until: self.freeze_until,
-            fetch_ready_at: self.fetch_ready_at,
-            stalls: self.stalls,
-            ir_pc: self.ir_pc,
-            ir_index: self.ir_index,
-        };
+        let head = self.head();
         self.mem.begin_journal(journal);
         let mut port = WriteThrough {
             journal,
             penalty: 0,
         };
         let mut flags = Exceptions::empty();
-        if !self.replay_steps(&rec.steps, base, &mut port, &mut flags) {
+        if !self.replay_steps(&rec.steps, head.cycle, &mut port, &mut flags) {
             self.mem.roll_back(port.journal);
-            *self.fpu.regs_mut() = saved.fregs;
-            self.iregs = saved.iregs;
-            self.int_ready = saved.int_ready;
-            self.pc = saved.pc;
-            self.cycle = saved.cycle;
-            self.ls_free_at = saved.ls_free_at;
-            self.freeze_until = saved.freeze_until;
-            self.fetch_ready_at = saved.fetch_ready_at;
-            self.stalls = saved.stalls;
-            self.ir_pc = saved.ir_pc;
-            self.ir_index = saved.ir_index;
+            *self.fpu.regs_mut() = head.fregs;
+            self.iregs = head.iregs;
+            self.int_ready = head.int_ready;
+            self.pc = head.pc;
+            self.cycle = head.cycle;
+            self.ls_free_at = head.ls_free_at;
+            self.freeze_until = head.freeze_until;
+            self.fetch_ready_at = head.fetch_ready_at;
+            self.stalls = head.stalls;
+            self.ir_pc = head.ir_pc;
+            self.ir_index = head.ir_index;
             return false;
         }
         // Commit: `perform` left the horizons, registers and PC exactly
         // as the span would have; the counters come from the recording.
-        self.cycle = base + rec.cycles;
+        self.cycle = head.cycle + rec.cycles;
         self.instructions += rec.instructions;
-        self.stalls = saved.stalls;
+        self.stalls = head.stalls;
         self.stalls.add_all(&rec.stalls);
         self.fpu.commit_replayed(&rec.fpu, flags);
-        self.last_progress = base + rec.last_progress;
-        self.pending_ready_at = base + rec.pending_ready;
+        self.last_progress = head.cycle + rec.last_progress;
+        self.pending_ready_at = head.cycle + rec.pending_ready;
         true
     }
 
@@ -695,7 +685,7 @@ impl Machine {
                     fetch,
                     data,
                 } => {
-                    if self.mem.fetch_timing_journaled(self.pc, port.journal) != u64::from(fetch) {
+                    if self.mem.fetch_timing(self.pc, Some(port.journal)) != u64::from(fetch) {
                         return false;
                     }
                     self.cycle = base + u64::from(at);
