@@ -150,13 +150,6 @@ fn parse_client_options(args: &[String]) -> Result<ClientOptions, String> {
     })
 }
 
-/// `http://host:port` → `host:port`.
-pub(crate) fn host_port(url: &str) -> Result<&str, String> {
-    url.strip_prefix("http://")
-        .ok_or_else(|| format!("bad --url `{url}` (need http://host:port)"))
-        .map(|rest| rest.trim_end_matches('/'))
-}
-
 #[derive(Default)]
 struct Tally {
     ok: usize,
@@ -179,7 +172,7 @@ struct Tally {
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = parse_client_options(args)?;
     let source = std::fs::read_to_string(&opts.path).map_err(|e| format!("{}: {e}", opts.path))?;
-    let addr = host_port(&opts.url)?.to_string();
+    let addr = httpc::host_port(&opts.url)?.to_string();
     let query = opts
         .query
         .iter()

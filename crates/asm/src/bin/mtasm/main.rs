@@ -72,24 +72,9 @@
 //! pins one machine configuration for every request; a repeatable
 //! `--config-axis knob=v1,v2` instead sweeps the axis across requests —
 //! request *i* takes `values[i % len]` from each axis, replaying a
-//! configuration sweep through the server's cache.
-//!
-//! `chaos` runs the seeded `mt-chaos` campaign against a running
-//! `mt-serve` instance:
-//!
-//! ```text
-//! mtasm chaos [--url http://host:port] [--seed <n>] [--scenarios <n>]
-//!             [--hooks] [--slow-wait-ms <n>] [--json]
-//! ```
-//!
-//! Without `--hooks` the campaign only misbehaves as a client (torn
-//! requests, half-closes, slow-loris stalls, burned deadlines) and is
-//! safe against any server; `--hooks` additionally draws the
-//! worker-panic/worker-kill scenarios and requires the target to run
-//! with `--chaos-hooks`. Exits nonzero if any scenario or final check
-//! (healthz, pool strength, accounting invariant) fails.
+//! configuration sweep through the server's cache. The seeded chaos
+//! campaign against a running server is `repro-chaos --url`.
 
-mod chaos;
 mod client;
 
 use std::process::ExitCode;
@@ -104,7 +89,7 @@ use mt_xlate::cfg::ProgramView;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mtasm asm <file.s> [--base <hex>] [--lint] [--plain]\n       mtasm dis <file.hex> [--base <hex>]\n       mtasm lint <file.s> [--base <hex>] [--plain] [--config knob=value,...]\n       mtasm mca <file.s> [--base <hex>] [--lint] [--json] [--config knob=value,...]\n       mtasm run <file.s> [--base <hex>] [--lint] [--trace] [--timeline] [--cold]\n                 [--profile] [--mca] [--top <n>] [--trace-out <file.json>]\n                 [--backend tick|xlate] [--config knob=value,...]\n       mtasm profile <file.s> [--base <hex>] [--lint] [--cold] [--top <n>] [--mca]\n                 [--trace-out <file.json>]\n       mtasm fault <file.s> [--base <hex>] [--seed <n>] [--injections <n>] [--json]\n       mtasm client <file.s> [--url http://host:port] [--endpoint run|assemble]\n                 [--concurrency <n>] [--requests <m>] [--lint] [--profile] [--trace]\n                 [--cold] [--base <hex>] [--cycles <n>] [--watchdog <n>] [--deadline-ms <n>]\n                 [--print-body] [--config knob=value,...] [--config-axis knob=v1,v2]...\n       mtasm chaos [--url http://host:port] [--seed <n>] [--scenarios <n>] [--hooks]\n                 [--slow-wait-ms <n>] [--json]"
+        "usage: mtasm asm <file.s> [--base <hex>] [--lint] [--plain]\n       mtasm dis <file.hex> [--base <hex>]\n       mtasm lint <file.s> [--base <hex>] [--plain] [--config knob=value,...]\n       mtasm mca <file.s> [--base <hex>] [--lint] [--json] [--config knob=value,...]\n       mtasm run <file.s> [--base <hex>] [--lint] [--trace] [--timeline] [--cold]\n                 [--profile] [--mca] [--top <n>] [--trace-out <file.json>]\n                 [--backend tick|xlate] [--config knob=value,...]\n       mtasm profile <file.s> [--base <hex>] [--lint] [--cold] [--top <n>] [--mca]\n                 [--trace-out <file.json>]\n       mtasm fault <file.s> [--base <hex>] [--seed <n>] [--injections <n>] [--json]\n       mtasm client <file.s> [--url http://host:port] [--endpoint run|assemble]\n                 [--concurrency <n>] [--requests <m>] [--lint] [--profile] [--trace]\n                 [--cold] [--base <hex>] [--cycles <n>] [--watchdog <n>] [--deadline-ms <n>]\n                 [--print-body] [--config knob=value,...] [--config-axis knob=v1,v2]..."
     );
     ExitCode::from(2)
 }
@@ -416,13 +401,8 @@ fn main() -> ExitCode {
     };
     // `client` has its own flag set (URL, concurrency, …), parsed by the
     // module itself.
-    if cmd == "client" || cmd == "chaos" {
-        let run = if cmd == "client" {
-            client::run(rest)
-        } else {
-            chaos::run(rest)
-        };
-        return match run {
+    if cmd == "client" {
+        return match client::run(rest) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("mtasm: {e}");

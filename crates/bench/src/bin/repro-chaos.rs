@@ -8,6 +8,13 @@
 //! `repro-benchdiff --profile chaos` (verdicts and scenario plan exact;
 //! wall-clock, raw accounting counts, and notes ignored).
 //!
+//! `--url http://host:port` runs the same campaign against a server
+//! that is already running instead. Hooks are then off unless `--hooks`
+//! says the target was started with `--chaos-hooks`: a hooks-off plan
+//! never draws the worker-panic and worker-kill scenarios, so it only
+//! misbehaves as a client (torn requests, half-closes, slow-loris
+//! stalls, burned deadlines) and is safe to aim at any server.
+//!
 //! `--drain` runs the other smoke instead: graceful shutdown under
 //! load. It parks long-running spin jobs on the workers and the queue,
 //! calls `ServerHandle::shutdown()` mid-flight, and asserts the
@@ -16,25 +23,22 @@
 //! drain completes within its budget plus scheduling slack, and the
 //! port actually closes.
 //!
-//! Usage: `repro-chaos [--seed N|0xN] [--scenarios N] [--json] [--drain]`
+//! Usage: `repro-chaos [--seed N|0xN] [--scenarios N] [--json]
+//! [--drain | --url http://host:port [--hooks]]`
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use mt_bench::parse_u64;
 use mt_chaos::{httpc, run_campaign, ChaosConfig, CLIENT_ID};
 use mt_serve::{serve, ServerConfig};
 use mt_trace::Json;
 
-fn parse_u64(text: &str) -> Option<u64> {
-    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        text.parse().ok()
-    }
-}
-
 fn usage() -> ! {
-    eprintln!("usage: repro-chaos [--seed N|0xN] [--scenarios N] [--json] [--drain]");
+    eprintln!(
+        "usage: repro-chaos [--seed N|0xN] [--scenarios N] [--json] \
+         [--drain | --url http://host:port [--hooks]]"
+    );
     std::process::exit(2);
 }
 
@@ -53,17 +57,20 @@ fn harness_config() -> ServerConfig {
 }
 
 fn main() {
-    let mut chaos = ChaosConfig {
-        expect_hooks: true,
-        ..ChaosConfig::default()
-    };
+    let mut chaos = ChaosConfig::default();
     let mut json = false;
     let mut drain = false;
+    let mut url = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--drain" => drain = true,
+            "--hooks" => chaos.expect_hooks = true,
+            "--url" => match args.next() {
+                Some(u) => url = Some(u),
+                None => usage(),
+            },
             "--seed" => match args.next().as_deref().and_then(parse_u64) {
                 Some(seed) => chaos.seed = seed,
                 None => usage(),
@@ -77,17 +84,37 @@ fn main() {
     }
 
     if drain {
+        if url.is_some() {
+            usage();
+        }
         return drain_smoke(json);
     }
 
-    let handle = match serve(harness_config()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("repro-chaos: bind failed: {e}");
-            std::process::exit(1);
+    // `--hooks` describes a server named by `--url`; the in-process one
+    // always arms its hooks.
+    let handle = match url {
+        Some(url) => {
+            chaos.addr = httpc::host_port(&url)
+                .unwrap_or_else(|e| {
+                    eprintln!("repro-chaos: {e}");
+                    usage()
+                })
+                .to_string();
+            None
+        }
+        None => {
+            let handle = match serve(harness_config()) {
+                Ok(h) => h,
+                Err(e) => {
+                    eprintln!("repro-chaos: bind failed: {e}");
+                    std::process::exit(1);
+                }
+            };
+            chaos.addr = handle.addr().to_string();
+            chaos.expect_hooks = true;
+            Some(handle)
         }
     };
-    chaos.addr = handle.addr().to_string();
     let report = match run_campaign(&chaos) {
         Ok(r) => r,
         Err(e) => {
@@ -95,7 +122,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    handle.shutdown();
+    if let Some(handle) = handle {
+        handle.shutdown();
+    }
 
     if json {
         println!("{}", report.json.pretty());

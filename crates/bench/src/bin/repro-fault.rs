@@ -11,15 +11,8 @@
 //! [--seed 0xA5] [--injections 500] [--json]`
 
 use mt_bench::fault::{run_kernel_campaign, standard_fault_kernels};
+use mt_bench::parse_u64;
 use mt_fault::{CampaignConfig, OutcomeCounts};
-
-fn parse_u64(text: &str) -> Option<u64> {
-    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        text.parse().ok()
-    }
-}
 
 fn usage() -> ! {
     eprintln!("usage: repro-fault [--seed N|0xN] [--injections N] [--json]");

@@ -1,6 +1,6 @@
 //! The workspace's one HTTP/1.1 client for `mt-serve`: `mtasm client`,
-//! `mtasm chaos`, `repro-chaos` and the serve crate's tests all send
-//! their requests through it.
+//! `repro-chaos` and the serve crate's tests all send their requests
+//! through it.
 //!
 //! Hand-rolled like the server: the workspace takes no dependencies,
 //! and chaos scenarios *need* byte-level control of the socket (torn
@@ -51,6 +51,13 @@ impl fmt::Display for Error {
             Error::NotSent(m) | Error::NoReply(m) => f.write_str(m),
         }
     }
+}
+
+/// `http://host:port` → `host:port`: the address a `--url` names.
+pub fn host_port(url: &str) -> Result<&str, String> {
+    url.strip_prefix("http://")
+        .ok_or_else(|| format!("bad --url `{url}` (need http://host:port)"))
+        .map(|rest| rest.trim_end_matches('/'))
 }
 
 /// Connects with both timeouts armed.

@@ -24,10 +24,11 @@
 //! Two failure kinds — [`scenario::ScenarioKind::PanicJob`] and
 //! [`scenario::ScenarioKind::KillWorker`] — need the server's opt-in
 //! chaos hooks (`--chaos-hooks`); a hooks-off plan simply never draws
-//! them, so `mtasm chaos` is safe to point at any server.
+//! them, so a hooks-off campaign is safe to point at any server.
 //!
-//! Drive it with `repro-chaos` (spawns an in-process hooked server) or
-//! `mtasm chaos --url ...` (attacks a server you already run).
+//! Drive it with `repro-chaos`, which spawns an in-process hooked server,
+//! or with `repro-chaos --url http://host:port [--hooks]`, which attacks
+//! a server you already run.
 //!
 //! [`httpc`] is the workspace's one HTTP client for `mt-serve`; the
 //! campaign, `mtasm client` and the serve crate's tests share it.
@@ -35,8 +36,6 @@
 pub mod campaign;
 pub mod httpc;
 pub mod scenario;
-
-use std::time::Duration;
 
 pub use campaign::{run_campaign, CampaignReport};
 pub use mt_fault::SplitMix64;
@@ -68,10 +67,6 @@ pub struct ChaosConfig {
     /// Whether the target was started with `--chaos-hooks`. When false
     /// the plan never draws `PanicJob`/`KillWorker`.
     pub expect_hooks: bool,
-    /// How long the slow-loris scenario stalls mid-header. Point this
-    /// past the server's `--header-timeout-ms` to exercise the defense;
-    /// shorter stalls still verify the server survives a dribbled head.
-    pub slow_wait: Duration,
 }
 
 impl Default for ChaosConfig {
@@ -84,7 +79,6 @@ impl Default for ChaosConfig {
             seed: 0xC4A19,
             scenarios: 14,
             expect_hooks: false,
-            slow_wait: Duration::from_millis(600),
         }
     }
 }

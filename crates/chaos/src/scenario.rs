@@ -12,6 +12,7 @@
 
 use std::io::Write;
 use std::net::Shutdown;
+use std::time::Duration;
 
 use mt_fault::SplitMix64;
 
@@ -80,6 +81,12 @@ const SAFE_MENU: [ScenarioKind; 8] = [
     ScenarioKind::DeadlineShed,
     ScenarioKind::DeadlineMidRun,
 ];
+
+/// How long the slow-loris scenario stalls mid-header: past the 250 ms
+/// header timeout of `repro-chaos`'s in-process server, so the defense
+/// fires there; a server with a longer timeout still shows it survives
+/// a dribbled head.
+const SLOW_WAIT: Duration = Duration::from_millis(600);
 
 /// The extra kinds unlocked by `--chaos-hooks`.
 const HOOKED_MENU: [ScenarioKind; 2] = [ScenarioKind::PanicJob, ScenarioKind::KillWorker];
@@ -262,7 +269,7 @@ fn slow_loris(cfg: &ChaosConfig) -> ScenarioOutcome {
         Err(e) => return ScenarioOutcome::plain(false, e.to_string()),
     };
     let _ = (&stream).write_all(b"POST /run HTTP/1.1\r\nHost: loris\r\n");
-    std::thread::sleep(cfg.slow_wait);
+    std::thread::sleep(SLOW_WAIT);
     let _ = (&stream).write_all(b"Content-Length: 5\r\nConnection: close\r\n\r\nhalt\n");
     // Either verdict is correct, config-dependent: a 408/closed socket
     // when the stall beat `--header-timeout-ms`, a served request when

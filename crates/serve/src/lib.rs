@@ -67,7 +67,8 @@
 //!   terminal bucket: at quiescence `jobs_accepted == jobs_completed +
 //!   jobs_rejected + jobs_shed + jobs_failed` (the `accounting` block
 //!   in `/metrics`). The seeded chaos harness (`mt-chaos`, driven by
-//!   `repro-chaos` or `mtasm chaos`) asserts it after every scenario.
+//!   `repro-chaos`, in process or with `--url` against a running
+//!   server) asserts it after every scenario.
 
 pub mod cache;
 pub mod http;

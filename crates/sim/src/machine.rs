@@ -876,18 +876,24 @@ impl Machine {
     /// the hazard guarantees exists). `None` means the instruction would
     /// execute.
     ///
-    /// The hazard guards in the hardware's order — the integer load
-    /// interlock, the load/store port, the FPU register hazard, the IR —
-    /// read from the shared [`mt_isa::cost::InstrCost`] table, which
-    /// `mt-mca` replays statically. Both engines ask it: the tick loop
-    /// charges the cause for one cycle, the span hops to the horizon.
-    /// The horizons are exact because nothing that feeds the guards
-    /// (`int_ready`, `ls_free_at`, the IR, the scoreboard) changes while
-    /// both the CPU and the issue stage stall. Always inlined: left to
-    /// LLVM, its two callers call out-of-line copies, one guard call per
-    /// instruction attempt.
+    /// The hazard guards in the hardware's order — the serialized-issue
+    /// ablation's IR gate, the integer load interlock, the load/store
+    /// port, the FPU register hazard, the IR — the last four read from
+    /// the shared [`mt_isa::cost::InstrCost`] table, which `mt-mca`
+    /// replays statically. Both engines ask it and nothing else: the
+    /// tick loop charges the cause for one cycle, the span hops to the
+    /// horizon. The horizons are exact because nothing that feeds the
+    /// guards (`int_ready`, `ls_free_at`, the IR, the scoreboard) changes
+    /// while both the CPU and the issue stage stall. Always inlined: left
+    /// to LLVM, its two callers call out-of-line copies, one guard call
+    /// per instruction attempt.
     #[inline(always)]
     fn cost_stall_horizon(&self, cost: &InstrCost) -> Option<(StallCause, u64)> {
+        // Ablation: with serialized issue no instruction proceeds while
+        // the ALU IR is still issuing a vector.
+        if self.config.serialized_issue && self.fpu.ir_busy() {
+            return Some((StallCause::IrBusy, u64::MAX));
+        }
         if cost.int_guard_regs().any(|r| self.int_blocked(r)) {
             // Blocked until the last checked register is ready (free ones
             // are ready already).
@@ -1013,9 +1019,8 @@ impl Machine {
     ///   against the write watch before *every* fetch — aligned, in
     ///   range, decodable), and charge the same `fetch_timing`; every
     ///   other PC exits to the interpreter;
-    /// * guard evaluation applies the serialized-issue gate, then asks
-    ///   [`Machine::cost_stall_horizon`] — the interpreter's guard —
-    ///   with the micro-op's cost row, the same
+    /// * guard evaluation asks [`Machine::cost_stall_horizon`] — the
+    ///   interpreter's guard — with the micro-op's cost row, the same
     ///   [`mt_isa::cost::InstrCost`] value the interpreter computes;
     /// * each instruction's micro-op is looked up once: at the fetch that
     ///   latches it, or at span entry for an inherited pending one (`pc`
@@ -1177,17 +1182,10 @@ impl Machine {
                 },
             };
 
-            // Guards, in the hardware's order: the serialized-issue
-            // ablation's IR gate (as in `cpu_step`), then the precomputed
-            // cost row. The retire clamp of a stalled wait can only bind
-            // above `cycle`, because phase 1 already processed every
-            // retirement due.
-            let wait = if self.config.serialized_issue && self.fpu.ir_busy() {
-                Some((StallCause::IrBusy, u64::MAX))
-            } else {
-                self.cost_stall_horizon(&uop.cost)
-            };
-            match wait {
+            // Guards, from the precomputed cost row. The retire clamp of
+            // a stalled wait can only bind above `cycle`, because phase 1
+            // already processed every retirement due.
+            match self.cost_stall_horizon(&uop.cost) {
                 Some((StallCause::IrBusy, _)) => {
                     self.issue_until_ir_empty(boundary, sink);
                     continue;
@@ -1325,13 +1323,6 @@ impl Machine {
             return Ok(()); // fetch penalty elapsing
         }
         let instr = self.pending.expect("pending instruction present");
-
-        // Ablation: with serialized issue the CPU may not proceed at all
-        // while the ALU IR is still issuing a vector.
-        if self.config.serialized_issue && self.fpu.ir_busy() {
-            self.emit_stall(sink, StallCause::IrBusy, 1);
-            return Ok(());
-        }
         if let Some((cause, _)) = self.cost_stall_horizon(&InstrCost::of(&instr)) {
             self.emit_stall(sink, cause, 1);
             return Ok(());

@@ -44,11 +44,6 @@ const MAX_STEPS: usize = 4096;
 /// early in the iteration, at its first data-cache penalty, and cost far
 /// less than a replay saves.
 const ROLLBACK_CUTOFF: u32 = 16;
-/// Slots of the table of loop heads whose key was just given up, by PC.
-const COLD_SLOTS: usize = 32;
-/// Visits to such a head the memo lets the span run past without a key,
-/// before it looks again.
-const COLD_SKIP: u32 = 15;
 /// A key with no recording is given up after this many dropped
 /// recordings; a key with recordings stops recording new paths.
 const DROP_CUTOFF: u32 = 2;
@@ -222,8 +217,6 @@ struct Store {
     counts: MemoCounts,
     recorder: Recorder,
     journal: Journal,
-    /// `(pc, visits left to skip)` of loop heads whose key was given up.
-    cold: [(u32, u32); COLD_SLOTS],
 }
 
 impl Store {
@@ -241,18 +234,6 @@ impl Store {
         self.index.insert(key, e);
         self.bytes += cost;
         Some(e)
-    }
-
-    /// Whether the span runs past the loop head at `pc` without a key:
-    /// its key was given up at a recent visit.
-    fn skips(&mut self, pc: u32) -> bool {
-        let slot = &mut self.cold[(pc as usize >> 2) % COLD_SLOTS];
-        if slot.0 != pc || slot.1 == 0 {
-            return false;
-        }
-        slot.1 -= 1;
-        self.counts.skipped_cut += 1;
-        true
     }
 }
 
@@ -469,9 +450,6 @@ impl Machine {
             let (entry, first) = match link.take() {
                 Some(linked) => linked,
                 None => {
-                    if memo.skips(self.pc) {
-                        return Ok(None);
-                    }
                     let Some(key) = self.head_key() else {
                         memo.counts.skipped_key += 1;
                         return Ok(None);
@@ -488,13 +466,11 @@ impl Machine {
                 entries,
                 counts,
                 journal,
-                cold,
                 ..
             } = memo;
             let e = &mut entries[entry as usize];
             if e.given_up() {
                 counts.skipped_cut += 1;
-                cold[(self.pc as usize >> 2) % COLD_SLOTS] = (self.pc, COLD_SKIP);
                 return Ok(None);
             }
             let mut crossed = false;

@@ -243,6 +243,56 @@ fn dual_issue_overlaps_loads_with_vector_elements() {
     );
 }
 
+/// The serialized-issue gate is the guard's first check: an instruction
+/// that waits both on the IR and on an integer load's delay slot is
+/// charged `ir_busy`, on both backends.
+#[test]
+fn serialized_issue_charges_ir_busy_before_a_load_hazard() {
+    let run_with = |serialized: bool, backend: Backend| {
+        let prog = Program::assemble(&[
+            Instr::Lw {
+                rd: ir(1),
+                base: ir(0),
+                offset: 0x2000,
+            },
+            // Sixteen elements keep the IR busy past the load's delay.
+            Instr::Falu(FpuAluInstr::vector(FpOp::Mul, r(16), r(0), r(32), 16).unwrap()),
+            Instr::Addi {
+                rd: ir(2),
+                rs1: ir(1),
+                imm: 1,
+            },
+            Instr::Halt,
+        ])
+        .unwrap();
+        let mut config = SimConfig {
+            serialized_issue: serialized,
+            backend,
+            ..SimConfig::default()
+        };
+        config.machine.timing.int_load_delay_cycles = 8;
+        let mut m = Machine::new(config);
+        m.load_program(&prog);
+        m.warm_instructions(&prog);
+        m.mem.memory.write_u32(0x2000, 41);
+        m.mem.load_u32(0x2000); // warm the line
+        let stats = m.run().unwrap();
+        assert_eq!(m.ireg(ir(2)), 42);
+        stats
+    };
+    for backend in [Backend::Tick, Backend::Xlate] {
+        let dual = run_with(false, backend);
+        assert!(dual.stalls.int_load_hazard > 0, "the add waits on the load");
+        let serial = run_with(true, backend);
+        assert_eq!(serial.stalls.int_load_hazard, 0, "{backend:?}");
+        assert!(serial.stalls.ir_busy >= 8, "{backend:?}: {serial:?}");
+    }
+    assert_eq!(
+        run_with(true, Backend::Tick),
+        run_with(true, Backend::Xlate)
+    );
+}
+
 #[test]
 fn view_flags_store_before_element_issue() {
     // Store element 3's result register while the vector has only begun
