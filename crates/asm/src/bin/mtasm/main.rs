@@ -80,7 +80,7 @@ mod client;
 use std::process::ExitCode;
 
 use mt_asm::{parse_with_source_map, PlainDiagnostic, SourceMap};
-use mt_fault::{run_program_campaign, CampaignConfig};
+use mt_fault::{parse_u64, run_program_campaign, CampaignConfig};
 use mt_isa::Instr;
 use mt_lint::{lint_program_with, LintOptions, Severity};
 use mt_sim::{Backend, Machine, MachineConfig, Program, SimConfig, Timeline};
@@ -154,15 +154,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
-                seed = match v.strip_prefix("0x") {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => v.parse(),
-                }
-                .map_err(|e| format!("bad --seed: {e}"))?;
+                seed = parse_u64(v).ok_or(format!("bad --seed `{v}`"))?;
             }
             "--injections" => {
                 let v = it.next().ok_or("--injections needs a value")?;
-                injections = v.parse().map_err(|e| format!("bad --injections: {e}"))?;
+                injections = parse_u64(v).ok_or(format!("bad --injections `{v}`"))? as usize;
             }
             "--json" => json = true,
             "--mca" => mca = true,

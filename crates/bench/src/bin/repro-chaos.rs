@@ -29,8 +29,8 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use mt_bench::parse_u64;
 use mt_chaos::{httpc, run_campaign, ChaosConfig, CLIENT_ID};
+use mt_fault::parse_u64;
 use mt_serve::{serve, ServerConfig};
 use mt_trace::Json;
 
@@ -131,8 +131,8 @@ fn main() {
     } else {
         let field = |k: &str| report.json.get(k).cloned().unwrap_or(Json::Null);
         println!(
-            "Chaos campaign — seed {}, {} scenarios, {} ok",
-            field("seed"),
+            "Chaos campaign — seed {:#x}, {} scenarios, {} ok",
+            chaos.seed,
             field("scenarios_total"),
             field("scenarios_ok")
         );

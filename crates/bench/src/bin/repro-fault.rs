@@ -11,8 +11,7 @@
 //! [--seed 0xA5] [--injections 500] [--json]`
 
 use mt_bench::fault::{run_kernel_campaign, standard_fault_kernels};
-use mt_bench::parse_u64;
-use mt_fault::{CampaignConfig, OutcomeCounts};
+use mt_fault::{parse_u64, CampaignConfig, OutcomeCounts};
 
 fn usage() -> ! {
     eprintln!("usage: repro-fault [--seed N|0xN] [--injections N] [--json]");

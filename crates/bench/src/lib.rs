@@ -77,14 +77,6 @@ pub fn f1(v: f64) -> String {
     format!("{v:.1}")
 }
 
-/// Parses a `--seed`-style count: decimal, or hex after `0x`/`0X`.
-pub fn parse_u64(text: &str) -> Option<u64> {
-    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => text.parse().ok(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,16 +85,6 @@ mod tests {
     fn row_formats_right_aligned() {
         let s = row(&["a".into(), "bb".into()], &[3, 4]);
         assert_eq!(s, "  a    bb");
-    }
-
-    #[test]
-    fn parse_u64_reads_decimal_and_hex() {
-        assert_eq!(parse_u64("500"), Some(500));
-        assert_eq!(parse_u64("0xA5"), Some(0xA5));
-        assert_eq!(parse_u64("0XC4A19"), Some(0xC4A19));
-        for bad in ["", "0x", "-1", "0xg", "12a"] {
-            assert_eq!(parse_u64(bad), None, "{bad}");
-        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The `repro-chaos` binary against a server it did not start, as `./ci`
-//! drives it: `--url` runs the hooks-off campaign over real TCP, and
-//! `--url` together with `--drain` is a usage error.
+//! drives it: `--url` runs the hooks-off campaign over real TCP, its
+//! text report heads with the seed in hex, and `--url` together with
+//! `--drain` is a usage error.
 
 use std::process::Command;
 
@@ -31,6 +32,24 @@ fn url_runs_the_campaign_against_a_running_server() {
     for (check, verdict) in checks {
         assert_eq!(verdict, &Json::Bool(true), "{check}");
     }
+}
+
+#[test]
+fn text_report_heads_with_the_seed_in_hex() {
+    let handle = serve(ServerConfig::default()).expect("binds an ephemeral port");
+    let url = format!("http://{}", handle.addr());
+    let out = Command::new(env!("CARGO_BIN_EXE_repro-chaos"))
+        .args(["--url", &url, "--seed", "0XC4A19", "--scenarios", "2"])
+        .output()
+        .expect("repro-chaos runs");
+    handle.shutdown();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "repro-chaos --url failed:\n{stdout}");
+    assert_eq!(
+        stdout.lines().next(),
+        Some("Chaos campaign — seed 0xc4a19, 2 scenarios, 2 ok"),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -82,8 +82,8 @@ pub struct CampaignConfig {
     /// Execution backend for golden and injected runs: the simulator
     /// default (the translated backend) unless overridden. Outcomes are
     /// bit-identical either way (a text-region flip trips the write
-    /// watch, which marks the translation stale and hands the rest of
-    /// the run to the interpreter).
+    /// watch, after which both backends fetch every instruction from
+    /// memory).
     pub backend: Backend,
 }
 

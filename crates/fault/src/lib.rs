@@ -46,4 +46,4 @@ pub use campaign::{
 };
 pub use inject::apply;
 pub use plan::{draw_injection, CacheId, FaultTarget, Injection, PlanBounds};
-pub use rng::SplitMix64;
+pub use rng::{parse_u64, SplitMix64};

@@ -45,9 +45,28 @@ impl SplitMix64 {
     }
 }
 
+/// Parses a seed or a count from the command line: decimal, or hex
+/// after `0x`/`0X`.
+pub fn parse_u64(text: &str) -> Option<u64> {
+    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => text.parse().ok(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_u64_reads_decimal_and_hex() {
+        assert_eq!(parse_u64("500"), Some(500));
+        assert_eq!(parse_u64("0xA5"), Some(0xA5));
+        assert_eq!(parse_u64("0XC4A19"), Some(0xC4A19));
+        for bad in ["", "0x", "-1", "0xg", "12a"] {
+            assert_eq!(parse_u64(bad), None, "{bad}");
+        }
+    }
 
     #[test]
     fn matches_reference_sequence() {

@@ -25,23 +25,21 @@ pub use memo::MemoCounts;
 /// and [`RunError`] behavior (`tests/hot_loop_equivalence.rs` proves it
 /// over generated programs and the kernel corpus). The tick interpreter
 /// is the specification; the translated backend is the fast engine: it
-/// runs the interpreter's own guard and execute code over instructions
-/// decoded once at load, and hops over multi-cycle waits.
+/// runs the interpreter's own fetch, guard and execute code, and hops
+/// over multi-cycle waits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The reference cycle interpreter: fetch (reading the decoded
-    /// instruction from the program's translation while the text is
-    /// unmodified), guard evaluation, and execution, one cycle at a time.
-    /// Always used while an enabled event sink is attached, for any PC
-    /// without a micro-op, and for the rest of a run after a write into
-    /// the text.
+    /// The reference cycle interpreter: fetch, guard evaluation, and
+    /// execution, one cycle at a time. Always used while an enabled event
+    /// sink is attached.
     Tick,
     /// The span engine: the run loop executes instructions back to back
-    /// from the micro-op table [`Machine::load_program`] built
+    /// through the interpreter's fetch, guard and execute code, taking
+    /// each wait in one hop. Both engines fetch the same way: the micro-op
+    /// [`Machine::load_program`] predecoded for the PC
     /// ([`mt_xlate::TranslatedProgram`]: each word's decoded instruction
-    /// and cost row) through the interpreter's guard and execute code,
-    /// taking each wait in one hop, and falls back to the tick
-    /// interpreter in the cases listed above.
+    /// and cost row) while no write has landed in the text, else the word
+    /// read from memory and decoded.
     #[default]
     Xlate,
 }
@@ -246,25 +244,13 @@ enum Exec {
     Halted,
 }
 
-/// Why [`Machine::xlate_span`] returned control to the outer run loop.
-enum SpanExit {
-    /// The span stopped at a boundary cycle (stop point, interrupt,
-    /// cycle-limit, watchdog deadline) or the program halted: the outer
-    /// loop's checks decide what happens, exactly as after a tick.
-    Boundary,
-    /// The current PC has no micro-op (outside the translated text,
-    /// misaligned, or an undecodable word): the interpreter must take
-    /// over for at least this cycle — it executes or faults identically.
-    Tick,
-    /// A write landed in the watched text range: the translation is
-    /// stale, interpretation takes over for the rest of the run.
-    Disabled,
-}
-
-/// Why [`Machine::span`] returned to [`Machine::xlate_span`].
+/// Where [`Machine::span`] stopped.
+#[derive(PartialEq, Eq)]
 enum SpanStop {
-    /// The span must return this to the outer run loop.
-    Exit(SpanExit),
+    /// At a boundary cycle (stop point, interrupt, cycle-limit, watchdog
+    /// deadline) or a halt: the outer run loop's checks decide what
+    /// happens, exactly as after a tick.
+    Boundary,
     /// A taken backward branch just completed: a loop head, where the
     /// loop-iteration memo may take over ([`Machine::at_loop_head`]).
     LoopHead,
@@ -373,7 +359,8 @@ pub struct Machine {
     freeze_until: u64,
     /// Earliest cycle the next fetch may begin (taken-branch bubble).
     fetch_ready_at: u64,
-    pending: Option<Instr>,
+    /// The fetched instruction waiting to execute, with its cost row.
+    pending: Option<Uop>,
     pending_ready_at: u64,
     halted: bool,
     /// Cycle at which an external interrupt redirects the CPU (§2.3.1);
@@ -390,11 +377,10 @@ pub struct Machine {
     ir_pc: u32,
     ir_index: u32,
     /// The loaded program's text decoded to micro-ops (built by every
-    /// [`Machine::load_program`]): the PC-indexed table the translated
-    /// backend runs, and the decoded text the tick fetch reads while no
-    /// write has landed in it. `Arc` keeps
-    /// [`Machine::snapshot`]/clone cheap: the table is immutable, so
-    /// every checkpoint shares it.
+    /// [`Machine::load_program`]): the PC-indexed table
+    /// [`Machine::fetch`] reads while no write has landed in the text.
+    /// `Arc` keeps [`Machine::snapshot`]/clone cheap: the table is
+    /// immutable, so every checkpoint shares it.
     xlate: Option<Arc<TranslatedProgram>>,
     /// Last cycle at which the machine provably made progress (a CPU
     /// instruction completed or an FPU element/load issued) — the
@@ -723,9 +709,8 @@ impl Machine {
 
         // The translated backend emits no per-cycle events, so watched
         // runs stay on the reference interpreter, whose code paths the
-        // events instrument. Ineligible runs execute tick-by-tick and are
-        // bit-identical by construction.
-        let mut use_xlate = self.config.backend == Backend::Xlate && !sink.enabled();
+        // events instrument. The choice holds for the whole run.
+        let use_xlate = self.config.backend == Backend::Xlate && !sink.enabled();
         // First cycle at which the tick loop would report CycleLimit; a
         // hop may land there but never beyond. Saturating, so a limit near
         // `u64::MAX` cannot wrap into a boundary no span advances past.
@@ -785,23 +770,14 @@ impl Machine {
                 });
             }
             if use_xlate {
-                match self.xlate_span(limit_cycle, bound)? {
-                    // The span paused at a boundary cycle (stop point,
-                    // interrupt, cycle limit, watchdog deadline) or
-                    // halted: re-run the checks above at the new cycle,
-                    // exactly as the tick loop would.
-                    SpanExit::Boundary => continue,
-                    // The span met a PC it cannot run (untranslated,
-                    // misaligned, undecodable): let the interpreter take
-                    // this cycle — it executes or faults identically —
-                    // then re-enter the span.
-                    SpanExit::Tick => {}
-                    // Text was written: the translation is stale for the
-                    // rest of the run, which the interpreter finishes.
-                    SpanExit::Disabled => use_xlate = false,
-                }
+                // The span pauses at a boundary cycle (stop point,
+                // interrupt, cycle limit, watchdog deadline) or halts: the
+                // checks above re-run at the new cycle, exactly as the
+                // tick loop would.
+                self.xlate_span(limit_cycle, bound)?;
+            } else {
+                self.step(sink)?;
             }
-            self.step(sink)?;
         }
         // Drain the FPU: a vector may continue issuing and retiring long
         // after the CPU halts (§2.3.1's "vector ALU instructions may
@@ -995,14 +971,13 @@ impl Machine {
         }
     }
 
-    /// The translated backend: runs micro-ops from the table until a
-    /// boundary cycle, a PC without a micro-op, or a text write — the
-    /// per-cycle semantics of [`Machine::step`] with decode and the
-    /// cost-table lookup done once at load, the no-op FPU phases skipped
-    /// (a `begin_cycle` with no retirement due and an `issue` with an
-    /// empty IR do nothing), and every multi-cycle wait — freeze, branch
-    /// bubble, fetch penalty, interlock — taken in one hop with the
-    /// per-cycle stall accounting the skipped ticks would have accrued.
+    /// The translated backend: runs instructions until a boundary cycle
+    /// or a halt — the per-cycle semantics of [`Machine::step`] with the
+    /// no-op FPU phases skipped (a `begin_cycle` with no retirement due
+    /// and an `issue` with an empty IR do nothing), and every multi-cycle
+    /// wait — freeze, branch bubble, fetch penalty, interlock — taken in
+    /// one hop with the per-cycle stall accounting the skipped ticks
+    /// would have accrued.
     ///
     /// Equivalence argument, per cycle phase (DESIGN.md §13 spells out
     /// the full case analysis):
@@ -1014,19 +989,14 @@ impl Machine {
     /// * retirements are processed by `begin_cycle` only on cycles where
     ///   one is due; on any other cycle it is a pure no-op (the pipeline
     ///   front is not ready);
-    /// * fetches go through the micro-op table exactly when the tick
-    ///   loop's fetch reads the translation (text unmodified — checked
-    ///   against the write watch before *every* fetch — aligned, in
-    ///   range, decodable), and charge the same `fetch_timing`; every
-    ///   other PC exits to the interpreter;
+    /// * fetches are the interpreter's own ([`Machine::fetch`]): the
+    ///   predecoded micro-op while the text is unwritten, else the word
+    ///   read from memory and decoded, so a PC outside the text, a bad
+    ///   word or a patched one runs or faults exactly as under the
+    ///   interpreter;
     /// * guard evaluation asks [`Machine::cost_stall_horizon`] — the
-    ///   interpreter's guard — with the micro-op's cost row, the same
-    ///   [`mt_isa::cost::InstrCost`] value the interpreter computes;
-    /// * each instruction's micro-op is looked up once: at the fetch that
-    ///   latches it, or at span entry for an inherited pending one (`pc`
-    ///   cannot move while an instruction is pending, and the table is
-    ///   immutable), and the span holds a reference to it until it
-    ///   completes;
+    ///   interpreter's guard — with the cost row latched with the pending
+    ///   instruction, as the interpreter does;
     /// * waits go through [`Machine::hop_wait`], which hops only over
     ///   cycles nothing could change in: a scoreboard-*blocked* IR merely
     ///   re-stalls, and a wait that can lapse at a retirement is clamped
@@ -1044,16 +1014,7 @@ impl Machine {
     ///   IR `issue` returns `Idle` without side effects;
     /// * at a loop head the memo may replay whole iterations
     ///   ([`Machine::at_loop_head`]; DESIGN.md §13 gives its argument).
-    fn xlate_span(&mut self, limit_cycle: u64, stop_at: Option<u64>) -> Result<SpanExit, RunError> {
-        let Some(xp) = self.xlate.clone() else {
-            return Ok(SpanExit::Disabled);
-        };
-        // A stale translation can also meet a *pending* instruction on
-        // resume (fetched by the interpreter from modified text), so the
-        // staleness check guards span entry as well as every fetch.
-        if self.mem.memory.watch_writes() != 0 {
-            return Ok(SpanExit::Disabled);
-        }
+    fn xlate_span(&mut self, limit_cycle: u64, stop_at: Option<u64>) -> Result<(), RunError> {
         // The static part of the span's boundary, which it never
         // crosses ([`Machine::span_boundary`]).
         let mut static_boundary = limit_cycle;
@@ -1063,15 +1024,12 @@ impl Machine {
         if let Some(at) = self.interrupt_at {
             static_boundary = static_boundary.min(at);
         }
-        loop {
-            let exit = match self.span(&xp, static_boundary, &mut NullSink)? {
-                SpanStop::Exit(exit) => Some(exit),
-                SpanStop::LoopHead => self.at_loop_head(&xp, static_boundary)?,
-            };
-            if let Some(exit) = exit {
-                return Ok(exit);
+        while self.span(static_boundary, &mut NullSink)? == SpanStop::LoopHead {
+            if self.at_loop_head(static_boundary)? == SpanStop::Boundary {
+                break;
             }
         }
+        Ok(())
     }
 
     /// The span's boundary at the current cycle: the first cycle the
@@ -1086,33 +1044,23 @@ impl Machine {
         }
     }
 
-    /// The span proper: runs micro-ops until an exit or a loop head, the
-    /// cycle after a taken backward branch completed, once its
+    /// The span proper: runs instructions until a boundary or a loop
+    /// head, the cycle after a taken backward branch completed, once its
     /// retirements are in; the memo decides what happens there
     /// ([`Machine::at_loop_head`]). With [`NullSink`] every emission
     /// compiles away.
     fn span<S: EventSink>(
         &mut self,
-        xp: &TranslatedProgram,
         static_boundary: u64,
         sink: &mut S,
     ) -> Result<SpanStop, RunError> {
-        // The pending instruction's micro-op, valid whenever `pending` is
-        // set: latched by the fetch below, or looked up here for one the
-        // span inherits (fetched by the interpreter or by a span that
-        // paused mid-penalty). `None` for an inherited instruction at a PC
-        // without a micro-op, which the interpreter executes.
-        let mut fetched: Option<&Uop> = match self.pending {
-            Some(_) => xp.uop(self.pc),
-            None => None,
-        };
         // Set when a taken backward branch completes: this cycle is a
         // loop head.
         let mut head = false;
         loop {
             let boundary = self.span_boundary(static_boundary);
             if self.cycle >= boundary {
-                return Ok(SpanStop::Exit(SpanExit::Boundary));
+                return Ok(SpanStop::Boundary);
             }
 
             // Phase 1: retirements — only on cycles one is due.
@@ -1134,8 +1082,8 @@ impl Machine {
                 continue;
             }
 
-            // Phase 2: the CPU's slice, from the micro-op table.
-            let uop: &Uop = match self.pending {
+            // Phase 2: the CPU's slice.
+            let uop = match self.pending {
                 None if self.cycle < self.fetch_ready_at => {
                     // Branch bubble (charged at the branch): only the
                     // issue stage runs until the fetch window opens.
@@ -1143,19 +1091,7 @@ impl Machine {
                     continue;
                 }
                 None => {
-                    // Fetch. A write into the watched text range (self-
-                    // modifying code, by any path) invalidates the whole
-                    // translation *before this fetch* — not at the next
-                    // block boundary — and interpretation takes over.
-                    if self.mem.memory.watch_writes() != 0 {
-                        return Ok(SpanStop::Exit(SpanExit::Disabled));
-                    }
-                    let Some(uop) = xp.uop(self.pc) else {
-                        return Ok(SpanStop::Exit(SpanExit::Tick));
-                    };
-                    fetched = Some(uop);
-                    let penalty = self.mem.fetch_timing(self.pc, None);
-                    if self.latch_fetch(uop.instr, penalty, sink) {
+                    if self.fetch(sink)? {
                         // The penalty's first cycle elapses.
                         if self.fpu.ir_busy() {
                             self.issue_and_record(sink);
@@ -1163,7 +1099,7 @@ impl Machine {
                         self.cycle += 1;
                         continue;
                     }
-                    uop
+                    self.pending.expect("just fetched")
                 }
                 Some(_) if self.cycle < self.pending_ready_at => {
                     // Fetch penalty elapsing: one fetch-stall cycle each.
@@ -1175,14 +1111,11 @@ impl Machine {
                     );
                     continue;
                 }
-                // Pending and ready: the micro-op latched with it.
-                Some(_) => match fetched {
-                    Some(uop) => uop,
-                    None => return Ok(SpanStop::Exit(SpanExit::Tick)),
-                },
+                // Pending and ready.
+                Some(uop) => uop,
             };
 
-            // Guards, from the precomputed cost row. The retire clamp of
+            // Guards, from the latched cost row. The retire clamp of
             // a stalled wait can only bind above `cycle`, because phase 1
             // already processed every retirement due.
             match self.cost_stall_horizon(&uop.cost) {
@@ -1208,7 +1141,7 @@ impl Machine {
             }
             self.cycle += 1;
             if self.halted {
-                return Ok(SpanStop::Exit(SpanExit::Boundary));
+                return Ok(SpanStop::Boundary);
             }
         }
     }
@@ -1289,32 +1222,7 @@ impl Machine {
             if self.cycle < self.fetch_ready_at {
                 return Ok(()); // branch bubble (accounted at the branch)
             }
-            // While the text is provably unmodified since load, the
-            // translation's instruction IS the decoded word at this PC:
-            // skip the memory read and the decode. After any write to the
-            // text range (self-modification by any path), and at a PC
-            // without a micro-op (misaligned, outside the text,
-            // undecodable), fetch and decode the word itself — which
-            // faults or reports the bad word exactly.
-            let translated = match &self.xlate {
-                Some(xp) if self.mem.memory.watch_writes() == 0 => xp.uop(self.pc).map(|u| u.instr),
-                _ => None,
-            };
-            let (instr, penalty) = match translated {
-                Some(instr) => (instr, self.mem.fetch_timing(self.pc, None)),
-                None => {
-                    let (word, penalty) = self
-                        .mem
-                        .try_fetch(self.pc)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    let instr = Instr::decode(word).map_err(|e| RunError::BadInstruction {
-                        pc: self.pc,
-                        message: e.to_string(),
-                    })?;
-                    (instr, penalty)
-                }
-            };
-            if self.latch_fetch(instr, penalty, sink) {
+            if self.fetch(sink)? {
                 return Ok(());
             }
         }
@@ -1322,25 +1230,68 @@ impl Machine {
             self.stalls.fetch += 1;
             return Ok(()); // fetch penalty elapsing
         }
-        let instr = self.pending.expect("pending instruction present");
-        if let Some((cause, _)) = self.cost_stall_horizon(&InstrCost::of(&instr)) {
+        let uop = self.pending.expect("pending instruction present");
+        if let Some((cause, _)) = self.cost_stall_horizon(&uop.cost) {
             self.emit_stall(sink, cause, 1);
             return Ok(());
         }
-        let exec = self.perform(instr, sink, &mut Live)?;
-        self.complete(instr, exec, sink);
+        let exec = self.perform(uop.instr, sink, &mut Live)?;
+        self.complete(uop.instr, exec, sink);
         Ok(())
     }
 
-    /// Latches the instruction fetched at the current PC, for both
-    /// engines, and returns whether its fetch stalls. Fetch stalls accrue
-    /// one cycle at a time as the penalty elapses (this cycle is the
-    /// first), so a run that ends mid-penalty has charged exactly the
-    /// elapsed cycles; the event still reports the whole penalty up
-    /// front.
+    /// Fetches the instruction at the current PC, for both engines, and
+    /// latches its micro-op ([`Machine::latch_fetch`]); returns whether
+    /// the fetch stalls. While no write has landed in the text (the watch
+    /// [`Machine::load_program`] set), the predecoded micro-op at a PC
+    /// that has one is the decoded word, so only the fetch's cache-path
+    /// timing is paid. Any other fetch reads and decodes the word in
+    /// memory, which faults on a misaligned or out-of-range PC and
+    /// reports an undecodable word exactly.
     #[inline(always)]
-    fn latch_fetch<S: EventSink>(&mut self, instr: Instr, penalty: u64, sink: &mut S) -> bool {
-        self.pending = Some(instr);
+    fn fetch<S: EventSink>(&mut self, sink: &mut S) -> Result<bool, RunError> {
+        let (uop, penalty) = match self.table_uop(self.pc) {
+            Some(&uop) => (uop, self.mem.fetch_timing(self.pc, None)),
+            None => self.fetch_from_memory()?,
+        };
+        Ok(self.latch_fetch(uop, penalty, sink))
+    }
+
+    /// The predecoded micro-op at `pc`, while the text is unwritten.
+    #[inline(always)]
+    fn table_uop(&self, pc: u32) -> Option<&Uop> {
+        match &self.xlate {
+            Some(xp) if self.mem.memory.watch_writes() == 0 => xp.uop(pc),
+            _ => None,
+        }
+    }
+
+    /// [`Machine::fetch`] at a PC the table does not vouch for.
+    #[cold]
+    #[inline(never)]
+    fn fetch_from_memory(&mut self) -> Result<(Uop, u64), RunError> {
+        let pc = self.pc;
+        let (word, penalty) = self
+            .mem
+            .try_fetch(pc)
+            .map_err(|fault| RunError::MemoryFault { pc, fault })?;
+        let instr = Instr::decode(word).map_err(|e| RunError::BadInstruction {
+            pc,
+            message: e.to_string(),
+        })?;
+        let cost = InstrCost::of(&instr);
+        Ok((Uop { instr, cost }, penalty))
+    }
+
+    /// Latches the instruction fetched at the current PC as the pending
+    /// one, with its cost row, and returns whether its fetch stalls.
+    /// Fetch stalls accrue one cycle at a time as the penalty elapses
+    /// (this cycle is the first), so a run that ends mid-penalty has
+    /// charged exactly the elapsed cycles; the event still reports the
+    /// whole penalty up front.
+    #[inline(always)]
+    fn latch_fetch<S: EventSink>(&mut self, uop: Uop, penalty: u64, sink: &mut S) -> bool {
+        self.pending = Some(uop);
         self.pending_ready_at = self.cycle + penalty;
         if penalty == 0 {
             return false;

@@ -24,9 +24,8 @@ use mt_isa::fpu::ElementRefs;
 use mt_isa::{FReg, FpuAluInstr, Instr};
 use mt_mem::{Journal, MemError, MemorySystem};
 use mt_trace::{EventKind, EventSink, NullSink, StallCause, TraceEvent};
-use mt_xlate::TranslatedProgram;
 
-use super::{Exec, Machine, Port, RunError, SpanExit, SpanStop};
+use super::{Exec, Machine, Port, RunError, SpanStop};
 use crate::stats::StallBreakdown;
 
 /// Recordings kept per key: the outcome paths one timing state leads to
@@ -62,8 +61,9 @@ pub struct MemoCounts {
     /// CPU instructions completed by committed replays.
     pub instructions_replayed: u64,
     /// Recordings dropped: the iteration ended with the FPU busy, held
-    /// `mfpsw`, `clrpsw`, `halt` or an overflow abort, was too long, or
-    /// the span exited inside it.
+    /// `mfpsw`, `clrpsw`, `halt` or an overflow abort, was too long, ran
+    /// an instruction the predecode table does not hold, or the span
+    /// stopped at a boundary inside it.
     pub dropped: u64,
     /// Loop heads skipped because the FPU was not quiescent.
     pub skipped_busy: u64,
@@ -396,28 +396,19 @@ struct Head {
 
 impl Machine {
     /// At a loop head the span reached, decides what happens there:
-    /// runs past it (a busy FPU, a given-up key), replays recorded
-    /// iterations from here while their outcomes hold, or records the
-    /// iteration after a timing state not yet seen. Returns the span's
-    /// exit if one fell due, or `None` for the span to go on from where
-    /// this left it.
-    pub(super) fn at_loop_head(
-        &mut self,
-        xp: &TranslatedProgram,
-        static_boundary: u64,
-    ) -> Result<Option<SpanExit>, RunError> {
+    /// runs past it (a written text, a busy FPU, a given-up key), replays
+    /// recorded iterations from here while their outcomes hold, or
+    /// records the iteration after a timing state not yet seen. Returns [`SpanStop::Boundary`] when the span it ran to
+    /// record stopped at a boundary, else [`SpanStop::LoopHead`]: the
+    /// machine is at a loop head, for the span to go on from.
+    pub(super) fn at_loop_head(&mut self, static_boundary: u64) -> Result<SpanStop, RunError> {
         let mut memo = self.memo.0.take().unwrap_or_default();
-        let exit = self.memo_loop(&mut memo, xp, static_boundary);
+        let stop = self.memo_loop(&mut memo, static_boundary);
         self.memo.0 = Some(memo);
-        exit
+        stop
     }
 
-    fn memo_loop(
-        &mut self,
-        memo: &mut Store,
-        xp: &TranslatedProgram,
-        static_boundary: u64,
-    ) -> Result<Option<SpanExit>, RunError> {
+    fn memo_loop(&mut self, memo: &mut Store, static_boundary: u64) -> Result<SpanStop, RunError> {
         // The recording just replayed, as `(entry, path)`, and its link.
         let mut replayed: Option<(u32, usize)> = None;
         let mut link: Option<(u32, Guess)> = None;
@@ -425,16 +416,13 @@ impl Machine {
         let mut recording: Option<(u32, Head)> = None;
         loop {
             // Every head here passed the span's loop top: the span's own
-            // (its boundary checked, what was due retired, no store since
-            // the last fetch's watch check), or a committed replay's,
-            // which ends below the boundary it was checked against (the
-            // boundary only grows), leaves nothing in flight and rolls
-            // back any text write.
+            // (its boundary checked, what was due retired), or a
+            // committed replay's, which ends below the boundary it was
+            // checked against (the boundary only grows) and leaves
+            // nothing in flight.
             let boundary = self.span_boundary(static_boundary);
             debug_assert!(
-                self.cycle < boundary
-                    && self.fpu.next_retire_at().is_none_or(|r| r > self.cycle)
-                    && self.mem.memory.watch_writes() == 0,
+                self.cycle < boundary && self.fpu.next_retire_at().is_none_or(|r| r > self.cycle),
                 "a loop head passed the span's loop top"
             );
             // By reference: a head is a kilobyte, and this runs at every
@@ -443,20 +431,26 @@ impl Machine {
                 self.finish_recording(memo, *entry, head);
                 recording = None;
             }
+            // A recording replays the instructions the table decoded,
+            // which a write into the text may have made stale. (A
+            // committed replay wrote none: a text write rolls it back.)
+            if self.mem.memory.watch_writes() != 0 {
+                return Ok(SpanStop::LoopHead);
+            }
             if !self.fpu.quiescent() {
                 memo.counts.skipped_busy += 1;
-                return Ok(None);
+                return Ok(SpanStop::LoopHead);
             }
             let (entry, first) = match link.take() {
                 Some(linked) => linked,
                 None => {
                     let Some(key) = self.head_key() else {
                         memo.counts.skipped_key += 1;
-                        return Ok(None);
+                        return Ok(SpanStop::LoopHead);
                     };
                     let Some(e) = memo.entry(key) else {
                         memo.counts.skipped_full += 1;
-                        return Ok(None);
+                        return Ok(SpanStop::LoopHead);
                     };
                     (e, memo.entries[e as usize].first)
                 }
@@ -471,7 +465,7 @@ impl Machine {
             let e = &mut entries[entry as usize];
             if e.given_up() {
                 counts.skipped_cut += 1;
-                return Ok(None);
+                return Ok(SpanStop::LoopHead);
             }
             let mut crossed = false;
             let mut hit = None;
@@ -509,22 +503,22 @@ impl Machine {
             }
             if crossed {
                 counts.skipped_boundary += 1;
-                return Ok(None);
+                return Ok(SpanStop::LoopHead);
             }
             if !std::mem::replace(&mut e.seen, true)
                 || !e.may_record()
                 || memo.bytes >= BUDGET_BYTES
             {
-                return Ok(None);
+                return Ok(SpanStop::LoopHead);
             }
             // Record the iteration the span runs now.
             memo.recorder.begin(self.cycle);
             let head = self.head();
-            match self.span(xp, static_boundary, &mut memo.recorder)? {
-                SpanStop::Exit(exit) => {
+            match self.span(static_boundary, &mut memo.recorder)? {
+                SpanStop::Boundary => {
                     memo.counts.dropped += 1;
                     memo.entries[entry as usize].drops += 1;
-                    return Ok(Some(exit));
+                    return Ok(SpanStop::Boundary);
                 }
                 SpanStop::LoopHead => recording = Some((entry, head)),
             }
@@ -575,16 +569,21 @@ impl Machine {
 
     /// Keeps the iteration just recorded from `head` if it can be
     /// replayed: the FPU is quiescent again (every write issued in it
-    /// also retired in it) and nothing made it unreplayable.
+    /// also retired in it), every instruction it ran was fetched from the
+    /// predecode table, and nothing made it unreplayable.
     fn finish_recording(&mut self, memo: &mut Store, entry: u32, head: &Head) {
         let rec = &mut memo.recorder;
+        rec.link(self.pc);
         let fpu = self.fpu.stats().since(&head.fpu);
-        if !rec.replayable || !self.fpu.quiescent() || fpu.overflow_aborts > 0 {
+        if !rec.replayable
+            || !self.fpu.quiescent()
+            || fpu.overflow_aborts > 0
+            || !self.fetched_from_table(head.pc, &rec.steps)
+        {
             memo.counts.dropped += 1;
             memo.entries[entry as usize].drops += 1;
             return;
         }
-        rec.link(self.pc);
         let recording = Recording {
             steps: rec.steps.as_slice().into(),
             cycles: self.cycle - head.cycle,
@@ -599,6 +598,19 @@ impl Machine {
             std::mem::size_of::<Recording>() + recording.steps.len() * std::mem::size_of::<Step>();
         memo.entries[entry as usize].paths.push(recording);
         memo.counts.recorded += 1;
+    }
+
+    /// Whether every instruction of `steps`, run from `pc`, was fetched
+    /// from the predecode table: the table holds its PC, and the text is
+    /// still unwritten (so it was for the whole iteration). A word
+    /// outside the text can change without the text's write watch
+    /// noticing, and a replay does not fetch it again. Each
+    /// instruction's PC is its predecessor's `next`.
+    fn fetched_from_table(&self, mut pc: u32, steps: &[Step]) -> bool {
+        steps.iter().all(|step| match *step {
+            Step::Instr { next, .. } => self.table_uop(std::mem::replace(&mut pc, next)).is_some(),
+            Step::Element { .. } => true,
+        })
     }
 
     /// Replays `rec` from the loop head at the current cycle, or rolls

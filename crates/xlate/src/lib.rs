@@ -8,9 +8,9 @@
 //! * [`translate`] — decodes each text word once into a micro-op
 //!   ([`Uop`]): the decoded instruction and its issue-cost/hazard
 //!   metadata ([`mt_isa::InstrCost`] — guard registers, port use, stall
-//!   classes). The simulator's translated backend executes these without
-//!   per-instruction decode or cost-table dispatch; the table is indexed
-//!   directly by PC.
+//!   classes). The simulator's fetch reads these, so neither of its
+//!   engines decodes or derives a cost row per instruction; the table is
+//!   indexed directly by PC.
 //!
 //! Translation is purely static: it never changes architectural or timing
 //! semantics (the executor re-checks every dynamic hazard each cycle and

@@ -11,9 +11,9 @@
 //!   dispatch; a stalled instruction retries every cycle, so this is
 //!   paid many times per dynamic instruction in interlocked code).
 //!
-//! Undecodable words translate to `None`: they cannot execute, and an
-//! executor that reaches one falls back to the interpreter, which
-//! reports the identical `RunError::BadInstruction` fault. Nothing dynamic is
+//! Undecodable words translate to `None`: they cannot execute, and a
+//! fetch that reaches one reads and decodes the word in memory, which
+//! reports the `RunError::BadInstruction` fault. Nothing dynamic is
 //! decided here — every hazard guard is still evaluated each cycle by
 //! the executor against live machine state, and control-flow targets are
 //! computed by the executor from the instruction, so translation can
@@ -25,8 +25,7 @@ use mt_isa::{Instr, Program};
 /// One micro-op: a decoded instruction and its cost row.
 #[derive(Debug, Clone, Copy)]
 pub struct Uop {
-    /// The decoded instruction (also what a fallback interpreter step
-    /// receives as its pending instruction).
+    /// The decoded instruction.
     pub instr: Instr,
     /// The instruction's static issue-cost/hazard metadata, precomputed
     /// once at translation instead of per execute attempt.
@@ -35,10 +34,9 @@ pub struct Uop {
 
 /// A program's text section decoded to micro-ops, indexed by PC.
 ///
-/// This is the table the translated backend runs: `uop(pc)` is its one
-/// lookup, and the whole table is dropped (the executor falls back to
-/// interpretation) when the memory system reports a write into the
-/// watched text range.
+/// This is the table the simulator's fetch reads: `uop(pc)` is its one
+/// lookup, and the fetch stops reading it once the memory system
+/// reports a write into the watched text range.
 #[derive(Debug, Clone)]
 pub struct TranslatedProgram {
     base: u32,
@@ -67,7 +65,7 @@ impl TranslatedProgram {
 
     /// The micro-op at byte address `pc`, or `None` when `pc` is
     /// misaligned, outside the translated text, or an undecodable word
-    /// — all cases the executor must hand to the interpreter.
+    /// — all cases the fetch reads and decodes from memory instead.
     #[inline]
     pub fn uop(&self, pc: u32) -> Option<&Uop> {
         let off = pc.wrapping_sub(self.base);

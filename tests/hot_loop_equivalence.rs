@@ -12,8 +12,9 @@
 //! interlocks, IR-busy vector transfers, branch bubbles, §2.3.1 overflow
 //! aborts, and self-modifying text. Abnormal exits landing mid-block —
 //! watchdog, cycle limit, external interrupt — must also agree, error for
-//! error. The tick fetch reads decoded instructions from the same
-//! translation, so the table itself is checked against the decoder too.
+//! error. The one fetch both engines share reads decoded instructions
+//! from the translation, so the table itself is checked against the
+//! decoder too.
 
 use mt_xlate::TranslatedProgram;
 use multititan::fparith::op::ALL_OPS;
@@ -341,10 +342,9 @@ proptest! {
 
     /// Self-modifying text: a store that patches an instruction *later
     /// in the same basic block* must take effect before that word's
-    /// next fetch — the translated span drops to the interpreter at the
-    /// write, never finishing the stale block image (satellite: the
-    /// write-watch is checked before every fetch, not at block
-    /// boundaries).
+    /// next fetch — the one fetch both engines share checks the
+    /// write-watch at every fetch, not at block boundaries, and reads
+    /// the word from memory once a write has landed.
     #[test]
     fn self_modifying_text_agrees((instrs, _target, patch) in arb_smc_case(), regs in arb_regs()) {
         let tick = run_smc(&instrs, &regs, patch, Backend::Tick);
@@ -369,7 +369,7 @@ fn arb_text() -> impl Strategy<Value = Vec<u32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The translation is the decoder, word for word: the tick fetch
+    /// The translation is the decoder, word for word: both engines' fetch
     /// trusts `TranslatedProgram::uop` in place of `Instr::decode` while
     /// the text is unmodified, so at every aligned text PC the micro-op's
     /// instruction must be exactly the word's decoding (`None` for an
@@ -516,9 +516,9 @@ fn serialized_corpus_is_bit_identical_across_backends() {
     }
 }
 
-/// A write into the text segment invalidates the translation: the tick
-/// fetch falls back to decoding the current memory word, and the
-/// translated backend hands the rest of the run to it.
+/// A write into the text segment invalidates the translation: from
+/// then on the one fetch both backends share decodes the current memory
+/// word.
 #[test]
 fn self_modifying_text_falls_back_to_slow_decode() {
     use multititan::sim::DEFAULT_TEXT_BASE;

@@ -16,7 +16,10 @@
 //!    tick interpreter and the translated engine, on several machines,
 //!    with every kind of pause landing inside replayed iterations;
 //! 3. **it is exact on the design-space grid** — the grid's loops run
-//!    bit-identically on both engines under every `BENCH_dse.json` cell.
+//!    bit-identically on both engines under every `BENCH_dse.json` cell;
+//! 4. **it replays only what the predecode table holds** — a loop that
+//!    patches its own body, in the text or in data memory, runs the new
+//!    word on both engines.
 
 use multititan::fparith::op::ALL_OPS;
 use multititan::fparith::FpOp;
@@ -24,7 +27,7 @@ use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
 use multititan::kernels::{harness, livermore};
 use multititan::sim::{
-    ArchState, Backend, Machine, MachineConfig, Program, RunError, RunStats, SimConfig,
+    ArchState, Backend, Machine, MachineConfig, MemoCounts, Program, RunError, RunStats, SimConfig,
     DEFAULT_TEXT_BASE,
 };
 use multititan::trace::{Json, NullSink};
@@ -468,7 +471,7 @@ fn pending_integer_load_is_part_of_the_key() {
 #[test]
 fn long_loops_record_replay_and_roll_back() {
     let mut rng = TestRng::from_name("long_loops_record_replay_and_roll_back");
-    let mut totals = multititan::sim::MemoCounts::default();
+    let mut totals = MemoCounts::default();
     for _ in 0..64 {
         let case = arb_loop().sample(&mut rng);
         let regs = arb_regs().sample(&mut rng);
@@ -556,4 +559,99 @@ fn dse_grid_loops_are_bit_identical_across_backends() {
             assert_eq!(tick.warm, xlate.warm, "{name}: loop {n} warm");
         }
     }
+}
+
+/// A loop that rewrites its own first instruction: 40 trips of
+/// `addi r4, r4, 1`, which the 30th trip overwrites with
+/// `addi r4, r4, 100`, so `r4` ends at 30 + 10 × 100. The text is
+/// `jr r9; halt`, followed by the loop when `in_text`; otherwise the
+/// loop is written into data memory. `jr r9` enters it and `jr r10`
+/// leaves it for the `halt`.
+fn self_patching_loop(in_text: bool, backend: Backend) -> (RunStats, ArchState, MemoCounts) {
+    let r = IReg::new;
+    let body = [
+        Instr::Addi {
+            rd: r(4),
+            rs1: r(4),
+            imm: 1,
+        },
+        Instr::Addi {
+            rd: r(2),
+            rs1: r(2),
+            imm: -1,
+        },
+        // The 30th trip (`r2` = 10) falls through to the store.
+        Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: r(2),
+            rs2: r(3),
+            offset: 1,
+        },
+        Instr::Sw {
+            rs: r(6),
+            base: r(9),
+            offset: 0,
+        },
+        Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: r(2),
+            rs2: r(0),
+            offset: -5,
+        },
+        Instr::Jr { rs: r(10) },
+    ];
+    let mut text = vec![Instr::Jr { rs: r(9) }, Instr::Halt];
+    let at = if in_text {
+        text.extend(body);
+        DEFAULT_TEXT_BASE + 8
+    } else {
+        0x8_0000
+    };
+    let mut m = Machine::new(SimConfig {
+        backend,
+        ..SimConfig::default()
+    });
+    m.load_program(&Program::assemble(&text).unwrap());
+    if !in_text {
+        for (i, instr) in body.iter().enumerate() {
+            m.mem
+                .memory
+                .write_u32(at + 4 * i as u32, instr.encode().unwrap());
+        }
+    }
+    let patch = Instr::Addi {
+        rd: r(4),
+        rs1: r(4),
+        imm: 100,
+    };
+    m.set_ireg(r(2), 40);
+    m.set_ireg(r(3), 10);
+    m.set_ireg(r(6), patch.encode().unwrap() as i32);
+    m.set_ireg(r(9), at as i32);
+    m.set_ireg(r(10), (DEFAULT_TEXT_BASE + 4) as i32);
+    let stats = m.run().unwrap();
+    assert_eq!(m.ireg(r(4)), 30 + 10 * 100, "{backend}");
+    (stats, m.arch_state(), m.memo_counts())
+}
+
+/// Once the text has been written, the memo neither replays nor
+/// records: its recordings hold the words the table decoded at load.
+/// The loop is replayed before its 30th trip patches it, and its last
+/// ten trips must run the new word.
+#[test]
+fn a_text_write_ends_replays() {
+    let [tick, xlate] = [Backend::Tick, Backend::Xlate].map(|b| self_patching_loop(true, b));
+    assert_eq!((&tick.0, &tick.1), (&xlate.0, &xlate.1));
+    assert!(xlate.2.replayed > 0, "{:?}", xlate.2);
+}
+
+/// A kept recording holds only instructions fetched from the predecode
+/// table: a word outside the text can change without the text's write
+/// watch noticing, and a replay does not fetch it again. The loop runs
+/// from data memory, so every recording of it is dropped.
+#[test]
+fn code_outside_the_text_is_never_recorded() {
+    let [tick, xlate] = [Backend::Tick, Backend::Xlate].map(|b| self_patching_loop(false, b));
+    assert_eq!((&tick.0, &tick.1), (&xlate.0, &xlate.1));
+    assert_eq!(xlate.2.recorded, 0, "{:?}", xlate.2);
 }

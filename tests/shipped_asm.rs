@@ -60,6 +60,17 @@ fn stream_s() {
 }
 
 #[test]
+fn selfmod_s() {
+    let m = run("examples/asm/selfmod.s");
+    // 29 trips before the patch, the 30th, then ten of the patched word.
+    assert_eq!(m.mem.memory.read_u32(0x2_0000), 30 + 10 * 100);
+    // The example puts a text write inside a replayed loop on the CI's
+    // tick-vs-xlate smoke: the memo replays the trips before the patch.
+    let memo = m.memo_counts();
+    assert!(memo.replayed > 0, "{memo:?}");
+}
+
+#[test]
 fn every_shipped_program_assembles() {
     for entry in std::fs::read_dir("examples/asm").unwrap() {
         let path = entry.unwrap().path();
