@@ -33,7 +33,7 @@
 //! trace-event JSON, loadable in Perfetto (`ui.perfetto.dev`) or
 //! `chrome://tracing`, with one track per functional unit.
 //!
-//! `mca` runs the static cycle/throughput analyzer (`mt-mca`) without
+//! `mca` runs the static cycle/throughput analyzer (`mt_lint::mca`) without
 //! simulating: the exact cache-warm prediction for straight-line
 //! programs, and per-loop steady-state cycles-per-iteration with the
 //! binding bottleneck resource. `--json` emits the `mt-mca-v1`
@@ -82,10 +82,10 @@ use std::process::ExitCode;
 use mt_asm::{parse_with_source_map, PlainDiagnostic, SourceMap};
 use mt_fault::{parse_u64, run_program_campaign, CampaignConfig};
 use mt_isa::Instr;
-use mt_lint::{lint_program_with, LintOptions, Severity};
+use mt_lint::cfg::ProgramView;
+use mt_lint::{lint_program_with, mca, LintOptions, Severity};
 use mt_sim::{Backend, Machine, MachineConfig, Program, SimConfig, Timeline};
 use mt_trace::{chrome, Json, Profiler, TraceEvent};
-use mt_xlate::cfg::ProgramView;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -264,7 +264,7 @@ fn lint(program: &Program, map: &SourceMap, opts: &Options) -> Result<(), String
 }
 
 /// Assembles `src` and runs the static cycle/throughput analyzer
-/// (`mt-mca`) without simulating: the exact straight-line prediction
+/// (`mt_lint::mca`) without simulating: the exact straight-line prediction
 /// when the program is branch-free, and every natural loop's
 /// steady-state cycles-per-iteration with its binding bottleneck.
 /// `--json` emits the `mt-mca-v1` document instead.
@@ -275,12 +275,12 @@ fn mca_analyze(src: &str, opts: &Options) -> Result<(), String> {
     }
     let view = ProgramView::decode(&program);
     let timing = opts.config.timing;
-    let loops = mt_mca::loops(&view, timing);
+    let loops = mca::loops(&view, timing);
     if opts.json {
-        let mut doc = Json::obj([("schema", Json::Str(mt_mca::json::SCHEMA.to_string()))]);
+        let mut doc = Json::obj([("schema", Json::Str(mca::json::SCHEMA.to_string()))]);
         doc.push(
             "program",
-            mt_mca::json::program_json(&opts.path, &view, &loops, None),
+            mca::json::program_json(&opts.path, &view, &loops, None),
         );
         println!("{}", doc.pretty());
         return Ok(());
@@ -291,11 +291,11 @@ fn mca_analyze(src: &str, opts: &Options) -> Result<(), String> {
         let text = map.line_text(span.line)?.trim().to_string();
         Some((format!("{}:{}", opts.path, span.line), text))
     };
-    match mt_mca::straight_line(&view, timing) {
+    match mca::straight_line(&view, timing) {
         Ok(pred) => {
             print!(
                 "{}",
-                mt_mca::report::straight_line_report(&view, &pred, &resolve)
+                mca::report::straight_line_report(&view, &pred, &resolve)
             );
         }
         Err(skip) => println!("whole-program prediction unavailable: {skip}"),
@@ -303,7 +303,7 @@ fn mca_analyze(src: &str, opts: &Options) -> Result<(), String> {
     if !loops.is_empty() {
         println!();
         for l in &loops {
-            print!("{}", mt_mca::report::loop_report(&view, l, &resolve));
+            print!("{}", mca::report::loop_report(&view, l, &resolve));
         }
     }
     Ok(())
@@ -361,7 +361,7 @@ fn run_program(src: &str, opts: &Options, force_profile: bool) -> Result<(), Str
     }
     if opts.mca {
         let view = ProgramView::decode(&program);
-        let loops = mt_mca::loops(&view, opts.config.timing);
+        let loops = mca::loops(&view, opts.config.timing);
         let p = Profiler::from_events(&events);
         let resolve = |pc: u32| {
             let idx = pc.checked_sub(program.base)? / 4;
@@ -374,7 +374,7 @@ fn run_program(src: &str, opts: &Options, force_profile: bool) -> Result<(), Str
         } else {
             print!(
                 "{}",
-                mt_mca::report::compare_report(&view, &loops, &p, &resolve)
+                mca::report::compare_report(&view, &loops, &p, &resolve)
             );
         }
         println!();

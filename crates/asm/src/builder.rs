@@ -61,8 +61,13 @@ impl Asm {
     ///
     /// Panics if the label was already bound.
     pub fn bind(&mut self, label: Label) {
-        assert!(self.labels[label.0].is_none(), "label bound twice");
+        assert!(!self.is_bound(label), "label bound twice");
         self.labels[label.0] = Some(self.items.len());
+    }
+
+    /// Whether `label` has been bound.
+    pub fn is_bound(&self, label: Label) -> bool {
+        self.labels[label.0].is_some()
     }
 
     /// Creates a label bound to the current position.

@@ -59,7 +59,6 @@ pub fn parse(source: &str, base: u32) -> Result<Program, AsmError> {
 pub fn parse_with_source_map(source: &str, base: u32) -> Result<(Program, SourceMap), AsmError> {
     let mut asm = Asm::new();
     let mut labels: HashMap<String, Label> = HashMap::new();
-    let mut bound: Vec<String> = Vec::new();
     let mut segments: Vec<DataSegment> = Vec::new();
     let mut current_seg: Option<DataSegment> = None;
     let mut allows: HashMap<usize, Vec<String>> = HashMap::new();
@@ -98,14 +97,13 @@ pub fn parse_with_source_map(source: &str, base: u32) -> Result<(Program, Source
                 break;
             }
             let l = get_label(&mut asm, name);
-            if bound.contains(&name.to_string()) {
+            if asm.is_bound(l) {
                 return Err(AsmError::at(
                     lineno,
                     format!("label `{name}` defined twice"),
                 ));
             }
             asm.bind(l);
-            bound.push(name.to_string());
             rest = after[1..].trim();
         }
         if rest.is_empty() {
@@ -122,11 +120,11 @@ pub fn parse_with_source_map(source: &str, base: u32) -> Result<(Program, Source
         parse_instruction(rest, lineno, &mut asm, &mut get_label)?;
     }
 
-    // Every referenced label must have been bound.
-    for (name, _) in labels.iter() {
-        if !bound.contains(name) {
-            return Err(AsmError::new(format!("label `{name}` is never defined")));
-        }
+    // Every referenced label must have been bound; name the least
+    // unbound one, so the error does not depend on the map's order.
+    let unbound = labels.iter().filter(|&(_, &l)| !asm.is_bound(l));
+    if let Some(name) = unbound.map(|(name, _)| name).min() {
+        return Err(AsmError::new(format!("label `{name}` is never defined")));
     }
 
     if let Some(seg) = current_seg.take() {
@@ -657,6 +655,21 @@ mod tests {
     fn error_duplicate_label() {
         let e = parse("x:\nnop\nx:\nhalt\n", 0).unwrap_err();
         assert!(e.message.contains("defined twice"));
+    }
+
+    #[test]
+    fn labels_cost_constant_time_each() {
+        // Assembly runs on untrusted text: 32,000 labelled lines must not
+        // cost a scan of the labels bound so far per line.
+        let source: String = (0..32_000).map(|k| format!("L{k}: nop\n")).collect();
+        let started = std::time::Instant::now();
+        let p = parse(&(source + "halt\n"), 0x1_0000).unwrap();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "32,000 labels took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(p.len(), 32_001);
     }
 
     #[test]

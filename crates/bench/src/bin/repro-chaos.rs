@@ -92,15 +92,15 @@ fn main() {
 
     // `--hooks` describes a server named by `--url`; the in-process one
     // always arms its hooks.
-    let handle = match url {
+    let (addr, handle) = match url {
         Some(url) => {
-            chaos.addr = httpc::host_port(&url)
+            let addr = httpc::host_port(&url)
                 .unwrap_or_else(|e| {
                     eprintln!("repro-chaos: {e}");
                     usage()
                 })
                 .to_string();
-            None
+            (addr, None)
         }
         None => {
             let handle = match serve(harness_config()) {
@@ -110,12 +110,11 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            chaos.addr = handle.addr().to_string();
             chaos.expect_hooks = true;
-            Some(handle)
+            (handle.addr().to_string(), Some(handle))
         }
     };
-    let report = match run_campaign(&chaos) {
+    let report = match run_campaign(&addr, &chaos) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("repro-chaos: {e}");

@@ -1,4 +1,4 @@
-//! Differential validation of the static analyzer (`mt-mca`) against
+//! Differential validation of the static analyzer (`mt_lint::mca`) against
 //! the simulator, over the full kernel suite.
 //!
 //! For every kernel, the program's natural loops are statically analyzed
@@ -17,11 +17,11 @@ use std::process::ExitCode;
 use mt_isa::cost::IssueTiming;
 use mt_kernels::harness::run_kernel_recorded;
 use mt_kernels::{gather, graphics, linpack, livermore, reductions, Kernel};
-use mt_mca::report::measured_loop;
-use mt_mca::{loops, LoopAnalysis};
+use mt_lint::cfg::ProgramView;
+use mt_lint::mca::report::measured_loop;
+use mt_lint::mca::{self, loops, LoopAnalysis};
 use mt_sim::SimConfig;
 use mt_trace::{Json, Profiler};
-use mt_xlate::cfg::ProgramView;
 
 /// The error band a predicted loop must land in to count as validated.
 const TOLERANCE_PCT: f64 = 5.0;
@@ -118,7 +118,7 @@ fn main() -> ExitCode {
     let t = tally(&results);
 
     if std::env::args().any(|a| a == "--json") {
-        let mut doc = Json::obj([("schema", Json::Str(mt_mca::json::SCHEMA.to_string()))]);
+        let mut doc = Json::obj([("schema", Json::Str(mca::json::SCHEMA.to_string()))]);
         doc.push(
             "summary",
             Json::obj([
@@ -133,9 +133,7 @@ fn main() -> ExitCode {
             Json::Arr(
                 results
                     .iter()
-                    .map(|r| {
-                        mt_mca::json::program_json(&r.name, &r.view, &r.loops, Some(&r.profile))
-                    })
+                    .map(|r| mca::json::program_json(&r.name, &r.view, &r.loops, Some(&r.profile)))
                     .collect(),
             ),
         );
@@ -164,7 +162,7 @@ fn print_table(results: &[KernelAnalysis], t: &Tally) {
         let resolve = |_pc: u32| None;
         print!(
             "{}",
-            mt_mca::report::compare_report(&r.view, &r.loops, &r.profile, &resolve)
+            mca::report::compare_report(&r.view, &r.loops, &r.profile, &resolve)
         );
         println!();
     }

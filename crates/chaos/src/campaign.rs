@@ -40,10 +40,10 @@ const QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Polls `/metrics` until the server is quiescent (no busy workers, an
 /// empty queue). Returns an error note on timeout.
-fn wait_quiesce(cfg: &ChaosConfig) -> Result<(), String> {
+fn wait_quiesce(addr: &str) -> Result<(), String> {
     let deadline = Instant::now() + QUIESCE_TIMEOUT;
     loop {
-        if let Ok(doc) = httpc::metrics(&cfg.addr) {
+        if let Ok(doc) = httpc::metrics(addr) {
             let busy = field_u64(&doc, &["busy_workers"]).unwrap_or(u64::MAX);
             let depth = field_u64(&doc, &["queue_depth"]).unwrap_or(u64::MAX);
             if busy == 0 && depth == 0 {
@@ -59,10 +59,10 @@ fn wait_quiesce(cfg: &ChaosConfig) -> Result<(), String> {
 
 /// Polls until `registry.counters.worker_respawns` reaches `want`, so a
 /// killed worker is back before the next scenario leans on the pool.
-fn wait_respawns(cfg: &ChaosConfig, want: u64) -> Result<(), String> {
+fn wait_respawns(addr: &str, want: u64) -> Result<(), String> {
     let deadline = Instant::now() + QUIESCE_TIMEOUT;
     loop {
-        if let Ok(doc) = httpc::metrics(&cfg.addr) {
+        if let Ok(doc) = httpc::metrics(addr) {
             if respawn_count(&doc) >= want {
                 return Ok(());
             }
@@ -78,22 +78,19 @@ fn respawn_count(metrics: &Json) -> u64 {
     field_u64(metrics, &["registry", "counters", "worker_respawns"]).unwrap_or(0)
 }
 
-fn healthz_ok(cfg: &ChaosConfig) -> bool {
-    matches!(httpc::get(&cfg.addr, "/healthz"), Ok(r) if r.status == 200)
+fn healthz_ok(addr: &str) -> bool {
+    matches!(httpc::get(addr, "/healthz"), Ok(r) if r.status == 200)
 }
 
-/// Runs the full campaign. `Err` means the harness could not even talk
-/// to the server; every in-protocol failure lands in the report with
-/// `ok: false` instead.
-pub fn run_campaign(cfg: &ChaosConfig) -> Result<CampaignReport, String> {
+/// Runs the full campaign against the server at `addr` (`host:port`).
+/// `Err` means the harness could not even talk to the server; every
+/// in-protocol failure lands in the report with `ok: false` instead.
+pub fn run_campaign(addr: &str, cfg: &ChaosConfig) -> Result<CampaignReport, String> {
     let started = Instant::now();
-    if !healthz_ok(cfg) {
-        return Err(format!(
-            "{}: /healthz not answering before campaign",
-            cfg.addr
-        ));
+    if !healthz_ok(addr) {
+        return Err(format!("{addr}: /healthz not answering before campaign"));
     }
-    let baseline = httpc::metrics(&cfg.addr)?;
+    let baseline = httpc::metrics(addr)?;
     let respawns_before = respawn_count(&baseline);
 
     let kinds = scenario::plan(cfg.seed, cfg.scenarios, cfg.expect_hooks);
@@ -101,7 +98,7 @@ pub fn run_campaign(cfg: &ChaosConfig) -> Result<CampaignReport, String> {
     let mut rows = Vec::new();
     let (mut panics, mut kills) = (0u64, 0u64);
     for kind in kinds {
-        let outcome = scenario::execute(kind, cfg, &mut rng);
+        let outcome = scenario::execute(kind, addr, &mut rng);
         panics += outcome.injected_panic as u64;
         kills += outcome.injected_kill as u64;
         let mut ok = outcome.ok;
@@ -109,14 +106,14 @@ pub fn run_campaign(cfg: &ChaosConfig) -> Result<CampaignReport, String> {
         // The liveness contract holds after *every* scenario, not just
         // at the end: healthz answers and the service drains back to
         // idle. A kill additionally owes a respawn before we move on.
-        if !healthz_ok(cfg) {
+        if !healthz_ok(addr) {
             ok = false;
             note = format!("{note}; /healthz dead after scenario");
-        } else if let Err(e) = wait_quiesce(cfg) {
+        } else if let Err(e) = wait_quiesce(addr) {
             ok = false;
             note = format!("{note}; {e}");
         } else if outcome.injected_kill {
-            if let Err(e) = wait_respawns(cfg, respawns_before + kills) {
+            if let Err(e) = wait_respawns(addr, respawns_before + kills) {
                 ok = false;
                 note = format!("{note}; {e}");
             }
@@ -126,14 +123,14 @@ pub fn run_campaign(cfg: &ChaosConfig) -> Result<CampaignReport, String> {
 
     // Final sweep. Pool strength is proven by *serving*, not just by
     // liveness: a fresh unique job must still come back 200.
-    let final_healthz = healthz_ok(cfg);
+    let final_healthz = healthz_ok(addr);
     let probe = format!("li r9, {}\nhalt\n", rng.below(1 << 20));
     let pool_alive = matches!(
-        httpc::post(&cfg.addr, "/run", CLIENT_ID, probe.as_bytes()),
+        httpc::post(addr, "/run", CLIENT_ID, probe.as_bytes()),
         Ok(r) if r.status == 200
     );
-    let quiesced = wait_quiesce(cfg).is_ok();
-    let metrics = httpc::metrics(&cfg.addr)?;
+    let quiesced = wait_quiesce(addr).is_ok();
+    let metrics = httpc::metrics(addr)?;
     let acct = |k: &str| field_u64(&metrics, &["accounting", k]).unwrap_or(u64::MAX);
     let (accepted, completed, rejected, shed, failed) = (
         acct("accepted"),

@@ -58,8 +58,6 @@ pub const CLIENT_ID: &str = "chaos";
 /// Campaign configuration.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// `host:port` of the target server.
-    pub addr: String,
     /// Seed for the scenario plan (and all per-scenario randomness).
     pub seed: u64,
     /// Number of scenarios to run.
@@ -72,7 +70,6 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> ChaosConfig {
         ChaosConfig {
-            addr: "127.0.0.1:8315".to_string(),
             // The default draw covers all ten scenario kinds (checked
             // by a unit test) — CI's committed baseline exercises the
             // whole menu.

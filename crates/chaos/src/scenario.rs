@@ -17,7 +17,7 @@ use std::time::Duration;
 use mt_fault::SplitMix64;
 
 use crate::httpc::{self, Reply};
-use crate::{ChaosConfig, CLIENT_ID, KILL_MARKER, PANIC_MARKER};
+use crate::{CLIENT_ID, KILL_MARKER, PANIC_MARKER};
 
 /// One kind of injected trouble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,22 +144,22 @@ fn spin_source(rng: &mut SplitMix64) -> String {
 }
 
 /// Runs one scenario against the target.
-pub fn execute(kind: ScenarioKind, cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
+pub fn execute(kind: ScenarioKind, addr: &str, rng: &mut SplitMix64) -> ScenarioOutcome {
     match kind {
-        ScenarioKind::Burst => burst(cfg, rng),
-        ScenarioKind::TornHead => torn_head(cfg),
-        ScenarioKind::MidBodyDisconnect => mid_body_disconnect(cfg),
-        ScenarioKind::HalfClose => half_close(cfg, rng),
-        ScenarioKind::OversizedBody => oversized_body(cfg),
-        ScenarioKind::SlowLoris => slow_loris(cfg),
-        ScenarioKind::PanicJob => panic_job(cfg, rng),
-        ScenarioKind::KillWorker => kill_worker(cfg, rng),
-        ScenarioKind::DeadlineShed => deadline_shed(cfg, rng),
-        ScenarioKind::DeadlineMidRun => deadline_mid_run(cfg, rng),
+        ScenarioKind::Burst => burst(addr, rng),
+        ScenarioKind::TornHead => torn_head(addr),
+        ScenarioKind::MidBodyDisconnect => mid_body_disconnect(addr),
+        ScenarioKind::HalfClose => half_close(addr, rng),
+        ScenarioKind::OversizedBody => oversized_body(addr),
+        ScenarioKind::SlowLoris => slow_loris(addr),
+        ScenarioKind::PanicJob => panic_job(addr, rng),
+        ScenarioKind::KillWorker => kill_worker(addr, rng),
+        ScenarioKind::DeadlineShed => deadline_shed(addr, rng),
+        ScenarioKind::DeadlineMidRun => deadline_mid_run(addr, rng),
     }
 }
 
-fn burst(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
+fn burst(addr: &str, rng: &mut SplitMix64) -> ScenarioOutcome {
     // 4..=9 concurrent unique jobs; sources are drawn *before* the
     // threads spawn so the RNG consumption stays deterministic.
     let width = 4 + rng.below(6) as usize;
@@ -167,7 +167,7 @@ fn burst(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     let replies: Vec<Result<Reply, httpc::Error>> = std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .iter()
-            .map(|src| scope.spawn(|| httpc::post(&cfg.addr, "/run", CLIENT_ID, src.as_bytes())))
+            .map(|src| scope.spawn(|| httpc::post(addr, "/run", CLIENT_ID, src.as_bytes())))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -191,8 +191,8 @@ fn burst(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     )
 }
 
-fn torn_head(cfg: &ChaosConfig) -> ScenarioOutcome {
-    match httpc::connect(&cfg.addr) {
+fn torn_head(addr: &str) -> ScenarioOutcome {
+    match httpc::connect(addr) {
         Ok(mut stream) => {
             // Write part of the request line and vanish. Any write
             // error is fine — the point is the *server's* recovery.
@@ -204,14 +204,14 @@ fn torn_head(cfg: &ChaosConfig) -> ScenarioOutcome {
     }
 }
 
-fn mid_body_disconnect(cfg: &ChaosConfig) -> ScenarioOutcome {
-    match httpc::connect(&cfg.addr) {
+fn mid_body_disconnect(addr: &str) -> ScenarioOutcome {
+    match httpc::connect(addr) {
         Ok(mut stream) => {
             let _ = write!(
                 stream,
                 "POST /run HTTP/1.1\r\nHost: {}\r\nContent-Length: 64\r\n\
                  Connection: close\r\n\r\nli r9,",
-                cfg.addr
+                addr
             );
             drop(stream);
             ScenarioOutcome::plain(true, "promised 64 body bytes, sent 6, disconnected")
@@ -220,15 +220,15 @@ fn mid_body_disconnect(cfg: &ChaosConfig) -> ScenarioOutcome {
     }
 }
 
-fn half_close(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
+fn half_close(addr: &str, rng: &mut SplitMix64) -> ScenarioOutcome {
     let source = tagged_source(rng);
-    let stream = match httpc::connect(&cfg.addr) {
+    let stream = match httpc::connect(addr) {
         Ok(s) => s,
         Err(e) => return ScenarioOutcome::plain(false, e.to_string()),
     };
     let _ = httpc::write_request(
         &mut &stream,
-        &cfg.addr,
+        addr,
         "POST",
         "/run",
         CLIENT_ID,
@@ -244,8 +244,8 @@ fn half_close(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     }
 }
 
-fn oversized_body(cfg: &ChaosConfig) -> ScenarioOutcome {
-    let stream = match httpc::connect(&cfg.addr) {
+fn oversized_body(addr: &str) -> ScenarioOutcome {
+    let stream = match httpc::connect(addr) {
         Ok(s) => s,
         Err(e) => return ScenarioOutcome::plain(false, e.to_string()),
     };
@@ -254,7 +254,7 @@ fn oversized_body(cfg: &ChaosConfig) -> ScenarioOutcome {
     let _ = write!(
         &stream,
         "POST /run HTTP/1.1\r\nHost: {}\r\nContent-Length: 2097152\r\nConnection: close\r\n\r\n",
-        cfg.addr
+        addr
     );
     match httpc::read_reply(stream) {
         Ok(r) if r.status == 413 => ScenarioOutcome::plain(true, "413 on claimed 2 MiB body"),
@@ -263,8 +263,8 @@ fn oversized_body(cfg: &ChaosConfig) -> ScenarioOutcome {
     }
 }
 
-fn slow_loris(cfg: &ChaosConfig) -> ScenarioOutcome {
-    let stream = match httpc::connect(&cfg.addr) {
+fn slow_loris(addr: &str) -> ScenarioOutcome {
+    let stream = match httpc::connect(addr) {
         Ok(s) => s,
         Err(e) => return ScenarioOutcome::plain(false, e.to_string()),
     };
@@ -284,9 +284,9 @@ fn slow_loris(cfg: &ChaosConfig) -> ScenarioOutcome {
     }
 }
 
-fn panic_job(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
+fn panic_job(addr: &str, rng: &mut SplitMix64) -> ScenarioOutcome {
     let source = format!("; {PANIC_MARKER}\n{}", tagged_source(rng));
-    match httpc::post(&cfg.addr, "/run", CLIENT_ID, source.as_bytes()) {
+    match httpc::post(addr, "/run", CLIENT_ID, source.as_bytes()) {
         Ok(r) if r.status == 500 && r.body.contains("worker-panic") => ScenarioOutcome {
             ok: true,
             note: "500 worker-panic, machine quarantined".to_string(),
@@ -301,9 +301,9 @@ fn panic_job(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     }
 }
 
-fn kill_worker(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
+fn kill_worker(addr: &str, rng: &mut SplitMix64) -> ScenarioOutcome {
     let source = format!("; {KILL_MARKER}\n{}", tagged_source(rng));
-    match httpc::post(&cfg.addr, "/run", CLIENT_ID, source.as_bytes()) {
+    match httpc::post(addr, "/run", CLIENT_ID, source.as_bytes()) {
         Ok(r) if r.status == 500 && r.body.contains("worker-lost") => ScenarioOutcome {
             ok: true,
             note: "500 worker-lost, supervisor owes a respawn".to_string(),
@@ -318,17 +318,12 @@ fn kill_worker(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     }
 }
 
-fn deadline_shed(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
+fn deadline_shed(addr: &str, rng: &mut SplitMix64) -> ScenarioOutcome {
     // A zero budget is expired on arrival: the job must be shed at
     // admission (or at dequeue) with a structured 503 and must never
     // produce a result.
     let source = tagged_source(rng);
-    match httpc::post(
-        &cfg.addr,
-        "/run?deadline-ms=0",
-        CLIENT_ID,
-        source.as_bytes(),
-    ) {
+    match httpc::post(addr, "/run?deadline-ms=0", CLIENT_ID, source.as_bytes()) {
         Ok(r) if r.status == 503 && r.body.contains("deadline-exceeded") => {
             ScenarioOutcome::plain(true, "503 deadline-exceeded shed")
         }
@@ -337,13 +332,13 @@ fn deadline_shed(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     }
 }
 
-fn deadline_mid_run(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
+fn deadline_mid_run(addr: &str, rng: &mut SplitMix64) -> ScenarioOutcome {
     // A spin that would run ~4G cycles against a 75 ms budget: the
     // worker must notice at a cooperative checkpoint and answer 503
     // long before the cycle limit.
     let source = spin_source(rng);
     let target = "/run?cycles=4000000000&deadline-ms=75";
-    match httpc::post(&cfg.addr, target, CLIENT_ID, source.as_bytes()) {
+    match httpc::post(addr, target, CLIENT_ID, source.as_bytes()) {
         Ok(r) if r.status == 503 && r.body.contains("deadline-exceeded") => {
             ScenarioOutcome::plain(true, "503 deadline-exceeded mid-run")
         }

@@ -1,6 +1,6 @@
 //! Per-instruction issue-cost and hazard metadata — the single source of
 //! truth shared by the cycle simulator (`mt-sim`) and the static
-//! cycle/throughput analyzer (`mt-mca`).
+//! cycle/throughput analyzer (`mt_lint::mca`).
 //!
 //! The timing model of the paper is statically knowable: a fixed 3-cycle
 //! FPU latency, one load/store port (stores hold it two cycles, §2.4),
@@ -33,7 +33,7 @@ pub const FPU_LOAD_VISIBLE_AFTER: u64 = 1;
 ///
 /// All values are *beyond* any cache-miss penalty; the paper's kernel
 /// figures (Figs. 5–8) assume warm caches, which is also the model the
-/// static analyses (`mt-lint`, `mt-mca`) use.
+/// static analyses of `mt-lint` use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssueTiming {
     /// Cycles a store occupies the load/store port (§2.4: "stores take

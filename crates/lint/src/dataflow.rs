@@ -17,8 +17,8 @@
 
 use mt_isa::{FReg, Instr};
 
+use crate::cfg::ProgramView;
 use crate::diag::{Finding, Lint};
-use mt_xlate::cfg::ProgramView;
 
 const PSW_BIT: u32 = 52;
 const ALL_LIVE: u64 = (1 << 53) - 1;
@@ -144,26 +144,30 @@ pub fn dead_stores(prog: &ProgramView, out: &mut Vec<Finding>) {
     // Backward liveness. At analysis exits (halt, jr, undecodable words,
     // falling off the end) everything is live: the host inspects the
     // register file after a run, so only defs provably overwritten before
-    // any read are dead.
+    // any read are dead. Every set starts full and only shrinks, so a
+    // worklist revisits an instruction at most once per register its
+    // successors drop.
+    let succs: Vec<Vec<usize>> = (0..n).map(|idx| prog.successors(idx)).collect();
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (idx, ss) in succs.iter().enumerate() {
+        for &s in ss {
+            preds[s].push(idx);
+        }
+    }
     let mut live_out: Vec<u64> = vec![ALL_LIVE; n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for idx in (0..n).rev() {
-            let succs = prog.successors(idx);
-            let mut out_set = if succs.is_empty() { ALL_LIVE } else { 0 };
-            for s in succs {
-                let (uses, defs) = match &prog.slots[s].instr {
-                    Some(i) => transfer(i),
-                    None => (ALL_LIVE, 0), // undecodable: assume anything read
-                };
-                let live_in_s = uses | (live_out[s] & !defs);
-                out_set |= live_in_s;
-            }
-            if out_set != live_out[idx] {
-                live_out[idx] = out_set;
-                changed = true;
-            }
+    let mut work: Vec<usize> = (0..n).collect();
+    while let Some(idx) = work.pop() {
+        let mut out_set = if succs[idx].is_empty() { ALL_LIVE } else { 0 };
+        for &s in &succs[idx] {
+            let (uses, defs) = match &prog.slots[s].instr {
+                Some(i) => transfer(i),
+                None => (ALL_LIVE, 0), // undecodable: assume anything read
+            };
+            out_set |= uses | (live_out[s] & !defs);
+        }
+        if out_set != live_out[idx] {
+            live_out[idx] = out_set;
+            work.extend(&preds[idx]);
         }
     }
 

@@ -1,15 +1,23 @@
 //! Static analysis for MultiTitan programs.
 //!
-//! `mt-lint` checks assembled programs ([`mt_sim::Program`]) against the
-//! software contracts the hardware does not enforce:
+//! `mt-lint` holds the repository's static analyzers. Both read the
+//! decoded program and its control-flow graph ([`cfg`](mod@cfg)), and
+//! both replay timing on one abstract machine, the repository's one
+//! static timing model:
+//!
+//! * the cycle/throughput analyzer [`mca`] (`mtasm mca`, `repro-mca`):
+//!   exact straight-line predictions and loop steady states;
+//! * the linter, which checks assembled programs ([`mt_sim::Program`])
+//!   against the software contracts the hardware does not enforce.
+//!
+//! The lints are:
 //!
 //! * the **§2.3.2 ordering rule** — an FPU load/store must not bypass a
 //!   not-yet-issued element of an in-flight vector instruction it depends
 //!   on. Two tiers: *provable* violations (errors) from running the
-//!   straight-line entry block on `mt_mca`'s abstract timing machine —
-//!   the repository's one static timing model — under the machine's
-//!   [`LintOptions::timing`] with warm caches, and *possible* hazards
-//!   (warnings) from a timing-insensitive control-flow analysis that
+//!   straight-line entry block on the abstract timing machine under the
+//!   machine's [`LintOptions::timing`] with warm caches, and *possible*
+//!   hazards (warnings) from a timing-insensitive control-flow analysis that
 //!   over-approximates the dynamic check of a recorded run
 //!   ([`mt_sim::ordering_violations`]);
 //! * **register dataflow** over the 52-register file and PSW —
@@ -52,10 +60,13 @@ use std::collections::HashSet;
 
 use mt_isa::cost::IssueTiming;
 use mt_sim::Program;
-use mt_xlate::cfg::ProgramView;
 
+use crate::cfg::ProgramView;
+
+pub mod cfg;
 pub mod dataflow;
 pub mod diag;
+pub mod mca;
 pub mod ordering;
 pub mod structural;
 
@@ -82,11 +93,7 @@ pub fn lint_program(program: &Program) -> Vec<Finding> {
 
 /// Lints `program` with explicit options.
 pub fn lint_program_with(program: &Program, opts: &LintOptions) -> Vec<Finding> {
-    lint_view(&ProgramView::decode(program), opts)
-}
-
-/// Runs every pass over an already-decoded view.
-pub fn lint_view(view: &ProgramView, opts: &LintOptions) -> Vec<Finding> {
+    let view = &ProgramView::decode(program);
     let mut out = Vec::new();
     structural::range_overflow(view, &mut out);
     ordering::provable_violations(view, opts, &mut out);

@@ -9,13 +9,14 @@
 //!   vector instructions *may* still be issuing when each load/store
 //!   executes, with no timing assumptions. Any overlap between the
 //!   load/store register and elements `1..VL` of a possibly-in-flight
-//!   vector is flagged. This tier is a sound over-approximation of the
-//!   dynamic check, [`mt_sim::ordering_violations`] over a recorded run:
-//!   every dynamic `OrderingViolation` is covered by one of these
-//!   findings (a property the cross-crate tests assert on random
-//!   programs).
+//!   vector is flagged; where more than `MAX_TRACKED_VECTORS` vectors
+//!   may be in flight, the load/store gets one warning that names none.
+//!   This tier is a sound over-approximation of the dynamic check,
+//!   [`mt_sim::ordering_violations`] over a recorded run: every dynamic
+//!   `OrderingViolation` is covered by one of these findings (a property
+//!   the cross-crate tests assert on random programs).
 //! * **Provable violations** (errors): the straight-line entry block run
-//!   on `mt_mca`'s abstract timing machine under the program's
+//!   on the abstract timing machine of [`crate::mca`] under the program's
 //!   [`LintOptions::timing`], assuming warm caches (the paper's kernel
 //!   protocol) and no overflow aborts — the same model the cycle
 //!   analyzer uses, held bit-identical to the simulator. A hazard that
@@ -25,17 +26,23 @@
 //! the simulator's interlock and [`mt_sim::ordering_violations`] use.
 
 use mt_isa::{FReg, FpuAluInstr, Instr};
-use mt_mca::AbstractMachine;
 use mt_sim::ViolationKind;
-use mt_xlate::cfg::ProgramView;
 
+use crate::cfg::ProgramView;
 use crate::diag::{Finding, Lint};
+use crate::mca::machine::AbstractMachine;
 use crate::LintOptions;
 
 /// Cycle bound on the provable tier's replay: lint runs on untrusted
 /// text (`POST /run?lint=1`), and any real entry block finishes far
 /// sooner.
 const MAX_REPLAY_CYCLES: u64 = 100_000;
+
+/// Most vectors the possible-hazard tier names as maybe in flight at one
+/// instruction. The sets grow at control-flow joins, so untrusted text
+/// can make them as large as the program; a set past the cap stands for
+/// any vector, stops growing, and gets one warning that names none.
+const MAX_TRACKED_VECTORS: usize = 16;
 
 /// What a load/store of `reg` does to pending `element` of `vector`.
 fn describe(kind: ViolationKind, reg: FReg, vector: &FpuAluInstr, element: u8) -> String {
@@ -91,6 +98,7 @@ pub fn possible_hazards(prog: &ProgramView, out: &mut Vec<Finding>) {
         for succ in prog.successors(idx) {
             let merged = match &state[succ] {
                 None => Some(outflow.clone()),
+                Some(existing) if existing.len() > MAX_TRACKED_VECTORS => None,
                 Some(existing) => {
                     let mut m = existing.clone();
                     let mut grew = false;
@@ -119,6 +127,20 @@ pub fn possible_hazards(prog: &ProgramView, out: &mut Vec<Finding>) {
             Some(Instr::Fst { fr, .. }) => (fr, false),
             _ => continue,
         };
+        if inflow.len() > MAX_TRACKED_VECTORS {
+            let access = if is_load { "load into" } else { "store of" };
+            out.push(Finding {
+                lint: Lint::PossibleOrderingHazard,
+                instr_index: idx,
+                pc: prog.pc(idx),
+                message: format!(
+                    "{access} {fr} may execute while any of more than {MAX_TRACKED_VECTORS} \
+                     vector instructions is still issuing; if one of them references \
+                     {fr} in a later element, break it (§2.3.2)"
+                ),
+            });
+            continue;
+        }
         for &vec_idx in inflow {
             let Some(Instr::Falu(vector)) = prog.slots[vec_idx].instr else {
                 continue;

@@ -9,9 +9,9 @@ use mt_isa::cpu::DecodeError;
 use mt_isa::fpu::FpuInstrError;
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
 
+use crate::cfg::ProgramView;
 use crate::diag::{Finding, Lint};
 use crate::LintOptions;
-use mt_xlate::cfg::ProgramView;
 
 /// Raw words whose FPU register run walks past R51 (or whose register
 /// specifier exceeds 51). The assembler and `FpuAluInstr::new` refuse to
@@ -212,21 +212,23 @@ fn is_store(instr: &Option<Instr>) -> bool {
 /// resolution of [`ProgramView::successors`], so post-call code counts as
 /// reachable whenever the return edge is provable.
 pub fn unreachable_code(prog: &ProgramView, out: &mut Vec<Finding>) {
-    let blocks = prog.basic_blocks();
-    let reachable = blocks.reachable_blocks();
-    for (id, block) in blocks.blocks.iter().enumerate() {
-        if reachable[id] || prog.slots[block.start].instr.is_none() {
+    let mut reachable = vec![false; prog.slots.len()];
+    for idx in prog.reachable() {
+        reachable[idx] = true;
+    }
+    for block in prog.basic_blocks() {
+        if reachable[block.start] || prog.slots[block.start].instr.is_none() {
             continue;
         }
+        let len = block.end - block.start;
         out.push(Finding {
             lint: Lint::UnreachableCode,
             instr_index: block.start,
             pc: prog.pc(block.start),
             message: format!(
                 "no control-flow path from the entry reaches this block \
-                 ({} instruction{})",
-                block.len(),
-                if block.len() == 1 { "" } else { "s" }
+                 ({len} instruction{})",
+                if len == 1 { "" } else { "s" }
             ),
         });
     }

@@ -119,7 +119,7 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// The issue-timing parameters this configuration implies — the same
-    /// model `mt_mca::AbstractMachine` replays statically.
+    /// model `mt-lint`'s abstract timing machine replays statically.
     pub fn issue_timing(&self) -> IssueTiming {
         self.machine.timing
     }
@@ -855,7 +855,7 @@ impl Machine {
     /// The hazard guards in the hardware's order — the serialized-issue
     /// ablation's IR gate, the integer load interlock, the load/store
     /// port, the FPU register hazard, the IR — the last four read from
-    /// the shared [`mt_isa::cost::InstrCost`] table, which `mt-mca`
+    /// the shared [`mt_isa::cost::InstrCost`] table, which `mt-lint`
     /// replays statically. Both engines ask it and nothing else: the
     /// tick loop charges the cause for one cycle, the span hops to the
     /// horizon. The horizons are exact because nothing that feeds the
