@@ -79,7 +79,7 @@ mod client;
 
 use std::process::ExitCode;
 
-use mt_asm::{parse_with_source_map, PlainDiagnostic, SourceMap};
+use mt_asm::{parse_hex_u32, parse_with_source_map, PlainDiagnostic, SourceMap};
 use mt_fault::{parse_u64, run_program_campaign, CampaignConfig};
 use mt_isa::Instr;
 use mt_lint::cfg::ProgramView;
@@ -135,8 +135,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--base" => {
                 let v = it.next().ok_or("--base needs a value")?;
-                let v = v.trim_start_matches("0x");
-                base = u32::from_str_radix(v, 16).map_err(|e| format!("bad base: {e}"))?;
+                base = parse_hex_u32(v).map_err(|e| format!("bad base: {e}"))?;
             }
             "--trace" => trace = true,
             "--timeline" => timeline = true,
@@ -439,8 +438,7 @@ fn main() -> ExitCode {
                 if line.is_empty() {
                     continue;
                 }
-                let w = u32::from_str_radix(line.trim_start_matches("0x"), 16)
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                let w = parse_hex_u32(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
                 match Instr::decode(w) {
                     Ok(i) => println!("{addr:#07x}: {i}"),
                     Err(e) => println!("{addr:#07x}: .word {w:#010x}  ; {e}"),

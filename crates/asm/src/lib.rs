@@ -37,5 +37,5 @@ pub mod span;
 pub use builder::{Asm, Label};
 pub use diag::PlainDiagnostic;
 pub use error::AsmError;
-pub use parser::{parse, parse_with_source_map};
+pub use parser::{parse, parse_hex_u32, parse_with_source_map};
 pub use span::{SourceMap, SourceSpan};

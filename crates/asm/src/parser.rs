@@ -465,6 +465,13 @@ fn imm(s: &str, lineno: usize) -> Result<i32, AsmError> {
     parse(t, neg).ok_or_else(|| AsmError::at(lineno, format!("bad immediate `{s}`")))
 }
 
+/// Parses a hex word as `mtasm --base`, `mtasm dis` and the service's
+/// `?base=` take it: hex digits after at most one `0x` or `0X`.
+pub fn parse_hex_u32(text: &str) -> Result<u32, std::num::ParseIntError> {
+    let digits = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X"));
+    u32::from_str_radix(digits.unwrap_or(text), 16)
+}
+
 fn mem_operand(s: &str, lineno: usize) -> Result<(i32, IReg), AsmError> {
     let open = s
         .find('(')
@@ -697,6 +704,16 @@ mod tests {
         let m = run_source("li r1, 0x10\nli r2, -16\nhalt\n");
         assert_eq!(m.ireg(IReg::new(1)), 16);
         assert_eq!(m.ireg(IReg::new(2)), -16);
+    }
+
+    #[test]
+    fn hex_words_take_at_most_one_prefix_of_either_case() {
+        for text in ["10000", "0x10000", "0X10000"] {
+            assert_eq!(parse_hex_u32(text), Ok(0x1_0000), "{text}");
+        }
+        for text in ["0x0x10000", "0X0X10000", "0x", "", "100000000"] {
+            assert!(parse_hex_u32(text).is_err(), "{text}");
+        }
     }
 
     #[test]

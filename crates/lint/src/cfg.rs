@@ -14,9 +14,10 @@ pub struct Slot {
 }
 
 /// Most `jr r31` → return-point edges a view resolves. Past it every
-/// `jr r31` ends analysis, as when the `r31` proof fails: lint runs on
-/// untrusted text (`POST /run?lint=1`), and the edges number the `jr r31`s
-/// times the call sites.
+/// `jr r31` ends the flow analyses, as when the `r31` proof fails: lint
+/// runs on untrusted text (`POST /run?lint=1`), and the edges number the
+/// `jr r31`s times the call sites. Reachability still follows the proof
+/// ([`ProgramView::reachable`]).
 const MAX_RETURN_EDGES: usize = 4096;
 
 /// A program decoded for analysis.
@@ -26,9 +27,13 @@ pub struct ProgramView {
     pub base: u32,
     /// One slot per text word.
     pub slots: Vec<Slot>,
-    /// Successors of every `jr r31`: the `jal` return points, or `None`
-    /// when `jr r31` ends analysis.
+    /// The `jal` return points when only `jal` writes `r31` (see
+    /// `jal_return_points`), else `None`.
     returns: Option<Vec<usize>>,
+    /// Whether [`ProgramView::successors`] of a `jr r31` lists the
+    /// return points: the proof holds and the edges number at most
+    /// `MAX_RETURN_EDGES`.
+    return_edges: bool,
 }
 
 impl ProgramView {
@@ -42,9 +47,14 @@ impl ProgramView {
                 instr: Instr::decode(word).ok(),
             })
             .collect();
+        let returns = jal_return_points(&slots);
+        let jr31 = slots.iter().filter(|s| is_jr31(s.instr)).count();
         ProgramView {
             base: program.base,
-            returns: jal_return_points(&slots),
+            return_edges: returns
+                .as_ref()
+                .is_some_and(|r| r.len() * jr31 <= MAX_RETURN_EDGES),
+            returns,
             slots,
         }
     }
@@ -85,7 +95,7 @@ impl ProgramView {
         let mut next = Vec::new();
         match instr {
             Instr::Halt => {}
-            Instr::Jr { rs } if rs == IReg::new(31) => {
+            Instr::Jr { rs } if rs == IReg::new(31) && self.return_edges => {
                 next.extend(self.returns.iter().flatten());
             }
             Instr::Jr { .. } => {}
@@ -102,7 +112,14 @@ impl ProgramView {
         next
     }
 
-    /// Indices reachable from the entry (index 0), in discovery order.
+    /// Indices reachable from the entry (index 0), in index order.
+    ///
+    /// When only `jal` writes `r31`, the first reachable `jr r31` reaches
+    /// every `jal` return point, whether or not
+    /// [`ProgramView::successors`] carries the edges: past
+    /// `MAX_RETURN_EDGES`, `jr r31` ends the flow analyses but not
+    /// reachability, so code after the call sites is not reported
+    /// unreachable.
     pub fn reachable(&self) -> Vec<usize> {
         let mut seen = vec![false; self.slots.len()];
         let mut order = Vec::new();
@@ -111,9 +128,14 @@ impl ProgramView {
             seen[0] = true;
             work.push(0);
         }
+        let mut returns = self.returns.as_deref();
         while let Some(idx) = work.pop() {
             order.push(idx);
-            for s in self.successors(idx) {
+            let mut succs = self.successors(idx);
+            if is_jr31(self.slots[idx].instr) {
+                succs.extend(returns.take().into_iter().flatten());
+            }
+            for s in succs {
                 if !seen[s] {
                     seen[s] = true;
                     work.push(s);
@@ -209,9 +231,13 @@ impl ProgramView {
     }
 }
 
+/// Whether `instr` is `jr r31`, a return.
+fn is_jr31(instr: Option<Instr>) -> bool {
+    matches!(instr, Some(Instr::Jr { rs }) if rs == IReg::new(31))
+}
+
 /// Return points established by `jal` call sites, when every value `r31`
-/// can ever hold is provably a `jal` return address and the `jr r31`
-/// return edges number at most [`MAX_RETURN_EDGES`].
+/// can ever hold is provably a `jal` return address.
 ///
 /// The proof obligation is whole-program: if **no** decoded instruction
 /// other than `jal` writes `r31` (undecodable words cannot execute — the
@@ -223,14 +249,12 @@ impl ProgramView {
 /// proof and this returns `None`.
 fn jal_return_points(slots: &[Slot]) -> Option<Vec<usize>> {
     let mut returns = Vec::new();
-    let mut jr31 = 0;
     for (idx, slot) in slots.iter().enumerate() {
         let Some(instr) = slot.instr else { continue };
         match instr {
             Instr::Jal { .. } if idx + 1 < slots.len() => {
                 returns.push(idx + 1);
             }
-            Instr::Jr { rs } if rs == IReg::new(31) => jr31 += 1,
             Instr::Alu { rd, .. }
             | Instr::Addi { rd, .. }
             | Instr::Lui { rd, .. }
@@ -243,7 +267,7 @@ fn jal_return_points(slots: &[Slot]) -> Option<Vec<usize>> {
             _ => {}
         }
     }
-    (returns.len() * jr31 <= MAX_RETURN_EDGES).then_some(returns)
+    Some(returns)
 }
 
 /// One basic block of [`ProgramView::basic_blocks`].
@@ -360,6 +384,21 @@ mod tests {
             MAX_RETURN_EDGES
         );
         assert!(view(MAX_RETURN_EDGES + 1).successors(jr + 2).is_empty());
+    }
+
+    #[test]
+    fn returns_past_the_cap_stay_reachable() {
+        // 65 `jal fK` and 65 `fK: jr r31`: 4,225 return edges.
+        let base = mt_isa::DEFAULT_TEXT_BASE / 4;
+        let n = 65;
+        let calls = (0..n).map(|k| Instr::Jal {
+            target: base + n + k,
+        });
+        let mut instrs: Vec<Instr> = calls.collect();
+        instrs.extend((0..n).map(|_| Instr::Jr { rs: IReg::new(31) }));
+        let v = assemble(&instrs);
+        assert!(v.successors(n as usize).is_empty(), "no return edges");
+        assert_eq!(v.reachable(), (0..2 * n as usize).collect::<Vec<_>>());
     }
 
     #[test]

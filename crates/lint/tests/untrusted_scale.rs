@@ -70,7 +70,9 @@ fn vector_join(n: usize, load: &str) -> String {
 
 #[test]
 fn many_call_sites_lint_in_linear_time() {
-    lint_within_budget("16,000 jal/jr pairs", &calls_and_returns(16_000));
+    let findings = lint_within_budget("16,000 jal/jr pairs", &calls_and_returns(16_000));
+    // Past the return-edge cap every call site and callee stays reachable.
+    assert!(findings.iter().all(|f| f.lint != Lint::UnreachableCode));
 }
 
 #[test]

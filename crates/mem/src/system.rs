@@ -80,44 +80,24 @@ impl MemorySystem {
         }
     }
 
-    /// Data read of a 64-bit double for the FPU; returns `(bits, penalty)`.
+    /// Data read of a 64-bit double, for workload setup that warms
+    /// lines; returns `(bits, penalty)`. Panics on a misaligned or
+    /// out-of-range address.
     #[inline]
     pub fn load_f64(&mut self, addr: u32) -> (u64, u64) {
         let penalty = self.dcache.access(addr, AccessKind::Read);
         (self.memory.read_u64(addr), penalty)
     }
 
-    /// Data write of a 64-bit double from the FPU; returns the penalty.
-    #[inline]
-    pub fn store_f64(&mut self, addr: u32, bits: u64) -> u64 {
-        let penalty = self.dcache.access(addr, AccessKind::Write);
-        self.memory.write_u64(addr, bits);
-        penalty
-    }
-
-    /// Data read of a 32-bit integer word for the CPU.
-    #[inline]
-    pub fn load_u32(&mut self, addr: u32) -> (u32, u64) {
-        let penalty = self.dcache.access(addr, AccessKind::Read);
-        (self.memory.read_u32(addr), penalty)
-    }
-
-    /// Data write of a 32-bit integer word from the CPU.
-    #[inline]
-    pub fn store_u32(&mut self, addr: u32, value: u32) -> u64 {
-        let penalty = self.dcache.access(addr, AccessKind::Write);
-        self.memory.write_u32(addr, value);
-        penalty
-    }
-
-    /// Fallible [`MemorySystem::load_f64`]: validates the address *before*
-    /// touching the cache, so a faulting access leaves residency and
-    /// statistics exactly as they were (a rejected access never reached
-    /// the board-level cache on real hardware either). The one check
-    /// covers the data access too, which reads its page unchecked. With
-    /// a `journal`, the access saves what it changes there for
-    /// [`MemorySystem::roll_back`]; so do the other `try_*` accessors
-    /// and [`MemorySystem::fetch_timing`].
+    /// Data read of a 64-bit double for the FPU; returns `(bits,
+    /// penalty)`. Like every `try_*` accessor it validates the address
+    /// *before* touching the cache, so a faulting access leaves
+    /// residency and statistics exactly as they were (a rejected access
+    /// never reached the board-level cache on real hardware either). The
+    /// one check covers the data access too, which reads its page
+    /// unchecked. With a `journal`, the access saves what it changes
+    /// there for [`MemorySystem::roll_back`]; so do the other `try_*`
+    /// accessors and [`MemorySystem::fetch_timing`].
     #[inline]
     pub fn try_load_f64(
         &mut self,
@@ -128,8 +108,7 @@ impl MemorySystem {
         Ok((u64::from_le_bytes(bytes), penalty))
     }
 
-    /// Fallible [`MemorySystem::store_f64`] (address validated once,
-    /// before the cache access).
+    /// Data write of a 64-bit double from the FPU; returns the penalty.
     #[inline]
     pub fn try_store_f64(
         &mut self,
@@ -140,8 +119,8 @@ impl MemorySystem {
         self.write(addr, bits.to_le_bytes(), journal)
     }
 
-    /// Fallible [`MemorySystem::load_u32`] (address validated once,
-    /// before the cache access).
+    /// Data read of a 32-bit integer word for the CPU; returns `(value,
+    /// penalty)`.
     #[inline]
     pub fn try_load_u32(
         &mut self,
@@ -152,8 +131,8 @@ impl MemorySystem {
         Ok((u32::from_le_bytes(bytes), penalty))
     }
 
-    /// Fallible [`MemorySystem::store_u32`] (address validated once,
-    /// before the cache access).
+    /// Data write of a 32-bit integer word from the CPU; returns the
+    /// penalty.
     #[inline]
     pub fn try_store_u32(
         &mut self,
@@ -202,25 +181,23 @@ impl MemorySystem {
 
     /// Instruction fetch: first the on-chip buffer, then the external
     /// instruction cache. Returns `(word, penalty)` where the penalty
-    /// accumulates both levels' misses.
-    pub fn fetch(&mut self, addr: u32) -> (u32, u64) {
-        let penalty = self.fetch_timing(addr, None);
-        (self.memory.read_u32(addr), penalty)
-    }
-
-    /// Fallible [`MemorySystem::fetch`]: a wild PC (misaligned or beyond
+    /// accumulates both levels' misses. A wild PC (misaligned or beyond
     /// memory) is rejected before it can disturb the instruction caches.
     #[inline]
     pub fn try_fetch(&mut self, addr: u32) -> Result<(u32, u64), MemError> {
         self.memory.try_check(addr, 4)?;
-        Ok(self.fetch(addr))
+        let penalty = self.fetch_timing(addr, None);
+        let word = u32::from_le_bytes(self.memory.read_n_unchecked(addr));
+        Ok((word, penalty))
     }
 
-    /// The cache-path side effects and penalty of [`MemorySystem::fetch`]
-    /// without reading the word — for callers that can prove they already
-    /// hold the text at `addr` (the simulator's translated-text fetch) —
-    /// saving what it changes in `journal` when there is one. Always
-    /// inlined, like `read` and `write`: it runs once per fetch.
+    /// The cache-path side effects and penalty of
+    /// [`MemorySystem::try_fetch`] without checking the address or
+    /// reading the word — for callers that can prove they already hold
+    /// the text at `addr` (the simulator's translated-text fetch) or
+    /// discard it (warming the instruction caches) — saving what it
+    /// changes in `journal` when there is one. Always inlined, like
+    /// `read` and `write`: it runs once per fetch.
     #[inline(always)]
     pub fn fetch_timing(&mut self, addr: u32, journal: Option<&mut Journal>) -> u64 {
         let (ibuffer, icache) = match journal {
@@ -327,7 +304,8 @@ mod tests {
     #[test]
     fn data_path_roundtrip_with_penalties() {
         let mut s = MemorySystem::new(MemConfig::multititan());
-        assert_eq!(s.store_f64(0x100, 7.5f64.to_bits()), 14, "cold write miss");
+        let store = s.try_store_f64(0x100, 7.5f64.to_bits(), None);
+        assert_eq!(store, Ok(14), "cold write miss");
         let (bits, p) = s.load_f64(0x100);
         assert_eq!(f64::from_bits(bits), 7.5);
         assert_eq!(p, 0, "line resident after write-allocate");
@@ -337,12 +315,10 @@ mod tests {
     fn fetch_goes_through_both_levels() {
         let mut s = MemorySystem::new(MemConfig::multititan());
         s.memory.write_u32(0x40, 0xABCD);
-        let (w, p) = s.fetch(0x40);
-        assert_eq!(w, 0xABCD);
         // Buffer miss (2) + instruction cache miss (14).
-        assert_eq!(p, 16);
+        assert_eq!(s.try_fetch(0x40), Ok((0xABCD, 16)));
         // Now both levels are warm.
-        assert_eq!(s.fetch(0x40).1, 0);
+        assert_eq!(s.try_fetch(0x40), Ok((0xABCD, 0)));
     }
 
     #[test]
@@ -350,9 +326,9 @@ mod tests {
         let mut s = MemorySystem::new(MemConfig::multititan());
         // 2 KB buffer: addresses 0 and 2048 conflict in the buffer but not
         // in the 64 KB instruction cache.
-        s.fetch(0);
-        s.fetch(2048);
-        let (_, p) = s.fetch(0);
+        s.try_fetch(0).unwrap();
+        s.try_fetch(2048).unwrap();
+        let (_, p) = s.try_fetch(0).unwrap();
         assert_eq!(p, 2, "buffer miss, instruction cache hit");
     }
 
@@ -479,11 +455,11 @@ mod tests {
         let lines: Vec<u32> = words().step_by(4).collect();
         let mut penalties = Vec::new();
         for &line in lines.iter().take(6) {
-            penalties.push(s.load_u32(line + EVICT).1);
+            penalties.push(s.try_load_u32(line + EVICT, None).unwrap().1);
             penalties.push(s.fetch_timing(line + EVICT, None));
         }
         for &line in &lines {
-            penalties.push(s.load_u32(line).1);
+            penalties.push(s.try_load_u32(line, None).unwrap().1);
             penalties.push(s.fetch_timing(line, None));
         }
         (
@@ -547,8 +523,8 @@ mod tests {
         s.memory.watch_range(0x200, 0x210);
         s.memory.write_f64(0x208, 1.0);
         s.load_f64(0x200);
-        s.store_u32(0x300, 7);
-        s.fetch(0x40);
+        s.try_store_u32(0x300, 7, None).unwrap();
+        s.try_fetch(0x40).unwrap();
         s.reset();
         let fresh = MemorySystem::new(MemConfig::multititan());
         assert_eq!(s.memory.read_f64(0x200), 0.0, "contents cleared");
@@ -558,7 +534,7 @@ mod tests {
         assert_eq!(s.ibuffer_stats(), fresh.ibuffer_stats());
         // Residency gone too: the first access misses cold again.
         assert_eq!(s.load_f64(0x200).1, 14);
-        assert_eq!(s.fetch(0x40).1, 16);
+        assert_eq!(s.try_fetch(0x40).unwrap().1, 16);
     }
 
     #[test]

@@ -25,8 +25,9 @@ pub const SOURCE_NAME: &str = "<request>";
 /// Schema marker embedded in every response document.
 pub const SCHEMA: &str = "mt-serve-v1";
 
-/// Trace lines included in a response before truncation.
-const TRACE_MAX_LINES: usize = 2000;
+/// Trace lines, or lint findings, included in a response before
+/// truncation.
+const MAX_LISTED: usize = 2000;
 
 /// Cycles between cooperative cancellation checkpoints during a
 /// controlled run ([`execute_controlled`]). At the simulator's release
@@ -73,8 +74,8 @@ pub struct RunOptions {
     /// Include the per-PC profile in the response.
     pub profile: bool,
     /// Include the CPU log, one line per completed instruction, built
-    /// from the run's recorded events (truncated after
-    /// `TRACE_MAX_LINES` lines).
+    /// from the run's recorded events (truncated after `MAX_LISTED`
+    /// lines).
     pub trace: bool,
     /// Per-job cycle limit (0 = the simulator default).
     pub max_cycles: u64,
@@ -326,22 +327,34 @@ fn run_error_doc(err: &RunError) -> Json {
     }
 }
 
-/// Runs the analyzer against the job's machine; returns the findings as
-/// JSON diagnostics plus whether any error-severity finding exists.
-fn lint_diagnostics(program: &Program, map: &SourceMap, machine: &MachineConfig) -> (Json, bool) {
+/// The first [`MAX_LISTED`] items as a JSON array, and whether any were
+/// left out.
+fn capped(items: impl Iterator<Item = Json>) -> (Json, bool) {
+    let mut items = items.peekable();
+    let listed = items.by_ref().take(MAX_LISTED).collect();
+    (Json::Arr(listed), items.peek().is_some())
+}
+
+/// Runs the analyzer against the job's machine; returns the first
+/// [`MAX_LISTED`] findings as JSON diagnostics, whether any were left
+/// out, and whether any error-severity finding exists.
+fn lint_diagnostics(
+    program: &Program,
+    map: &SourceMap,
+    machine: &MachineConfig,
+) -> (Json, bool, bool) {
     let opts = LintOptions {
         timing: machine.timing,
         allow_recurrence: map.allowed_indices("recurrence"),
     };
     let findings = lint_program_with(program, &opts);
     let has_errors = findings.iter().any(|f| f.severity() == Severity::Error);
-    let diags = Json::Arr(
+    let (diags, truncated) = capped(
         findings
             .iter()
-            .map(|f| PlainDiagnostic::from_finding(f, map, SOURCE_NAME).to_json())
-            .collect(),
+            .map(|f| PlainDiagnostic::from_finding(f, map, SOURCE_NAME).to_json()),
     );
-    (diags, has_errors)
+    (diags, truncated, has_errors)
 }
 
 /// Per-PC profile rows (PC order, deterministic).
@@ -439,14 +452,16 @@ pub fn execute_controlled(
     }
 
     let lint = if job.options.lint {
-        let (diags, has_errors) = lint_diagnostics(&program, &map, &job.options.machine);
+        let (diags, truncated, has_errors) = lint_diagnostics(&program, &map, &job.options.machine);
+        let truncated = Json::Bool(truncated);
         if has_errors {
-            return (
-                JobResult::new(422, error_doc("lint", [("diagnostics", diags)])),
-                timing,
+            let doc = error_doc(
+                "lint",
+                [("lint_truncated", truncated), ("diagnostics", diags)],
             );
+            return (JobResult::new(422, doc), timing);
         }
-        Some(diags)
+        Some((truncated, diags))
     } else {
         None
     };
@@ -468,7 +483,8 @@ pub fn execute_controlled(
                     .collect(),
             ),
         );
-        if let Some(diags) = lint {
+        if let Some((truncated, diags)) = lint {
+            doc.push("lint_truncated", truncated);
             doc.push("lint", diags);
         }
         return (JobResult::new(200, doc), timing);
@@ -503,17 +519,18 @@ pub fn execute_controlled(
     };
 
     doc.push("stats", stats_json(&stats));
-    if let Some(diags) = lint {
+    if let Some((truncated, diags)) = lint {
+        doc.push("lint_truncated", truncated);
         doc.push("lint", diags);
     }
     if job.options.profile {
         doc.push("profile", profile_json(&events));
     }
     if job.options.trace {
-        let mut log = events.iter().filter_map(TraceEvent::cpu_log_line);
-        let lines: Vec<Json> = log.by_ref().take(TRACE_MAX_LINES).map(Json::Str).collect();
-        doc.push("trace_truncated", Json::Bool(log.next().is_some()));
-        doc.push("trace", Json::Arr(lines));
+        let log = events.iter().filter_map(TraceEvent::cpu_log_line);
+        let (lines, truncated) = capped(log.map(Json::Str));
+        doc.push("trace_truncated", Json::Bool(truncated));
+        doc.push("trace", lines);
     }
     (
         JobResult {
@@ -670,6 +687,34 @@ halt
         let doc = mt_trace::json::parse(&r.body).unwrap();
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("lint"));
         assert!(!doc.get("diagnostics").unwrap().items().is_empty());
+    }
+
+    /// An answer lists at most `MAX_LISTED` lint findings, in the 200
+    /// body and in the 422 `lint` document, and says whether it left any
+    /// out.
+    #[test]
+    fn lint_findings_are_capped_and_flagged() {
+        let answer = |src: &str| {
+            let r = run_job(
+                src,
+                RunOptions {
+                    lint: true,
+                    ..RunOptions::default()
+                },
+            );
+            let doc = mt_trace::json::parse(&r.body).unwrap();
+            let list = doc.get("lint").or_else(|| doc.get("diagnostics"));
+            let truncated = doc.get("lint_truncated").cloned();
+            (r.status, list.unwrap().items().len(), truncated)
+        };
+        let flag = |truncated| Some(Json::Bool(truncated));
+        // Every `halt` after the first is an unreachable block.
+        let past_the_cap = "halt\n".repeat(MAX_LISTED + 2);
+        assert_eq!(answer(&past_the_cap), (200, MAX_LISTED, flag(true)));
+        assert_eq!(answer("halt\nhalt\n"), (200, 1, flag(false)));
+        let error = "fadd R16..R19, R0..R3, R8..R11\nfld R2, 0(r0)\nhalt\n";
+        assert_eq!(answer(error).0, 422);
+        assert_eq!(answer(error).2, flag(false));
     }
 
     /// Lint proves §2.3.2 violations on the machine the job runs on: a

@@ -1060,8 +1060,7 @@ fn admit(
 fn parse_options(request: &Request) -> Result<RunOptions, String> {
     let mut options = RunOptions::default();
     if let Some(v) = request.query_get("base") {
-        options.base = u32::from_str_radix(v.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("bad base `{v}`: {e}"))?;
+        options.base = mt_asm::parse_hex_u32(v).map_err(|e| format!("bad base `{v}`: {e}"))?;
     }
     options.cold = request.query_flag("cold");
     options.lint = request.query_flag("lint");

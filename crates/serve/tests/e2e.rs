@@ -467,6 +467,12 @@ fn structured_errors_for_bad_requests() {
     );
     assert_eq!(post(&addr, "/metrics", "e", "").status, 405);
     assert_eq!(post(&addr, "/run?base=zzz", "e", "halt\n").status, 400);
+    // `?base=` is hex after at most one `0x` or `0X`.
+    assert_eq!(post(&addr, "/run?base=0X10000", "e", "halt\n").status, 200);
+    assert_eq!(
+        post(&addr, "/run?base=0x0x10000", "e", "halt\n").status,
+        400
+    );
     handle.shutdown();
 }
 

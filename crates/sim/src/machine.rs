@@ -5,8 +5,8 @@ use std::sync::Arc;
 use mt_core::{Fpu, Psw};
 use mt_isa::cost::{InstrCost, IssueTiming};
 use mt_isa::cpu::AluOp;
-use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
-use mt_mem::{MemError, MemorySystem};
+use mt_isa::{FReg, IReg, Instr};
+use mt_mem::{Journal, MemError, MemorySystem};
 use mt_trace::{EventKind, EventSink, NullSink, StallCause, TraceEvent};
 use mt_xlate::{TranslatedProgram, Uop};
 
@@ -256,88 +256,6 @@ enum SpanStop {
     LoopHead,
 }
 
-/// Where [`Machine::perform`] sends its data accesses and the FPU's
-/// memory-port and transfer traffic. [`Live`] is the machine itself; a
-/// replayed loop iteration sends them through a write-through port that
-/// writes FPU registers at once and journals every change for rollback.
-trait Port {
-    /// `lw`: the word at `addr` and its data-cache penalty.
-    fn lw(&mut self, mem: &mut MemorySystem, addr: u32) -> Result<(u32, u64), MemError>;
-    /// `sw`: stores `value` at `addr`; returns the penalty.
-    fn sw(&mut self, mem: &mut MemorySystem, addr: u32, value: u32) -> Result<u64, MemError>;
-    /// `fld`: loads `addr` into `fr`, readable by elements issuing from
-    /// cycle `now + penalty + 1`; returns the penalty.
-    fn fld(
-        &mut self,
-        mem: &mut MemorySystem,
-        fpu: &mut Fpu,
-        fr: FReg,
-        addr: u32,
-        now: u64,
-    ) -> Result<u64, MemError>;
-    /// `fst`: stores `fr` at `addr`; returns the penalty. A faulting
-    /// store reaches neither the cache nor the FPU's store count.
-    fn fst(
-        &mut self,
-        mem: &mut MemorySystem,
-        fpu: &mut Fpu,
-        fr: FReg,
-        addr: u32,
-    ) -> Result<u64, MemError>;
-    /// Transfers an FPU ALU instruction into the IR.
-    fn transfer(&mut self, fpu: &mut Fpu, f: FpuAluInstr);
-}
-
-/// The port of a normal run: the memory system's own accessors and the
-/// FPU's memory port and IR.
-struct Live;
-
-impl Port for Live {
-    #[inline(always)]
-    fn lw(&mut self, mem: &mut MemorySystem, addr: u32) -> Result<(u32, u64), MemError> {
-        mem.try_load_u32(addr, None)
-    }
-
-    #[inline(always)]
-    fn sw(&mut self, mem: &mut MemorySystem, addr: u32, value: u32) -> Result<u64, MemError> {
-        mem.try_store_u32(addr, value, None)
-    }
-
-    #[inline(always)]
-    fn fld(
-        &mut self,
-        mem: &mut MemorySystem,
-        fpu: &mut Fpu,
-        fr: FReg,
-        addr: u32,
-        now: u64,
-    ) -> Result<u64, MemError> {
-        let (bits, penalty) = mem.try_load_f64(addr, None)?;
-        fpu.load_write(fr, bits, now + penalty);
-        Ok(penalty)
-    }
-
-    #[inline(always)]
-    fn fst(
-        &mut self,
-        mem: &mut MemorySystem,
-        fpu: &mut Fpu,
-        fr: FReg,
-        addr: u32,
-    ) -> Result<u64, MemError> {
-        let penalty = mem.try_store_f64(addr, fpu.read_reg(fr), None)?;
-        // The store happened: count it (the guard held the register free).
-        fpu.read_reg_for_store(fr);
-        Ok(penalty)
-    }
-
-    #[inline(always)]
-    fn transfer(&mut self, fpu: &mut Fpu, f: FpuAluInstr) {
-        let transferred = fpu.try_transfer(f);
-        debug_assert!(transferred, "the IR guard held this transfer");
-    }
-}
-
 /// One MultiTitan processor.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -464,7 +382,7 @@ impl Machine {
     /// no instruction-buffer misses in kernels).
     pub fn warm_instructions(&mut self, program: &Program) {
         for i in 0..program.words.len() {
-            self.mem.fetch(program.base + 4 * i as u32);
+            self.mem.fetch_timing(program.base + 4 * i as u32, None);
         }
     }
 
@@ -1133,7 +1051,7 @@ impl Machine {
             // Execute and complete — the interpreter's own arms — then
             // phase 3: the issue stage, skipped when the IR is empty
             // (`issue` would return `Idle` without effects).
-            let exec = self.perform(uop.instr, sink, &mut Live)?;
+            let exec = self.perform(uop.instr, sink, None)?;
             head = matches!(exec, Exec::Jump(to) if to <= self.pc);
             self.complete(uop.instr, exec, sink);
             if self.fpu.ir_busy() {
@@ -1235,7 +1153,7 @@ impl Machine {
             self.emit_stall(sink, cause, 1);
             return Ok(());
         }
-        let exec = self.perform(uop.instr, sink, &mut Live)?;
+        let exec = self.perform(uop.instr, sink, None)?;
         self.complete(uop.instr, exec, sink);
         Ok(())
     }
@@ -1357,16 +1275,21 @@ impl Machine {
 
     /// Executes `instr` at the current PC — the one copy of the
     /// instruction semantics, run by both engines once
-    /// [`Machine::cost_stall_horizon`] found no hazard, and by a memo
-    /// replay through its write-through `port`. Always inlined, like the
+    /// [`Machine::cost_stall_horizon`] found no hazard, with no journal,
+    /// and by a memo replay with its journal. A journaled run saves every
+    /// memory and cache change there for rollback, writes an `fld`'s
+    /// register at once, and leaves the FPU's counts and IR alone: the
+    /// replay commits the recording's counts, and a transfer's elements
+    /// are steps of their own (DESIGN.md §13). Always inlined, like the
     /// guard: the span runs it once per instruction.
     #[inline(always)]
-    fn perform<S: EventSink, P: Port>(
+    fn perform<S: EventSink>(
         &mut self,
         instr: Instr,
         sink: &mut S,
-        port: &mut P,
+        journal: Option<&mut Journal>,
     ) -> Result<Exec, RunError> {
+        let replay = journal.is_some();
         match instr {
             Instr::Nop => Ok(Exec::Next),
             Instr::Halt => Ok(Exec::Halted),
@@ -1417,8 +1340,9 @@ impl Machine {
 
             Instr::Lw { rd, base, offset } => {
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                let (value, penalty) = port
-                    .lw(&mut self.mem, addr)
+                let (value, penalty) = self
+                    .mem
+                    .try_load_u32(addr, journal)
                     .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
                 self.set_ireg(rd, value as i32);
                 // One load delay slot beyond any miss stall.
@@ -1433,8 +1357,9 @@ impl Machine {
             Instr::Sw { rs, base, offset } => {
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
                 let value = self.ireg(rs) as u32;
-                let penalty = port
-                    .sw(&mut self.mem, addr, value)
+                let penalty = self
+                    .mem
+                    .try_store_u32(addr, value, journal)
                     .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
                 // Stores take two cycles (§2.4).
                 self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
@@ -1445,9 +1370,15 @@ impl Machine {
 
             Instr::Fld { fr, base, offset } => {
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                let penalty = port
-                    .fld(&mut self.mem, &mut self.fpu, fr, addr, self.cycle)
+                let (bits, penalty) = self
+                    .mem
+                    .try_load_f64(addr, journal)
                     .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
+                if replay {
+                    self.fpu.write_reg_direct(fr, bits);
+                } else {
+                    self.fpu.load_write(fr, bits, self.cycle + penalty);
+                }
                 self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
                 self.emit_dcache(sink, false, penalty);
                 self.apply_miss(penalty, sink);
@@ -1456,9 +1387,15 @@ impl Machine {
 
             Instr::Fst { fr, base, offset } => {
                 let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                let penalty = port
-                    .fst(&mut self.mem, &mut self.fpu, fr, addr)
+                let penalty = self
+                    .mem
+                    .try_store_f64(addr, self.fpu.read_reg(fr), journal)
                     .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
+                if !replay {
+                    // The store happened: count it (the guard held the
+                    // register free). A faulting one is not counted.
+                    self.fpu.read_reg_for_store(fr);
+                }
                 // Stores take two cycles (§2.4).
                 self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
                 self.emit_dcache(sink, true, penalty);
@@ -1498,7 +1435,10 @@ impl Machine {
             }
 
             Instr::Falu(f) => {
-                port.transfer(&mut self.fpu, f);
+                if !replay {
+                    let transferred = self.fpu.try_transfer(f);
+                    debug_assert!(transferred, "the IR guard held this transfer");
+                }
                 // Subsequent FPU-side events (element issues, scoreboard
                 // stalls, drain) belong to this instruction.
                 self.ir_pc = self.pc;

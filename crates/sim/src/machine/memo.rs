@@ -9,23 +9,24 @@
 //! At a *loop head* (a taken backward branch just completed) whose FPU is
 //! quiescent, the memo keys the timing state relative to the cycle. The
 //! second time a key is seen the span records the iteration that follows;
-//! afterwards the iteration is *replayed*: only the instructions' values
-//! and the element arithmetic run, every outcome the timing depended on is
-//! checked against the recording, and the recorded end state and counter
-//! deltas are committed. Any mismatch rolls the replay back without a
-//! trace and the span runs the iteration. DESIGN.md §13 gives the
-//! argument.
+//! afterwards the iteration is *replayed*: each instruction runs through
+//! `perform` with the replay's journal, each element's result is written
+//! at once, every outcome the timing depended on is checked against the
+//! recording (a data-cache penalty as the freeze horizon `perform` left),
+//! and the recorded end state and counter deltas are committed. Any
+//! mismatch rolls the replay back through the journal without a trace
+//! and the span runs the iteration. DESIGN.md §13 gives the argument.
 
 use std::collections::HashMap;
 
-use mt_core::{Fpu, FpuStats, RegisterFile};
+use mt_core::{FpuStats, RegisterFile};
 use mt_fparith::{execute, Exceptions, FpOp};
 use mt_isa::fpu::ElementRefs;
-use mt_isa::{FReg, FpuAluInstr, Instr};
-use mt_mem::{Journal, MemError, MemorySystem};
+use mt_isa::Instr;
+use mt_mem::Journal;
 use mt_trace::{EventKind, EventSink, NullSink, StallCause, TraceEvent};
 
-use super::{Exec, Machine, Port, RunError, SpanStop};
+use super::{Exec, Machine, RunError, SpanStop};
 use crate::stats::StallBreakdown;
 
 /// Recordings kept per key: the outcome paths one timing state leads to
@@ -326,55 +327,6 @@ impl EventSink for Recorder {
     }
 }
 
-/// The port of a replay: data accesses probe the caches for real but
-/// journaled, FPU loads write their register at once, stores read it,
-/// and a transfer does nothing (its elements are steps of their own).
-/// Records each data access's penalty for the replay to check.
-struct WriteThrough<'a> {
-    journal: &'a mut Journal,
-    penalty: u64,
-}
-
-impl Port for WriteThrough<'_> {
-    fn lw(&mut self, mem: &mut MemorySystem, addr: u32) -> Result<(u32, u64), MemError> {
-        let (value, penalty) = mem.try_load_u32(addr, Some(self.journal))?;
-        self.penalty = penalty;
-        Ok((value, penalty))
-    }
-
-    fn sw(&mut self, mem: &mut MemorySystem, addr: u32, value: u32) -> Result<u64, MemError> {
-        self.penalty = mem.try_store_u32(addr, value, Some(self.journal))?;
-        Ok(self.penalty)
-    }
-
-    fn fld(
-        &mut self,
-        mem: &mut MemorySystem,
-        fpu: &mut Fpu,
-        fr: FReg,
-        addr: u32,
-        _now: u64,
-    ) -> Result<u64, MemError> {
-        let (bits, penalty) = mem.try_load_f64(addr, Some(self.journal))?;
-        fpu.write_reg_direct(fr, bits);
-        self.penalty = penalty;
-        Ok(penalty)
-    }
-
-    fn fst(
-        &mut self,
-        mem: &mut MemorySystem,
-        fpu: &mut Fpu,
-        fr: FReg,
-        addr: u32,
-    ) -> Result<u64, MemError> {
-        self.penalty = mem.try_store_f64(addr, fpu.read_reg(fr), Some(self.journal))?;
-        Ok(self.penalty)
-    }
-
-    fn transfer(&mut self, _: &mut Fpu, _: FpuAluInstr) {}
-}
-
 /// The machine at a loop head: the counters a recording's deltas start
 /// from, and the state a rolled-back replay restores (the memory system
 /// has a journal of its own).
@@ -619,13 +571,9 @@ impl Machine {
     fn replay(&mut self, rec: &Recording, journal: &mut Journal) -> bool {
         let head = self.head();
         self.mem.begin_journal(journal);
-        let mut port = WriteThrough {
-            journal,
-            penalty: 0,
-        };
         let mut flags = Exceptions::empty();
-        if !self.replay_steps(&rec.steps, head.cycle, &mut port, &mut flags) {
-            self.mem.roll_back(port.journal);
+        if !self.replay_steps(&rec.steps, head.cycle, journal, &mut flags) {
+            self.mem.roll_back(journal);
             *self.fpu.regs_mut() = head.fregs;
             self.iregs = head.iregs;
             self.int_ready = head.int_ready;
@@ -651,8 +599,8 @@ impl Machine {
         true
     }
 
-    /// Runs a recording's steps: each instruction through `perform` over
-    /// the write-through port at its recorded cycle, each element's
+    /// Runs a recording's steps: each instruction through `perform` with
+    /// the replay's `journal` at its recorded cycle, each element's
     /// arithmetic written at issue. Returns `false` at the first fetch
     /// penalty, data-cache penalty or successor PC that differs from the
     /// recording, at a memory fault or a write into the text, and at an
@@ -661,7 +609,7 @@ impl Machine {
         &mut self,
         steps: &[Step],
         base: u64,
-        port: &mut WriteThrough<'_>,
+        journal: &mut Journal,
         flags: &mut Exceptions,
     ) -> bool {
         for step in steps {
@@ -673,21 +621,28 @@ impl Machine {
                     fetch,
                     data,
                 } => {
-                    if self.mem.fetch_timing(self.pc, Some(port.journal)) != u64::from(fetch) {
+                    if self.mem.fetch_timing(self.pc, Some(journal)) != u64::from(fetch) {
                         return false;
                     }
                     self.cycle = base + u64::from(at);
-                    port.penalty = 0;
-                    let to = match self.perform(instr, &mut NullSink, port) {
+                    // The recorded schedule runs each instruction at or
+                    // after the previous freeze, so the freeze horizon
+                    // `perform` leaves gives this step's data-cache
+                    // penalty: `apply_miss` sets it to `cycle + 1 +
+                    // penalty` on a miss and leaves it at or below `cycle`
+                    // otherwise.
+                    debug_assert!(self.freeze_until <= self.cycle, "a step in a freeze");
+                    let to = match self.perform(instr, &mut NullSink, Some(journal)) {
                         Ok(Exec::Next) => self.pc.wrapping_add(4),
                         Ok(Exec::Jump(to)) => to,
                         Ok(Exec::Halted) | Err(_) => return false,
                     };
+                    let penalty = self.freeze_until.saturating_sub(self.cycle + 1);
                     // A write into the text makes the span stop before its
                     // next fetch.
                     let text_written = matches!(instr, Instr::Sw { .. } | Instr::Fst { .. })
                         && self.mem.memory.watch_writes() != 0;
-                    if port.penalty != u64::from(data) || to != next || text_written {
+                    if penalty != u64::from(data) || to != next || text_written {
                         return false;
                     }
                     self.pc = to;

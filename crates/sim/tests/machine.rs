@@ -97,7 +97,7 @@ fn integer_load_store_and_delay_slot() {
         Instr::Halt,
     ]);
     m.mem.memory.write_u32(0x2000, 41);
-    m.mem.load_u32(0x2000); // warm the line
+    m.mem.try_load_u32(0x2000, None).unwrap(); // warm the line
     let stats = m.run().unwrap();
     assert_eq!(m.mem.memory.read_u32(0x2004), 42);
     assert_eq!(stats.stalls.int_load_hazard, 1, "one delay-slot interlock");
@@ -275,7 +275,7 @@ fn serialized_issue_charges_ir_busy_before_a_load_hazard() {
         m.load_program(&prog);
         m.warm_instructions(&prog);
         m.mem.memory.write_u32(0x2000, 41);
-        m.mem.load_u32(0x2000); // warm the line
+        m.mem.try_load_u32(0x2000, None).unwrap(); // warm the line
         let stats = m.run().unwrap();
         assert_eq!(m.ireg(ir(2)), 42);
         stats
