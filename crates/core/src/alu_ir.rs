@@ -119,6 +119,18 @@ impl AluIr {
         self.next_id += n;
     }
 
+    /// Puts the latest transfer back in the IR with `next` the next
+    /// element to issue, or empties the IR (`None`): the state a replayed
+    /// loop iteration ends in.
+    pub fn resume(&mut self, state: Option<(FpuAluInstr, u8)>) {
+        self.active = state.map(|(instr, next)| ActiveVector {
+            instr,
+            next_element: next,
+            id: self.next_id - 1,
+            refs: instr.element(next),
+        });
+    }
+
     /// Clears the IR (overflow abort discards remaining elements).
     pub fn squash(&mut self) {
         self.active = None;

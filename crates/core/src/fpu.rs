@@ -424,26 +424,50 @@ impl Fpu {
         self.ir.occupied() || !self.pipeline.is_empty()
     }
 
-    /// Returns `true` when nothing is pending issue, in flight or
-    /// reserved: the FPU holds no timing state beyond its register file,
-    /// PSW and counters. A stuck reservation bit (fault injection) is
-    /// not quiescent.
+    /// Commits a stretch of execution that wrote its loads and element
+    /// results straight into the register file, leaving the pipeline and
+    /// the IR as they were at its start: drops the first `retired` writes
+    /// in flight (their values are written already), adds the stretch's
+    /// counters, moves the IR's instruction ids past its transfers, ORs
+    /// the flags of what retired in it into the PSW, puts back in flight
+    /// the writes it `issued` that are still on their way (their
+    /// registers hold the old values), and leaves `ir` in the IR — what
+    /// the transfers, issues and retirements of that stretch would have
+    /// left behind.
     #[inline]
-    pub fn quiescent(&self) -> bool {
-        !self.busy() && self.scoreboard.count() == 0
-    }
-
-    /// Commits a stretch of execution that ran with the FPU quiescent at
-    /// both ends and wrote its loads and element results straight into
-    /// the register file: adds its counters, moves the IR's instruction
-    /// ids past its transfers, and ORs its element flags into the PSW —
-    /// what the transfers, issues and retirements of that stretch would
-    /// have left behind.
-    pub fn commit_replayed(&mut self, delta: &FpuStats, flags: Exceptions) {
-        debug_assert!(self.quiescent(), "a replay commits onto a quiescent FPU");
+    pub fn commit_replayed(
+        &mut self,
+        delta: &FpuStats,
+        flags: Exceptions,
+        retired: usize,
+        issued: &[InFlight],
+        ir: Option<(FpuAluInstr, u8)>,
+    ) {
+        for _ in 0..retired {
+            let w = self
+                .pipeline
+                .pop_ready(u64::MAX)
+                .expect("a write in flight");
+            self.scoreboard.clear(w.dest);
+        }
         self.stats.add(delta);
         self.ir.skip_ids(delta.instructions_transferred);
         self.psw.accumulate(flags);
+        for &w in issued {
+            self.scoreboard.reserve(w.dest);
+            self.pipeline.push(w);
+        }
+        self.ir.resume(ir);
+        debug_assert_eq!(
+            self.scoreboard.count() as usize,
+            self.pipeline.len(),
+            "a replay leaves one reservation per write in flight"
+        );
+    }
+
+    /// The writes in flight, in retirement order.
+    pub fn writes_in_flight(&self) -> impl Iterator<Item = &InFlight> + '_ {
+        self.pipeline.iter()
     }
 
     /// Number of outstanding register reservations (equals the number of

@@ -99,7 +99,7 @@ impl Pipeline {
     }
 
     /// The in-flight operations in retirement order.
-    fn iter(&self) -> impl Iterator<Item = &InFlight> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &InFlight> + '_ {
         (0..self.len).map(|i| &self.buf[self.slot(i)])
     }
 

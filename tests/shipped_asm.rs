@@ -60,6 +60,18 @@ fn stream_s() {
 }
 
 #[test]
+fn reduce_s() {
+    let m = run("examples/asm/reduce.s");
+    // Eight passes over x[i] = i + 1, i < 128.
+    assert_eq!(m.mem.memory.read_f64(0x2_0800), 8.0 * 128.0 * 129.0 / 2.0);
+    // The example puts loop heads with writes in flight and a vector
+    // still issuing on the CI's tick-vs-xlate smoke: the memo replays
+    // its strips from them.
+    let memo = m.memo_counts();
+    assert!(memo.replayed > 0, "{memo:?}");
+}
+
+#[test]
 fn selfmod_s() {
     let m = run("examples/asm/selfmod.s");
     // 29 trips before the patch, the 30th, then ten of the patched word.
