@@ -308,7 +308,10 @@ fn parse_instruction(
             let stride = imm(ops[2], lineno)?;
             for i in 0..len {
                 let r = FReg::new(range.first.index() + i);
-                let off = offset + stride * i as i32;
+                let off = stride
+                    .checked_mul(i32::from(i))
+                    .and_then(|d| offset.checked_add(d))
+                    .ok_or_else(|| err(format!("`{mnemonic}` offset of {r} overflows")))?;
                 if mnemonic == "fldv" {
                     asm.fld(r, base, off);
                 } else {
@@ -629,6 +632,19 @@ mod tests {
     fn fldv_requires_a_range() {
         let e = parse("fldv R0, 0(r1), 8\n", 0).unwrap_err();
         assert!(e.message.contains("needs a register range"));
+    }
+
+    /// A stride whose element offsets leave `i32` is an error, not an
+    /// arithmetic overflow (the grammar fuzz's minimized case).
+    #[test]
+    fn fldv_offset_overflow_is_an_error() {
+        for src in [
+            "fldv R0..R2, 0(r1), 0x7fffffff\n",
+            "fstv R0..R1, 1(r1), 0x7fffffff\n",
+        ] {
+            let e = parse(src, 0).unwrap_err();
+            assert!(e.message.contains("overflows"), "{src}: {}", e.message);
+        }
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub enum VExpr {
     },
     /// An elementwise binary operation.
     Bin(FpOp, Box<VExpr>, Box<VExpr>),
-    /// A vector–scalar operation: the scalar broadcasts (`SRb = 0`).
-    BinScalar(FpOp, Box<VExpr>, Scal),
     /// A vector–constant operation (the constant is pooled).
     BinConst(FpOp, Box<VExpr>, f64),
 }
@@ -59,11 +57,6 @@ impl VExpr {
     /// `self op rhs`, elementwise.
     pub fn bin(self, op: FpOp, rhs: VExpr) -> VExpr {
         VExpr::Bin(op, Box::new(self), Box::new(rhs))
-    }
-
-    /// `self op scalar` with the scalar broadcast.
-    pub fn bin_scalar(self, op: FpOp, s: Scal) -> VExpr {
-        VExpr::BinScalar(op, Box::new(self), s)
     }
 
     /// `self op constant` with the constant broadcast from the pool.
@@ -89,7 +82,7 @@ impl VExpr {
                     nl.max(nr).max(1)
                 }
             }
-            VExpr::BinScalar(_, l, _) | VExpr::BinConst(_, l, _) => l.temps_needed().max(1),
+            VExpr::BinConst(_, l, _) => l.temps_needed().max(1),
         }
     }
 
@@ -106,9 +99,6 @@ impl VExpr {
             VExpr::Var(v) => overlap(v),
             VExpr::Load { .. } => false,
             VExpr::Bin(_, l, r) => reads(l, first, len) || reads(r, first, len),
-            VExpr::BinScalar(_, l, s) => {
-                reads(l, first, len) || (s.reg().index() >= first && s.reg().index() < first + len)
-            }
             VExpr::BinConst(_, l, _) => reads(l, first, len),
         }
     }
@@ -251,13 +241,6 @@ impl Mahler {
                 let out = self.result_place(&pl, &pr, dst, dst_free, pool)?;
                 self.vop(*op, out.vect(), pl.vect(), pr.vect())?;
                 self.release_consumed(pl, pr, &out, pool);
-                Ok(out)
-            }
-            VExpr::BinScalar(op, l, s) => {
-                let pl = self.eval(l, dst, dst_free, pool)?;
-                let out = self.result_place_unary(&pl, dst, dst_free, pool)?;
-                self.vop_scalar(*op, out.vect(), pl.vect(), *s)?;
-                self.release_one(pl, &out, pool);
                 Ok(out)
             }
             VExpr::BinConst(op, l, c) => {

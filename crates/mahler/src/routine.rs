@@ -541,11 +541,6 @@ impl Mahler {
         self.asm.fscalar(op, dst.reg, a.reg, b.reg);
     }
 
-    /// Scalar unary `dst = op a` (float, truncate, reciprocal).
-    pub fn sop1(&mut self, op: FpOp, dst: Scal, a: Scal) {
-        self.asm.fscalar(op, dst.reg, a.reg, FReg::new(0));
-    }
-
     /// Scalar division via the six-operation macro (scratch registers are
     /// allocated once per routine).
     ///

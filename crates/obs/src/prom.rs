@@ -1,9 +1,10 @@
 //! Prometheus text-format exposition (version 0.0.4).
 //!
-//! A tiny writer for the subset the service emits: `counter` and
-//! `gauge` families (with optional labels) and `summary` families
-//! rendered from [`HdrHistogram`] quantiles. Families are written in
-//! call order; each gets its `# HELP`/`# TYPE` header exactly once.
+//! A tiny writer for the subset the service emits: `counter` families
+//! (unlabeled, or with one label), unlabeled `gauge` families, and
+//! `summary` families (the same) rendered from [`HdrHistogram`]
+//! quantiles. Families are written in call order; each gets its
+//! `# HELP`/`# TYPE` header exactly once.
 //! A matching [`validate`] checks the line grammar so tests and the CI
 //! smoke can assert the document is scrapeable without a real
 //! Prometheus binary.
@@ -76,11 +77,11 @@ impl PromText {
         self.sample(name, &[], value as f64);
     }
 
-    /// A counter family with one sample per label set.
-    pub fn counter_vec(&mut self, name: &str, help: &str, samples: &[(&[(&str, &str)], u64)]) {
+    /// A counter family with one sample per value of its one `label`.
+    pub fn counter_vec(&mut self, name: &str, help: &str, label: &str, samples: &[(&str, u64)]) {
         self.header(name, help, "counter");
-        for (labels, value) in samples {
-            self.sample(name, labels, *value as f64);
+        for &(value, n) in samples {
+            self.sample(name, &[(label, value)], n as f64);
         }
     }
 
@@ -90,19 +91,32 @@ impl PromText {
         self.sample(name, &[], value);
     }
 
-    /// A gauge family with one sample per label set.
-    pub fn gauge_vec(&mut self, name: &str, help: &str, samples: &[(&[(&str, &str)], f64)]) {
-        self.header(name, help, "gauge");
-        for (labels, value) in samples {
-            self.sample(name, labels, *value);
-        }
-    }
-
     /// A summary family from a histogram: p50/p90/p99/p999 quantile
     /// samples plus `_sum` and `_count`. Empty histograms still emit
     /// `_sum`/`_count` (zero) so the family is always present.
     pub fn summary(&mut self, name: &str, help: &str, h: &HdrHistogram) {
         self.header(name, help, "summary");
+        self.summary_samples(name, &[], h);
+    }
+
+    /// A summary family with one histogram per value of its one `label`
+    /// (e.g. one per request stage).
+    pub fn summary_vec(
+        &mut self,
+        name: &str,
+        help: &str,
+        label: &str,
+        samples: &[(&str, &HdrHistogram)],
+    ) {
+        self.header(name, help, "summary");
+        for &(value, h) in samples {
+            self.summary_samples(name, &[(label, value)], h);
+        }
+    }
+
+    /// One histogram's quantile samples, `_sum` and `_count`, under
+    /// `labels`.
+    fn summary_samples(&mut self, name: &str, labels: &[(&str, &str)], h: &HdrHistogram) {
         for (q, p) in [
             ("0.5", 50.0),
             ("0.9", 90.0),
@@ -110,38 +124,13 @@ impl PromText {
             ("0.999", 99.9),
         ] {
             if let Some(v) = h.quantile(p) {
-                self.sample(name, &[("quantile", q)], v as f64);
+                let mut with_q = labels.to_vec();
+                with_q.push(("quantile", q));
+                self.sample(name, &with_q, v as f64);
             }
         }
-        self.sample(&format!("{name}_sum"), &[], h.sum() as f64);
-        self.sample(&format!("{name}_count"), &[], h.count() as f64);
-    }
-
-    /// A summary family with one histogram per label set (e.g. one
-    /// per request stage).
-    pub fn summary_vec(
-        &mut self,
-        name: &str,
-        help: &str,
-        samples: &[(&[(&str, &str)], &HdrHistogram)],
-    ) {
-        self.header(name, help, "summary");
-        for (labels, h) in samples {
-            for (q, p) in [
-                ("0.5", 50.0),
-                ("0.9", 90.0),
-                ("0.99", 99.0),
-                ("0.999", 99.9),
-            ] {
-                if let Some(v) = h.quantile(p) {
-                    let mut with_q = labels.to_vec();
-                    with_q.push(("quantile", q));
-                    self.sample(name, &with_q, v as f64);
-                }
-            }
-            self.sample(&format!("{name}_sum"), labels, h.sum() as f64);
-            self.sample(&format!("{name}_count"), labels, h.count() as f64);
-        }
+        self.sample(&format!("{name}_sum"), labels, h.sum() as f64);
+        self.sample(&format!("{name}_count"), labels, h.count() as f64);
     }
 
     /// The finished document (ends with a newline).
@@ -227,7 +216,8 @@ mod tests {
         p.counter_vec(
             "mtserve_responses_total",
             "Responses by status.",
-            &[(&[("status", "200")], 12), (&[("status", "429")], 5)],
+            "status",
+            &[("200", 12), ("429", 5)],
         );
         let text = p.render();
         assert!(text.contains("# TYPE mtserve_requests_total counter\n"));
@@ -262,10 +252,8 @@ mod tests {
         p.summary_vec(
             "stage_us",
             "Per-stage latency.",
-            &[
-                (&[("stage", "parse")] as &[_], &fast),
-                (&[("stage", "sim-run")] as &[_], &slow),
-            ],
+            "stage",
+            &[("parse", &fast), ("sim-run", &slow)],
         );
         let text = p.render();
         assert_eq!(text.matches("# TYPE stage_us summary").count(), 1);
@@ -295,14 +283,10 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         let mut p = PromText::new();
-        p.gauge_vec(
-            "g",
-            "Help with \\ and\nnewline.",
-            &[(&[("k", "a\"b\\c\nd")] as &[_], 1.5)],
-        );
+        p.counter_vec("g", "Help with \\ and\nnewline.", "k", &[("a\"b\\c\nd", 2)]);
         let text = p.render();
         assert!(text.contains("# HELP g Help with \\\\ and\\nnewline.\n"));
-        assert!(text.contains("g{k=\"a\\\"b\\\\c\\nd\"} 1.5\n"));
+        assert!(text.contains("g{k=\"a\\\"b\\\\c\\nd\"} 2\n"));
         validate(&text).unwrap();
     }
 }

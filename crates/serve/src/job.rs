@@ -87,10 +87,10 @@ pub struct RunOptions {
     /// *not* cache-key material. Kernel-cell jobs run on their cell's own
     /// `CellSpec::config` and ignore it.
     pub backend: Backend,
-    /// The simulated microarchitecture (`?config=knob=v,...` and the
-    /// `?lanes=` shorthand). Changes the response body, so its full
-    /// canonical serialization IS cache-key material — a `lanes=2` run
-    /// can never replay a `lanes=1` entry.
+    /// The simulated microarchitecture (`?config=knob=v,...`). Changes
+    /// the response body, so its full canonical serialization IS
+    /// cache-key material — an `fpu_lanes=2` run can never replay an
+    /// `fpu_lanes=1` entry.
     pub machine: MachineConfig,
     /// Serialize the Load/Store and ALU instruction registers
     /// (`?serialized=1`) — the split-register-file ablation proxy.
@@ -853,8 +853,8 @@ halt
         }
     }
 
-    /// The satellite regression spelled out: a `?lanes=2` run must never
-    /// hit a `lanes=1` cache entry.
+    /// The regression spelled out: an `fpu_lanes=2` run must
+    /// never hit an `fpu_lanes=1` cache entry.
     #[test]
     fn lanes_2_never_hits_a_lanes_1_cache_entry() {
         let mut cache = crate::cache::ResultCache::new(16);

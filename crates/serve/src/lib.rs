@@ -39,8 +39,10 @@
 //! GET  /healthz             liveness probe
 //! ```
 //!
-//! Responses carry `X-Cache: hit|miss`; bodies are byte-identical either
-//! way (`span_trace` is attached after the cache, never stored in it).
+//! A query key the route does not read, or any key given twice, answers
+//! `400 bad-query` naming the key. Responses carry `X-Cache: hit|miss`;
+//! bodies are byte-identical either way (`span_trace` is attached after
+//! the cache, never stored in it).
 //! Drive it with `mtasm client` (see the README's Serving section) or
 //! plain `curl`.
 //!

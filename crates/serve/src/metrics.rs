@@ -324,16 +324,13 @@ impl ServeMetrics {
                 s.registry.counter("rejected_429"),
             )))
             .collect();
-        let status_samples: Vec<(Vec<(&str, &str)>, u64)> = statuses
-            .iter()
-            .map(|(code, n)| (vec![("status", code.as_str())], *n))
-            .collect();
         p.counter_vec(
             "mtserve_responses_total",
             "Job responses by HTTP status class.",
-            &status_samples
+            "status",
+            &statuses
                 .iter()
-                .map(|(l, n)| (l.as_slice(), *n))
+                .map(|(code, n)| (code.as_str(), *n))
                 .collect::<Vec<_>>(),
         );
         p.counter(
@@ -428,32 +425,22 @@ impl ServeMetrics {
             },
         );
         let worker_ids: Vec<String> = (0..s.worker_busy.len()).map(|i| i.to_string()).collect();
-        let busy_labels: Vec<(Vec<(&str, &str)>, u64)> = s
-            .worker_busy
-            .iter()
-            .zip(&worker_ids)
-            .map(|(&(_, busy_us), id)| (vec![("worker", id.as_str())], busy_us))
-            .collect();
+        let workers = worker_ids.iter().map(String::as_str).zip(&s.worker_busy);
         p.counter_vec(
             "mtserve_worker_busy_microseconds_total",
             "Per-worker time spent executing jobs.",
-            &busy_labels
-                .iter()
-                .map(|(l, n)| (l.as_slice(), *n))
+            "worker",
+            &workers
+                .clone()
+                .map(|(id, &(_, busy_us))| (id, busy_us))
                 .collect::<Vec<_>>(),
         );
-        let job_labels: Vec<(Vec<(&str, &str)>, u64)> = s
-            .worker_busy
-            .iter()
-            .zip(&worker_ids)
-            .map(|(&(jobs, _), id)| (vec![("worker", id.as_str())], jobs))
-            .collect();
         p.counter_vec(
             "mtserve_worker_jobs_total",
             "Per-worker jobs executed.",
-            &job_labels
-                .iter()
-                .map(|(l, n)| (l.as_slice(), *n))
+            "worker",
+            &workers
+                .map(|(id, &(jobs, _))| (id, jobs))
                 .collect::<Vec<_>>(),
         );
         p.summary(
@@ -461,16 +448,13 @@ impl ServeMetrics {
             "Simulated cycles per completed job.",
             &s.service_cycles,
         );
-        let stage_labels: Vec<(Vec<(&str, &str)>, &HdrHistogram)> = STAGES
-            .iter()
-            .map(|&name| (vec![("stage", name)], &s.stages[name]))
-            .collect();
         p.summary_vec(
             "mtserve_request_stage_microseconds",
             "Wall-clock request latency by pipeline stage.",
-            &stage_labels
+            "stage",
+            &STAGES
                 .iter()
-                .map(|(l, h)| (l.as_slice(), *h))
+                .map(|&name| (name, &s.stages[name]))
                 .collect::<Vec<_>>(),
         );
         p.render()

@@ -843,18 +843,21 @@ fn route(request: &Request, peer: &str, shared: &Shared, spans: &mut SpanSet) ->
     shared.metrics.add("requests_total", 1);
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
-        ("GET", "/metrics") => match request.query_get("format") {
-            None | Some("json") => {
-                Response::json(200, shared.metrics.to_json(shared.gauges()).pretty())
-            }
-            Some("prometheus") => Response::new(
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                shared.metrics.to_prometheus(shared.gauges()),
-            ),
-            Some(other) => {
-                error_response(400, "bad-query", Some(&format!("unknown format `{other}`")))
-            }
+        ("GET", "/metrics") => match check_query(request, &["format"]) {
+            Err(response) => response,
+            Ok(()) => match request.query_get("format") {
+                None | Some("json") => {
+                    Response::json(200, shared.metrics.to_json(shared.gauges()).pretty())
+                }
+                Some("prometheus") => Response::new(
+                    200,
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    shared.metrics.to_prometheus(shared.gauges()),
+                ),
+                Some(other) => {
+                    error_response(400, "bad-query", Some(&format!("unknown format `{other}`")))
+                }
+            },
         },
         ("POST", "/assemble") => job_response(request, peer, shared, Endpoint::Assemble, spans),
         ("POST", "/run") => job_response(request, peer, shared, Endpoint::Run, spans),
@@ -864,6 +867,43 @@ fn route(request: &Request, peer: &str, shared: &Shared, spans: &mut SpanSet) ->
         }
         _ => error_response(404, "not-found", None),
     }
+}
+
+/// The query keys `/run` and `/assemble` read: [`parse_options`]'s,
+/// [`parse_deadline`]'s and `span-trace`.
+const JOB_KEYS: &[&str] = &[
+    "base",
+    "cold",
+    "lint",
+    "profile",
+    "trace",
+    "cycles",
+    "watchdog",
+    "backend",
+    "config",
+    "serialized",
+    "deadline-ms",
+    "span-trace",
+];
+
+/// Answers `400 bad-query`, naming the key, when the request's query has
+/// a key outside `keys` (the ones its route reads) or any key twice, so
+/// a misspelt or repeated setting is never silently a default. The scan
+/// stops at the first key outside `keys` or the first repeat, so it reads
+/// at most `keys.len() + 1` keys, however long the query.
+fn check_query(request: &Request, keys: &[&str]) -> Result<(), Response> {
+    for (i, (key, _)) in request.query.iter().enumerate() {
+        let problem = if !keys.contains(&key.as_str()) {
+            "unknown"
+        } else if request.query[..i].iter().any(|(k, _)| k == key) {
+            "repeated"
+        } else {
+            continue;
+        };
+        let message = format!("{problem} query key `{key}`");
+        return Err(error_response(400, "bad-query", Some(&message)));
+    }
+    Ok(())
 }
 
 /// Embeds the request's Chrome span trace in a JSON response body
@@ -906,6 +946,9 @@ fn job_response(
     spans: &mut SpanSet,
 ) -> Response {
     let parse_start = Instant::now();
+    if let Err(response) = check_query(request, JOB_KEYS) {
+        return response;
+    }
     let options = match parse_options(request) {
         Ok(o) => o,
         Err(message) => return error_response(400, "bad-query", Some(&message)),
@@ -1075,21 +1118,12 @@ fn parse_options(request: &Request) -> Result<RunOptions, String> {
     if let Some(v) = request.query_get("backend") {
         options.backend = v.parse().map_err(|e| format!("bad backend: {e}"))?;
     }
-    // `?config=knob=v,knob=v` replaces the whole machine (validated as a
-    // unit); `?lanes=` is a shorthand for the most-swept knob and may
-    // refine a `?config=`. Both land in the cache key via the machine's
-    // canonical serialization.
+    // `?config=knob=v,knob=v` is the one spelling of the machine: it
+    // replaces the whole machine (validated as a unit) and lands in the
+    // cache key via the machine's canonical serialization.
     if let Some(v) = request.query_get("config") {
         options.machine =
             mt_sim::MachineConfig::parse(v).map_err(|e| format!("bad config: {e}"))?;
-    }
-    if let Some(v) = request.query_get("lanes") {
-        let lanes: u64 = v.parse().map_err(|e| format!("bad lanes `{v}`: {e}"))?;
-        options
-            .machine
-            .set_knob("fpu_lanes", lanes)
-            .and_then(|()| options.machine.validate())
-            .map_err(|e| format!("bad lanes: {e}"))?;
     }
     options.serialized = request.query_flag("serialized");
     Ok(options)
@@ -1109,6 +1143,9 @@ pub const MAX_SWEEP_CELLS: usize = 64;
 /// is byte for byte the document `repro-dse` builds for the same grid.
 fn sweep_response(request: &Request, peer: &str, shared: &Shared, spans: &mut SpanSet) -> Response {
     let parse_start = Instant::now();
+    if let Err(response) = check_query(request, &["loops", "deadline-ms"]) {
+        return response;
+    }
     let Ok(text) = String::from_utf8(request.body.clone()) else {
         return error_response(400, "bad-body", None);
     };

@@ -476,6 +476,46 @@ fn structured_errors_for_bad_requests() {
     handle.shutdown();
 }
 
+/// A query key its route does not read, or any key given twice, is a
+/// `400 bad-query` that names the key, never a silent default: a typo
+/// does not run with the default cycle limit, a repeat does not take its
+/// first value, and `?config=` is the one spelling of the machine.
+#[test]
+fn unknown_and_repeated_query_keys_are_bad_queries() {
+    let handle = serve(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr().to_string();
+
+    let posts = [
+        ("/run?cylces=5", "cylces"),
+        ("/run?cycles=1&cycles=2", "cycles"),
+        ("/run?lanes=2", "lanes"),
+        ("/assemble?lint=1&lint=1", "lint"),
+        ("/sweep?loops=12&loop=21", "loop"),
+    ];
+    let gets = [("/metrics?format=json&format=json", "format")];
+    let replies = posts
+        .iter()
+        .map(|&(target, key)| (target, key, post(&addr, target, "q", "halt\n")))
+        .chain(gets.iter().map(|&(t, key)| (t, key, get(&addr, t))));
+    for (target, key, reply) in replies {
+        assert_eq!(reply.status, 400, "{target}: {}", reply.body);
+        let doc = mt_trace::json::parse(&reply.body).unwrap();
+        assert_eq!(doc.get("kind").unwrap().as_str(), Some("bad-query"));
+        let message = doc.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains(&format!("`{key}`")), "{target}: {message}");
+        assert_eq!(get(&addr, "/healthz").status, 200);
+    }
+    // Every key a route reads, once each, still runs.
+    let all = "/run?base=0&cold=1&lint=1&profile=1&trace=1&cycles=1000&watchdog=100\
+               &backend=tick&config=fpu_lanes=2&serialized=0&deadline-ms=60000&span-trace=1";
+    assert_eq!(post(&addr, all, "q", "halt\n").status, 200);
+    handle.shutdown();
+}
+
 /// Satellite regression: a thread that panics while holding the
 /// result-cache lock used to poison the mutex, after which every later
 /// request's cache lookup re-raised the panic in its handler thread —

@@ -8,8 +8,8 @@
 //!    before any cell runs;
 //! 3. `?deadline-ms=` is honored per cell (an expired deadline sheds
 //!    with `503 deadline-exceeded`);
-//! 4. the machine config reaches the result cache: a `?lanes=2` run
-//!    never replays a `lanes=1` body.
+//! 4. the machine config reaches the result cache: a
+//!    `?config=fpu_lanes=2` run never replays an `fpu_lanes=1` body.
 
 use mt_chaos::httpc::{self, Reply};
 use mt_dse::json::sweep_json;
@@ -153,8 +153,8 @@ fn lanes_query_never_replays_a_different_lane_count() {
     let lanes1 = post(&addr, "/run", src);
     assert_eq!(lanes1.status, 200);
     assert_eq!(lanes1.cache.as_deref(), Some("miss"));
-    // Same source with ?lanes=2 must be a cache MISS, not a replay.
-    let lanes2 = post(&addr, "/run?lanes=2", src);
+    // Same source with two lanes must be a cache MISS, not a replay.
+    let lanes2 = post(&addr, "/run?config=fpu_lanes=2", src);
     assert_eq!(lanes2.status, 200);
     assert_eq!(
         lanes2.cache.as_deref(),
@@ -163,7 +163,7 @@ fn lanes_query_never_replays_a_different_lane_count() {
     );
     // And each variant replays its own entry.
     assert_eq!(
-        post(&addr, "/run?lanes=2", src).cache.as_deref(),
+        post(&addr, "/run?config=fpu_lanes=2", src).cache.as_deref(),
         Some("hit")
     );
     assert_eq!(post(&addr, "/run", src).cache.as_deref(), Some("hit"));

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use mt_core::{Fpu, Psw};
-use mt_isa::cost::{InstrCost, IssueTiming};
+use mt_isa::cost::InstrCost;
 use mt_isa::cpu::AluOp;
 use mt_isa::{FReg, IReg, Instr};
 use mt_mem::{Journal, MemError, MemorySystem};
@@ -117,14 +117,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// The issue-timing parameters this configuration implies — the same
-    /// model `mt-lint`'s abstract timing machine replays statically.
-    pub fn issue_timing(&self) -> IssueTiming {
-        self.machine.timing
-    }
-}
-
 /// Why a run ended abnormally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -212,7 +204,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// The cycle at which the snapshot was taken.
     pub fn cycle(&self) -> u64 {
-        self.machine.cycle
+        self.machine.cpu.cycle
     }
 }
 
@@ -256,7 +248,8 @@ enum SpanStop {
     LoopHead,
 }
 
-/// One MultiTitan processor.
+/// One MultiTitan processor: Fig. 1's CPU, FPU and memory hierarchy,
+/// and the loaded program's predecoded text.
 #[derive(Debug, Clone)]
 pub struct Machine {
     /// The FPU (public for workload setup and result inspection).
@@ -264,7 +257,24 @@ pub struct Machine {
     /// The memory hierarchy (public for workload setup).
     pub mem: MemorySystem,
     config: SimConfig,
-    timing: IssueTiming,
+    cpu: Cpu,
+    /// The loaded program's text decoded to micro-ops (built by every
+    /// [`Machine::load_program`]): the PC-indexed table
+    /// [`Machine::fetch`] reads while no write has landed in the text.
+    /// `Arc` keeps [`Machine::snapshot`]/clone cheap: the table is
+    /// immutable, so every checkpoint shares it.
+    xlate: Option<Arc<TranslatedProgram>>,
+    /// The translated engine's loop-iteration memo: a cache of recorded
+    /// iterations, not machine state. Clones (and so snapshots) start
+    /// with an empty one; a new program or job clears it.
+    memo: memo::Memo,
+}
+
+/// The CPU's state: its registers, PC, timing horizons and counters.
+/// One value, so a new machine or job starts from `Cpu::default()` and a
+/// rolled-back memo replay restores the whole of it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cpu {
     iregs: [i32; 32],
     /// Cycle at which each integer register's pending load completes.
     int_ready: [u64; 32],
@@ -294,20 +304,10 @@ pub struct Machine {
     /// are attributed to it.
     ir_pc: u32,
     ir_index: u32,
-    /// The loaded program's text decoded to micro-ops (built by every
-    /// [`Machine::load_program`]): the PC-indexed table
-    /// [`Machine::fetch`] reads while no write has landed in the text.
-    /// `Arc` keeps [`Machine::snapshot`]/clone cheap: the table is
-    /// immutable, so every checkpoint shares it.
-    xlate: Option<Arc<TranslatedProgram>>,
     /// Last cycle at which the machine provably made progress (a CPU
     /// instruction completed or an FPU element/load issued) — the
     /// watchdog's reference point. Always `<= cycle`.
     last_progress: u64,
-    /// The translated engine's loop-iteration memo: a cache of recorded
-    /// iterations, not machine state. Clones (and so snapshots) start
-    /// with an empty one; a new program or job clears it.
-    memo: memo::Memo,
 }
 
 /// Forwards one event when the sink wants it. With [`NullSink`] the whole
@@ -323,31 +323,12 @@ fn emit<S: EventSink>(sink: &mut S, cycle: u64, kind: EventKind) {
 impl Machine {
     /// Creates a machine with cold caches and no program loaded.
     pub fn new(config: SimConfig) -> Machine {
-        let timing = config.issue_timing();
         Machine {
-            fpu: Fpu::with_latency(timing.fpu_latency),
+            fpu: Fpu::with_latency(config.machine.timing.fpu_latency),
             mem: MemorySystem::new(config.machine.mem),
-            timing,
             config,
-            iregs: [0; 32],
-            int_ready: [0; 32],
-            pc: 0,
-            entry: 0,
-            cycle: 0,
-            ls_free_at: 0,
-            freeze_until: 0,
-            fetch_ready_at: 0,
-            pending: None,
-            pending_ready_at: 0,
-            halted: false,
-            interrupt_at: None,
-            instructions: 0,
-            stalls: StallBreakdown::default(),
-            drain_cycles: 0,
-            ir_pc: 0,
-            ir_index: 0,
+            cpu: Cpu::default(),
             xlate: None,
-            last_progress: 0,
             memo: memo::Memo::default(),
         }
     }
@@ -361,9 +342,9 @@ impl Machine {
         for seg in &program.segments {
             self.mem.memory.write_bytes(seg.base, &seg.bytes);
         }
-        self.pc = program.base;
-        self.entry = program.base;
-        self.halted = false;
+        self.cpu.pc = program.base;
+        self.cpu.entry = program.base;
+        self.cpu.halted = false;
         // A freshly loaded program starts with a clear PSW: sticky flags
         // and the §2.3.1 overflow destination are per-program supervisor
         // state, not residue of whatever ran before.
@@ -388,19 +369,14 @@ impl Machine {
 
     /// Reads a CPU integer register.
     pub fn ireg(&self, r: IReg) -> i32 {
-        self.iregs[r.index() as usize]
+        self.cpu.iregs[r.index() as usize]
     }
 
     /// Writes a CPU integer register (setup; writes to `r0` are ignored).
     pub fn set_ireg(&mut self, r: IReg, value: i32) {
         if !r.is_zero() {
-            self.iregs[r.index() as usize] = value;
+            self.cpu.iregs[r.index() as usize] = value;
         }
-    }
-
-    /// The issue-timing parameters this machine runs with.
-    pub fn issue_timing(&self) -> IssueTiming {
-        self.timing
     }
 
     /// Schedules an external interrupt: `cycles` from now the CPU stops
@@ -409,7 +385,7 @@ impl Machine {
     /// long after an interrupt" — so an in-flight vector keeps issuing and
     /// retiring elements; [`Machine::run`] returns once it drains.
     pub fn interrupt_after(&mut self, cycles: u64) {
-        self.interrupt_at = Some(self.cycle + cycles);
+        self.cpu.interrupt_at = Some(self.cpu.cycle + cycles);
     }
 
     /// Resets execution state (PC, pipeline timing, stall counters) for a
@@ -417,24 +393,24 @@ impl Machine {
     /// protocol of §3.2. Register files are preserved too; workloads that
     /// need fresh inputs rewrite them before the second run.
     pub fn reset_for_rerun(&mut self) {
-        self.pc = self.entry;
-        self.halted = false;
-        self.pending = None;
+        self.cpu.pc = self.cpu.entry;
+        self.cpu.halted = false;
+        self.cpu.pending = None;
         // Advance past any residual timing state rather than rewinding, so
         // in-flight bookkeeping can never leak into the next run.
         assert!(!self.fpu.busy(), "reset_for_rerun with FPU busy");
-        self.ls_free_at = self.cycle;
-        self.freeze_until = self.cycle;
-        self.fetch_ready_at = self.cycle;
-        self.int_ready = [0; 32];
-        self.last_progress = self.cycle;
+        self.cpu.ls_free_at = self.cpu.cycle;
+        self.cpu.freeze_until = self.cpu.cycle;
+        self.cpu.fetch_ready_at = self.cpu.cycle;
+        self.cpu.int_ready = [0; 32];
+        self.cpu.last_progress = self.cpu.cycle;
         // An interrupt armed for a cycle the previous run never reached
         // must not ambush the re-run: `interrupt_after` is per-run state.
-        self.interrupt_at = None;
+        self.cpu.interrupt_at = None;
         // FPU-side attribution (drain cycles, scoreboard stalls) must not
         // point at the previous run's last transfer.
-        self.ir_pc = self.entry;
-        self.ir_index = 0;
+        self.cpu.ir_pc = self.cpu.entry;
+        self.cpu.ir_index = 0;
         // The PSW is sticky across instructions, not across runs: a re-run
         // must observe its *own* exception flags and overflow destination,
         // exactly as if the program had been loaded fresh.
@@ -459,28 +435,10 @@ impl Machine {
         if config.machine.mem != self.config.machine.mem {
             self.mem = MemorySystem::new(config.machine.mem);
         }
-        self.timing = config.issue_timing();
-        self.fpu = Fpu::with_latency(self.timing.fpu_latency);
+        self.fpu = Fpu::with_latency(config.machine.timing.fpu_latency);
         self.config = config;
-        self.iregs = [0; 32];
-        self.int_ready = [0; 32];
-        self.pc = 0;
-        self.entry = 0;
-        self.cycle = 0;
-        self.ls_free_at = 0;
-        self.freeze_until = 0;
-        self.fetch_ready_at = 0;
-        self.pending = None;
-        self.pending_ready_at = 0;
-        self.halted = false;
-        self.interrupt_at = None;
-        self.instructions = 0;
-        self.stalls = StallBreakdown::default();
-        self.drain_cycles = 0;
-        self.ir_pc = 0;
-        self.ir_index = 0;
+        self.cpu = Cpu::default();
         self.xlate = None;
-        self.last_progress = 0;
         self.memo.clear();
     }
 
@@ -521,7 +479,7 @@ impl Machine {
             .map(|stats| stats.expect("a run without a stop point always completes"))
     }
 
-    /// Runs until `halt` *or* until `self.cycle` reaches `stop_at`,
+    /// Runs until `halt` *or* until the machine's cycle reaches `stop_at`,
     /// whichever comes first, emitting into `sink` — the fault-injection
     /// campaign's way of pausing a golden replay at an exact cycle to
     /// corrupt state, then resuming with [`Machine::run`]. Returns
@@ -601,7 +559,7 @@ impl Machine {
             *slot = self.fpu.regs().read(FReg::new(i as u8));
         }
         ArchState {
-            iregs: self.iregs,
+            iregs: self.cpu.iregs,
             fregs,
             psw: self.fpu.psw().clone(),
         }
@@ -616,10 +574,7 @@ impl Machine {
         stop_at: Option<u64>,
         mut checkpoint: Option<(u64, &mut dyn FnMut() -> bool)>,
     ) -> Result<Option<RunStats>, RunError> {
-        let start_cycle = self.cycle;
-        let start_instructions = self.instructions;
-        let start_stalls = self.stalls;
-        let start_drain = self.drain_cycles;
+        let start = self.cpu;
         let start_fpu = *self.fpu.stats();
         let dcache0 = self.mem.dcache_stats();
         let icache0 = self.mem.icache_stats();
@@ -632,7 +587,7 @@ impl Machine {
         // First cycle at which the tick loop would report CycleLimit; a
         // hop may land there but never beyond. Saturating, so a limit near
         // `u64::MAX` cannot wrap into a boundary no span advances past.
-        let limit_cycle = (start_cycle + 1).saturating_add(self.config.max_cycles);
+        let limit_cycle = (start.cycle + 1).saturating_add(self.config.max_cycles);
         let watchdog = self.config.watchdog_cycles;
         // First cycle at which the cancellation closure runs; advanced by
         // `check_every` after each (negative) answer. Translated spans
@@ -641,23 +596,25 @@ impl Machine {
         // due no matter how the span executes.
         let mut next_check = checkpoint
             .as_ref()
-            .map(|(every, _)| start_cycle.saturating_add((*every).max(1)));
+            .map(|(every, _)| start.cycle.saturating_add((*every).max(1)));
 
-        while !self.halted {
+        while !self.cpu.halted {
             if let Some(stop) = stop_at {
-                if self.cycle >= stop {
+                if self.cpu.cycle >= stop {
                     self.catch_up_retires();
                     return Ok(None);
                 }
             }
             if let Some((every, cancelled)) = checkpoint.as_mut() {
                 let due = next_check.expect("checkpoint always has a due cycle");
-                if self.cycle >= due {
+                if self.cpu.cycle >= due {
                     if cancelled() {
                         self.catch_up_retires();
-                        return Err(RunError::Cancelled { cycle: self.cycle });
+                        return Err(RunError::Cancelled {
+                            cycle: self.cpu.cycle,
+                        });
                     }
-                    next_check = Some(self.cycle.saturating_add((*every).max(1)));
+                    next_check = Some(self.cpu.cycle.saturating_add((*every).max(1)));
                 }
             }
             // The clamp handed to the translated backend: the real stop
@@ -669,22 +626,22 @@ impl Machine {
                 (Some(s), Some(c)) => Some(s.min(c)),
                 (s, c) => s.or(c),
             };
-            if let Some(at) = self.interrupt_at {
-                if self.cycle >= at {
-                    self.halted = true;
-                    self.interrupt_at = None;
+            if let Some(at) = self.cpu.interrupt_at {
+                if self.cpu.cycle >= at {
+                    self.cpu.halted = true;
+                    self.cpu.interrupt_at = None;
                     break;
                 }
             }
-            if self.cycle - start_cycle > self.config.max_cycles {
+            if self.cpu.cycle - start.cycle > self.config.max_cycles {
                 self.catch_up_retires();
                 return Err(RunError::CycleLimit(self.config.max_cycles));
             }
-            if watchdog > 0 && self.cycle - self.last_progress > watchdog {
+            if watchdog > 0 && self.cpu.cycle - self.cpu.last_progress > watchdog {
                 self.catch_up_retires();
                 return Err(RunError::Watchdog {
-                    pc: self.pc,
-                    idle_cycles: self.cycle - self.last_progress,
+                    pc: self.cpu.pc,
+                    idle_cycles: self.cpu.cycle - self.cpu.last_progress,
                 });
             }
             if use_xlate {
@@ -702,7 +659,7 @@ impl Machine {
         // continue long after an interrupt"). Drain cycles are attributed
         // to the transferring ALU instruction.
         loop {
-            self.fpu.begin_cycle_with(self.cycle, sink);
+            self.fpu.begin_cycle_with(self.cpu.cycle, sink);
             if !self.fpu.busy() {
                 break;
             }
@@ -710,23 +667,23 @@ impl Machine {
             // the FPU latency), but a fault-injected stuck scoreboard bit
             // can block the IR forever with nothing left in flight — the
             // watchdog catches that here too.
-            if watchdog > 0 && self.cycle - self.last_progress > watchdog {
+            if watchdog > 0 && self.cpu.cycle - self.cpu.last_progress > watchdog {
                 return Err(RunError::Watchdog {
-                    pc: self.ir_pc,
-                    idle_cycles: self.cycle - self.last_progress,
+                    pc: self.cpu.ir_pc,
+                    idle_cycles: self.cpu.cycle - self.cpu.last_progress,
                 });
             }
             emit(
                 sink,
-                self.cycle,
+                self.cpu.cycle,
                 EventKind::Drain {
-                    pc: self.ir_pc,
-                    instr_index: self.ir_index,
+                    pc: self.cpu.ir_pc,
+                    instr_index: self.cpu.ir_index,
                 },
             );
-            self.drain_cycles += 1;
+            self.cpu.drain_cycles += 1;
             self.issue_and_record(sink);
-            self.cycle += 1;
+            self.cpu.cycle += 1;
         }
 
         let delta = |a: mt_mem::CacheStats, b: mt_mem::CacheStats| mt_mem::CacheStats {
@@ -735,11 +692,11 @@ impl Machine {
             writebacks: a.writebacks - b.writebacks,
         };
         Ok(Some(RunStats {
-            cycles: self.cycle - start_cycle,
-            instructions: self.instructions - start_instructions,
-            drain_cycles: self.drain_cycles - start_drain,
+            cycles: self.cpu.cycle - start.cycle,
+            instructions: self.cpu.instructions - start.instructions,
+            drain_cycles: self.cpu.drain_cycles - start.drain_cycles,
             fpu: self.fpu.stats().since(&start_fpu),
-            stalls: self.stalls.since(&start_stalls),
+            stalls: self.cpu.stalls.since(&start.stalls),
             dcache: delta(self.mem.dcache_stats(), dcache0),
             icache: delta(self.mem.icache_stats(), icache0),
             ibuffer: delta(self.mem.ibuffer_stats(), ibuffer0),
@@ -758,8 +715,8 @@ impl Machine {
     /// `C`'s phase 1). No-op under pure tick-by-tick, where nothing is
     /// ever deferred.
     fn catch_up_retires(&mut self) {
-        if self.fpu.next_retire_at().is_some_and(|r| r < self.cycle) {
-            self.fpu.begin_cycle(self.cycle - 1);
+        if matches!(self.fpu.next_retire_at(), Some(r) if r < self.cpu.cycle) {
+            self.fpu.begin_cycle(self.cpu.cycle - 1);
         }
     }
 
@@ -793,13 +750,13 @@ impl Machine {
             // are ready already).
             let ready = cost
                 .int_guard_regs()
-                .map(|r| self.int_ready[r.index() as usize])
+                .map(|r| self.cpu.int_ready[r.index() as usize])
                 .max()
                 .expect("a blocked guard set is nonempty");
             return Some((StallCause::IntLoadHazard, ready));
         }
-        if cost.port.is_some() && self.cycle < self.ls_free_at {
-            return Some((StallCause::LsPortBusy, self.ls_free_at));
+        if cost.port.is_some() && self.cpu.cycle < self.cpu.ls_free_at {
+            return Some((StallCause::LsPortBusy, self.cpu.ls_free_at));
         }
         if let Some((fr, is_load)) = cost.fpu_mem {
             if self.fpu.reg_reserved(fr) || self.current_element_conflict(fr, is_load) {
@@ -834,10 +791,10 @@ impl Machine {
         let ir_stalled = match self.fpu.issue_blocked() {
             Some(false) => {
                 if let Some(cause) = stall {
-                    self.stalls.add(cause, 1);
+                    self.cpu.stalls.add(cause, 1);
                 }
                 self.issue_and_record(sink);
-                self.cycle += 1;
+                self.cpu.cycle += 1;
                 return;
             }
             blocked => blocked.is_some(),
@@ -849,16 +806,16 @@ impl Machine {
             }
         }
         t = t.min(boundary);
-        debug_assert!(t > self.cycle, "a wait implies a future horizon");
+        debug_assert!(t > self.cpu.cycle, "a wait implies a future horizon");
         debug_assert!(t < u64::MAX, "unbounded wait must clamp to a retire");
-        let skipped = t - self.cycle;
+        let skipped = t - self.cpu.cycle;
         if let Some(cause) = stall {
-            self.stalls.add(cause, skipped);
+            self.cpu.stalls.add(cause, skipped);
         }
         if ir_stalled {
             self.fpu.add_scoreboard_stalls(skipped);
         }
-        self.cycle = t;
+        self.cpu.cycle = t;
     }
 
     /// Runs a CPU wait on an occupied IR (`IrBusy`: a pending transfer,
@@ -877,11 +834,11 @@ impl Machine {
     fn issue_until_ir_empty<S: EventSink>(&mut self, boundary: u64, sink: &mut S) {
         loop {
             self.hop_wait(Some(StallCause::IrBusy), u64::MAX, boundary, sink);
-            if self.cycle >= boundary {
+            if self.cpu.cycle >= boundary {
                 return;
             }
-            if self.fpu.next_retire_at().is_some_and(|r| r <= self.cycle) {
-                self.fpu.begin_cycle(self.cycle);
+            if matches!(self.fpu.next_retire_at(), Some(r) if r <= self.cpu.cycle) {
+                self.fpu.begin_cycle(self.cpu.cycle);
             }
             if !self.fpu.ir_busy() {
                 return;
@@ -939,7 +896,7 @@ impl Machine {
         if let Some(stop) = stop_at {
             static_boundary = static_boundary.min(stop);
         }
-        if let Some(at) = self.interrupt_at {
+        if let Some(at) = self.cpu.interrupt_at {
             static_boundary = static_boundary.min(at);
         }
         while self.span(static_boundary, &mut NullSink)? == SpanStop::LoopHead {
@@ -958,7 +915,7 @@ impl Machine {
     fn span_boundary(&self, static_boundary: u64) -> u64 {
         match self.config.watchdog_cycles {
             0 => static_boundary,
-            w => static_boundary.min((self.last_progress + 1).saturating_add(w)),
+            w => static_boundary.min((self.cpu.last_progress + 1).saturating_add(w)),
         }
     }
 
@@ -977,14 +934,14 @@ impl Machine {
         let mut head = false;
         loop {
             let boundary = self.span_boundary(static_boundary);
-            if self.cycle >= boundary {
+            if self.cpu.cycle >= boundary {
                 return Ok(SpanStop::Boundary);
             }
 
             // Phase 1: retirements — only on cycles one is due.
             if let Some(retire) = self.fpu.next_retire_at() {
-                if retire <= self.cycle {
-                    self.fpu.begin_cycle(self.cycle);
+                if retire <= self.cpu.cycle {
+                    self.fpu.begin_cycle(self.cpu.cycle);
                 }
             }
 
@@ -995,17 +952,17 @@ impl Machine {
             // Data-miss freeze: CPU and issue both gated; hop to the
             // horizon (retirements mid-span are processed at the target,
             // in the same readiness order).
-            if self.cycle < self.freeze_until {
-                self.cycle = self.freeze_until.min(boundary);
+            if self.cpu.cycle < self.cpu.freeze_until {
+                self.cpu.cycle = self.cpu.freeze_until.min(boundary);
                 continue;
             }
 
             // Phase 2: the CPU's slice.
-            let uop = match self.pending {
-                None if self.cycle < self.fetch_ready_at => {
+            let uop = match self.cpu.pending {
+                None if self.cpu.cycle < self.cpu.fetch_ready_at => {
                     // Branch bubble (charged at the branch): only the
                     // issue stage runs until the fetch window opens.
-                    self.hop_wait(None, self.fetch_ready_at, boundary, sink);
+                    self.hop_wait(None, self.cpu.fetch_ready_at, boundary, sink);
                     continue;
                 }
                 None => {
@@ -1014,16 +971,16 @@ impl Machine {
                         if self.fpu.ir_busy() {
                             self.issue_and_record(sink);
                         }
-                        self.cycle += 1;
+                        self.cpu.cycle += 1;
                         continue;
                     }
-                    self.pending.expect("just fetched")
+                    self.cpu.pending.expect("just fetched")
                 }
-                Some(_) if self.cycle < self.pending_ready_at => {
+                Some(_) if self.cpu.cycle < self.cpu.pending_ready_at => {
                     // Fetch penalty elapsing: one fetch-stall cycle each.
                     self.hop_wait(
                         Some(StallCause::Fetch),
-                        self.pending_ready_at,
+                        self.cpu.pending_ready_at,
                         boundary,
                         sink,
                     );
@@ -1052,13 +1009,13 @@ impl Machine {
             // phase 3: the issue stage, skipped when the IR is empty
             // (`issue` would return `Idle` without effects).
             let exec = self.perform(uop.instr, sink, None)?;
-            head = matches!(exec, Exec::Jump(to) if to <= self.pc);
+            head = matches!(exec, Exec::Jump(to) if to <= self.cpu.pc);
             self.complete(uop.instr, exec, sink);
             if self.fpu.ir_busy() {
                 self.issue_and_record(sink);
             }
-            self.cycle += 1;
-            if self.halted {
+            self.cpu.cycle += 1;
+            if self.cpu.halted {
                 return Ok(SpanStop::Boundary);
             }
         }
@@ -1066,19 +1023,19 @@ impl Machine {
 
     /// Advances the machine by one cycle.
     fn step<S: EventSink>(&mut self, sink: &mut S) -> Result<(), RunError> {
-        self.fpu.begin_cycle_with(self.cycle, sink);
-        if self.cycle >= self.freeze_until {
+        self.fpu.begin_cycle_with(self.cpu.cycle, sink);
+        if self.cpu.cycle >= self.cpu.freeze_until {
             self.cpu_step(sink)?;
             self.issue_and_record(sink);
         }
-        self.cycle += 1;
+        self.cpu.cycle += 1;
         Ok(())
     }
 
     /// Index of the current PC in the program text, matching `mt-lint`
     /// finding indices and assembler source spans.
     fn instr_index(&self) -> u32 {
-        self.pc.wrapping_sub(self.entry) / 4
+        self.cpu.pc.wrapping_sub(self.cpu.entry) / 4
     }
 
     /// Lets the ALU IR issue through this cycle's element lanes, emitting
@@ -1097,18 +1054,18 @@ impl Machine {
     /// element would issue is always single-stepped through this
     /// function.
     fn issue_and_record<S: EventSink>(&mut self, sink: &mut S) {
-        for lane in 0..self.timing.fpu_lanes.max(1) {
-            match self.fpu.issue_lane(self.cycle, lane == 0) {
+        for lane in 0..self.config.machine.timing.fpu_lanes.max(1) {
+            match self.fpu.issue_lane(self.cpu.cycle, lane == 0) {
                 mt_core::IssueOutcome::Issued {
                     op, refs, element, ..
                 } => {
-                    self.last_progress = self.cycle;
+                    self.cpu.last_progress = self.cpu.cycle;
                     emit(
                         sink,
-                        self.cycle,
+                        self.cpu.cycle,
                         EventKind::ElementIssue {
-                            pc: self.ir_pc,
-                            instr_index: self.ir_index,
+                            pc: self.cpu.ir_pc,
+                            instr_index: self.cpu.ir_index,
                             op,
                             element,
                             refs,
@@ -1120,10 +1077,10 @@ impl Machine {
                     if lane == 0 {
                         emit(
                             sink,
-                            self.cycle,
+                            self.cpu.cycle,
                             EventKind::ScoreboardStall {
-                                pc: self.ir_pc,
-                                instr_index: self.ir_index,
+                                pc: self.cpu.ir_pc,
+                                instr_index: self.cpu.ir_index,
                             },
                         );
                     }
@@ -1136,19 +1093,19 @@ impl Machine {
 
     /// The CPU's slice of the cycle: fetch if needed, then try to execute.
     fn cpu_step<S: EventSink>(&mut self, sink: &mut S) -> Result<(), RunError> {
-        if self.pending.is_none() {
-            if self.cycle < self.fetch_ready_at {
+        if self.cpu.pending.is_none() {
+            if self.cpu.cycle < self.cpu.fetch_ready_at {
                 return Ok(()); // branch bubble (accounted at the branch)
             }
             if self.fetch(sink)? {
                 return Ok(());
             }
         }
-        if self.cycle < self.pending_ready_at {
-            self.stalls.fetch += 1;
+        if self.cpu.cycle < self.cpu.pending_ready_at {
+            self.cpu.stalls.fetch += 1;
             return Ok(()); // fetch penalty elapsing
         }
-        let uop = self.pending.expect("pending instruction present");
+        let uop = self.cpu.pending.expect("pending instruction present");
         if let Some((cause, _)) = self.cost_stall_horizon(&uop.cost) {
             self.emit_stall(sink, cause, 1);
             return Ok(());
@@ -1168,8 +1125,8 @@ impl Machine {
     /// reports an undecodable word exactly.
     #[inline(always)]
     fn fetch<S: EventSink>(&mut self, sink: &mut S) -> Result<bool, RunError> {
-        let (uop, penalty) = match self.table_uop(self.pc) {
-            Some(&uop) => (uop, self.mem.fetch_timing(self.pc, None)),
+        let (uop, penalty) = match self.table_uop(self.cpu.pc) {
+            Some(&uop) => (uop, self.mem.fetch_timing(self.cpu.pc, None)),
             None => self.fetch_from_memory()?,
         };
         Ok(self.latch_fetch(uop, penalty, sink))
@@ -1188,7 +1145,7 @@ impl Machine {
     #[cold]
     #[inline(never)]
     fn fetch_from_memory(&mut self) -> Result<(Uop, u64), RunError> {
-        let pc = self.pc;
+        let pc = self.cpu.pc;
         let (word, penalty) = self
             .mem
             .try_fetch(pc)
@@ -1209,17 +1166,17 @@ impl Machine {
     /// whole penalty up front.
     #[inline(always)]
     fn latch_fetch<S: EventSink>(&mut self, uop: Uop, penalty: u64, sink: &mut S) -> bool {
-        self.pending = Some(uop);
-        self.pending_ready_at = self.cycle + penalty;
+        self.cpu.pending = Some(uop);
+        self.cpu.pending_ready_at = self.cpu.cycle + penalty;
         if penalty == 0 {
             return false;
         }
-        self.stalls.fetch += 1;
+        self.cpu.stalls.fetch += 1;
         emit(
             sink,
-            self.cycle,
+            self.cpu.cycle,
             EventKind::Stall {
-                pc: self.pc,
+                pc: self.cpu.pc,
                 instr_index: self.instr_index(),
                 cause: StallCause::Fetch,
                 cycles: penalty,
@@ -1233,34 +1190,34 @@ impl Machine {
     /// progress for the watchdog, frees the fetch slot, reports the
     /// completion, and moves the PC or halts.
     fn complete<S: EventSink>(&mut self, instr: Instr, exec: Exec, sink: &mut S) {
-        self.instructions += 1;
-        self.last_progress = self.cycle;
-        self.pending = None;
+        self.cpu.instructions += 1;
+        self.cpu.last_progress = self.cpu.cycle;
+        self.cpu.pending = None;
         emit(
             sink,
-            self.cycle,
+            self.cpu.cycle,
             EventKind::CpuComplete {
-                pc: self.pc,
+                pc: self.cpu.pc,
                 instr_index: self.instr_index(),
                 instr,
             },
         );
         match exec {
-            Exec::Next => self.pc = self.pc.wrapping_add(4),
-            Exec::Jump(target) => self.pc = target,
-            Exec::Halted => self.halted = true,
+            Exec::Next => self.cpu.pc = self.cpu.pc.wrapping_add(4),
+            Exec::Jump(target) => self.cpu.pc = target,
+            Exec::Halted => self.cpu.halted = true,
         }
     }
 
     /// Charges `cycles` CPU stall cycles to `cause` and emits them at the
     /// current PC.
     fn emit_stall<S: EventSink>(&mut self, sink: &mut S, cause: StallCause, cycles: u64) {
-        self.stalls.add(cause, cycles);
+        self.cpu.stalls.add(cause, cycles);
         emit(
             sink,
-            self.cycle,
+            self.cpu.cycle,
             EventKind::Stall {
-                pc: self.pc,
+                pc: self.cpu.pc,
                 instr_index: self.instr_index(),
                 cause,
                 cycles,
@@ -1270,7 +1227,7 @@ impl Machine {
 
     /// `true` when `r` has a load in its delay slot (interlock).
     fn int_blocked(&self, r: IReg) -> bool {
-        self.cycle < self.int_ready[r.index() as usize]
+        self.cpu.cycle < self.cpu.int_ready[r.index() as usize]
     }
 
     /// Executes `instr` at the current PC — the one copy of the
@@ -1290,6 +1247,7 @@ impl Machine {
         journal: Option<&mut Journal>,
     ) -> Result<Exec, RunError> {
         let replay = journal.is_some();
+        let pc = self.cpu.pc;
         match instr {
             Instr::Nop => Ok(Exec::Next),
             Instr::Halt => Ok(Exec::Halted),
@@ -1343,14 +1301,12 @@ impl Machine {
                 let (value, penalty) = self
                     .mem
                     .try_load_u32(addr, journal)
-                    .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
+                    .map_err(|fault| RunError::MemoryFault { pc, fault })?;
                 self.set_ireg(rd, value as i32);
                 // One load delay slot beyond any miss stall.
-                self.int_ready[rd.index() as usize] =
-                    self.cycle + penalty + self.timing.int_load_delay_cycles;
-                self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
-                self.emit_dcache(sink, false, penalty);
-                self.apply_miss(penalty, sink);
+                self.cpu.int_ready[rd.index() as usize] =
+                    self.cpu.cycle + penalty + self.config.machine.timing.int_load_delay_cycles;
+                self.data_access(sink, false, penalty);
                 Ok(Exec::Next)
             }
 
@@ -1360,11 +1316,8 @@ impl Machine {
                 let penalty = self
                     .mem
                     .try_store_u32(addr, value, journal)
-                    .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                // Stores take two cycles (§2.4).
-                self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
-                self.emit_dcache(sink, true, penalty);
-                self.apply_miss(penalty, sink);
+                    .map_err(|fault| RunError::MemoryFault { pc, fault })?;
+                self.data_access(sink, true, penalty);
                 Ok(Exec::Next)
             }
 
@@ -1373,15 +1326,13 @@ impl Machine {
                 let (bits, penalty) = self
                     .mem
                     .try_load_f64(addr, journal)
-                    .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
+                    .map_err(|fault| RunError::MemoryFault { pc, fault })?;
                 if replay {
                     self.fpu.write_reg_direct(fr, bits);
                 } else {
-                    self.fpu.load_write(fr, bits, self.cycle + penalty);
+                    self.fpu.load_write(fr, bits, self.cpu.cycle + penalty);
                 }
-                self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
-                self.emit_dcache(sink, false, penalty);
-                self.apply_miss(penalty, sink);
+                self.data_access(sink, false, penalty);
                 Ok(Exec::Next)
             }
 
@@ -1390,16 +1341,13 @@ impl Machine {
                 let penalty = self
                     .mem
                     .try_store_f64(addr, self.fpu.read_reg(fr), journal)
-                    .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
+                    .map_err(|fault| RunError::MemoryFault { pc, fault })?;
                 if !replay {
                     // The store happened: count it (the guard held the
                     // register free). A faulting one is not counted.
                     self.fpu.read_reg_for_store(fr);
                 }
-                // Stores take two cycles (§2.4).
-                self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
-                self.emit_dcache(sink, true, penalty);
-                self.apply_miss(penalty, sink);
+                self.data_access(sink, true, penalty);
                 Ok(Exec::Next)
             }
 
@@ -1411,7 +1359,7 @@ impl Machine {
             } => {
                 if cond.eval(self.ireg(rs1), self.ireg(rs2)) {
                     self.take_branch_bubble(sink);
-                    let target = (self.pc / 4).wrapping_add(1).wrapping_add(offset as u32);
+                    let target = (pc / 4).wrapping_add(1).wrapping_add(offset as u32);
                     Ok(Exec::Jump(target.wrapping_mul(4)))
                 } else {
                     Ok(Exec::Next)
@@ -1424,7 +1372,7 @@ impl Machine {
             }
 
             Instr::Jal { target } => {
-                self.set_ireg(IReg::new(31), self.pc.wrapping_add(4) as i32);
+                self.set_ireg(IReg::new(31), pc.wrapping_add(4) as i32);
                 self.take_branch_bubble(sink);
                 Ok(Exec::Jump(target.wrapping_mul(4)))
             }
@@ -1441,14 +1389,14 @@ impl Machine {
                 }
                 // Subsequent FPU-side events (element issues, scoreboard
                 // stalls, drain) belong to this instruction.
-                self.ir_pc = self.pc;
-                self.ir_index = self.instr_index();
+                self.cpu.ir_pc = pc;
+                self.cpu.ir_index = self.instr_index();
                 emit(
                     sink,
-                    self.cycle,
+                    self.cpu.cycle,
                     EventKind::Transfer {
-                        pc: self.pc,
-                        instr_index: self.ir_index,
+                        pc,
+                        instr_index: self.cpu.ir_index,
                         instr: f,
                     },
                 );
@@ -1458,32 +1406,39 @@ impl Machine {
     }
 
     fn take_branch_bubble<S: EventSink>(&mut self, sink: &mut S) {
-        self.fetch_ready_at = self.cycle + 1 + self.timing.branch_penalty;
-        if self.timing.branch_penalty > 0 {
-            self.emit_stall(sink, StallCause::Branch, self.timing.branch_penalty);
+        let penalty = self.config.machine.timing.branch_penalty;
+        self.cpu.fetch_ready_at = self.cpu.cycle + 1 + penalty;
+        if penalty > 0 {
+            self.emit_stall(sink, StallCause::Branch, penalty);
         }
     }
 
-    /// Emits the data-port access of the instruction at the current PC.
-    fn emit_dcache<S: EventSink>(&mut self, sink: &mut S, store: bool, penalty: u64) {
+    /// Books the data-port access of the instruction at the current PC:
+    /// the port stays busy beyond any miss penalty (a store takes two
+    /// cycles, §2.4), and a data-cache miss freezes instruction issue for
+    /// the penalty (the lock-step pipeline), while in-flight FPU results
+    /// keep draining.
+    fn data_access<S: EventSink>(&mut self, sink: &mut S, store: bool, penalty: u64) {
+        let t = &self.config.machine.timing;
+        let port = if store {
+            t.store_port_cycles
+        } else {
+            t.load_port_cycles
+        };
+        self.cpu.ls_free_at = self.cpu.cycle + penalty + port;
         emit(
             sink,
-            self.cycle,
+            self.cpu.cycle,
             EventKind::DcacheAccess {
-                pc: self.pc,
+                pc: self.cpu.pc,
                 instr_index: self.instr_index(),
                 store,
                 miss: penalty > 0,
                 penalty,
             },
         );
-    }
-
-    /// A data-cache miss freezes instruction issue for the penalty (the
-    /// lock-step pipeline), while in-flight FPU results keep draining.
-    fn apply_miss<S: EventSink>(&mut self, penalty: u64, sink: &mut S) {
         if penalty > 0 {
-            self.freeze_until = self.cycle + 1 + penalty;
+            self.cpu.freeze_until = self.cpu.cycle + 1 + penalty;
             self.emit_stall(sink, StallCause::DataMiss, penalty);
         }
     }

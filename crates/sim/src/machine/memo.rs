@@ -33,7 +33,7 @@ use mt_isa::{FReg, FpuAluInstr, Instr};
 use mt_mem::Journal;
 use mt_trace::{EventKind, EventSink, NullSink, StallCause, TraceEvent};
 
-use super::{Exec, Machine, RunError, SpanStop};
+use super::{Cpu, Exec, Machine, RunError, SpanStop};
 use crate::stats::StallBreakdown;
 
 /// Paths kept per key: the outcome paths one timing state leads to (the
@@ -553,27 +553,17 @@ impl EventSink for Recorder {
     }
 }
 
-/// The machine at a loop head: the counters a recording's deltas start
-/// from, and the state a rolled-back replay restores (the memory system
-/// has a journal of its own).
+/// The machine at a loop head: the state a rolled-back replay restores
+/// (the whole CPU and the FP register file; the memory system has a
+/// journal of its own), and the counters a recording's deltas start from.
 struct Head {
-    cycle: u64,
-    instructions: u64,
-    stalls: StallBreakdown,
+    cpu: Cpu,
     fpu: FpuStats,
     fregs: RegisterFile,
     /// The FPU's writes in flight, in retirement order: the first
     /// `in_flight`.
     writes: [InFlight; WRITES],
     in_flight: usize,
-    iregs: [i32; 32],
-    int_ready: [u64; 32],
-    pc: u32,
-    ls_free_at: u64,
-    freeze_until: u64,
-    fetch_ready_at: u64,
-    ir_pc: u32,
-    ir_index: u32,
 }
 
 /// One element write of a replay: its register's value before and after.
@@ -669,7 +659,8 @@ impl Machine {
             // checked against and leaves in flight only writes due later.
             let boundary = self.span_boundary(static_boundary);
             debug_assert!(
-                self.cycle < boundary && self.fpu.next_retire_at().is_none_or(|r| r > self.cycle),
+                self.cpu.cycle < boundary
+                    && self.fpu.next_retire_at().is_none_or(|r| r > self.cpu.cycle),
                 "a loop head passed the span's loop top"
             );
             // By reference: a head is a kilobyte, and this runs at every
@@ -726,7 +717,7 @@ impl Machine {
             if !e.ends.is_empty() {
                 // The span's boundary at the head bounds it for the
                 // whole iteration: `last_progress` only grows.
-                let outcome = if self.cycle + e.shortest >= boundary {
+                let outcome = if self.cpu.cycle + e.shortest >= boundary {
                     Replay::Crossed
                 } else {
                     self.replay(e, journal, boundary)
@@ -754,7 +745,7 @@ impl Machine {
                 return Ok(SpanStop::LoopHead);
             }
             // Record the iteration the span runs now.
-            memo.recorder.begin(self.cycle);
+            memo.recorder.begin(self.cpu.cycle);
             let head = self.head();
             match self.span(static_boundary, &mut memo.recorder)? {
                 SpanStop::Boundary => {
@@ -767,7 +758,8 @@ impl Machine {
         }
     }
 
-    /// The machine at the current cycle, a loop head.
+    /// The machine at the current cycle, a loop head: a copy of the CPU,
+    /// the FP register file, the FPU's counters and its writes in flight.
     fn head(&self) -> Head {
         let mut writes = [NO_WRITE; WRITES];
         let mut in_flight = 0;
@@ -776,32 +768,22 @@ impl Machine {
             in_flight += 1;
         }
         Head {
-            cycle: self.cycle,
-            instructions: self.instructions,
-            stalls: self.stalls,
+            cpu: self.cpu,
             fpu: *self.fpu.stats(),
             fregs: self.fpu.regs().clone(),
             writes,
             in_flight,
-            iregs: self.iregs,
-            int_ready: self.int_ready,
-            pc: self.pc,
-            ls_free_at: self.ls_free_at,
-            freeze_until: self.freeze_until,
-            fetch_ready_at: self.fetch_ready_at,
-            ir_pc: self.ir_pc,
-            ir_index: self.ir_index,
         }
     }
 
     /// The key of the timing state at the current cycle with the FPU's
     /// part `fpu`, or `None` when it does not fit one.
     fn head_key(&self, (writes, ir): FpuKey) -> Option<Key> {
-        let now = self.cycle;
+        let now = self.cpu.cycle;
         let rel = |t: u64| u32::try_from(t.saturating_sub(now)).ok();
         let mut ints = [0u32; 2];
         let mut n = 0;
-        for (r, &ready) in self.int_ready.iter().enumerate() {
+        for (r, &ready) in self.cpu.int_ready.iter().enumerate() {
             if ready > now {
                 let d = u32::try_from(ready - now).ok().filter(|&d| d < 1 << 27)?;
                 *ints.get_mut(n)? = d << 5 | r as u32;
@@ -809,10 +791,10 @@ impl Machine {
             }
         }
         Some(Key {
-            pc: self.pc,
-            fetch: rel(self.fetch_ready_at)?,
-            ls: rel(self.ls_free_at)?,
-            freeze: rel(self.freeze_until)?,
+            pc: self.cpu.pc,
+            fetch: rel(self.cpu.fetch_ready_at)?,
+            ls: rel(self.cpu.ls_free_at)?,
+            freeze: rel(self.cpu.freeze_until)?,
             ints,
             writes,
             ir,
@@ -827,7 +809,7 @@ impl Machine {
         let mut writes = [0u32; WRITES];
         let mut n = 0;
         for w in self.fpu.writes_in_flight() {
-            let ready = w.ready_at.checked_sub(self.cycle)?;
+            let ready = w.ready_at.checked_sub(self.cpu.cycle)?;
             let ready = u32::try_from(ready).ok().filter(|&d| d < 1 << 26)?;
             *writes.get_mut(n)? = ready << 6 | u32::from(w.dest.index());
             n += 1;
@@ -844,11 +826,11 @@ impl Machine {
         let ir = match self.fpu.ir_active() {
             None => None,
             Some(active) => {
-                let named = self.table_uop(self.ir_pc).map(|u| u.instr);
+                let named = self.table_uop(self.cpu.ir_pc).map(|u| u.instr);
                 if named != Some(Instr::Falu(active.instr)) {
                     return None;
                 }
-                Some((self.ir_pc, active.next_element))
+                Some((self.cpu.ir_pc, active.next_element))
             }
         };
         Some((writes, ir))
@@ -860,12 +842,12 @@ impl Machine {
     /// unreplayable. It joins the tree of its key's paths where its
     /// outcomes leave every recorded one.
     fn finish_recording(&mut self, memo: &mut Store, entry: u32, head: &Head) {
-        memo.recorder.link(self.pc);
+        memo.recorder.link(self.cpu.pc);
         let rec = &memo.recorder;
         let fpu = self.fpu.stats().since(&head.fpu);
         let kept = (rec.replayable
             && fpu.overflow_aborts == 0
-            && self.fetched_from_table(head.pc, &rec.steps))
+            && self.fetched_from_table(head.cpu.pc, &rec.steps))
         .then(|| self.path_end(head, &rec.steps, fpu))
         .flatten()
         .and_then(|end| Some((memo.entries[entry as usize].graft(&rec.steps)?, end)));
@@ -916,7 +898,7 @@ impl Machine {
         // others are the path's last element steps.
         let survivors = head.writes[..head.in_flight]
             .iter()
-            .filter(|w| w.ready_at > self.cycle)
+            .filter(|w| w.ready_at > self.cpu.cycle)
             .count();
         let mut elements = steps.iter().rev().filter_map(|s| match s {
             Step::Element { refs, .. } => Some(refs.rr),
@@ -934,18 +916,18 @@ impl Machine {
             }
             issued.push(Issued {
                 dest: w.dest,
-                ready: w.ready_at - head.cycle,
+                ready: w.ready_at - head.cpu.cycle,
                 instr: instr_id as i64 - head.fpu.instructions_transferred as i64,
                 element,
             });
         }
         issued.reverse();
         Some(End {
-            cycles: self.cycle - head.cycle,
-            instructions: self.instructions - head.instructions,
-            last_progress: self.last_progress - head.cycle,
-            pending_ready: self.pending_ready_at - head.cycle,
-            stalls: self.stalls.since(&head.stalls),
+            cycles: self.cpu.cycle - head.cpu.cycle,
+            instructions: self.cpu.instructions - head.cpu.instructions,
+            last_progress: self.cpu.last_progress - head.cpu.cycle,
+            pending_ready: self.cpu.pending_ready_at - head.cpu.cycle,
+            stalls: self.cpu.stalls.since(&head.cpu.stalls),
             fpu,
             issued: issued.into(),
             ir: self.fpu.ir_active().map(|a| (a.instr, a.next_element)),
@@ -968,13 +950,16 @@ impl Machine {
 
     /// Replays the path of `e`'s tree that the outcomes lead to, from
     /// the loop head at the current cycle, and commits it if it ends
-    /// before `boundary`; otherwise rolls back without a trace.
+    /// before `boundary`; otherwise rolls back without a trace: the
+    /// memory system through the journal, and the whole CPU and the FP
+    /// register file from the head (the pipeline and IR were not
+    /// touched).
     fn replay(&mut self, e: &Entry, journal: &mut Journal, boundary: u64) -> Replay {
         let head = self.head();
         self.mem.begin_journal(journal);
         let mut tail = Tail::new();
         let outcome = match self.replay_steps(&e.steps, &head, journal, &mut tail) {
-            Some(path) if head.cycle + e.ends[path as usize].cycles < boundary => {
+            Some(path) if head.cpu.cycle + e.ends[path as usize].cycles < boundary => {
                 self.commit(&e.ends[path as usize], &head, &tail);
                 return Replay::Committed(path);
             }
@@ -983,16 +968,7 @@ impl Machine {
         };
         self.mem.roll_back(journal);
         *self.fpu.regs_mut() = head.fregs;
-        self.iregs = head.iregs;
-        self.int_ready = head.int_ready;
-        self.pc = head.pc;
-        self.cycle = head.cycle;
-        self.ls_free_at = head.ls_free_at;
-        self.freeze_until = head.freeze_until;
-        self.fetch_ready_at = head.fetch_ready_at;
-        self.stalls = head.stalls;
-        self.ir_pc = head.ir_pc;
-        self.ir_index = head.ir_index;
+        self.cpu = head.cpu;
         outcome
     }
 
@@ -1001,13 +977,13 @@ impl Machine {
     /// have, except for the writes in flight; the counters come from the
     /// recording.
     fn commit(&mut self, end: &End, head: &Head, tail: &Tail) {
-        let now = head.cycle + end.cycles;
+        let now = head.cpu.cycle + end.cycles;
         let mut issued = [NO_WRITE; WRITES];
         let (flags, retired) = self.settle_writes(end, head, tail, now, &mut issued);
-        self.cycle = now;
-        self.instructions += end.instructions;
-        self.stalls = head.stalls;
-        self.stalls.add_all(&end.stalls);
+        self.cpu.cycle = now;
+        self.cpu.instructions += end.instructions;
+        self.cpu.stalls = head.cpu.stalls;
+        self.cpu.stalls.add_all(&end.stalls);
         self.fpu.commit_replayed(
             &end.fpu,
             flags,
@@ -1015,8 +991,8 @@ impl Machine {
             &issued[..end.issued.len()],
             end.ir,
         );
-        self.last_progress = head.cycle + end.last_progress;
-        self.pending_ready_at = head.cycle + end.pending_ready;
+        self.cpu.last_progress = head.cpu.cycle + end.last_progress;
+        self.cpu.pending_ready_at = head.cpu.cycle + end.pending_ready;
     }
 
     /// The writes in flight at a replay's head and end, at cycle `now`:
@@ -1048,7 +1024,7 @@ impl Machine {
             debug_assert_eq!(w.dest, i.dest, "the path's last elements");
             self.fpu.write_reg_direct(w.dest, w.old);
             issued[k] = InFlight {
-                ready_at: head.cycle + i.ready,
+                ready_at: head.cpu.cycle + i.ready,
                 dest: w.dest,
                 value: w.value,
                 flags: w.flags,
@@ -1095,27 +1071,27 @@ impl Machine {
             }
             self.fpu.write_reg_direct(w.dest, w.value);
         }
-        let base = head.cycle;
+        let base = head.cpu.cycle;
         // The path's start branches on the first fetch.
-        let fetch = self.mem.fetch_timing(self.pc, Some(journal));
+        let fetch = self.mem.fetch_timing(self.cpu.pc, Some(journal));
         let mut i = follow(steps, 0, (u16::try_from(fetch).ok()?, 0, 0)).ok()? + 1;
         loop {
             match steps[i as usize] {
                 Step::Instr(ref x) => {
-                    self.cycle = base + u64::from(x.at);
+                    self.cpu.cycle = base + u64::from(x.at);
                     // The recorded schedule runs each instruction at or
                     // after the previous freeze, so the freeze horizon
                     // `perform` leaves gives this step's data-cache
-                    // penalty: `apply_miss` sets it to `cycle + 1 +
+                    // penalty: `data_access` sets it to `cycle + 1 +
                     // penalty` on a miss and leaves it at or below `cycle`
                     // otherwise.
-                    debug_assert!(self.freeze_until <= self.cycle, "a step in a freeze");
+                    debug_assert!(self.cpu.freeze_until <= self.cpu.cycle, "a frozen step");
                     let (to, last) = match self.perform(x.instr, &mut NullSink, Some(journal)) {
-                        Ok(Exec::Next) => (self.pc.wrapping_add(4), false),
-                        Ok(Exec::Jump(to)) => (to, to <= self.pc),
+                        Ok(Exec::Next) => (self.cpu.pc.wrapping_add(4), false),
+                        Ok(Exec::Jump(to)) => (to, to <= self.cpu.pc),
                         Ok(Exec::Halted) | Err(_) => return None,
                     };
-                    let penalty = self.freeze_until.saturating_sub(self.cycle + 1);
+                    let penalty = self.cpu.freeze_until.saturating_sub(self.cpu.cycle + 1);
                     // A write into the text makes the span stop before its
                     // next fetch.
                     if matches!(x.instr, Instr::Sw { .. } | Instr::Fst { .. })
@@ -1141,7 +1117,7 @@ impl Machine {
                             (u16::try_from(fetch).ok()?, u16::try_from(penalty).ok()?, to);
                         follow(steps, i, outcome).ok()?
                     };
-                    self.pc = to;
+                    self.cpu.pc = to;
                     i = n + 1;
                 }
                 Step::Element { op, refs } => {
